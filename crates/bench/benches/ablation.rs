@@ -131,14 +131,15 @@ fn ablation_answer_width(c: &mut Criterion) {
         let pool = world.akamai.exposed(Region::Eu, 0.9);
         let target = pool.len() * 9 / 10;
         let mut seen = std::collections::HashSet::new();
+        let mut answer = Vec::new();
         let mut draws = 0usize;
         let t0 = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
         'outer: for round in 0..10_000u64 {
             let client = Ipv4Addr::from(0x0A00_0000 + (round as u32 % 400) * 97);
             let now = t0 + Duration::secs(round * 60);
-            for ip in world.akamai.answer(Region::Eu, 0.9, client, now, k) {
-                seen.insert(ip);
-            }
+            answer.clear();
+            world.akamai.answer(Region::Eu, 0.9, client, now, k, &mut answer);
+            seen.extend(answer.iter().copied());
             draws += 1;
             if seen.len() >= target {
                 break 'outer;

@@ -186,25 +186,29 @@ impl Clone for GslbDirectory {
 impl GslbDirectory {
     /// See [`AppleCdn::gslb_answer`].
     pub fn answer(&self, client_ip: Ipv4Addr, coord: Coord, now: SimTime) -> Vec<Ipv4Addr> {
-        self.answer_filtered(client_ip, coord, now, &|_| false)
+        let mut out = Vec::new();
+        self.answer_filtered(client_ip, coord, now, &|_| false, &mut out);
+        out
     }
 
     /// The GSLB answer with down sites skipped: sites whose key makes
     /// `down` return true are excluded before nearest-site ranking, so
     /// clients of a dead site silently fail over to the next-nearest one.
     /// With a never-true filter this is exactly [`GslbDirectory::answer`].
+    /// Appends the addresses to `out` (nothing when every site is down).
     pub fn answer_filtered(
         &self,
         client_ip: Ipv4Addr,
         coord: Coord,
         now: SimTime,
         down: &dyn Fn(u64) -> bool,
-    ) -> Vec<Ipv4Addr> {
+        out: &mut Vec<Ipv4Addr>,
+    ) {
         let key = (coord.lat.to_bits(), coord.lon.to_bits());
         {
             let ranks = self.ranks.read().expect("rank cache poisoned");
             if let Some(order) = ranks.get(&key) {
-                return self.answer_ranked(order, client_ip, now, down);
+                return self.answer_ranked(order, client_ip, now, down, out);
             }
         }
         let mut ranked: Vec<(f64, usize)> = self
@@ -215,9 +219,8 @@ impl GslbDirectory {
             .collect();
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let order: Vec<u16> = ranked.iter().map(|&(_, i)| i as u16).collect();
-        let answer = self.answer_ranked(&order, client_ip, now, down);
+        self.answer_ranked(&order, client_ip, now, down, out);
         self.ranks.write().expect("rank cache poisoned").insert(key, order);
-        answer
     }
 
     /// Answers from a precomputed full rank order, skipping down sites.
@@ -227,7 +230,8 @@ impl GslbDirectory {
         client_ip: Ipv4Addr,
         now: SimTime,
         down: &dyn Fn(u64) -> bool,
-    ) -> Vec<Ipv4Addr> {
+        out: &mut Vec<Ipv4Addr>,
+    ) {
         let mut nearest = None;
         let mut next = None;
         for &i in order {
@@ -242,7 +246,7 @@ impl GslbDirectory {
             }
         }
         let Some(nearest) = nearest else {
-            return Vec::new();
+            return;
         };
         let client_hash = fnv64(&client_ip.octets());
         let pick = match next {
@@ -252,7 +256,7 @@ impl GslbDirectory {
         let vips = &self.sites[pick].2;
         let rot = (client_hash ^ (now.as_secs() / GSLB_ROTATION.as_secs())) as usize;
         let k = 2.min(vips.len());
-        (0..k).map(|j| vips[(rot + j) % vips.len()]).collect()
+        out.extend((0..k).map(|j| vips[(rot + j) % vips.len()]));
     }
 
     /// Every vip address in the directory.
@@ -413,9 +417,14 @@ mod tests {
             .collect();
         // With both Frankfurt sites down, every client fails over to the
         // next-nearest site (London/NYC) — never a dead vip.
+        let filtered = |client, down: &dyn Fn(u64) -> bool| {
+            let mut out = Vec::new();
+            dir.answer_filtered(client, fra, t, down, &mut out);
+            out
+        };
         for i in 0..64u32 {
             let client = Ipv4Addr::from(0x0A00_0200 + i * 13);
-            let ans = dir.answer_filtered(client, fra, t, &|k| down.contains(&k));
+            let ans = filtered(client, &|k| down.contains(&k));
             assert!(!ans.is_empty());
             for ip in ans {
                 let name = cdn.ptr_lookup(ip).unwrap();
@@ -425,12 +434,9 @@ mod tests {
         // A never-true filter is bit-identical to the unfiltered answer.
         for i in 0..64u32 {
             let client = Ipv4Addr::from(0x0A00_0300 + i * 7);
-            assert_eq!(
-                dir.answer(client, fra, t),
-                dir.answer_filtered(client, fra, t, &|_| false)
-            );
+            assert_eq!(dir.answer(client, fra, t), filtered(client, &|_| false));
         }
         // Everything down: the GSLB has no answer (NXDOMAIN upstream).
-        assert!(dir.answer_filtered(Ipv4Addr::new(10, 0, 0, 1), fra, t, &|_| true).is_empty());
+        assert!(filtered(Ipv4Addr::new(10, 0, 0, 1), &|_| true).is_empty());
     }
 }

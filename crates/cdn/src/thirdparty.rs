@@ -20,7 +20,6 @@
 use crate::site::fnv64;
 use mcdn_geo::{Region, SimTime};
 use mcdn_netsim::{AsId, Ipv4Net};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A pool of caches homed in a foreign AS.
@@ -37,6 +36,14 @@ pub struct OffNetPool {
 /// How often the answer rotation advances (seconds).
 const ROTATION_SECS: u64 = 60;
 
+/// One region's pools.
+#[derive(Debug, Clone, Default)]
+struct RegionPools {
+    base: Vec<Ipv4Addr>,
+    surge: Vec<Ipv4Addr>,
+    offnet: Vec<OffNetPool>,
+}
+
 /// A third-party CDN participating in the Meta-CDN.
 #[derive(Debug, Clone)]
 pub struct ThirdPartyCdn {
@@ -44,9 +51,8 @@ pub struct ThirdPartyCdn {
     pub name: String,
     /// The CDN's own AS.
     pub as_id: AsId,
-    base: HashMap<Region, Vec<Ipv4Addr>>,
-    surge: HashMap<Region, Vec<Ipv4Addr>>,
-    offnet: HashMap<Region, Vec<OffNetPool>>,
+    /// Pools indexed by `Region as usize` (the order of [`Region::ALL`]).
+    pools: [RegionPools; 3],
     /// Exponent shaping how fast the surge pool is exposed with load.
     surge_exponent: f64,
 }
@@ -57,11 +63,30 @@ impl ThirdPartyCdn {
         ThirdPartyCdn {
             name: name.to_string(),
             as_id,
-            base: HashMap::new(),
-            surge: HashMap::new(),
-            offnet: HashMap::new(),
+            pools: Default::default(),
             surge_exponent: 1.0,
         }
+    }
+
+    fn pools(&self, region: Region) -> &RegionPools {
+        &self.pools[region as usize]
+    }
+
+    /// The exposed set at `load` as the slices whose concatenation it is:
+    /// `base`, the exposed prefix of `surge`, then every engaged off-net
+    /// pool in insertion order.
+    fn exposed_parts(
+        &self,
+        region: Region,
+        load: f64,
+    ) -> impl Iterator<Item = &[Ipv4Addr]> + Clone + '_ {
+        let load = load.clamp(0.0, 1.0);
+        let pools = self.pools(region);
+        let n = (pools.surge.len() as f64 * load.powf(self.surge_exponent)).round() as usize;
+        let surge = &pools.surge[..n.min(pools.surge.len())];
+        [pools.base.as_slice(), surge].into_iter().chain(
+            pools.offnet.iter().filter(move |p| load >= p.engage_at).map(|p| p.ips.as_slice()),
+        )
     }
 
     /// Generates `count` addresses from `prefix` starting at `offset`
@@ -74,19 +99,19 @@ impl ThirdPartyCdn {
 
     /// Sets the always-advertised pool for `region`.
     pub fn with_base(mut self, region: Region, ips: Vec<Ipv4Addr>) -> Self {
-        self.base.insert(region, ips);
+        self.pools[region as usize].base = ips;
         self
     }
 
     /// Sets the load-proportional surge pool for `region`.
     pub fn with_surge(mut self, region: Region, ips: Vec<Ipv4Addr>) -> Self {
-        self.surge.insert(region, ips);
+        self.pools[region as usize].surge = ips;
         self
     }
 
     /// Adds an off-net pool for `region`.
     pub fn with_offnet(mut self, region: Region, pool: OffNetPool) -> Self {
-        self.offnet.entry(region).or_default().push(pool);
+        self.pools[region as usize].offnet.push(pool);
         self
     }
 
@@ -101,28 +126,17 @@ impl ThirdPartyCdn {
     /// The set of addresses the CDN exposes in `region` at `load ∈ [0,1]`.
     /// Deterministic and monotone in `load`.
     pub fn exposed(&self, region: Region, load: f64) -> Vec<Ipv4Addr> {
-        let load = load.clamp(0.0, 1.0);
-        let mut out = self.base.get(&region).cloned().unwrap_or_default();
-        if let Some(surge) = self.surge.get(&region) {
-            let n = (surge.len() as f64 * load.powf(self.surge_exponent)).round() as usize;
-            out.extend_from_slice(&surge[..n.min(surge.len())]);
-        }
-        for pool in self.offnet.get(&region).into_iter().flatten() {
-            if load >= pool.engage_at {
-                out.extend_from_slice(&pool.ips);
-            }
-        }
-        out
+        self.exposed_parts(region, load).flatten().copied().collect()
     }
 
     /// Off-net pools configured for `region` (for topology wiring).
     pub fn offnet_pools(&self, region: Region) -> &[OffNetPool] {
-        self.offnet.get(&region).map(Vec::as_slice).unwrap_or(&[])
+        &self.pools(region).offnet
     }
 
-    /// All off-net pools across regions.
+    /// All off-net pools across regions, in [`Region::ALL`] order.
     pub fn all_offnet_pools(&self) -> impl Iterator<Item = &OffNetPool> {
-        self.offnet.values().flatten()
+        self.pools.iter().flat_map(|p| &p.offnet)
     }
 
     /// Every address the CDN could ever expose in `region`.
@@ -134,14 +148,19 @@ impl ThirdPartyCdn {
     /// kinds. The world builder rejects schedules that send weight to a
     /// CDN whose regional pool is empty (such answers would NXDOMAIN).
     pub fn pool_size(&self, region: Region) -> usize {
-        self.base.get(&region).map_or(0, Vec::len)
-            + self.surge.get(&region).map_or(0, Vec::len)
-            + self.offnet.get(&region).into_iter().flatten().map(|p| p.ips.len()).sum::<usize>()
+        let pools = self.pools(region);
+        pools.base.len()
+            + pools.surge.len()
+            + pools.offnet.iter().map(|p| p.ips.len()).sum::<usize>()
     }
 
     /// The DNS answer for one client: `k` addresses drawn from the exposed
     /// set, rotated per client and per minute — the pattern that makes a
     /// probe fleet's unique-IP union grow with the exposed set size.
+    ///
+    /// Appends the addresses to `out`. The exposed set is indexed in place,
+    /// as the concatenation [`ThirdPartyCdn::exposed`] would build, so no
+    /// pool is copied.
     pub fn answer(
         &self,
         region: Region,
@@ -149,20 +168,122 @@ impl ThirdPartyCdn {
         client_ip: Ipv4Addr,
         now: SimTime,
         k: usize,
-    ) -> Vec<Ipv4Addr> {
-        let pool = self.exposed(region, load);
-        if pool.is_empty() {
-            return Vec::new();
+        out: &mut Vec<Ipv4Addr>,
+    ) {
+        let parts = self.exposed_parts(region, load);
+        let len: usize = parts.clone().map(<[Ipv4Addr]>::len).sum();
+        if len == 0 {
+            return;
         }
-        let salt = fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
-        let k = k.min(pool.len());
-        (0..k).map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()]).collect()
+        let salt =
+            fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
+        for j in 0..k.min(len) {
+            let mut i = (salt as usize).wrapping_add(j * 7919) % len;
+            for part in parts.clone() {
+                if let Some(ip) = part.get(i) {
+                    out.push(*ip);
+                    break;
+                }
+                i -= part.len();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn answer_vec(
+        c: &ThirdPartyCdn,
+        region: Region,
+        load: f64,
+        client_ip: Ipv4Addr,
+        now: SimTime,
+        k: usize,
+    ) -> Vec<Ipv4Addr> {
+        let mut out = Vec::new();
+        c.answer(region, load, client_ip, now, k, &mut out);
+        out
+    }
+
+    /// The answer formula before in-place indexing: materialize the
+    /// exposed set, then index it. Kept as the reference the in-place
+    /// [`ThirdPartyCdn::answer`] must reproduce.
+    fn reference_answer(
+        c: &ThirdPartyCdn,
+        region: Region,
+        load: f64,
+        client_ip: Ipv4Addr,
+        now: SimTime,
+        k: usize,
+    ) -> Vec<Ipv4Addr> {
+        let pool = c.exposed(region, load);
+        if pool.is_empty() {
+            return Vec::new();
+        }
+        let salt =
+            fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
+        let k = k.min(pool.len());
+        (0..k).map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()]).collect()
+    }
+
+    /// Two off-net pools with different thresholds, an APAC base-only
+    /// pool, and an empty US region.
+    fn layered_cdn() -> ThirdPartyCdn {
+        let off2 = Ipv4Net::parse("198.19.0.0/24").unwrap();
+        let apac = Ipv4Net::parse("192.0.2.0/24").unwrap();
+        cdn()
+            .with_offnet(
+                Region::Eu,
+                OffNetPool {
+                    host_as: AsId(64501),
+                    ips: ThirdPartyCdn::ips_from_prefix(off2, 0, 7),
+                    engage_at: 0.9,
+                },
+            )
+            .with_base(Region::Apac, ThirdPartyCdn::ips_from_prefix(apac, 0, 3))
+            .with_surge_exponent(1.7)
+    }
+
+    proptest! {
+        /// Loads below 0, inside [0, 1], above 1 and exactly at (or just
+        /// under) each off-net engage threshold; `k` up to beyond the
+        /// largest pool; every region, including the empty one.
+        #[test]
+        fn in_place_answer_matches_materialized_reference(
+            region_i in 0usize..3,
+            load in prop_oneof![
+                -1.0f64..0.0,
+                0.0f64..1.0,
+                1.0f64..3.0,
+                (0usize..4).prop_map(|i| [0.7, 0.9, 0.699_999, 0.899_999][i]),
+            ],
+            k in 0usize..200,
+            ip in any::<u32>(),
+            secs in 0u64..1_000_000,
+        ) {
+            let c = layered_cdn();
+            let region = Region::ALL[region_i];
+            let client = Ipv4Addr::from(ip);
+            let now = SimTime(secs);
+            prop_assert_eq!(
+                answer_vec(&c, region, load, client, now, k),
+                reference_answer(&c, region, load, client, now, k)
+            );
+        }
+    }
+
+    #[test]
+    fn answer_appends_to_the_callers_buffer() {
+        let c = cdn();
+        let client: Ipv4Addr = "10.1.2.3".parse().unwrap();
+        let mut out = vec![Ipv4Addr::new(1, 1, 1, 1)];
+        c.answer(Region::Eu, 0.5, client, SimTime(60), 3, &mut out);
+        assert_eq!(out[0], Ipv4Addr::new(1, 1, 1, 1));
+        assert_eq!(out[1..], answer_vec(&c, Region::Eu, 0.5, client, SimTime(60), 3)[..]);
+    }
 
     fn cdn() -> ThirdPartyCdn {
         let p = Ipv4Net::parse("203.0.113.0/24").unwrap();
@@ -218,14 +339,15 @@ mod tests {
     fn unknown_region_is_empty() {
         let c = cdn();
         assert!(c.exposed(Region::Apac, 1.0).is_empty());
-        assert!(c.answer(Region::Apac, 1.0, "10.0.0.1".parse().unwrap(), SimTime(0), 2).is_empty());
+        assert!(answer_vec(&c, Region::Apac, 1.0, "10.0.0.1".parse().unwrap(), SimTime(0), 2)
+            .is_empty());
     }
 
     #[test]
     fn answers_drawn_from_exposed_set() {
         let c = cdn();
         let exposed = c.exposed(Region::Eu, 0.5);
-        let ans = c.answer(Region::Eu, 0.5, "10.1.2.3".parse().unwrap(), SimTime(1000), 3);
+        let ans = answer_vec(&c, Region::Eu, 0.5, "10.1.2.3".parse().unwrap(), SimTime(1000), 3);
         assert_eq!(ans.len(), 3);
         for ip in ans {
             assert!(exposed.contains(&ip));
@@ -242,7 +364,7 @@ mod tests {
             for minute in 0..12 {
                 let ip = Ipv4Addr::new(10, 0, 1, client);
                 let t = SimTime(minute * 300);
-                union.extend(c.answer(Region::Eu, 1.0, ip, t, 2));
+                union.extend(answer_vec(&c, Region::Eu, 1.0, ip, t, 2));
             }
         }
         assert!(union.len() > 100, "union {} should approach pool size 150", union.len());

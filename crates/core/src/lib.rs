@@ -49,7 +49,7 @@ pub mod zones;
 pub use graph::{mapping_graph, GraphEdge, Operator};
 pub use health::{HealthParams, HealthTracker, HealthTransition};
 pub use kinds::CdnKind;
-pub use policy::{CdnShare, Schedule};
+pub use policy::{CdnShare, Schedule, SelectionShare};
 pub use state::{
     install_snapshot, pick_weighted, MappingSnapshot, MetaCdnState, SignalState, SnapshotGuard,
     StateSnapshot, A1015_LAG, AKAMAI_OVERLOAD_THRESHOLD,

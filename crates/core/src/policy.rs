@@ -61,19 +61,116 @@ impl CdnShare {
 
     /// Normalized weights over the CDNs available in `region`, as
     /// `(kind, probability)` pairs in [`CdnKind::ALL`] order. Returns an
-    /// empty vector if no available CDN has positive weight.
-    pub fn normalized_in(&self, region: Region) -> Vec<(CdnKind, f64)> {
-        let avail: Vec<(CdnKind, f64)> = CdnKind::ALL
+    /// empty share if no available CDN has positive weight.
+    pub fn normalized_in(&self, region: Region) -> SelectionShare {
+        let mut share: SelectionShare = CdnKind::ALL
             .into_iter()
             .filter(|k| k.available_in(region))
             .map(|k| (k, self.weight(k)))
             .filter(|(_, w)| *w > 0.0)
             .collect();
-        let total: f64 = avail.iter().map(|(_, w)| w).sum();
+        let total: f64 = share.iter().map(|(_, w)| w).sum();
         if total <= 0.0 {
-            return Vec::new();
+            return SelectionShare::new();
         }
-        avail.into_iter().map(|(k, w)| (k, w / total)).collect()
+        for (_, w) in share.iter_mut() {
+            *w /= total;
+        }
+        share
+    }
+}
+
+/// Selection probabilities, at most one entry per [`CdnKind`], held in an
+/// inline array: computing, degrading or filtering a share never touches
+/// the heap. Dereferences to the `(kind, probability)` slice, in insertion
+/// order.
+#[derive(Clone, Copy)]
+pub struct SelectionShare {
+    len: usize,
+    entries: [(CdnKind, f64); CdnKind::ALL.len()],
+}
+
+impl SelectionShare {
+    /// An empty share.
+    pub const fn new() -> SelectionShare {
+        SelectionShare { len: 0, entries: [(CdnKind::Apple, 0.0); CdnKind::ALL.len()] }
+    }
+
+    /// Sets `kind`'s probability, appending the kind if it is absent. A
+    /// share never holds a kind twice, so it never outgrows its array.
+    pub fn set(&mut self, kind: CdnKind, p: f64) {
+        match self.iter().position(|(k, _)| *k == kind) {
+            Some(i) => self.entries[i].1 = p,
+            None => {
+                self.entries[self.len] = (kind, p);
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Keeps only the entries `keep` accepts, preserving their order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&(CdnKind, f64)) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.entries[i]) {
+                self.entries[kept] = self.entries[i];
+                kept += 1;
+            }
+        }
+        self.len = kept;
+    }
+}
+
+impl Default for SelectionShare {
+    fn default() -> SelectionShare {
+        SelectionShare::new()
+    }
+}
+
+impl core::ops::Deref for SelectionShare {
+    type Target = [(CdnKind, f64)];
+
+    fn deref(&self) -> &[(CdnKind, f64)] {
+        &self.entries[..self.len]
+    }
+}
+
+impl core::ops::DerefMut for SelectionShare {
+    fn deref_mut(&mut self) -> &mut [(CdnKind, f64)] {
+        &mut self.entries[..self.len]
+    }
+}
+
+impl PartialEq for SelectionShare {
+    fn eq(&self, other: &SelectionShare) -> bool {
+        **self == **other
+    }
+}
+
+impl core::fmt::Debug for SelectionShare {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(CdnKind, f64)> for SelectionShare {
+    /// Collects with [`SelectionShare::set`] semantics: a repeated kind
+    /// keeps its first position and its last probability.
+    fn from_iter<I: IntoIterator<Item = (CdnKind, f64)>>(iter: I) -> SelectionShare {
+        let mut share = SelectionShare::new();
+        for (kind, p) in iter {
+            share.set(kind, p);
+        }
+        share
+    }
+}
+
+impl<'a> IntoIterator for &'a SelectionShare {
+    type Item = &'a (CdnKind, f64);
+    type IntoIter = core::slice::Iter<'a, (CdnKind, f64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 

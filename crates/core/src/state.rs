@@ -27,7 +27,7 @@
 //!   signal set, the pipeline is bit-identical to the health-blind one.
 
 use crate::kinds::CdnKind;
-use crate::policy::{CdnShare, Schedule};
+use crate::policy::{CdnShare, Schedule, SelectionShare};
 use mcdn_cdn::site::fnv64;
 use mcdn_geo::{Duration, Region, SimTime};
 use std::cell::RefCell;
@@ -60,7 +60,7 @@ struct Inner {
     /// Last share computed while at least one CDN was still reachable —
     /// the mapping the controller freezes onto when every health signal
     /// is lost.
-    last_good: HashMap<Region, Vec<(CdnKind, f64)>>,
+    last_good: HashMap<Region, SelectionShare>,
     /// Apple GSLB sites currently down (by site key); the GSLB skips them.
     down_sites: HashSet<u64>,
 }
@@ -221,7 +221,7 @@ impl MetaCdnState {
                 .collect(),
             cdn_health: inner.cdn_health.iter().map(|(&(k, r), &h)| (k, r, h)).collect(),
             capacity_factor: inner.capacity_factor.iter().map(|(&(k, r), &v)| (k, r, v)).collect(),
-            last_good: inner.last_good.iter().map(|(&r, shares)| (r, shares.clone())).collect(),
+            last_good: inner.last_good.iter().map(|(&r, share)| (r, share.to_vec())).collect(),
             down_sites: inner.down_sites.iter().copied().collect(),
         };
         s.apple_util.sort_by_key(|&(r, _)| r);
@@ -249,7 +249,11 @@ impl MetaCdnState {
             akamai_overload_since: s.akamai_overload_since.iter().copied().collect(),
             cdn_health: s.cdn_health.iter().map(|&(k, r, h)| ((k, r), h)).collect(),
             capacity_factor: s.capacity_factor.iter().map(|&(k, r, v)| ((k, r), v)).collect(),
-            last_good: s.last_good.iter().map(|(r, shares)| (*r, shares.clone())).collect(),
+            last_good: s
+                .last_good
+                .iter()
+                .map(|(r, shares)| (*r, shares.iter().copied().collect()))
+                .collect(),
             down_sites: s.down_sites.iter().copied().collect(),
         };
         drop(inner);
@@ -381,13 +385,13 @@ impl MetaCdnState {
     /// with Apple's overflow spilled onto the available third parties,
     /// then degraded by the health/capacity signals of the chaos layer
     /// (no-op while no degradation signal is set).
-    pub fn effective_share(&self, region: Region, now: SimTime) -> Vec<(CdnKind, f64)> {
+    pub fn effective_share(&self, region: Region, now: SimTime) -> SelectionShare {
         let probs = self.overflow_share(region, now);
         self.degraded_share(region, probs)
     }
 
     /// The scheduled share with Apple's overflow applied (health-blind).
-    fn overflow_share(&self, region: Region, now: SimTime) -> Vec<(CdnKind, f64)> {
+    fn overflow_share(&self, region: Region, now: SimTime) -> SelectionShare {
         let base = self.schedule.share_at(region, now);
         let mut probs = base.normalized_in(region);
         if probs.is_empty() {
@@ -417,12 +421,14 @@ impl MetaCdnState {
         if third_total == 0.0 && spill > 0.0 {
             // No third party scheduled: engage every available one equally
             // (the controller's last-resort overflow).
-            let thirds: Vec<CdnKind> = CdnKind::THIRD_PARTY
-                .into_iter()
-                .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
-                .collect();
-            for k in &thirds {
-                probs.push((*k, spill / thirds.len() as f64));
+            let thirds = || {
+                CdnKind::THIRD_PARTY
+                    .into_iter()
+                    .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
+            };
+            let n = thirds().count();
+            for k in thirds() {
+                probs.set(k, spill / n as f64);
             }
         }
         probs
@@ -443,7 +449,7 @@ impl MetaCdnState {
     ///
     /// With no health verdicts and all factors at 1 the input is returned
     /// untouched, keeping fault-free pipelines bit-identical.
-    fn degraded_share(&self, region: Region, probs: Vec<(CdnKind, f64)>) -> Vec<(CdnKind, f64)> {
+    fn degraded_share(&self, region: Region, probs: SelectionShare) -> SelectionShare {
         if probs.is_empty() {
             return probs;
         }
@@ -455,11 +461,7 @@ impl MetaCdnState {
                 // mutate the live state, and the live `last_good` keeps
                 // being maintained by the driver's between-round calls.
                 if !self.snapshot_installed() {
-                    self.inner
-                        .write()
-                        .expect("state lock")
-                        .last_good
-                        .insert(region, out.clone());
+                    self.inner.write().expect("state lock").last_good.insert(region, out);
                 }
                 out
             }
@@ -481,11 +483,8 @@ impl MetaCdnState {
         client_ip: Ipv4Addr,
         now: SimTime,
     ) -> Option<CdnKind> {
-        let probs: Vec<(CdnKind, f64)> = self
-            .effective_share(region, now)
-            .into_iter()
-            .filter(|(k, _)| *k != CdnKind::Apple)
-            .collect();
+        let mut probs = self.effective_share(region, now);
+        probs.retain(|(k, _)| *k != CdnKind::Apple);
         pick_weighted(&probs, client_ip, now, 0x33)
     }
 
@@ -514,14 +513,14 @@ enum DegradeOutcome {
     Untouched,
     /// Every CDN ejected or at factor 0 — freeze onto the last-known-good
     /// mapping (`None` when degradation struck before one was recorded).
-    Frozen(Option<Vec<(CdnKind, f64)>>),
+    Frozen(Option<SelectionShare>),
     /// Shed-and-renormalized share over the surviving CDNs.
-    Shed(Vec<(CdnKind, f64)>),
+    Shed(SelectionShare),
 }
 
 /// The pure half of [`MetaCdnState::degraded_share`]: steps 1–3 of the
 /// degradation pipeline against a borrowed view, no locking, no writes.
-fn degrade_in(inner: &Inner, region: Region, probs: &[(CdnKind, f64)]) -> DegradeOutcome {
+fn degrade_in(inner: &Inner, region: Region, probs: &SelectionShare) -> DegradeOutcome {
     let degraded = probs.iter().any(|(k, _)| {
         !*inner.cdn_health.get(&(*k, region)).unwrap_or(&true)
             || *inner.capacity_factor.get(&(*k, region)).unwrap_or(&1.0) < 1.0
@@ -529,29 +528,24 @@ fn degrade_in(inner: &Inner, region: Region, probs: &[(CdnKind, f64)]) -> Degrad
     if !degraded {
         return DegradeOutcome::Untouched;
     }
-    let kept: Vec<(CdnKind, f64)> = probs
-        .iter()
-        .map(|(k, p)| {
-            let healthy = *inner.cdn_health.get(&(*k, region)).unwrap_or(&true);
-            let factor =
-                (*inner.capacity_factor.get(&(*k, region)).unwrap_or(&1.0)).clamp(0.0, 1.0);
-            (*k, if healthy { p * factor } else { 0.0 })
-        })
-        .collect();
+    let mut kept = *probs;
+    for (k, p) in kept.iter_mut() {
+        let healthy = *inner.cdn_health.get(&(*k, region)).unwrap_or(&true);
+        let factor = (*inner.capacity_factor.get(&(*k, region)).unwrap_or(&1.0)).clamp(0.0, 1.0);
+        *p = if healthy { *p * factor } else { 0.0 };
+    }
     let total: f64 = probs.iter().map(|(_, p)| p).sum();
     let kept_total: f64 = kept.iter().map(|(_, p)| p).sum();
     if kept_total <= 0.0 {
         // Every health signal lost: graceful degradation to the
         // last-known-good mapping.
-        return DegradeOutcome::Frozen(inner.last_good.get(&region).cloned());
+        return DegradeOutcome::Frozen(inner.last_good.get(&region).copied());
     }
-    let mut out: Vec<(CdnKind, f64)> = kept
-        .into_iter()
-        .filter(|(_, p)| *p > 0.0)
-        .map(|(k, p)| (k, p * total / kept_total))
-        .collect();
-    out.shrink_to_fit();
-    DegradeOutcome::Shed(out)
+    kept.retain(|(_, p)| *p > 0.0);
+    for (_, p) in kept.iter_mut() {
+        *p = *p * total / kept_total;
+    }
+    DegradeOutcome::Shed(kept)
 }
 
 /// Deterministic weighted choice among CDNs for one client at one instant.

@@ -13,8 +13,9 @@ use crate::names;
 use crate::state::MetaCdnState;
 use mcdn_cdn::site::fnv64;
 use mcdn_cdn::{GslbDirectory, ThirdPartyCdn};
-use mcdn_dnssim::{Namespace, PolicyScope, QueryContext, Zone};
+use mcdn_dnssim::{Namespace, PolicyAnswer, PolicyScope, QueryContext, Zone};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
+use mcdn_geo::continent::SpecialMarket;
 use mcdn_geo::Region;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -66,14 +67,11 @@ fn a_records(owner: &Name, ttl: u32, addrs: &[Ipv4Addr]) -> Vec<ResourceRecord> 
 }
 
 /// IPv4-only guard: the paper found the mapping entry points answer no AAAA.
-fn only_a<F>(qtype: RecordType, f: F) -> Vec<ResourceRecord>
-where
-    F: FnOnce() -> Vec<ResourceRecord>,
-{
+fn only_a(qtype: RecordType, f: impl FnOnce() -> PolicyAnswer) -> PolicyAnswer {
     if qtype == RecordType::A {
         f()
     } else {
-        Vec::new()
+        PolicyAnswer::Empty
     }
 }
 
@@ -134,23 +132,21 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     // dependency-free (`PolicyDeps::none`) so the incremental engine can
     // replay it across *rounds*: nothing that changes between rounds
     // (time, health signals, the weight schedule) enters the answer.
-    // Owner and target names are built once here; parsing them inside the
-    // closure would put redundant `Name::parse` calls on the hot path.
-    let geo_split = names::geo_split();
-    let owner_for_policy = geo_split.clone();
-    let china_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::China.label());
-    let india_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::India.label());
-    let selector = names::selector();
     z.set_policy_with_deps(
-        geo_split,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+        names::geo_split(),
+        vec![
+            names::selector(),
+            names::special_lb(SpecialMarket::China.label()),
+            names::special_lb(SpecialMarket::India.label()),
+        ],
+        Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
             only_a(qtype, || {
                 let target = match ctx.locode.special_market() {
-                    Some(mcdn_geo::continent::SpecialMarket::China) => &china_lb,
-                    Some(mcdn_geo::continent::SpecialMarket::India) => &india_lb,
-                    None => &selector,
+                    None => 0,
+                    Some(SpecialMarket::China) => 1,
+                    Some(SpecialMarket::India) => 2,
                 };
-                vec![cname(&owner_for_policy, target, names::TTL_GEO)]
+                PolicyAnswer::Cname { target, ttl: names::TTL_GEO }
             })
         }),
         PolicyScope::City,
@@ -169,25 +165,26 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     for region in Region::ALL {
         let state = Arc::clone(&cfg.state);
         let has_level3 = cfg.level3.is_some();
-        let owner = names::region_lb(region);
-        let owner_for_policy = owner.clone();
-        let edgesuite = names::akamai_edgesuite();
-        let limelight = names::limelight_lb(region);
-        let level3 = names::level3_lb();
+        // Level3's handover is declared (and picked) only when re-enabled.
+        let mut targets = vec![names::akamai_edgesuite(), names::limelight_lb(region)];
+        if has_level3 {
+            targets.push(names::level3_lb());
+        }
         z.set_policy(
-            owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+            names::region_lb(region),
+            targets,
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
                 only_a(qtype, || {
                     let pick = state
                         .select_third_party(region, ctx.client_ip, ctx.now)
                         .unwrap_or(CdnKind::Akamai);
                     let target = match pick {
-                        CdnKind::Akamai | CdnKind::Apple => &edgesuite,
-                        CdnKind::Limelight => &limelight,
-                        CdnKind::Level3 if has_level3 => &level3,
-                        CdnKind::Level3 => &edgesuite,
+                        CdnKind::Akamai | CdnKind::Apple => 0,
+                        CdnKind::Limelight => 1,
+                        CdnKind::Level3 if has_level3 => 2,
+                        CdnKind::Level3 => 0,
                     };
-                    vec![cname(&owner_for_policy, target, names::TTL_REGION_LB)]
+                    PolicyAnswer::Cname { target, ttl: names::TTL_REGION_LB }
                 })
             }),
         );
@@ -201,21 +198,23 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
 
     let state = Arc::clone(&cfg.state);
     let site_coords = cfg.apple_site_coords.clone();
-    let selector = names::selector();
-    let owner_for_policy = selector.clone();
-    let gslb_a = names::gslb('a');
-    let gslb_b = names::gslb('b');
-    let lb_us = names::region_lb(Region::Us);
-    let lb_eu = names::region_lb(Region::Eu);
-    let lb_apac = names::region_lb(Region::Apac);
     // Whether a client coordinate is outside Apple's footprint is a pure
     // function of the coordinate; memoize it so the per-query cost is one
     // map probe instead of a distance scan over every site.
     let coverage: std::sync::RwLock<std::collections::HashMap<(u64, u64), bool>> =
         std::sync::RwLock::new(std::collections::HashMap::new());
     z.set_policy(
-        selector,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+        names::selector(),
+        // 0/1: the two GSLB heads; 2 + `Region as u16`: the regional
+        // third-party selectors, in `Region::ALL` order.
+        vec![
+            names::gslb('a'),
+            names::gslb('b'),
+            names::region_lb(Region::Us),
+            names::region_lb(Region::Eu),
+            names::region_lb(Region::Apac),
+        ],
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
             only_a(qtype, || {
                 let region = ctx.region();
                 let mut probs = state.effective_share(region, ctx.now);
@@ -242,17 +241,11 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
                 let pick = crate::state::pick_weighted(&probs, ctx.client_ip, ctx.now, 0)
                     .unwrap_or(CdnKind::Apple);
                 let target = match pick {
-                    CdnKind::Apple => {
-                        // Two interchangeable GSLB heads, split per client.
-                        if fnv64(&ctx.client_ip.octets()) & 1 == 0 { &gslb_a } else { &gslb_b }
-                    }
-                    _ => match region {
-                        Region::Us => &lb_us,
-                        Region::Eu => &lb_eu,
-                        Region::Apac => &lb_apac,
-                    },
+                    // Two interchangeable GSLB heads, split per client.
+                    CdnKind::Apple => (fnv64(&ctx.client_ip.octets()) & 1) as u16,
+                    _ => 2 + region as u16,
                 };
-                vec![cname(&owner_for_policy, target, names::TTL_SELECTOR)]
+                PolicyAnswer::Cname { target, ttl: names::TTL_SELECTOR }
             })
         }),
     );
@@ -260,20 +253,18 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
     for which in ['a', 'b'] {
         let gslb = cfg.gslb.clone();
         let state = Arc::clone(&cfg.state);
-        let owner = names::gslb(which);
-        let owner_for_policy = owner.clone();
         z.set_policy(
-            owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+            names::gslb(which),
+            Vec::new(),
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, addrs: &mut Vec<Ipv4Addr>| {
                 only_a(qtype, || {
                     // Health-checked mapping: sites the controller marked
                     // down are skipped, so clients fail over to the next
                     // nearest site instead of receiving dead vips. With no
                     // down sites this is bit-identical to plain `answer`.
-                    let addrs = gslb.answer_filtered(ctx.client_ip, ctx.coord, ctx.now, &|key| {
-                        state.site_is_down(key)
-                    });
-                    a_records(&owner_for_policy, names::TTL_APPLE_A, &addrs)
+                    let down = |key| state.site_is_down(key);
+                    gslb.answer_filtered(ctx.client_ip, ctx.coord, ctx.now, &down, addrs);
+                    PolicyAnswer::A { ttl: names::TTL_APPLE_A }
                 })
             }),
         );
@@ -286,12 +277,10 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
 fn edgesuite_zone(cfg: &MetaCdnConfig) -> Zone {
     let mut z = Zone::new(Name::parse("edgesuite.net").expect("static"));
     let state = Arc::clone(&cfg.state);
-    let owner_for_policy = names::akamai_edgesuite();
-    let map_event = names::akamai_map_event();
-    let map_baseline = names::akamai_map_baseline();
     z.set_policy(
         names::akamai_edgesuite(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+        vec![names::akamai_map_baseline(), names::akamai_map_event()],
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
             only_a(qtype, || {
                 // When the event map is live, it takes the bulk (~70 %) of
                 // clients; assignment re-randomizes every five minutes, as
@@ -300,8 +289,7 @@ fn edgesuite_zone(cfg: &MetaCdnConfig) -> Zone {
                 key[..4].copy_from_slice(&ctx.client_ip.octets());
                 key[4..].copy_from_slice(&(ctx.now.as_secs() / 300).to_be_bytes());
                 let event = state.a1015_active(ctx.region(), ctx.now) && fnv64(&key) % 10 < 7;
-                let target = if event { &map_event } else { &map_baseline };
-                vec![cname(&owner_for_policy, target, names::TTL_EDGESUITE)]
+                PolicyAnswer::Cname { target: u16::from(event), ttl: names::TTL_EDGESUITE }
             })
         }),
     );
@@ -319,10 +307,10 @@ fn akamai_net_zone(cfg: &MetaCdnConfig) -> Zone {
         let akamai = Arc::clone(&cfg.akamai);
         let state = Arc::clone(&cfg.state);
         let k = cfg.akamai_answer_k;
-        let owner_for_policy = owner.clone();
         z.set_policy(
             owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+            Vec::new(),
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, addrs: &mut Vec<Ipv4Addr>| {
                 only_a(qtype, || {
                     let region = ctx.region();
                     let load = state.cdn_load(CdnKind::Akamai, region);
@@ -332,8 +320,8 @@ fn akamai_net_zone(cfg: &MetaCdnConfig) -> Zone {
                     // (including off-net caches) for as long as it exists.
                     let load = if full_pool { load.max(0.8) } else { load.min(0.5) };
                     let load = client_load(region, ctx.continent, load);
-                    let addrs = akamai.answer(region, load, ctx.client_ip, ctx.now, k);
-                    a_records(&owner_for_policy, names::TTL_AKAMAI_A, &addrs)
+                    akamai.answer(region, load, ctx.client_ip, ctx.now, k, addrs);
+                    PolicyAnswer::A { ttl: names::TTL_AKAMAI_A }
                 })
             }),
         );
@@ -346,16 +334,16 @@ fn limelight_policy_zone(cfg: &MetaCdnConfig, origin: &str, owner: Name) -> Zone
     let limelight = Arc::clone(&cfg.limelight);
     let state = Arc::clone(&cfg.state);
     let k = cfg.limelight_answer_k;
-    let owner_for_policy = owner.clone();
     z.set_policy(
         owner,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+        Vec::new(),
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, addrs: &mut Vec<Ipv4Addr>| {
             only_a(qtype, || {
                 let region = ctx.region();
                 let load = state.cdn_load(CdnKind::Limelight, region);
                 let load = client_load(region, ctx.continent, load);
-                let addrs = limelight.answer(region, load, ctx.client_ip, ctx.now, k);
-                a_records(&owner_for_policy, names::TTL_LIMELIGHT_A, &addrs)
+                limelight.answer(region, load, ctx.client_ip, ctx.now, k, addrs);
+                PolicyAnswer::A { ttl: names::TTL_LIMELIGHT_A }
             })
         }),
     );
@@ -378,15 +366,15 @@ fn level3_zone(cfg: &MetaCdnConfig) -> Zone {
     let level3 = Arc::clone(cfg.level3.as_ref().expect("level3 configured"));
     let state = Arc::clone(&cfg.state);
     let k = cfg.limelight_answer_k;
-    let owner_for_policy = names::level3_lb();
     z.set_policy(
         names::level3_lb(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+        Vec::new(),
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, addrs: &mut Vec<Ipv4Addr>| {
             only_a(qtype, || {
                 let region = ctx.region();
                 let load = state.cdn_load(CdnKind::Level3, region);
-                let addrs = level3.answer(region, load, ctx.client_ip, ctx.now, k);
-                a_records(&owner_for_policy, 60, &addrs)
+                level3.answer(region, load, ctx.client_ip, ctx.now, k, addrs);
+                PolicyAnswer::A { ttl: 60 }
             })
         }),
     );
@@ -605,6 +593,90 @@ mod tests {
             apple_hits_sa * 3 < apple_hits_us,
             "coverage rule should bite: SA {apple_hits_sa} vs US {apple_hits_us}"
         );
+    }
+
+    /// Both consumers of a policy decision agree: for every policy
+    /// `build_namespace` installs, the compiled namespace's interned
+    /// records equal the string zone's `Zone::answer` records over a city
+    /// × client × time × qtype grid — Level3 re-enabled, one Apple site
+    /// down, Akamai's event map live, China and India cities included.
+    #[test]
+    fn interned_and_string_answers_agree_for_every_policy() {
+        use mcdn_dnssim::{
+            CompiledNamespace, InternedResolver, NoInternedFaults, ResolveScratch, ZoneAnswer,
+        };
+        let mut cfg = config(0.4);
+        let l3_net = Ipv4Net::parse("4.23.0.0/16").unwrap();
+        cfg.level3 = Some(Arc::new(
+            ThirdPartyCdn::new("Level3", AsId(3356))
+                .with_base(Region::Eu, ThirdPartyCdn::ips_from_prefix(l3_net, 0, 10))
+                .with_base(Region::Us, ThirdPartyCdn::ips_from_prefix(l3_net, 100, 10)),
+        ));
+        cfg.state = Arc::new(MetaCdnState::new(Schedule::constant(CdnShare {
+            apple: 0.4,
+            akamai: 0.2,
+            limelight: 0.2,
+            level3: 0.2,
+        })));
+        let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
+        cfg.state.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, release);
+        cfg.state.set_cdn_load(CdnKind::Limelight, Region::Eu, 0.6, release);
+        cfg.state.set_site_down(cfg.gslb.site_keys()[0], true);
+        let ns = build_namespace(&cfg);
+        let cns = CompiledNamespace::compile(&ns);
+        let mut scratch = ResolveScratch::new();
+        let cities = [
+            ("defra", Continent::Europe),
+            ("gblon", Continent::Europe),
+            ("usnyc", Continent::NorthAmerica),
+            ("brsao", Continent::SouthAmerica),
+            ("cnsha", Continent::Asia),
+            ("inbom", Continent::Asia),
+        ];
+        let mut policies = 0;
+        let mut records = 0;
+        for zone in ns.zones() {
+            for owner in zone.policy_names() {
+                policies += 1;
+                let id = cns.intern_in(&mut scratch, owner);
+                for (city, continent) in cities {
+                    for client in 0..6u32 {
+                        for hours in [0, 3, 7, 30] {
+                            for qtype in [RecordType::A, RecordType::Aaaa, RecordType::Cname] {
+                                let mut c = ctx(city, continent, 0x0A00_2000 + client * 37);
+                                c.now = release + mcdn_geo::Duration::hours(hours);
+                                let ZoneAnswer::Records(want) = zone.answer(owner, qtype, &c)
+                                else {
+                                    panic!("a policy always answers with records");
+                                };
+                                InternedResolver::new()
+                                    .resolve(
+                                        &cns,
+                                        &mut scratch,
+                                        id,
+                                        qtype,
+                                        &c,
+                                        &NoInternedFaults,
+                                        0,
+                                        None,
+                                    )
+                                    .expect("policy names resolve");
+                                let got = cns.materialize_trace(&scratch, scratch.trace());
+                                assert_eq!(
+                                    got.steps[0].records, want,
+                                    "{owner} {qtype:?} from {city} client {client} at +{hours}h"
+                                );
+                                records += want.len();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Geo split, selector, 3 region selectors, 2 GSLBs, edgesuite,
+        // 2 Akamai maps, 2 Limelight handovers, Level3.
+        assert_eq!(policies, 13);
+        assert!(records > 0);
     }
 
     #[test]

@@ -12,18 +12,23 @@
 //!   authoritative zone, declared [`PolicyScope`], existence bit, and
 //!   display-form FNV-1a digest (the fault-key prefix). Static record
 //!   sets become flat arena slices; dynamic [`MappingPolicy`] hooks are
-//!   kept as borrowed trait objects.
+//!   kept as borrowed trait objects, and the CNAME targets each policy
+//!   declared are interned with everything else, so a policy's
+//!   [`PolicyAnswer`] becomes [`IRecord`]s by indexing — no [`Name`] is
+//!   built, cloned or hashed per query.
 //! * [`InternedResolver`] replays the exact decision sequence of
 //!   `resolve_inner` — cache, fault hook, memo, authoritative query —
 //!   against id-keyed structures, writing answers and trace steps into a
 //!   caller-owned [`ResolveScratch`] instead of allocating. Once its
 //!   per-probe [`ICache`] and the scratch buffers are warm, a resolution
-//!   performs **zero heap allocations** (the bench gate in
-//!   `bench_campaigns` asserts this).
+//!   performs no heap allocation, policy answers included: policies write
+//!   addresses into the scratch address buffer, and an expired cache
+//!   entry keeps its buffer for the store that follows the miss.
+//!   `bench_campaigns` gates the average over a real campaign window.
 //! * [`IRoundMemo`] is the id-keyed [`RoundMemo`](crate::RoundMemo):
-//!   per-shard, cleared per round, canonicalized back to [`Name`]-keyed
-//!   counts at round end so cross-shard merging (and therefore output)
-//!   is unchanged.
+//!   per-shard, cleared per round, its per-key counts exported under
+//!   [`SharedName`]s (table ids, which every shard shares) so the
+//!   cross-shard merge (and therefore output) is unchanged.
 //!
 //! Names that are *not* in the compiled table (a caller querying a name
 //! the namespace never mentions) spill into a per-scratch overlay
@@ -37,10 +42,10 @@
 use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
 use crate::context::QueryContext;
 use crate::faults::UpstreamFault;
-use crate::memo::{MemoKey, MemoScope};
+use crate::memo::MemoScope;
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
 use crate::resolver::{ResolutionTrace, TraceStep, MAX_CHAIN};
-use crate::zone::{MappingPolicy, Namespace, PolicyDeps, PolicyScope, ZoneAnswer};
+use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyDeps, PolicyScope, ZoneAnswer};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::{display_fnv, FnvBuildHasher, NameId, NameTable};
@@ -105,13 +110,22 @@ struct CompiledMeta {
     exists: bool,
 }
 
+/// A dynamic policy in compiled form: the borrowed hook and the range of
+/// its declared CNAME targets in [`CompiledZone::targets`].
+struct CompiledPolicy<'a> {
+    policy: &'a dyn MappingPolicy,
+    targets: (u32, u32),
+}
+
 /// One zone in compiled form: statics as arena slices, policies as
 /// borrowed hooks.
 struct CompiledZone<'a> {
     /// Interned zone origin.
     origin: NameId,
     /// Dynamic mapping policies by interned owner id.
-    policies: HashMap<u32, &'a dyn MappingPolicy, FnvBuildHasher>,
+    policies: HashMap<u32, CompiledPolicy<'a>, FnvBuildHasher>,
+    /// Declared CNAME targets of every policy, interned.
+    targets: Vec<NameId>,
     /// Static record sets: `(owner id, wire qtype) → arena range`.
     statics: HashMap<(u32, u16), (u32, u32), FnvBuildHasher>,
     /// Backing storage for all static record sets.
@@ -245,10 +259,18 @@ impl<'a> CompiledNamespace<'a> {
                     }
                 }
             }
-            let mut owners: Vec<&Name> = zone.policy_entries().map(|(n, _)| n).collect();
-            owners.sort();
-            for owner in owners {
+            for owner in zone.policy_names() {
                 table.intern(owner);
+            }
+        }
+        // Declared policy targets go after every zone's own names, so a
+        // target some zone also mentions never shifts another name's id.
+        for zone in ns.zones() {
+            let mut policies: Vec<(&Name, &[Name])> =
+                zone.policy_entries().map(|(owner, _, targets)| (owner, targets)).collect();
+            policies.sort_by_key(|&(owner, _)| owner);
+            for target in policies.iter().flat_map(|&(_, targets)| targets) {
+                table.intern(target);
             }
         }
         for name in extra {
@@ -272,13 +294,21 @@ impl<'a> CompiledNamespace<'a> {
                     arena.extend(rrs.iter().map(|rr| compiled_rr(&table, rr)));
                     statics.insert((id.0, qtype), (start, arena.len() as u32));
                 }
+                let mut targets = Vec::new();
                 let policies = zone
                     .policy_entries()
-                    .map(|(name, policy)| {
-                        (table.get(name).expect("owner interned").0, &**policy)
+                    .map(|(name, policy, names)| {
+                        let start = targets.len() as u32;
+                        targets
+                            .extend(names.iter().map(|t| table.get(t).expect("target interned")));
+                        let range = (start, targets.len() as u32);
+                        (
+                            table.get(name).expect("owner interned").0,
+                            CompiledPolicy { policy, targets: range },
+                        )
                     })
                     .collect();
-                CompiledZone { origin, policies, statics, arena }
+                CompiledZone { origin, policies, targets, statics, arena }
             })
             .collect();
         // Pass 3: per-name metadata.
@@ -367,6 +397,16 @@ impl<'a> CompiledNamespace<'a> {
         self.name_of(&scratch.overlay, id)
     }
 
+    /// `id` in the form every shard agrees on: table ids as they are,
+    /// overlay names spelled out.
+    pub fn shared_name(&self, scratch: &ResolveScratch, id: NameId) -> SharedName {
+        if id.index() < self.table.len() {
+            SharedName::Table(id)
+        } else {
+            SharedName::Overlay(self.name_in(scratch, id).clone())
+        }
+    }
+
     /// [`CompiledNamespace::name_in`] against a bare overlay — lets the
     /// resolver borrow the overlay and the answer buffer of one scratch
     /// disjointly (bailiwick filtering reads names while retaining).
@@ -391,15 +431,15 @@ impl<'a> CompiledNamespace<'a> {
     }
 
     /// Replicates [`Namespace::query`] against the compiled form, writing
-    /// any records into `out`.
+    /// any records into `scratch.answer`.
     fn query_into(
         &self,
-        overlay: &mut Overlay,
-        out: &mut Vec<IRecord>,
+        scratch: &mut ResolveScratch,
         current: NameId,
         qtype: RecordType,
         ctx: &QueryContext,
     ) -> (IAnswer, Option<NameId>) {
+        let ResolveScratch { overlay, answer: out, addrs, .. } = scratch;
         out.clear();
         let meta = self.meta_of(overlay, current);
         let Some(zi) = meta.authority else {
@@ -409,13 +449,22 @@ impl<'a> CompiledNamespace<'a> {
         let origin = zone.origin;
         let idx = current.index();
         if idx < self.table.len() {
-            if let Some(policy) = zone.policies.get(&current.0) {
-                // The policy's own Vec allocation is its internal business
-                // (workspace policies answer from precomputed state); the
-                // records are immediately re-interned into the scratch.
-                for rr in policy.respond(qtype, ctx) {
-                    let ir = self.runtime_rr(overlay, &rr);
-                    out.push(ir);
+            if let Some(p) = zone.policies.get(&current.0) {
+                // The policy decides; its records, owned by the queried
+                // name, are written here straight into the answer buffer.
+                addrs.clear();
+                match p.policy.respond(qtype, ctx, addrs) {
+                    PolicyAnswer::Empty => {}
+                    PolicyAnswer::Cname { target, ttl } => {
+                        let targets = &zone.targets[p.targets.0 as usize..p.targets.1 as usize];
+                        let rdata = IRData::Cname(targets[usize::from(target)]);
+                        out.push(IRecord { name: current, ttl, rdata });
+                    }
+                    PolicyAnswer::A { ttl } => out.extend(addrs.iter().map(|&a| IRecord {
+                        name: current,
+                        ttl,
+                        rdata: IRData::A(a),
+                    })),
                 }
                 return (IAnswer::Records, Some(origin));
             }
@@ -615,6 +664,8 @@ impl DepRecord {
 pub struct ResolveScratch {
     overlay: Overlay,
     answer: Vec<IRecord>,
+    /// Where A-answering policies write their addresses.
+    addrs: Vec<Ipv4Addr>,
     trace: ITrace,
     deps: DepRecord,
 }
@@ -645,12 +696,17 @@ impl ResolveScratch {
 struct IEntry {
     records: Vec<IRecord>,
     expires: SimTime,
+    /// Evicted by a lookup that found it expired: logically absent (never
+    /// served, never exported) while its buffer waits for the store that
+    /// follows almost every such miss.
+    evicted: bool,
 }
 
 /// The id-keyed TTL cache: [`crate::Cache`] semantics (absolute expiry,
 /// remaining-TTL clamp on hit, min-TTL/negative-TTL expiry on store)
-/// without `Name` clones. Entry buffers are reused on re-store, so a
-/// warm cache neither allocates nor frees.
+/// without `Name` clones. Entry buffers are reused on re-store — an
+/// expired entry is evicted in place rather than removed — so a warm
+/// cache neither allocates nor frees.
 #[derive(Debug, Clone, Default)]
 pub struct ICache {
     entries: HashMap<(u32, u16), IEntry, FnvBuildHasher>,
@@ -670,9 +726,8 @@ impl ICache {
         now: SimTime,
         out: &mut Vec<IRecord>,
     ) -> Option<SimTime> {
-        let key = (id.0, qtype);
-        match self.entries.get(&key) {
-            Some(e) if now < e.expires => {
+        match self.entries.get_mut(&(id.0, qtype)) {
+            Some(e) if !e.evicted && now < e.expires => {
                 self.hits += 1;
                 mcdn_obs::record(mcdn_obs::id::CACHE_HITS, 1);
                 let remaining = e.expires.since(now).as_secs() as u32;
@@ -680,13 +735,15 @@ impl ICache {
                 out.extend(e.records.iter().map(|r| IRecord { ttl: r.ttl.min(remaining), ..*r }));
                 Some(e.expires)
             }
-            _ => {
+            stale => {
                 self.misses += 1;
                 mcdn_obs::record(mcdn_obs::id::CACHE_MISSES, 1);
-                // Present but past expiry: the expired subclassification
-                // is process-class telemetry (a replayed reuse delta
-                // keeps its recording round's split).
-                if self.entries.remove(&key).is_some() {
+                // Present but past expiry: evicted in place, so the store
+                // that follows reuses the buffer. The expired
+                // subclassification is process-class telemetry (a replayed
+                // reuse delta keeps its recording round's split).
+                if let Some(e) = stale.filter(|e| !e.evicted) {
+                    e.evicted = true;
                     mcdn_obs::record(mcdn_obs::id::CACHE_EXPIRED, 1);
                 }
                 None
@@ -710,6 +767,7 @@ impl ICache {
                 e.records
                     .extend(records.iter().map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r }));
                 e.expires = expires;
+                e.evicted = false;
             }
             MapEntry::Vacant(v) => {
                 v.insert(IEntry {
@@ -718,10 +776,17 @@ impl ICache {
                         .map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r })
                         .collect(),
                     expires,
+                    evicted: false,
                 });
             }
         }
         ttl
+    }
+
+    /// The entries a lookup could still find (live or expired), i.e. all
+    /// but the evicted ones.
+    fn held(&self) -> impl Iterator<Item = (&(u32, u16), &IEntry)> {
+        self.entries.iter().filter(|(_, e)| !e.evicted)
     }
 
     /// `(hits, misses)` counters, mirroring
@@ -732,16 +797,16 @@ impl ICache {
 
     /// Number of live plus expired entries currently held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.held().count()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.held().next().is_none()
     }
 }
 
-/// An id-keyed memo key: the interned form of [`MemoKey`].
+/// An id-keyed memo key: the interned form of [`MemoKey`](crate::MemoKey).
 pub type IMemoKey = (NameId, RecordType, MemoScope, SimTime);
 
 #[derive(Debug)]
@@ -755,10 +820,9 @@ struct IMemoEntry {
 
 /// One round's scope-stable answers, id-keyed, with a shared record
 /// arena. [`IRoundMemo::clear`] resets it for the next round while
-/// keeping capacity, and [`IRoundMemo::counts_into`] canonicalizes the
-/// per-key lookup counts back to [`Name`]-keyed [`MemoKey`]s so the
-/// engine's cross-shard merge (and therefore every output) is unchanged
-/// from the string path.
+/// keeping capacity, and [`IRoundMemo::counts_into`] exports the per-key
+/// lookup counts under [`SharedMemoKey`]s so the engine's cross-shard
+/// merge (and therefore every output) is unchanged from the string path.
 #[derive(Debug, Default)]
 pub struct IRoundMemo {
     entries: HashMap<IMemoKey, IMemoEntry, FnvBuildHasher>,
@@ -815,23 +879,37 @@ impl IRoundMemo {
         self.lookups() - self.entries.len() as u64
     }
 
-    /// Adds this memo's per-key lookup counts to `out` under canonical
-    /// [`Name`]-keyed [`MemoKey`]s — the same shape
-    /// [`RoundMemo::into_counts`](crate::RoundMemo::into_counts)
-    /// produces, so engine merging is unchanged. Cold path, once per
-    /// shard-round.
+    /// Adds this memo's per-key lookup counts to `out` under
+    /// [`SharedMemoKey`]s, which mean the same in every shard — the
+    /// per-key counts [`RoundMemo::into_counts`](crate::RoundMemo::into_counts)
+    /// produces, so engine merging is unchanged. Once per shard-round;
+    /// allocates only for overlay names.
     pub fn counts_into(
         &self,
         ns: &CompiledNamespace<'_>,
         scratch: &ResolveScratch,
-        out: &mut HashMap<MemoKey, u64>,
+        out: &mut HashMap<SharedMemoKey, u64, FnvBuildHasher>,
     ) {
         for (&(id, qtype, scope, t), e) in &self.entries {
-            let name = ns.name_in(scratch, id).clone();
-            *out.entry((name, qtype, scope, t)).or_insert(0) += e.lookups;
+            *out.entry((ns.shared_name(scratch, id), qtype, scope, t)).or_insert(0) += e.lookups;
         }
     }
 }
+
+/// A name as every shard of a campaign spells it: a compiled-table
+/// [`NameId`] (the table is shared), or — for a name outside the table,
+/// whose overlay id is shard-local — the name itself. A name is never
+/// both, so equal names give equal `SharedName`s across shards.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum SharedName {
+    /// An id of the shared compiled table.
+    Table(NameId),
+    /// A name some shard interned into its overlay.
+    Overlay(Name),
+}
+
+/// The cross-shard form of an [`IMemoKey`] — the interned [`MemoKey`](crate::MemoKey).
+pub type SharedMemoKey = (SharedName, RecordType, MemoScope, SimTime);
 
 /// The interned [`ResolutionError`](crate::ResolutionError): same
 /// variants, id-typed names.
@@ -1076,13 +1154,7 @@ impl InternedResolver {
                         zone = z;
                     }
                     None => {
-                        let (ans, z) = ns.query_into(
-                            &mut scratch.overlay,
-                            &mut scratch.answer,
-                            current,
-                            qtype,
-                            ctx,
-                        );
+                        let (ans, z) = ns.query_into(scratch, current, qtype, ctx);
                         match ans {
                             IAnswer::Records => {
                                 if let Some(t) = &tamper {
@@ -1192,8 +1264,7 @@ impl InternedResolver {
     pub fn cache_export(&self) -> (Vec<ICacheExportEntry>, u64, u64) {
         let mut entries: Vec<ICacheExportEntry> = self
             .cache
-            .entries
-            .iter()
+            .held()
             .map(|(&(id, qtype), e)| (id, qtype, e.expires, e.records.clone()))
             .collect();
         entries.sort_by_key(|&(id, qtype, _, _)| (id, qtype));
@@ -1208,7 +1279,7 @@ impl InternedResolver {
     pub fn cache_restore(&mut self, entries: Vec<ICacheExportEntry>, hits: u64, misses: u64) {
         self.cache.entries.clear();
         for (id, qtype, expires, records) in entries {
-            self.cache.entries.insert((id, qtype), IEntry { records, expires });
+            self.cache.entries.insert((id, qtype), IEntry { records, expires, evicted: false });
         }
         self.cache.hits = hits;
         self.cache.misses = misses;
@@ -1219,6 +1290,7 @@ impl InternedResolver {
 mod tests {
     use super::*;
     use crate::faults::NoFaults;
+    use crate::memo::MemoKey;
     use crate::resolver::{RecursiveResolver, ResolutionError};
     use crate::zone::Zone;
     use crate::RoundMemo;
@@ -1253,19 +1325,16 @@ mod tests {
         let mut akadns = Zone::new(n("apple.com.akadns.net"));
         akadns.set_policy_scoped(
             n("appldnld.apple.com.akadns.net"),
-            Arc::new(|qtype: RecordType, ctx: &QueryContext| {
+            vec![n("eu.g.applimg.com"), n("us.g.applimg.com")],
+            Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
                 if qtype != RecordType::A {
-                    return Vec::new(); // IPv4-only mapping
+                    return PolicyAnswer::Empty; // IPv4-only mapping
                 }
                 let target = match ctx.continent {
-                    Continent::Europe => "eu.g.applimg.com",
-                    _ => "us.g.applimg.com",
+                    Continent::Europe => 0,
+                    _ => 1,
                 };
-                vec![ResourceRecord::new(
-                    n("appldnld.apple.com.akadns.net"),
-                    120,
-                    RData::Cname(n(target)),
-                )]
+                PolicyAnswer::Cname { target, ttl: 120 }
             }),
             PolicyScope::City,
         );
@@ -1273,20 +1342,15 @@ mod tests {
 
         let mut applimg = Zone::new(n("applimg.com"));
         for region in ["eu", "us"] {
-            let owner = n(&format!("{region}.g.applimg.com"));
-            let record_owner = owner.clone();
             applimg.set_policy(
-                owner,
-                Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+                n(&format!("{region}.g.applimg.com")),
+                vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
+                Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
                     if qtype != RecordType::A {
-                        return Vec::new();
+                        return PolicyAnswer::Empty;
                     }
-                    let gslb = if ctx.client_ip.octets()[3].is_multiple_of(2) { "a" } else { "b" };
-                    vec![ResourceRecord::new(
-                        record_owner.clone(),
-                        15,
-                        RData::Cname(Name::parse(&format!("{gslb}.gslb.applimg.com")).unwrap()),
-                    )]
+                    let target = if ctx.client_ip.octets()[3].is_multiple_of(2) { 0 } else { 1 };
+                    PolicyAnswer::Cname { target, ttl: 15 }
                 }),
             );
         }
@@ -1631,8 +1695,18 @@ mod tests {
         assert_eq!(imemo.len(), memo.len());
         assert_eq!(imemo.lookups(), memo.lookups());
         assert_eq!(imemo.hits(), memo.hits());
-        let mut got_counts = HashMap::new();
+        let mut got_counts = HashMap::default();
         imemo.counts_into(&cns, &scratch, &mut got_counts);
+        let got_counts: HashMap<MemoKey, u64> = got_counts
+            .into_iter()
+            .map(|((name, qtype, scope, t), count)| {
+                let name = match name {
+                    SharedName::Table(id) => cns.table().name(id).clone(),
+                    SharedName::Overlay(name) => name,
+                };
+                ((name, qtype, scope, t), count)
+            })
+            .collect();
         assert_eq!(got_counts, memo.into_counts());
     }
 

@@ -10,8 +10,9 @@
 //!
 //! * [`Zone`] holds static records *and* [`MappingPolicy`] hooks at
 //!   individual names — a policy sees the [`QueryContext`] (client location,
-//!   simulated time) and returns the records to serve, which is how GSLB and
-//!   the Meta-CDN selector are implemented by `metacdn`.
+//!   simulated time) and decides the answer ([`PolicyAnswer`]: a declared
+//!   CNAME target or a set of addresses), which is how GSLB and the
+//!   Meta-CDN selector are implemented by `metacdn`.
 //! * [`Namespace`] is the set of all authoritative zones; it answers one
 //!   question at a time like the authoritative side of the real DNS.
 //! * [`RecursiveResolver`] chases CNAME chains across zones with a
@@ -48,6 +49,7 @@ pub use faults::{FaultModel, NoFaults, UpstreamFault};
 pub use interned::{
     CompiledNamespace, DepRecord, ICacheExportEntry, IRData, IRecord, IResolutionError, IRoundMemo,
     ITrace, ITraceStep, InternedFaultModel, InternedResolver, NoInternedFaults, ResolveScratch,
+    SharedMemoKey, SharedName,
 };
 pub use iterative::{IterativeResolver, IterativeOutcome};
 pub use memo::{MemoKey, MemoScope, RoundMemo};
@@ -57,4 +59,6 @@ pub use mutation::{
 };
 pub use resolver::{RecursiveResolver, ResolutionError, ResolutionTrace, TraceStep};
 pub use wire::serve;
-pub use zone::{MappingPolicy, Namespace, PolicyDeps, PolicyScope, Zone, ZoneAnswer};
+pub use zone::{
+    MappingPolicy, Namespace, PolicyAnswer, PolicyDeps, PolicyScope, Zone, ZoneAnswer,
+};

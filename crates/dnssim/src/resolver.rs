@@ -578,13 +578,10 @@ mod tests {
             let mut akadns = Zone::new(n("akadns.net"));
             akadns.set_policy_scoped(
                 n("appldnld.apple.com.akadns.net"),
-                Arc::new(move |_: RecordType, _: &QueryContext| {
+                vec![n("a.gslb.applimg.com")],
+                Arc::new(move |_: RecordType, _: &QueryContext, _: &mut Vec<Ipv4Addr>| {
                     counter.fetch_add(1, Ordering::Relaxed);
-                    vec![ResourceRecord::new(
-                        n("appldnld.apple.com.akadns.net"),
-                        120,
-                        RData::Cname(n("a.gslb.applimg.com")),
-                    )]
+                    crate::zone::PolicyAnswer::Cname { target: 0, ttl: 120 }
                 }),
                 PolicyScope::City,
             );

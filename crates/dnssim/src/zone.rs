@@ -3,7 +3,32 @@
 use crate::context::QueryContext;
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// What a [`MappingPolicy`] decided for one query — a `Copy` value, not
+/// records. Every record it stands for is owned by the queried name; the
+/// zone ([`Zone::answer`]) and the compiled namespace each build their own
+/// record form from it, so one policy logic serves both resolvers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyAnswer {
+    /// No records: a NODATA answer (the observed behaviour of Apple's
+    /// mapping for AAAA queries).
+    Empty,
+    /// One CNAME to a target the policy declared when it was registered.
+    Cname {
+        /// Index into the policy's declared targets.
+        target: u16,
+        /// Record TTL, seconds.
+        ttl: u32,
+    },
+    /// One A record per address the policy appended to the caller's
+    /// buffer (none appended: an empty answer).
+    A {
+        /// TTL of every record, seconds.
+        ttl: u32,
+    },
+}
 
 /// A dynamic record source attached to a name in a zone.
 ///
@@ -12,20 +37,42 @@ use std::sync::Arc;
 /// `appldnld.apple.com.akadns.net`, and the GSLBs at
 /// `{a|b}.gslb.applimg.com` are all `MappingPolicy` implementations
 /// registered by the `metacdn` crate.
+///
+/// The contract: a policy names CNAME targets only by index into the list
+/// declared at registration ([`Zone::set_policy`]), and writes A-record
+/// addresses into the caller-owned `addrs` buffer, which arrives empty. It
+/// never builds a [`Name`] or a record per query.
 pub trait MappingPolicy: Send + Sync {
-    /// Produces the records to serve for `qtype` under `ctx`. Returning an
-    /// empty vector yields a NODATA answer (the observed behaviour of
-    /// Apple's mapping for AAAA queries).
-    fn respond(&self, qtype: RecordType, ctx: &QueryContext) -> Vec<ResourceRecord>;
+    /// Decides the answer for `qtype` under `ctx`.
+    fn respond(
+        &self,
+        qtype: RecordType,
+        ctx: &QueryContext,
+        addrs: &mut Vec<Ipv4Addr>,
+    ) -> PolicyAnswer;
 }
 
 impl<F> MappingPolicy for F
 where
-    F: Fn(RecordType, &QueryContext) -> Vec<ResourceRecord> + Send + Sync,
+    F: Fn(RecordType, &QueryContext, &mut Vec<Ipv4Addr>) -> PolicyAnswer + Send + Sync,
 {
-    fn respond(&self, qtype: RecordType, ctx: &QueryContext) -> Vec<ResourceRecord> {
-        self(qtype, ctx)
+    fn respond(
+        &self,
+        qtype: RecordType,
+        ctx: &QueryContext,
+        addrs: &mut Vec<Ipv4Addr>,
+    ) -> PolicyAnswer {
+        self(qtype, ctx, addrs)
     }
+}
+
+/// A registered policy: the hook, its declared CNAME targets, and the
+/// declared scope and dependencies of its answers.
+struct PolicyEntry {
+    policy: Arc<dyn MappingPolicy>,
+    targets: Vec<Name>,
+    scope: PolicyScope,
+    deps: PolicyDeps,
 }
 
 /// How much of the [`QueryContext`] a name's answer actually depends on —
@@ -111,9 +158,7 @@ pub struct Zone {
     origin: Name,
     records: HashMap<RecordKey, Vec<ResourceRecord>>,
     names: HashMap<Name, ()>,
-    policies: HashMap<Name, Arc<dyn MappingPolicy>>,
-    scopes: HashMap<Name, PolicyScope>,
-    deps: HashMap<Name, PolicyDeps>,
+    policies: HashMap<Name, PolicyEntry>,
 }
 
 impl std::fmt::Debug for Zone {
@@ -129,14 +174,7 @@ impl std::fmt::Debug for Zone {
 impl Zone {
     /// An empty zone rooted at `origin`.
     pub fn new(origin: Name) -> Zone {
-        Zone {
-            origin,
-            records: HashMap::new(),
-            names: HashMap::new(),
-            policies: HashMap::new(),
-            scopes: HashMap::new(),
-            deps: HashMap::new(),
-        }
+        Zone { origin, records: HashMap::new(), names: HashMap::new(), policies: HashMap::new() }
     }
 
     /// The zone origin.
@@ -165,9 +203,11 @@ impl Zone {
     }
 
     /// Attaches a dynamic policy at `owner` (replacing any previous one).
-    /// The policy gets the conservative [`PolicyScope::Client`] scope.
-    pub fn set_policy(&mut self, owner: Name, policy: Arc<dyn MappingPolicy>) {
-        self.set_policy_scoped(owner, policy, PolicyScope::Client);
+    /// `targets` are the CNAME targets the policy may answer with, which
+    /// its [`PolicyAnswer::Cname`] decisions index. The policy gets the
+    /// conservative [`PolicyScope::Client`] scope.
+    pub fn set_policy(&mut self, owner: Name, targets: Vec<Name>, policy: Arc<dyn MappingPolicy>) {
+        self.set_policy_scoped(owner, targets, policy, PolicyScope::Client);
     }
 
     /// Attaches a dynamic policy at `owner` declaring how much of the
@@ -177,10 +217,11 @@ impl Zone {
     pub fn set_policy_scoped(
         &mut self,
         owner: Name,
+        targets: Vec<Name>,
         policy: Arc<dyn MappingPolicy>,
         scope: PolicyScope,
     ) {
-        self.set_policy_with_deps(owner, policy, scope, PolicyDeps::all());
+        self.set_policy_with_deps(owner, targets, policy, scope, PolicyDeps::all());
     }
 
     /// Attaches a dynamic policy at `owner` declaring both its context
@@ -192,26 +233,21 @@ impl Zone {
     pub fn set_policy_with_deps(
         &mut self,
         owner: Name,
+        targets: Vec<Name>,
         policy: Arc<dyn MappingPolicy>,
         scope: PolicyScope,
         deps: PolicyDeps,
     ) {
         assert!(owner.is_within(&self.origin), "{} outside zone {}", owner, self.origin);
         self.names.insert(owner.clone(), ());
-        self.scopes.insert(owner.clone(), scope);
-        self.deps.insert(owner.clone(), deps);
-        self.policies.insert(owner, policy);
+        self.policies.insert(owner, PolicyEntry { policy, targets, scope, deps });
     }
 
     /// The declared scope of answers at `qname`: the policy's declared
     /// scope if a policy is attached, otherwise [`PolicyScope::Global`]
     /// (static records and existence facts depend on no context).
     pub fn scope_of(&self, qname: &Name) -> PolicyScope {
-        if self.policies.contains_key(qname) {
-            *self.scopes.get(qname).unwrap_or(&PolicyScope::Client)
-        } else {
-            PolicyScope::Global
-        }
+        self.policies.get(qname).map_or(PolicyScope::Global, |p| p.scope)
     }
 
     /// The declared mutable-input dependencies of answers at `qname`: the
@@ -219,11 +255,7 @@ impl Zone {
     /// [`PolicyDeps::none`] (static records and existence facts never
     /// change within a campaign).
     pub fn deps_of(&self, qname: &Name) -> PolicyDeps {
-        if self.policies.contains_key(qname) {
-            *self.deps.get(qname).unwrap_or(&PolicyDeps::all())
-        } else {
-            PolicyDeps::none()
-        }
+        self.policies.get(qname).map_or(PolicyDeps::none(), |p| p.deps)
     }
 
     /// Whether any record or policy exists at `name` (for NXDOMAIN vs NODATA).
@@ -244,9 +276,10 @@ impl Zone {
         self.records.iter().map(|((name, qtype), rrs)| (name, *qtype, rrs.as_slice()))
     }
 
-    /// Iterates `(owner, policy)` for every dynamic mapping policy.
-    pub fn policy_entries(&self) -> impl Iterator<Item = (&Name, &Arc<dyn MappingPolicy>)> {
-        self.policies.iter()
+    /// Iterates `(owner, policy, declared CNAME targets)` for every dynamic
+    /// mapping policy, in unspecified order.
+    pub fn policy_entries(&self) -> impl Iterator<Item = (&Name, &dyn MappingPolicy, &[Name])> {
+        self.policies.iter().map(|(owner, p)| (owner, &*p.policy, p.targets.as_slice()))
     }
 
     /// All static records, in deterministic (name, type) order.
@@ -289,8 +322,21 @@ impl Zone {
     /// Answers a question this zone is authoritative for.
     pub fn answer(&self, qname: &Name, qtype: RecordType, ctx: &QueryContext) -> ZoneAnswer {
         // Dynamic policy takes precedence: it is the zone's mapping function.
-        if let Some(policy) = self.policies.get(qname) {
-            return ZoneAnswer::Records(policy.respond(qtype, ctx));
+        if let Some(p) = self.policies.get(qname) {
+            let mut addrs = Vec::new();
+            let records = match p.policy.respond(qtype, ctx, &mut addrs) {
+                PolicyAnswer::Empty => Vec::new(),
+                PolicyAnswer::Cname { target, ttl } => vec![ResourceRecord::new(
+                    qname.clone(),
+                    ttl,
+                    RData::Cname(p.targets[usize::from(target)].clone()),
+                )],
+                PolicyAnswer::A { ttl } => addrs
+                    .into_iter()
+                    .map(|a| ResourceRecord::new(qname.clone(), ttl, RData::A(a)))
+                    .collect(),
+            };
+            return ZoneAnswer::Records(records);
         }
         if let Some(rrs) = self.records.get(&(qname.clone(), qtype.to_u16())) {
             return ZoneAnswer::Records(rrs.clone());
@@ -458,24 +504,28 @@ mod tests {
         z.add_a("appldnld.g.applimg.com", Ipv4Addr::new(9, 9, 9, 9), 15);
         z.set_policy(
             n("appldnld.g.applimg.com"),
-            Arc::new(|qtype: RecordType, ctx: &QueryContext| {
+            vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
+            Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
                 if qtype != RecordType::A {
-                    return Vec::new(); // IPv4-only mapping, like the paper observed
+                    return PolicyAnswer::Empty; // IPv4-only mapping, like the paper observed
                 }
                 let target = match ctx.continent {
-                    Continent::Europe => "a.gslb.applimg.com",
-                    _ => "b.gslb.applimg.com",
+                    Continent::Europe => 0,
+                    _ => 1,
                 };
-                vec![ResourceRecord::new(
-                    n("appldnld.g.applimg.com"),
-                    15,
-                    RData::Cname(n(target)),
-                )]
+                PolicyAnswer::Cname { target, ttl: 15 }
             }),
         );
         match z.answer(&n("appldnld.g.applimg.com"), RecordType::A, &ctx()) {
             ZoneAnswer::Records(rrs) => {
-                assert_eq!(rrs[0].rdata, RData::Cname(n("a.gslb.applimg.com")));
+                assert_eq!(
+                    rrs,
+                    vec![ResourceRecord::new(
+                        n("appldnld.g.applimg.com"),
+                        15,
+                        RData::Cname(n("a.gslb.applimg.com"))
+                    )]
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -484,6 +534,27 @@ mod tests {
             ZoneAnswer::Records(rrs) => assert!(rrs.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_decision_becomes_records_owned_by_the_queried_name() {
+        let mut z = Zone::new(n("applimg.com"));
+        z.set_policy(
+            n("a.gslb.applimg.com"),
+            Vec::new(),
+            Arc::new(|_: RecordType, _: &QueryContext, addrs: &mut Vec<Ipv4Addr>| {
+                addrs.extend([Ipv4Addr::new(17, 253, 1, 1), Ipv4Addr::new(17, 253, 1, 2)]);
+                PolicyAnswer::A { ttl: 20 }
+            }),
+        );
+        let want: Vec<_> = [Ipv4Addr::new(17, 253, 1, 1), Ipv4Addr::new(17, 253, 1, 2)]
+            .into_iter()
+            .map(|a| ResourceRecord::new(n("a.gslb.applimg.com"), 20, RData::A(a)))
+            .collect();
+        assert_eq!(
+            z.answer(&n("a.gslb.applimg.com"), RecordType::A, &ctx()),
+            ZoneAnswer::Records(want)
+        );
     }
 
     #[test]
@@ -517,7 +588,10 @@ mod zonefile_tests {
         z.add_cname("alias.applimg.com", "a.gslb.applimg.com", 60);
         z.set_policy(
             Name::parse("appldnld.g.applimg.com").unwrap(),
-            Arc::new(|_: mcdn_dnswire::RecordType, _: &QueryContext| Vec::new()),
+            Vec::new(),
+            Arc::new(|_: mcdn_dnswire::RecordType, _: &QueryContext, _: &mut Vec<Ipv4Addr>| {
+                PolicyAnswer::Empty
+            }),
         );
         let text = z.to_zonefile();
         assert!(text.starts_with("$ORIGIN applimg.com.\n"));

@@ -34,7 +34,7 @@ use mcdn_cdn::site::fnv64;
 use mcdn_dnswire::RecordType;
 use mcdn_faults::{FaultProfile, RetryPolicy};
 use mcdn_geo::{Duration, Region, SimTime};
-use metacdn::{CdnKind, HealthParams, HealthTracker};
+use metacdn::{CdnKind, HealthParams, HealthTracker, SelectionShare};
 use std::collections::HashMap;
 
 /// Pseudo-sites per (third-party CDN, region) that infrastructure fault
@@ -124,7 +124,7 @@ pub struct TickAudit {
     /// Offered update demand, bps.
     pub demand_bps: f64,
     /// Selection share in force (post overflow, post degradation).
-    pub share: Vec<(CdnKind, f64)>,
+    pub share: SelectionShare,
     /// Remaining capacity per CDN, bps.
     pub capacity: Vec<(CdnKind, f64)>,
     /// The demand split of this tick.

@@ -21,13 +21,13 @@ use core::fmt::Write as _;
 use mcdn_atlas::{build_fleet, Availability, UniqueIpAggregator};
 use mcdn_dnssim::{
     attacker_ns, attacker_owner, AnswerTamper, BailiwickPolicy, CompiledNamespace, FaultModel,
-    IRoundMemo, ITamper, InternedFaultModel, InternedMutationModel, MemoKey, MutationModel,
-    QueryContext, ResolveScratch, UpstreamFault,
+    IRoundMemo, ITamper, InternedFaultModel, InternedMutationModel, MutationModel, QueryContext,
+    ResolveScratch, SharedMemoKey, UpstreamFault,
 };
 use mcdn_dnswire::{Name, RecordType};
 use mcdn_faults::{AnswerMutation, FaultProfile, Fnv64, QueryFault, RetryPolicy};
 use mcdn_geo::{Continent, Duration, Region, SimTime};
-use mcdn_intern::{NameId, NameTable};
+use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
 use metacdn::CdnKind;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -469,13 +469,16 @@ impl InternedMutationModel for InternedCampaignMutations {
 /// time (memo counts), so the merged round is bit-identical to a serial
 /// sweep of the same probes.
 struct ShardPartial {
-    agg: UniqueIpAggregator<Continent, CdnClass>,
-    classes: IpClassLedger,
+    /// Every classified address the shard's probes observed, as
+    /// `(probe continent, class, address)`. The merge records them into
+    /// the campaign's unique-IP sets and class ledger — a union and a
+    /// max, so the order shards contribute in cannot matter.
+    observations: Vec<(Continent, CdnClass, Ipv4Addr)>,
     resolutions: u64,
     attempts: u64,
     retry_exhausted: u64,
     reused: u64,
-    memo_counts: HashMap<MemoKey, u64>,
+    memo_counts: HashMap<SharedMemoKey, u64, FnvBuildHasher>,
     /// The shard's drained observability sink (deterministic counters +
     /// trace events), absorbed into the campaign accumulator in canonical
     /// shard order so metrics are thread-count independent.
@@ -491,7 +494,7 @@ struct ShardPartial {
 /// Reuse is observationally safe: the memo is cleared at the top of every
 /// round closure (also what makes a pristine-restore retry replay the
 /// panicked attempt's exact inputs), `intern_in` is idempotent, and memo
-/// counts are canonicalized to `Name`-keyed form at merge time.
+/// counts are exported under shard-independent `SharedName` keys.
 #[derive(Default)]
 struct ShardState {
     scratch: ResolveScratch,
@@ -680,6 +683,8 @@ fn drive_campaign(
     let shard_count = mcdn_exec::shard_bounds(fleet.len(), p.threads).len().max(1);
     let shard_states: Vec<std::sync::Mutex<ShardState>> =
         (0..shard_count).map(|_| std::sync::Mutex::new(ShardState::default())).collect();
+    // The cross-shard memo-count merge, cleared (capacity kept) per round.
+    let mut round_counts: HashMap<SharedMemoKey, u64, FnvBuildHasher> = HashMap::default();
     // The controller evolves in real time regardless of how often probes
     // measure: walk it on a fine grid between measurement rounds so load
     // history (and the a1015 activation lag) is independent of cadence.
@@ -806,13 +811,12 @@ fn drive_campaign(
                 slots.resize_with(shard.len(), || None);
                 let entry_id = cns.intern_in(scratch, &entry);
                 let mut partial = ShardPartial {
-                    agg: UniqueIpAggregator::new(p.bin),
-                    classes: IpClassLedger::new(),
+                    observations: Vec::new(),
                     resolutions: 0,
                     attempts: 0,
                     retry_exhausted: 0,
                     reused: 0,
-                    memo_counts: HashMap::new(),
+                    memo_counts: HashMap::default(),
                     obs: Default::default(),
                 };
                 for (i, probe) in shard.iter_mut().enumerate() {
@@ -844,10 +848,10 @@ fn drive_campaign(
                         }
                         let (hits, misses) = slot.cache_deltas();
                         probe.interned_cache_add_stats(hits, misses);
-                        for &(ip, class) in slot.outcomes() {
-                            partial.agg.record(t, probe.spec.city.continent, class, ip);
-                            partial.classes.observe(ip, t, class);
-                        }
+                        let continent = probe.spec.city.continent;
+                        partial.observations.extend(
+                            slot.outcomes().iter().map(|&(ip, class)| (continent, class, ip)),
+                        );
                         // A replayed probe never touches the shard memo,
                         // so its contributions are injected directly —
                         // re-timed to this round's instant, exactly the
@@ -856,9 +860,8 @@ fn drive_campaign(
                         // merged per-key counts and distinct-key set are
                         // unchanged.
                         for &(id, qtype, scope) in slot.memo_keys() {
-                            let name = cns.name_in(scratch, id).clone();
-                            *partial.memo_counts.entry((name, qtype, scope, t)).or_default() +=
-                                1;
+                            let name = cns.shared_name(scratch, id);
+                            *partial.memo_counts.entry((name, qtype, scope, t)).or_default() += 1;
                         }
                         partial.resolutions += 1;
                         partial.attempts += 1;
@@ -905,8 +908,7 @@ fn drive_campaign(
                             params::LIMELIGHT_AS,
                             params::APPLE_AS,
                         );
-                        partial.agg.record(t, probe.spec.city.continent, class, ip);
-                        partial.classes.observe(ip, t, class);
+                        partial.observations.push((probe.spec.city.continent, class, ip));
                         if p.reuse {
                             outcome_buf.push((ip, class));
                         }
@@ -957,11 +959,13 @@ fn drive_campaign(
         // across shards first: `lookups` is the total demand for memoizable
         // answers and `hits` what a single-shard memo would have served —
         // both independent of how many shards actually ran.
-        let mut round_counts: HashMap<MemoKey, u64> = HashMap::new();
+        round_counts.clear();
         for partial in partials {
             obs.absorb(partial.obs);
-            agg.merge(partial.agg);
-            classes.merge(partial.classes);
+            for (continent, class, ip) in partial.observations {
+                agg.record(t, continent, class, ip);
+                classes.observe(ip, t, class);
+            }
             resolutions += partial.resolutions;
             attempts += partial.attempts;
             retry_exhausted += partial.retry_exhausted;
@@ -1100,7 +1104,7 @@ fn run_campaign_reference(
     threads: usize,
 ) -> DnsCampaignResult {
     use crate::classes::attribute_trace;
-    use mcdn_dnssim::RoundMemo;
+    use mcdn_dnssim::{MemoKey, RoundMemo};
     let mut fleet = build_fleet(specs.to_vec());
     let mut agg = UniqueIpAggregator::new(bin);
     let mut classes = IpClassLedger::new();
@@ -1126,14 +1130,15 @@ fn run_campaign_reference(
             let mutations = CampaignMutations::new(profile);
             let bailiwick = bailiwick_policy(&profile);
             let mut memo = RoundMemo::new();
+            let mut shard_agg = UniqueIpAggregator::new(bin);
+            let mut shard_classes = IpClassLedger::new();
             let mut partial = ShardPartial {
-                agg: UniqueIpAggregator::new(bin),
-                classes: IpClassLedger::new(),
+                observations: Vec::new(),
                 resolutions: 0,
                 attempts: 0,
                 retry_exhausted: 0,
                 reused: 0,
-                memo_counts: HashMap::new(),
+                memo_counts: HashMap::default(),
                 obs: Default::default(),
             };
             for probe in shard.iter_mut() {
@@ -1158,22 +1163,21 @@ fn run_campaign_reference(
                 let attribution = attribute_trace(&outcome.trace);
                 for ip in outcome.trace.addresses() {
                     let class = world.classify(attribution, ip);
-                    partial.agg.record(t, probe.spec.city.continent, class, ip);
-                    partial.classes.observe(ip, t, class);
+                    shard_agg.record(t, probe.spec.city.continent, class, ip);
+                    shard_classes.observe(ip, t, class);
                 }
                 partial.resolutions += 1;
             }
-            partial.memo_counts = memo.into_counts();
-            partial
+            (partial, shard_agg, shard_classes, memo.into_counts())
         });
         let mut round_counts: HashMap<MemoKey, u64> = HashMap::new();
-        for partial in partials {
-            agg.merge(partial.agg);
-            classes.merge(partial.classes);
+        for (partial, shard_agg, shard_classes, memo_counts) in partials {
+            agg.merge(shard_agg);
+            classes.merge(shard_classes);
             resolutions += partial.resolutions;
             attempts += partial.attempts;
             retry_exhausted += partial.retry_exhausted;
-            for (key, count) in partial.memo_counts {
+            for (key, count) in memo_counts {
                 *round_counts.entry(key).or_default() += count;
             }
         }

@@ -122,7 +122,7 @@ if ! scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null; then
   echo "    gate failed once; retrying (single-core scheduler jitter tolerance)"
   scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null
 fi
-grep -q '"schema": "mcdn-bench-campaigns-v7"' "$tmpdir/BENCH_campaigns.json"
+grep -q '"schema": "mcdn-bench-campaigns-v8"' "$tmpdir/BENCH_campaigns.json"
 grep -q '"identical_across_threads": true' "$tmpdir/BENCH_campaigns.json"
 if grep -q '"identical_across_threads": false' "$tmpdir/BENCH_campaigns.json"; then
   echo "    FAIL: some campaign diverged across thread counts"; exit 1
@@ -132,7 +132,8 @@ for field in thread_counts memo_hit_rate wall_ms shard_walls p50_ms p90_ms max_m
              scoped_over_pool traffic_batch_ticks available_parallelism \
              checkpoint_overhead_pct raw_overhead_pct noise_floor \
              reuse_rate reused_resolutions reuse_gate ratio_vs_v5 \
-             observability obs_overhead_pct budget_pct metrics trace_events; do
+             observability obs_overhead_pct budget_pct metrics trace_events \
+             alloc_audit allocs_per_resolution bytes_per_resolution; do
   grep -q "\"$field\"" "$tmpdir/BENCH_campaigns.json" || {
     echo "    FAIL: missing field $field"; exit 1; }
 done
@@ -152,11 +153,16 @@ obs_overhead="$(grep -m1 '"obs_overhead_pct"' "$tmpdir/BENCH_campaigns.json" \
   | sed 's/.*"obs_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/')"
 echo "    obs_overhead_pct = ${obs_overhead}%"
 
-echo "==> alloc gate: steady-state resolve loop must not allocate"
-grep -q '"allocs_per_resolution": 0.0000' "$tmpdir/BENCH_campaigns.json" || {
-  echo "    FAIL: steady-state resolutions allocated"
-  grep -A5 '"steady_state"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
-echo "    allocs_per_resolution == 0"
+echo "==> alloc gate: a real campaign window averages under one allocation per resolution"
+# The audit counts every allocation of the serial global campaign (setup,
+# round bookkeeping and the resolve loop) over its resolutions;
+# bench_campaigns already exits nonzero past the gate.
+allocs="$(grep -m1 '"allocs_per_resolution"' "$tmpdir/BENCH_campaigns.json" \
+  | sed 's/.*"allocs_per_resolution": \([0-9.]*\).*/\1/')"
+awk -v a="$allocs" 'BEGIN {
+  if (a == "" || a + 0 >= 1.0) { printf "    FAIL: allocs_per_resolution = %s (gate < 1.0)\n", a; exit 1 }
+  printf "    allocs_per_resolution = %s (< 1.0)\n", a
+}' || { grep -A8 '"alloc_audit"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
 
 echo "==> bench regression: smoke throughput vs committed baseline"
 # The committed BENCH_campaigns.json was produced by the full (non-smoke)
