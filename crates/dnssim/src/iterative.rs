@@ -3,7 +3,7 @@
 //! The AWS vantage points in the paper performed "full recursive DNS
 //! resolution" — not stub queries against a shared cache but an iterative
 //! walk from the root through each zone's NS delegation. This module
-//! implements that walk over the simulated namespace: a [`RootHints`]-style
+//! implements that walk over the simulated namespace: a root-hints-style
 //! delegation tree is derived from the installed zones, and
 //! [`IterativeResolver`] descends it referral by referral, recording every
 //! zone visited. The result must agree with the shortcut resolver (a test

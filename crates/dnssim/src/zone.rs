@@ -78,8 +78,8 @@ struct PolicyEntry {
 /// How much of the [`QueryContext`] a name's answer actually depends on —
 /// the contract that makes per-round answer memoization sound.
 ///
-/// Static records depend on nothing and are implicitly [`Global`]
-/// (`PolicyScope::Global`). Dynamic policies default to the conservative
+/// Static records depend on nothing and are implicitly
+/// [`Global`](PolicyScope::Global). Dynamic policies default to the conservative
 /// [`Client`](PolicyScope::Client) (never memoized); a policy registered
 /// through [`Zone::set_policy_scoped`] *declares* a broader scope, promising
 /// that two queries agreeing on the scope's inputs (and on `now`, which is

@@ -21,7 +21,7 @@
 //! **shared run queue** between rounds, and handed work through a
 //! two-step handshake:
 //!
-//! 1. **dispatch** — the caller pushes one type-erased [`Task`] per shard
+//! 1. **dispatch** — the caller pushes one type-erased `Task` per shard
 //!    onto the run queue and wakes the workers (the job descriptor lives
 //!    on the caller's stack); the caller is a worker too: it runs shard 0
 //!    inline and then **helps**, draining its own job's remaining tasks

@@ -114,9 +114,9 @@ impl<T> PrefixTrie<T> {
     /// An empty trie pre-sized for `prefixes` inserts. Each insert creates
     /// at most `prefix_len ≤ 32` nodes, so reserving `32 × prefixes` up
     /// front turns the node vector's one-at-a-time growth during a bulk
-    /// build into a single allocation (callers [`shrink_to_fit`]
-    /// (PrefixTrie::shrink_to_fit) afterwards — shared prefixes make the
-    /// bound loose).
+    /// build into a single allocation (callers
+    /// [`shrink_to_fit`](PrefixTrie::shrink_to_fit) afterwards — shared
+    /// prefixes make the bound loose).
     pub fn with_capacity(prefixes: usize) -> Self {
         let mut trie = Self::default();
         trie.reserve(prefixes);

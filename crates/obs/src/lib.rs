@@ -857,7 +857,7 @@ impl MetricsSnapshot {
         out
     }
 
-    /// The full export: the deterministic lines of [`det_jsonl`]
+    /// The full export: the deterministic lines of [`det_jsonl`](Self::det_jsonl)
     /// followed by process-class counters, process-global counters,
     /// histograms, and gauges, each line flagged `"det":false` so
     /// `grep -v '"det":false'` recovers the deterministic subset.

@@ -1,6 +1,6 @@
 //! Campaign checkpoints: the crash-safety layer's serialized state.
 //!
-//! A resumable campaign appends one [`Checkpoint`] record to an
+//! A resumable campaign appends one `Checkpoint` record to an
 //! [`mcdn_journal::Journal`] after each durable round. The checkpoint
 //! carries *everything* the engine's future depends on — round cursors,
 //! result accumulators (unique-IP cells with full membership, the

@@ -4,7 +4,7 @@
 //! (`mcdn-exec`): each round captures one immutable
 //! [`MappingSnapshot`](metacdn::MappingSnapshot) of the controller,
 //! splits the fleet into contiguous shards, resolves concurrently with a
-//! shard-local per-round [`RoundMemo`], and merges the shard partials in
+//! shard-local per-round [`IRoundMemo`], and merges the shard partials in
 //! canonical probe order — so the result is bit-identical for any thread
 //! count, faults on or off.
 
@@ -57,7 +57,7 @@ pub struct DnsCampaignResult {
     /// timeout) after exhausting their retry budget.
     pub retry_exhausted: u64,
     /// Lookups of memoizable zone answers (see
-    /// [`RoundMemo`]); canonical — independent of the thread count.
+    /// [`IRoundMemo`]); canonical — independent of the thread count.
     pub memo_lookups: u64,
     /// Memoizable lookups that a single-shard engine would have served
     /// from the per-round memo (`memo_lookups − distinct keys`); canonical.
@@ -1449,15 +1449,16 @@ mod tests {
     #[test]
     fn interned_engine_matches_string_reference() {
         let profiles = [
-            ("none", mcdn_faults::FaultProfile::none()),
-            ("total-dark", crate::chaos::total_dark_scenario(41).faults),
-            ("poisoning-enforced", mcdn_faults::FaultProfile::poisoning(43)),
+            ("none", mcdn_faults::FaultProfile::none(), 0x4a16_b8cb_14a9_2da1),
+            ("total-dark", crate::chaos::total_dark_scenario(41).faults, 0x4a16_b8cb_14a9_2da1),
+            ("poisoning-enforced", mcdn_faults::FaultProfile::poisoning(43), 0x0d95_0588_7d42_d74f),
             (
                 "poisoning-open",
                 mcdn_faults::FaultProfile::poisoning(43).with_bailiwick_enforcement(false),
+                0x2167_8d4b_cd69_1d64,
             ),
         ];
-        for (label, faults) in profiles {
+        for (label, faults, pin) in profiles {
             let mut cfg = ScenarioConfig::fast();
             cfg.global_probes = 40;
             cfg.global_dns_interval = Duration::hours(2);
@@ -1485,7 +1486,30 @@ mod tests {
             };
             assert_eq!(got, want, "interned engine diverged under profile {label}");
             assert!(want.resolutions > 0);
+            assert_eq!(result_digest(&got), pin, "campaign output moved under profile {label}");
         }
+    }
+
+    /// A canonical FNV-64 digest of a campaign's measurement output: the
+    /// unique-IP cells with their sorted members, the address-sorted IP
+    /// classes, and the resolution, attempt, exhausted and memo counts.
+    /// `reused_resolutions` is left out, as [`PartialEq`] leaves it out.
+    fn result_digest(r: &DnsCampaignResult) -> u64 {
+        let mut h = Fnv64::new();
+        for ((t, continent, class), members) in r.unique_ips.cells() {
+            let _ = write!(h, "{}/{continent:?}/{class:?}:{members:?};", t.0);
+        }
+        let mut classes: Vec<(&Ipv4Addr, &CdnClass)> = r.ip_classes.iter().collect();
+        classes.sort_unstable_by_key(|(ip, _)| **ip);
+        for (ip, class) in classes {
+            let _ = write!(h, "{ip}:{class:?};");
+        }
+        let _ = write!(
+            h,
+            "resolutions={};attempts={};exhausted={};memo_lookups={};memo_hits={};",
+            r.resolutions, r.attempts, r.retry_exhausted, r.memo_lookups, r.memo_hits
+        );
+        h.finish()
     }
 
     /// The incremental engine's correctness contract — the full-recompute

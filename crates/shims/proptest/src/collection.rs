@@ -1,4 +1,4 @@
-//! Collection strategies: [`vec`].
+//! Collection strategies: [`vec()`].
 
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -20,6 +20,9 @@ cargo test -q --workspace
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> rustdoc: every intra-doc link resolves"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> mcdn-obs: disabled-feature arm still compiles and passes"
 # The metrics layer must be compile-time removable: the no-default-
 # features build turns every record/trace call into a no-op.
@@ -33,10 +36,20 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- campaign global > "$tmpdir
 diff -u "$tmpdir/run1.txt" "$tmpdir/run2.txt"
 echo "    identical ($(wc -l < "$tmpdir/run1.txt") lines)"
 
+echo "==> goldens: campaign, crawl, chaos and poison output match tests/goldens/"
+# The committed goldens pin the stdout of each command byte for byte, so
+# an engine refactor cannot shift a table silently. The chaos and poison
+# runs below are diffed against their goldens as well.
+diff -u tests/goldens/campaign_global.txt "$tmpdir/run1.txt"
+cargo run --release -q -p mcdn-analysis --bin mcdn -- crawl > "$tmpdir/crawl.txt"
+diff -u tests/goldens/crawl.txt "$tmpdir/crawl.txt"
+echo "    campaign global and crawl match"
+
 echo "==> chaos sweep: invariants hold, faulted runs replay bit-identically"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos1.txt"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos2.txt"
 diff -u "$tmpdir/chaos1.txt" "$tmpdir/chaos2.txt"
+diff -u tests/goldens/chaos_sweep.txt "$tmpdir/chaos1.txt"
 grep -q "all invariants held across the grid" "$tmpdir/chaos1.txt"
 echo "    identical ($(wc -l < "$tmpdir/chaos1.txt") lines)"
 
@@ -44,8 +57,26 @@ echo "==> poison sweep: Byzantine answers held at the bailiwick, replayed bit-id
 cargo run --release -q --example poison_sweep > "$tmpdir/poison1.txt"
 cargo run --release -q --example poison_sweep > "$tmpdir/poison2.txt"
 diff -u "$tmpdir/poison1.txt" "$tmpdir/poison2.txt"
+diff -u tests/goldens/poison_sweep.txt "$tmpdir/poison1.txt"
 grep -q "all invariants held across the grid" "$tmpdir/poison1.txt"
 echo "    identical ($(wc -l < "$tmpdir/poison1.txt") lines)"
+
+echo "==> paper scale: repro --paper reproduces results/, all claims hold"
+# The committed results/ are the paper-scale artifacts; a fresh run must
+# reproduce every CSV, the Fig-2 DOT graph and the console output byte
+# for byte (results/repro_paper.log is a progress log and is not
+# compared). check_claims exits nonzero if any paper claim fails its
+# paper-scale band.
+mkdir -p "$tmpdir/paper"
+cargo run --release -q -p mcdn-analysis --bin repro -- --paper --csv-dir "$tmpdir/paper" \
+  > "$tmpdir/paper/repro_paper.txt" 2> "$tmpdir/paper/repro_paper.log"
+for f in results/*.csv results/fig2.dot results/repro_paper.txt; do
+  diff -u "$f" "$tmpdir/paper/$(basename "$f")"
+done
+echo "    $(ls results/*.csv | wc -l) CSVs, fig2.dot and repro_paper.txt identical"
+cargo run --release -q -p mcdn-analysis --bin check_claims -- --paper > "$tmpdir/claims.txt"
+grep -Eq "^all [0-9]+ claims PASS$" "$tmpdir/claims.txt"
+echo "    $(tail -1 "$tmpdir/claims.txt")"
 
 echo "==> fuzz smoke: fixed-seed wire fuzzing plus corpus replay, zero panics"
 cargo run --release -q -p mcdn-fuzzwire --bin fuzz_smoke > "$tmpdir/fuzz1.txt"

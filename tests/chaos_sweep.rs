@@ -227,4 +227,32 @@ fn sweep_grid_holds_invariants_and_replays_bit_identically() {
     let b = run_chaos_sweep(&cfg, &grid).expect("sweep invariants");
     assert_eq!(a.len(), 7);
     assert_eq!(a, b, "equal seed must replay the whole sweep bit-identically");
+    assert_eq!(
+        dns_and_transitions_digest(&a),
+        0x3d00_7553_0414_3815,
+        "the DNS liveness probes or health transitions moved"
+    );
+}
+
+/// FNV-64 over every tick's DNS liveness probe `(t, region, ok,
+/// transient, attempts)` and every run's health transitions — the chaos
+/// fields the resolver feeds, at full precision (the printed table rounds
+/// the DNS success rate to four decimals).
+fn dns_and_transitions_digest(runs: &[ChaosRunResult]) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = metacdn_suite::faults::Fnv64::new();
+    for run in runs {
+        let _ = write!(h, "{}|", run.scenario);
+        for a in &run.ticks {
+            let _ = write!(
+                h,
+                "{}/{:?}/{}/{}/{};",
+                a.t.0, a.region, a.dns.ok, a.dns.transient, a.dns.attempts
+            );
+        }
+        for (kind, region, n) in &run.transitions {
+            let _ = write!(h, "{kind:?}/{region:?}={n};");
+        }
+    }
+    h.finish()
 }
