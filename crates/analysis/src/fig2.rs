@@ -7,6 +7,7 @@
 //! and the observed edges are tabulated with their TTLs and an event flag.
 
 use crate::table::Table;
+use mcdn_dnssim::CompiledNamespace;
 use mcdn_geo::{Duration, SimTime};
 use mcdn_scenario::{loads, World};
 use metacdn::names;
@@ -24,6 +25,9 @@ pub fn fig2(world: &World) -> Table {
     let quiet = release - Duration::days(3);
     let hot = release + Duration::hours(8);
 
+    // One compiled namespace for every crawl: policies read the live
+    // controller state at query time, so it stays current across phases.
+    let cns = CompiledNamespace::compile(&world.ns);
     // Union of edges per phase.
     let mut edges: BTreeMap<(String, String, u32), (bool, bool)> = BTreeMap::new();
     for (phase_start, is_event) in [(quiet, false), (hot, true)] {
@@ -39,7 +43,7 @@ pub fn fig2(world: &World) -> Table {
             loads::update_loads(world, phase_start);
         }
         for vm in &world.vms {
-            let crawl = vm.crawl_mapping(&world.ns, &names::entry(), phase_start, ROUNDS, 60);
+            let crawl = vm.crawl_mapping(&cns, &names::entry(), phase_start, ROUNDS, 60);
             for edge in crawl.edges {
                 let entry = edges.entry(edge).or_insert((false, false));
                 if is_event {

@@ -31,6 +31,6 @@ pub mod vm;
 pub use agg::UniqueIpAggregator;
 pub use availability::Availability;
 pub use export::{to_jsonl, AtlasDnsResult, AtlasTracerouteResult};
-pub use probe::{build_fleet, spread_specs, MeasureOutcome, Probe, ProbeSpec};
+pub use probe::{build_fleet, spread_specs, Probe, ProbeSpec};
 pub use scan::{scan_prefix, ScanHit};
 pub use vm::VantageVm;

@@ -1,12 +1,11 @@
 //! Measurement probes: located clients with their own caching resolvers.
 
 use mcdn_dnssim::{
-    BailiwickPolicy, CompiledNamespace, FaultModel, ICacheExportEntry, IResolutionError,
-    IRoundMemo, InternedFaultModel, InternedMutationModel, InternedResolver, MutationModel,
-    Namespace, NoInternedMutations, NoMutations, QueryContext, RecursiveResolver, ResolutionError,
-    ResolutionTrace, ResolveScratch, RoundMemo,
+    BailiwickPolicy, CompiledNamespace, ICacheExportEntry, IResolutionError, IRoundMemo,
+    InternedFaultModel, InternedMutationModel, InternedResolver, NoInternedMutations,
+    QueryContext, ResolveScratch,
 };
-use mcdn_dnswire::{Name, RecordType};
+use mcdn_dnswire::RecordType;
 use mcdn_faults::RetryPolicy;
 use mcdn_intern::NameId;
 use mcdn_geo::{City, Duration, SimTime};
@@ -35,14 +34,13 @@ pub struct Probe {
     pub id: u32,
     /// Placement.
     pub spec: ProbeSpec,
-    resolver: RecursiveResolver,
-    iresolver: InternedResolver,
+    resolver: InternedResolver,
 }
 
 impl Probe {
     /// Creates a probe.
     pub fn new(id: u32, spec: ProbeSpec) -> Probe {
-        Probe { id, spec, resolver: RecursiveResolver::new(), iresolver: InternedResolver::new() }
+        Probe { id, spec, resolver: InternedResolver::new() }
     }
 
     /// The query context this probe presents at `now`.
@@ -56,143 +54,17 @@ impl Probe {
         }
     }
 
-    /// Runs one DNS measurement, returning the trace (and any error — a
-    /// probe logs failures rather than aborting a campaign).
-    pub fn measure(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolver.resolve(ns, qname, qtype, &self.context(now))
-    }
-
     /// Runs one DNS measurement under a fault model, retrying transient
     /// failures (SERVFAIL, timeout) per `retry` with capped exponential
     /// backoff. Each retry happens later in simulated time by the
     /// accumulated backoff, so TTL expiry during backoff behaves
     /// faithfully. Permanent failures (NXDOMAIN, over-long chains) are
-    /// never retried. Under a quiet fault model the first attempt always
-    /// succeeds, making this bit-identical to [`Probe::measure`].
-    pub fn measure_with(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-        faults: &dyn FaultModel,
-        retry: &RetryPolicy,
-    ) -> MeasureOutcome {
-        self.measure_impl(ns, qname, qtype, now, faults, retry, None)
-    }
-
-    /// Like [`Probe::measure_with`], threading a per-round
-    /// [`RoundMemo`] through every resolution so scope-stable zone answers
-    /// are replayed rather than re-derived. Bit-identical to
-    /// [`Probe::measure_with`] (the memo only replays answers whose zones
-    /// declared them scope-stable, and faulted queries bypass it).
-    #[allow(clippy::too_many_arguments)] // the memo-bearing superset of measure_with
-    pub fn measure_memoized(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-        faults: &dyn FaultModel,
-        retry: &RetryPolicy,
-        memo: &mut RoundMemo,
-    ) -> MeasureOutcome {
-        self.measure_impl(ns, qname, qtype, now, faults, retry, Some(memo))
-    }
-
-    #[allow(clippy::too_many_arguments)] // private driver behind the two entry points
-    fn measure_impl(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-        faults: &dyn FaultModel,
-        retry: &RetryPolicy,
-        memo: Option<&mut RoundMemo>,
-    ) -> MeasureOutcome {
-        self.measure_adversarial_impl(
-            ns,
-            qname,
-            qtype,
-            now,
-            faults,
-            &NoMutations,
-            BailiwickPolicy::Enforce,
-            retry,
-            memo,
-        )
-    }
-
-    /// [`Probe::measure_memoized`] with an answer-mutation model and an
-    /// explicit [`BailiwickPolicy`] threaded through every attempt.
-    /// Truncated answers are transient, so they burn retry budget exactly
-    /// like timeouts.
-    #[allow(clippy::too_many_arguments)] // the adversarial superset of measure_with
-    pub fn measure_adversarial(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        retry: &RetryPolicy,
-        memo: Option<&mut RoundMemo>,
-    ) -> MeasureOutcome {
-        self.measure_adversarial_impl(ns, qname, qtype, now, faults, mutations, bailiwick, retry, memo)
-    }
-
-    #[allow(clippy::too_many_arguments)] // private driver behind every string entry point
-    fn measure_adversarial_impl(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        now: SimTime,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        retry: &RetryPolicy,
-        mut memo: Option<&mut RoundMemo>,
-    ) -> MeasureOutcome {
-        let mut wait = Duration::secs(0);
-        let max = retry.max_attempts.max(1);
-        for attempt in 0..max {
-            wait = wait + retry.backoff_before(attempt);
-            let ctx = self.context(now + wait);
-            let (trace, result) = self.resolver.resolve_adversarial(
-                ns,
-                qname,
-                qtype,
-                &ctx,
-                faults,
-                mutations,
-                bailiwick,
-                attempt,
-                memo.as_deref_mut(),
-            );
-            let retryable = matches!(&result, Err(e) if e.is_transient());
-            if !retryable || attempt + 1 == max {
-                return MeasureOutcome { trace, result, attempts: attempt + 1 };
-            }
-        }
-        unreachable!("loop always returns on the last attempt")
-    }
-
-    /// Like [`Probe::measure_memoized`] on the interned hot path: same
-    /// retry/backoff schedule, same fault-before-memo ordering, zero
-    /// steady-state allocations. The trace of the final attempt is left
-    /// in `scratch.trace()`; the probe's interned cache persists across
-    /// rounds exactly like the string resolver's.
-    #[allow(clippy::too_many_arguments)] // the interned face of measure_impl
+    /// never retried. With a per-round `memo`, scope-stable zone answers
+    /// are replayed rather than re-derived (faulted queries bypass it).
+    /// Returns the final attempt's outcome and the attempts spent; the
+    /// final attempt's trace is left in `scratch.trace()`, and the probe's
+    /// cache persists across rounds. Zero steady-state allocations.
+    #[allow(clippy::too_many_arguments)] // the fault-aware measurement entry point
     pub fn measure_interned(
         &mut self,
         ns: &CompiledNamespace<'_>,
@@ -202,7 +74,7 @@ impl Probe {
         now: SimTime,
         faults: &dyn InternedFaultModel,
         retry: &RetryPolicy,
-        memo: &mut IRoundMemo,
+        memo: Option<&mut IRoundMemo>,
     ) -> (Result<(), IResolutionError>, u32) {
         self.measure_interned_adversarial(
             ns,
@@ -219,9 +91,9 @@ impl Probe {
     }
 
     /// [`Probe::measure_interned`] with an answer-mutation model and an
-    /// explicit [`BailiwickPolicy`] — the interned face of
-    /// [`Probe::measure_adversarial`], same retry schedule, same
-    /// hook ordering.
+    /// explicit [`BailiwickPolicy`] threaded through every attempt.
+    /// Truncated answers are transient, so they burn retry budget exactly
+    /// like timeouts.
     #[allow(clippy::too_many_arguments)] // the adversarial superset of measure_interned
     pub fn measure_interned_adversarial(
         &mut self,
@@ -234,14 +106,14 @@ impl Probe {
         mutations: &dyn InternedMutationModel,
         bailiwick: BailiwickPolicy,
         retry: &RetryPolicy,
-        memo: &mut IRoundMemo,
+        mut memo: Option<&mut IRoundMemo>,
     ) -> (Result<(), IResolutionError>, u32) {
         let mut wait = Duration::secs(0);
         let max = retry.max_attempts.max(1);
         for attempt in 0..max {
             wait = wait + retry.backoff_before(attempt);
             let ctx = self.context(now + wait);
-            let result = self.iresolver.resolve_adversarial(
+            let result = self.resolver.resolve_adversarial(
                 ns,
                 scratch,
                 qname,
@@ -251,7 +123,7 @@ impl Probe {
                 mutations,
                 bailiwick,
                 attempt,
-                Some(memo),
+                memo.as_deref_mut(),
             );
             let retryable = matches!(&result, Err(e) if e.is_transient());
             if !retryable || attempt + 1 == max {
@@ -261,7 +133,7 @@ impl Probe {
         unreachable!("loop always returns on the last attempt")
     }
 
-    /// Re-applies one recorded cache store to the interned resolver at
+    /// Re-applies one recorded cache store to the probe's resolver at
     /// `now` — the replay half of incremental resolution. Exact
     /// [`InternedResolver::cache_put`] semantics; returns the entry's
     /// effective TTL.
@@ -272,33 +144,28 @@ impl Probe {
         records: &[mcdn_dnssim::IRecord],
         now: SimTime,
     ) -> u32 {
-        self.iresolver.cache_put(id, qtype, records, now)
+        self.resolver.cache_put(id, qtype, records, now)
     }
 
     /// Advances the interned cache's hit/miss counters by the deltas a
     /// replayed resolution would have produced.
     pub fn interned_cache_add_stats(&mut self, hits: u64, misses: u64) {
-        self.iresolver.cache_add_stats(hits, misses);
+        self.resolver.cache_add_stats(hits, misses);
     }
 
     /// Resolver cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    pub fn interned_cache_stats(&self) -> (u64, u64) {
         self.resolver.cache_stats()
     }
 
-    /// Interned-resolver cache statistics `(hits, misses)`.
-    pub fn interned_cache_stats(&self) -> (u64, u64) {
-        self.iresolver.cache_stats()
-    }
-
-    /// Exports the interned-resolver cache for checkpointing: sorted
+    /// Exports the resolver cache for checkpointing: sorted
     /// entries plus `(hits, misses)` counters. See
     /// [`InternedResolver::cache_export`].
     pub fn interned_cache_export(&self) -> (Vec<ICacheExportEntry>, u64, u64) {
-        self.iresolver.cache_export()
+        self.resolver.cache_export()
     }
 
-    /// Restores the interned-resolver cache captured by
+    /// Restores the resolver cache captured by
     /// [`interned_cache_export`](Self::interned_cache_export), making a
     /// rebuilt probe's TTL behaviour bit-identical to the original's.
     pub fn interned_cache_restore(
@@ -307,19 +174,8 @@ impl Probe {
         hits: u64,
         misses: u64,
     ) {
-        self.iresolver.cache_restore(entries, hits, misses);
+        self.resolver.cache_restore(entries, hits, misses);
     }
-}
-
-/// What one fault-aware measurement produced.
-#[derive(Debug, Clone)]
-pub struct MeasureOutcome {
-    /// The trace of the final attempt (even on failure).
-    pub trace: ResolutionTrace,
-    /// The final attempt's outcome.
-    pub result: Result<(), ResolutionError>,
-    /// Attempts spent, including the first (1 when nothing was retried).
-    pub attempts: u32,
 }
 
 /// Builds probes from specs, ids assigned in order.
@@ -359,7 +215,8 @@ pub fn spread_specs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_dnssim::Zone;
+    use mcdn_dnssim::{Namespace, NoInternedFaults, UpstreamFault, Zone};
+    use mcdn_dnswire::Name;
     use mcdn_geo::{Continent, Locode, Registry};
 
     fn city(code: &str) -> &'static City {
@@ -385,38 +242,22 @@ mod tests {
         assert_eq!(ctx.locode.as_str(), "deber");
     }
 
-    #[test]
-    fn probe_measures_and_caches() {
-        let ns = tiny_ns();
-        let mut p = Probe::new(
-            0,
-            ProbeSpec { city: city("deber"), as_id: AsId(1), ip: Ipv4Addr::new(10, 0, 0, 1) },
-        );
-        let t0 = SimTime::from_ymd(2017, 9, 12);
-        let name = Name::parse("appldnld.apple.com").unwrap();
-        let (trace, res) = p.measure(&ns, &name, RecordType::A, t0);
-        res.unwrap();
-        assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 253, 1, 1)]);
-        // Re-measure within TTL: cache hit.
-        let (_, res) = p.measure(&ns, &name, RecordType::A, t0 + mcdn_geo::Duration::secs(5));
-        res.unwrap();
-        assert_eq!(p.cache_stats().0, 1);
-    }
-
     /// Times out the first `failures` attempts of every query, then heals.
     struct FlakyUpstream {
         failures: u32,
     }
 
-    impl FaultModel for FlakyUpstream {
+    impl InternedFaultModel for FlakyUpstream {
         fn upstream_fault(
             &self,
-            _zone: &Name,
-            _qname: &Name,
+            _zone: NameId,
+            _zone_fnv: u64,
+            _qname: NameId,
+            _qname_fnv: u64,
             _ctx: &QueryContext,
             attempt: u32,
-        ) -> Option<mcdn_dnssim::UpstreamFault> {
-            (attempt < self.failures).then_some(mcdn_dnssim::UpstreamFault::Timeout)
+        ) -> Option<UpstreamFault> {
+            (attempt < self.failures).then_some(UpstreamFault::Timeout)
         }
     }
 
@@ -427,81 +268,87 @@ mod tests {
         )
     }
 
+    /// Measures `name` once on `p` at `now`, returning the outcome, the
+    /// attempts spent and the final attempt's addresses.
+    fn measure(
+        p: &mut Probe,
+        ns: &CompiledNamespace<'_>,
+        name: &str,
+        now: SimTime,
+        faults: &dyn InternedFaultModel,
+    ) -> (Result<(), IResolutionError>, u32, Vec<Ipv4Addr>) {
+        let mut scratch = ResolveScratch::new();
+        let id = ns.intern_in(&mut scratch, &Name::parse(name).unwrap());
+        let retry = RetryPolicy::standard();
+        let (res, attempts) =
+            p.measure_interned(ns, &mut scratch, id, RecordType::A, now, faults, &retry, None);
+        (res, attempts, scratch.trace().addresses().collect())
+    }
+
+    #[test]
+    fn probe_measures_and_caches() {
+        let ns = tiny_ns();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = probe();
+        let t0 = SimTime::from_ymd(2017, 9, 12);
+        let (res, _, addrs) = measure(&mut p, &cns, "appldnld.apple.com", t0, &NoInternedFaults);
+        res.unwrap();
+        assert_eq!(addrs, vec![Ipv4Addr::new(17, 253, 1, 1)]);
+        // Re-measure within TTL: cache hit.
+        let t1 = t0 + Duration::secs(5);
+        let (res, _, _) = measure(&mut p, &cns, "appldnld.apple.com", t1, &NoInternedFaults);
+        res.unwrap();
+        assert_eq!(p.interned_cache_stats().0, 1);
+    }
+
     #[test]
     fn retries_recover_from_transient_faults() {
         let ns = tiny_ns();
+        let cns = CompiledNamespace::compile(&ns);
         let mut p = probe();
-        let name = Name::parse("appldnld.apple.com").unwrap();
-        let retry = RetryPolicy::standard();
-        let out = p.measure_with(
-            &ns,
-            &name,
-            RecordType::A,
-            SimTime::from_ymd(2017, 9, 12),
-            &FlakyUpstream { failures: 2 },
-            &retry,
-        );
-        out.result.unwrap();
-        assert_eq!(out.attempts, 3);
-        assert_eq!(out.trace.addresses(), vec![Ipv4Addr::new(17, 253, 1, 1)]);
+        let t0 = SimTime::from_ymd(2017, 9, 12);
+        let flaky = FlakyUpstream { failures: 2 };
+        let (res, attempts, addrs) = measure(&mut p, &cns, "appldnld.apple.com", t0, &flaky);
+        res.unwrap();
+        assert_eq!(attempts, 3);
+        assert_eq!(addrs, vec![Ipv4Addr::new(17, 253, 1, 1)]);
     }
 
     #[test]
     fn retry_budget_exhausts_on_persistent_faults() {
         let ns = tiny_ns();
+        let cns = CompiledNamespace::compile(&ns);
         let mut p = probe();
         let name = Name::parse("appldnld.apple.com").unwrap();
+        let mut scratch = ResolveScratch::new();
+        let id = cns.intern_in(&mut scratch, &name);
         let retry = RetryPolicy::standard();
-        let out = p.measure_with(
-            &ns,
-            &name,
+        let (res, attempts) = p.measure_interned(
+            &cns,
+            &mut scratch,
+            id,
             RecordType::A,
             SimTime::from_ymd(2017, 9, 12),
             &FlakyUpstream { failures: u32::MAX },
             &retry,
+            None,
         );
-        assert_eq!(out.attempts, retry.max_attempts);
-        assert!(matches!(out.result, Err(ResolutionError::Timeout(_))));
+        assert_eq!(attempts, retry.max_attempts);
+        assert_eq!(res, Err(IResolutionError::Timeout(id)));
         // The failed attempt's trace still records what the probe saw.
-        assert_eq!(out.trace.steps.len(), 1);
+        assert_eq!(scratch.trace().len(), 1);
     }
 
     #[test]
     fn permanent_failures_are_not_retried() {
         let ns = tiny_ns();
+        let cns = CompiledNamespace::compile(&ns);
         let mut p = probe();
-        let name = Name::parse("no.such.name.example").unwrap();
-        let out = p.measure_with(
-            &ns,
-            &name,
-            RecordType::A,
-            SimTime::from_ymd(2017, 9, 12),
-            &mcdn_dnssim::NoFaults,
-            &RetryPolicy::standard(),
-        );
-        assert_eq!(out.attempts, 1);
-        assert!(matches!(out.result, Err(ResolutionError::NxDomain(_))));
-    }
-
-    #[test]
-    fn quiet_faults_match_plain_measure() {
-        let ns = tiny_ns();
-        let name = Name::parse("appldnld.apple.com").unwrap();
         let t0 = SimTime::from_ymd(2017, 9, 12);
-        let mut a = probe();
-        let mut b = probe();
-        let (trace_plain, res_plain) = a.measure(&ns, &name, RecordType::A, t0);
-        let out = b.measure_with(
-            &ns,
-            &name,
-            RecordType::A,
-            t0,
-            &mcdn_dnssim::NoFaults,
-            &RetryPolicy::standard(),
-        );
-        assert_eq!(out.attempts, 1);
-        assert_eq!(trace_plain, out.trace);
-        assert_eq!(res_plain, out.result);
+        let (res, attempts, _) =
+            measure(&mut p, &cns, "no.such.name.example", t0, &NoInternedFaults);
+        assert_eq!(attempts, 1);
+        assert!(matches!(res, Err(IResolutionError::NxDomain(_))));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the reproduction is to crawl the complete mapping graph (every CNAME edge
 //! with its TTL) from different regions — the raw data of Figure 2.
 
-use mcdn_dnssim::{Namespace, QueryContext, RecursiveResolver};
+use mcdn_dnssim::{resolve_cold, CompiledNamespace, QueryContext};
 use mcdn_dnswire::{Name, RecordType};
 use mcdn_geo::{City, SimTime};
 use mcdn_netsim::AsId;
@@ -46,7 +46,7 @@ impl VantageVm {
     /// branches (selector → Apple vs third party; a/b GSLB heads).
     pub fn crawl_mapping(
         &self,
-        ns: &Namespace,
+        ns: &CompiledNamespace<'_>,
         qname: &Name,
         start: SimTime,
         rounds: u32,
@@ -55,11 +55,10 @@ impl VantageVm {
         let mut edges = BTreeSet::new();
         let mut addrs = BTreeSet::new();
         for round in 0..rounds {
-            // Fresh resolver per round: AWS measurements were full recursive
-            // resolutions, never cache-assisted.
-            let mut resolver = RecursiveResolver::new();
+            // A fresh resolver per round: AWS measurements were full
+            // recursive resolutions, never cache-assisted.
             let now = start + mcdn_geo::Duration::secs(round as u64 * spacing_secs);
-            let (trace, _) = resolver.resolve(ns, qname, RecordType::A, &self.context(now));
+            let (trace, _) = resolve_cold(ns, qname, RecordType::A, &self.context(now));
             for (from, to, ttl) in trace.cname_edges() {
                 edges.insert((from.to_string(), to.to_string(), ttl));
             }
@@ -81,7 +80,7 @@ pub struct CrawlResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_dnssim::Zone;
+    use mcdn_dnssim::{Namespace, Zone};
     use mcdn_geo::{Locode, Registry};
 
     fn city(code: &str) -> &'static City {
@@ -101,8 +100,9 @@ mod tests {
     #[test]
     fn crawl_collects_edges_and_addresses() {
         let vm = VantageVm::new(city("defra"), AsId(16509), Ipv4Addr::new(52, 1, 2, 3));
+        let ns = chain_ns();
         let result = vm.crawl_mapping(
-            &chain_ns(),
+            &CompiledNamespace::compile(&ns),
             &Name::parse("appldnld.apple.com").unwrap(),
             SimTime::from_ymd(2017, 9, 15),
             5,
@@ -119,8 +119,9 @@ mod tests {
         let vm = VantageVm::new(city("usnyc"), AsId(16509), Ipv4Addr::new(52, 9, 9, 9));
         let q = Name::parse("appldnld.apple.com").unwrap();
         let t = SimTime::from_ymd(2017, 9, 15);
-        let a = vm.crawl_mapping(&chain_ns(), &q, t, 3, 60);
-        let b = vm.crawl_mapping(&chain_ns(), &q, t, 3, 60);
+        let ns = chain_ns();
+        let a = vm.crawl_mapping(&CompiledNamespace::compile(&ns), &q, t, 3, 60);
+        let b = vm.crawl_mapping(&CompiledNamespace::compile(&ns), &q, t, 3, 60);
         assert_eq!(a, b);
     }
 }

@@ -4,8 +4,9 @@
 //! [`Namespace`]: static CNAMEs where the paper found stable records, and
 //! [`MappingPolicy`](mcdn_dnssim::MappingPolicy) closures (consulting the
 //! shared [`MetaCdnState`]) at
-//! the three decision points. The result is a namespace that a
-//! [`RecursiveResolver`](mcdn_dnssim::RecursiveResolver) can query exactly
+//! the three decision points. The result is a namespace that an
+//! [`InternedResolver`](mcdn_dnssim::InternedResolver), over its
+//! [`CompiledNamespace`](mcdn_dnssim::CompiledNamespace), can query exactly
 //! like the paper's probes queried the real infrastructure.
 
 use crate::kinds::CdnKind;
@@ -386,7 +387,7 @@ mod tests {
     use super::*;
     use crate::policy::{CdnShare, Schedule};
     use mcdn_cdn::{AppleCdn, SiteSpec};
-    use mcdn_dnssim::RecursiveResolver;
+    use mcdn_dnssim::{resolve_cold, CompiledNamespace};
     use mcdn_geo::{Continent, Locode, SimTime};
     use mcdn_netsim::{AsId, Ipv4Net};
 
@@ -439,9 +440,9 @@ mod tests {
     fn apple_branch_resolves_to_delivery_prefix() {
         let cfg = config(1000.0); // overwhelmingly Apple
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0001);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
         res.unwrap();
         let addrs = trace.addresses();
         assert!(!addrs.is_empty());
@@ -462,9 +463,9 @@ mod tests {
     fn third_party_branch_goes_through_region_lb() {
         let cfg = config(0.0); // never Apple
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0002);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
@@ -476,9 +477,9 @@ mod tests {
     fn china_diversion() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("cnsha", Continent::Asia, 0x0A00_0003);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
@@ -490,9 +491,9 @@ mod tests {
     fn india_diversion() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("inbom", Continent::Asia, 0x0A00_0004);
-        let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, _) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 200, 2, 1)]);
     }
 
@@ -500,9 +501,9 @@ mod tests {
     fn mapping_is_ipv4_only() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0005);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::Aaaa, &c);
+        let (trace, res) = resolve_cold(&cns, &names::entry(), RecordType::Aaaa, &c);
         res.unwrap();
         assert!(trace.addresses().is_empty(), "no AAAA should ever be served");
         assert!(!trace
@@ -515,6 +516,7 @@ mod tests {
     fn event_map_appears_only_after_lag() {
         let cfg = config(0.0);
         let ns = build_namespace(&cfg);
+        let cns = CompiledNamespace::compile(&ns);
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
         cfg.state.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, release);
 
@@ -525,8 +527,7 @@ mod tests {
             for i in 0..64u32 {
                 let mut c = ctx("defra", Continent::Europe, 0x0A00_1000 + i);
                 c.now = now;
-                let mut r = RecursiveResolver::new();
-                let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+                let (trace, _) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
                 if trace
                     .cname_edges()
                     .iter()
@@ -545,9 +546,9 @@ mod tests {
     fn mesu_manifest_host_resolves_statically() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("usnyc", Continent::NorthAmerica, 0x0A00_0006);
-        let (trace, res) = r.resolve(&ns, &names::mesu(), RecordType::A, &c);
+        let (trace, res) = resolve_cold(&cns, &names::mesu(), RecordType::A, &c);
         res.unwrap();
         assert_eq!(trace.addresses(), vec![cfg.mesu_ip]);
         assert_eq!(trace.steps.len(), 1, "no CNAME indirection for mesu");
@@ -568,6 +569,7 @@ mod tests {
                 .with_base(Region::Us, ThirdPartyCdn::ips_from_prefix(ak_net, 100, 20)),
         );
         let ns = build_namespace(&cfg);
+        let cns = CompiledNamespace::compile(&ns);
         let mut apple_hits_sa = 0;
         let mut apple_hits_us = 0;
         for i in 0..200u32 {
@@ -576,8 +578,7 @@ mod tests {
                 ("usnyc", Continent::NorthAmerica, &mut apple_hits_us),
             ] {
                 let c = ctx(city, cont, 0x0A01_0000 + i * 3);
-                let mut r = RecursiveResolver::new();
-                let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+                let (trace, _) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
                 if trace
                     .addresses()
                     .iter()
@@ -695,9 +696,9 @@ mod tests {
             level3: 1.0,
         })));
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0007);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = resolve_cold(&cns, &names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();

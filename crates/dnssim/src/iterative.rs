@@ -6,9 +6,11 @@
 //! implements that walk over the simulated namespace: a root-hints-style
 //! delegation tree is derived from the installed zones, and
 //! [`IterativeResolver`] descends it referral by referral, recording every
-//! zone visited. The result must agree with the shortcut resolver (a test
-//! pins that), but the *path* is observable — which is how one can tell an
-//! Akamai-operated zone answered a step of Apple's chain.
+//! zone visited. The result must agree with the recursive
+//! [`InternedResolver`](crate::InternedResolver), which asks the namespace
+//! as an oracle (a test pins that), but the *path* is observable — which
+//! is how one can tell an Akamai-operated zone answered a step of Apple's
+//! chain.
 
 use crate::context::QueryContext;
 use crate::resolver::MAX_CHAIN;
@@ -180,8 +182,9 @@ mod tests {
         let iterative = IterativeResolver::new()
             .resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx())
             .unwrap();
-        let mut recursive = crate::resolver::RecursiveResolver::new();
-        let (trace, res) = recursive.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx());
+        let cns = crate::CompiledNamespace::compile(&ns);
+        let (trace, res) =
+            crate::resolve_cold(&cns, &n("appldnld.apple.com"), RecordType::A, &ctx());
         res.unwrap();
         assert_eq!(iterative.addrs, trace.addresses());
     }

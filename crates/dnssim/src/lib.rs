@@ -14,13 +14,21 @@
 //!   CNAME target or a set of addresses), which is how GSLB and the
 //!   Meta-CDN selector are implemented by `metacdn`.
 //! * [`Namespace`] is the set of all authoritative zones; it answers one
-//!   question at a time like the authoritative side of the real DNS.
-//! * [`RecursiveResolver`] chases CNAME chains across zones with a
+//!   question at a time like the authoritative side of the real DNS
+//!   ([`serve`] puts it behind wire-format messages, and
+//!   [`IterativeResolver`] walks its delegations from the root).
+//! * [`CompiledNamespace`] interns a namespace once, and
+//!   [`InternedResolver`] chases CNAME chains across its zones with a
 //!   per-resolver cache honouring TTLs — probes each own a resolver, so TTL
 //!   effects (the 15 s selector TTL vs the 21600 s entry TTL) shape what a
 //!   probe re-resolves every measurement round, exactly as on RIPE Atlas.
-//! * Every resolution yields a [`ResolutionTrace`] recording each CNAME edge
-//!   with its TTL — the raw material for regenerating Figure 2.
+//!   Fault ([`InternedFaultModel`]) and answer-mutation
+//!   ([`InternedMutationModel`]) hooks and a per-round memo
+//!   ([`IRoundMemo`]) ride along.
+//! * Every resolution leaves an [`ITrace`] recording each CNAME edge with
+//!   its TTL — the raw material for regenerating Figure 2 — which
+//!   [`CompiledNamespace::materialize_trace`] spells out as a
+//!   [`ResolutionTrace`]; [`resolve_cold`] does both for one-off lookups.
 //!
 //! A deliberate simplification: the real mapping infers client location from
 //! the recursive resolver's IP (plus EDNS Client Subnet); our probes query
@@ -43,21 +51,21 @@ pub mod resolver;
 pub mod wire;
 pub mod zone;
 
-pub use cache::{Cache, CacheRank, MAX_CACHE_TTL};
+pub use cache::MAX_CACHE_TTL;
 pub use context::QueryContext;
-pub use faults::{FaultModel, NoFaults, UpstreamFault};
+pub use faults::UpstreamFault;
 pub use interned::{
-    CompiledNamespace, DepRecord, ICacheExportEntry, IRData, IRecord, IResolutionError, IRoundMemo,
-    ITrace, ITraceStep, InternedFaultModel, InternedResolver, NoInternedFaults, ResolveScratch,
-    SharedMemoKey, SharedName,
+    resolve_cold, CompiledNamespace, DepRecord, ICacheExportEntry, IRData, IRecord,
+    IResolutionError, IRoundMemo, ITrace, ITraceStep, InternedFaultModel, InternedResolver,
+    NoInternedFaults, ResolveScratch, SharedMemoKey, SharedName,
 };
 pub use iterative::{IterativeResolver, IterativeOutcome};
-pub use memo::{MemoKey, MemoScope, RoundMemo};
+pub use memo::MemoScope;
 pub use mutation::{
-    AnswerTamper, BailiwickPolicy, ITamper, InternedMutationModel, MutationModel,
-    NoInternedMutations, NoMutations, apply_itamper, apply_tamper, attacker_ns, attacker_owner,
+    BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations, apply_itamper,
+    attacker_ns, attacker_owner,
 };
-pub use resolver::{RecursiveResolver, ResolutionError, ResolutionTrace, TraceStep};
+pub use resolver::{ResolutionTrace, TraceStep};
 pub use wire::serve;
 pub use zone::{
     MappingPolicy, Namespace, PolicyAnswer, PolicyDeps, PolicyScope, Zone, ZoneAnswer,

@@ -3,29 +3,28 @@
 //! Where [`crate::faults`] models *absent* answers (SERVFAIL, timeouts),
 //! this module models *wrong* ones: the record-level tampering a resolver
 //! sees from spoofed, misconfigured, or hostile authoritative servers.
-//! [`MutationModel`] (and its interned twin [`InternedMutationModel`]) is
-//! the resolver's injection point, consulted once per authoritative query
-//! right after the fault hook; the returned [`AnswerTamper`] is applied to
-//! the authoritative answer *before* bailiwick filtering, caching, and
-//! memoization, so every layer downstream sees exactly what a poisoned
-//! wire answer would have carried.
+//! [`InternedMutationModel`] is the resolver's injection point, consulted
+//! once per authoritative query right after the fault hook; the returned
+//! [`ITamper`] is applied to the authoritative answer *before* bailiwick
+//! filtering, caching, and memoization, so every layer downstream sees
+//! exactly what a poisoned wire answer would have carried.
 //!
 //! [`BailiwickPolicy`] selects the resolver's defense posture:
 //! [`BailiwickPolicy::Enforce`] (the default everywhere) drops records
 //! whose owner lies outside the answering zone's bailiwick — which is a
-//! strict no-op for every well-formed answer, a property the equivalence
+//! strict no-op for every well-formed answer, a property the adversarial
 //! tests pin — while [`BailiwickPolicy::Accept`] models a naive resolver
 //! that ingests whatever arrives, exposing the mis-mapping delta the
 //! poisoning sweep measures.
 //!
-//! Like the fault hooks, mutation models must be pure functions of their
+//! Like the fault hook, mutation models must be pure functions of their
 //! inputs so adversarial campaigns stay bit-reproducible and resumable;
 //! `mcdn-faults::AnswerMutation` supplies the deterministic draws and the
-//! campaign layer adapts them to these traits.
+//! campaign layer adapts them to [`InternedMutationModel`].
 
 use crate::context::QueryContext;
 use crate::interned::{IRData, IRecord};
-use mcdn_dnswire::{Name, RData, ResourceRecord};
+use mcdn_dnswire::Name;
 use mcdn_intern::NameId;
 use std::net::Ipv4Addr;
 
@@ -39,48 +38,14 @@ pub enum BailiwickPolicy {
     Accept,
 }
 
-/// One concrete tampering applied to an authoritative answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AnswerTamper {
-    /// Append an A record (owned by `owner`, usually an attacker name out
-    /// of every zone's bailiwick) steering traffic at `addr`.
-    SpoofA {
-        /// Owner name of the injected record.
-        owner: Name,
-        /// The attacker-controlled address.
-        addr: Ipv4Addr,
-        /// TTL of the injected record.
-        ttl: u32,
-    },
-    /// Append an out-of-bailiwick NS record delegating `owner` to an
-    /// attacker name server.
-    InjectNs {
-        /// Owner name of the injected delegation.
-        owner: Name,
-        /// The attacker name server.
-        target: Name,
-        /// TTL of the injected record.
-        ttl: u32,
-    },
-    /// The answer is truncated/garbled beyond use: the resolver records
-    /// the step and fails with a transient malformed-answer error instead
-    /// of ingesting a partial RRset.
-    Truncate,
-    /// Multiply every record TTL by `factor` (saturating), trying to pin
-    /// the answer in caches far beyond its legitimate lifetime.
-    InflateTtl {
-        /// The multiplier (0 is treated as 1).
-        factor: u32,
-    },
-}
-
-/// The id-keyed form of [`AnswerTamper`], `Copy` like everything on the
-/// interned hot path. Owner/target names must be interned in the
-/// campaign's compiled table (see
+/// One concrete tampering applied to an authoritative answer, `Copy` like
+/// everything on the resolution hot path. Owner/target names must be
+/// interned in the campaign's compiled table (see
 /// [`CompiledNamespace::compile_with_extra`](crate::CompiledNamespace::compile_with_extra)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ITamper {
-    /// Append an A record owned by `owner` pointing at `addr`.
+    /// Append an A record (owned by `owner`, usually an attacker name out
+    /// of every zone's bailiwick) steering traffic at `addr`.
     SpoofA {
         /// Owner id of the injected record.
         owner: NameId,
@@ -89,7 +54,8 @@ pub enum ITamper {
         /// TTL of the injected record.
         ttl: u32,
     },
-    /// Append an NS record delegating `owner` to `target`.
+    /// Append an out-of-bailiwick NS record delegating `owner` to an
+    /// attacker name server.
     InjectNs {
         /// Owner id of the injected delegation.
         owner: NameId,
@@ -98,69 +64,27 @@ pub enum ITamper {
         /// TTL of the injected record.
         ttl: u32,
     },
-    /// Fail the step with a transient malformed-answer error.
+    /// The answer is truncated/garbled beyond use: the resolver records
+    /// the step and fails with a transient malformed-answer error instead
+    /// of ingesting a partial RRset.
     Truncate,
-    /// Multiply every record TTL by `factor` (saturating; 0 acts as 1).
+    /// Multiply every record TTL by `factor` (saturating; 0 acts as 1),
+    /// trying to pin the answer in caches far beyond its legitimate
+    /// lifetime.
     InflateTtl {
         /// The multiplier.
         factor: u32,
     },
 }
 
-/// Decides whether one authoritative answer is tampered with.
+/// Decides whether one authoritative answer is tampered with. Like
+/// [`InternedFaultModel`](crate::InternedFaultModel), the resolver hands
+/// over the precomputed display-FNV digests of the zone origin and query
+/// name, so models key their draws off the names without formatting
+/// anything.
 ///
 /// Implementations must be pure functions of their inputs (plus frozen
 /// configuration) so campaigns stay reproducible.
-pub trait MutationModel {
-    /// The tampering, if any, for the answer `zone` gives to `qname`
-    /// during retry `attempt` in context `ctx`.
-    fn answer_mutation(
-        &self,
-        zone: &Name,
-        qname: &Name,
-        ctx: &QueryContext,
-        attempt: u32,
-    ) -> Option<AnswerTamper>;
-}
-
-/// The trivial mutation model: never tampers. All fault-era entry points
-/// use this, so mutation-unaware callers stay bit-identical.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoMutations;
-
-impl MutationModel for NoMutations {
-    fn answer_mutation(
-        &self,
-        _zone: &Name,
-        _qname: &Name,
-        _ctx: &QueryContext,
-        _attempt: u32,
-    ) -> Option<AnswerTamper> {
-        None
-    }
-}
-
-/// Any pure closure with the right shape is a mutation model, mirroring
-/// the [`FaultModel`](crate::FaultModel) closure impl.
-impl<F> MutationModel for F
-where
-    F: Fn(&Name, &Name, &QueryContext, u32) -> Option<AnswerTamper>,
-{
-    fn answer_mutation(
-        &self,
-        zone: &Name,
-        qname: &Name,
-        ctx: &QueryContext,
-        attempt: u32,
-    ) -> Option<AnswerTamper> {
-        self(zone, qname, ctx, attempt)
-    }
-}
-
-/// The id-keyed mutation hook: like [`InternedFaultModel`](crate::InternedFaultModel),
-/// the resolver hands over the precomputed display-FNV digests of the zone
-/// origin and query name so models reproduce the string path's keys
-/// without formatting anything.
 pub trait InternedMutationModel {
     /// Consulted once per authoritative query, after the fault hook.
     fn answer_mutation(
@@ -221,29 +145,9 @@ pub fn attacker_ns() -> Name {
     Name::parse("ns.attacker.invalid").expect("static attacker name parses")
 }
 
-/// Applies a record-editing tamper to a string-keyed answer.
-/// [`AnswerTamper::Truncate`] is not record-editing — the resolver handles
-/// it before the query — so it is a no-op here.
-pub fn apply_tamper(records: &mut Vec<ResourceRecord>, tamper: &AnswerTamper) {
-    match tamper {
-        AnswerTamper::SpoofA { owner, addr, ttl } => {
-            records.push(ResourceRecord::new(owner.clone(), *ttl, RData::A(*addr)));
-        }
-        AnswerTamper::InjectNs { owner, target, ttl } => {
-            records.push(ResourceRecord::new(owner.clone(), *ttl, RData::Ns(target.clone())));
-        }
-        AnswerTamper::Truncate => {}
-        AnswerTamper::InflateTtl { factor } => {
-            let f = (*factor).max(1);
-            for rr in records {
-                rr.ttl = rr.ttl.saturating_mul(f);
-            }
-        }
-    }
-}
-
-/// The interned [`apply_tamper`], editing an answer buffer in place with
-/// the identical record shapes.
+/// Applies a record-editing tamper to an answer buffer in place.
+/// [`ITamper::Truncate`] is not record-editing — the resolver handles it
+/// before the query — so it is a no-op here.
 pub fn apply_itamper(records: &mut Vec<IRecord>, tamper: &ITamper) {
     match tamper {
         ITamper::SpoofA { owner, addr, ttl } => {
@@ -277,27 +181,24 @@ mod tests {
 
     #[test]
     fn tamper_application_edits_records_in_place() {
-        let owner = attacker_owner();
-        let legit = ResourceRecord::new(
-            Name::parse("a.gslb.applimg.com").unwrap(),
-            20,
-            RData::A(Ipv4Addr::new(17, 253, 1, 1)),
-        );
-        let mut rrs = vec![legit.clone()];
-        apply_tamper(
+        let owner = NameId(9);
+        let legit =
+            IRecord { name: NameId(1), ttl: 20, rdata: IRData::A(Ipv4Addr::new(17, 253, 1, 1)) };
+        let mut rrs = vec![legit];
+        apply_itamper(
             &mut rrs,
-            &AnswerTamper::SpoofA { owner: owner.clone(), addr: Ipv4Addr::new(198, 18, 0, 9), ttl: 600 },
+            &ITamper::SpoofA { owner, addr: Ipv4Addr::new(198, 18, 0, 9), ttl: 600 },
         );
         assert_eq!(rrs.len(), 2);
         assert_eq!(rrs[1].name, owner);
-        let mut rrs = vec![legit.clone()];
-        apply_tamper(&mut rrs, &AnswerTamper::InflateTtl { factor: 10_000 });
+        let mut rrs = vec![legit];
+        apply_itamper(&mut rrs, &ITamper::InflateTtl { factor: 10_000 });
         assert_eq!(rrs[0].ttl, 200_000);
-        let mut rrs = vec![legit.clone()];
-        apply_tamper(&mut rrs, &AnswerTamper::InflateTtl { factor: 0 });
+        let mut rrs = vec![legit];
+        apply_itamper(&mut rrs, &ITamper::InflateTtl { factor: 0 });
         assert_eq!(rrs[0].ttl, 20, "factor 0 acts as 1");
         let mut rrs = vec![legit];
-        apply_tamper(&mut rrs, &AnswerTamper::Truncate);
+        apply_itamper(&mut rrs, &ITamper::Truncate);
         assert_eq!(rrs.len(), 1, "Truncate edits nothing at the record level");
     }
 }

@@ -1,11 +1,11 @@
-//! Recursive resolution with CNAME chasing and full tracing.
+//! Resolution traces: the name-spelled record of one resolution.
+//!
+//! [`InternedResolver`](crate::InternedResolver) writes every step of a
+//! resolution into an id-keyed [`ITrace`](crate::ITrace) arena;
+//! [`CompiledNamespace::materialize_trace`](crate::CompiledNamespace::materialize_trace)
+//! spells one out as the [`ResolutionTrace`] defined here — the form the
+//! quickstart report, the Atlas JSON export and the tests read.
 
-use crate::cache::Cache;
-use crate::context::QueryContext;
-use crate::faults::{FaultModel, NoFaults, UpstreamFault};
-use crate::memo::{MemoScope, RoundMemo};
-use crate::mutation::{apply_tamper, AnswerTamper, BailiwickPolicy, MutationModel, NoMutations};
-use crate::zone::{Namespace, ZoneAnswer};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use std::net::Ipv4Addr;
 
@@ -73,311 +73,23 @@ impl ResolutionTrace {
     }
 }
 
-/// Why a resolution failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResolutionError {
-    /// A name in the chain does not exist.
-    NxDomain(Name),
-    /// The CNAME chain exceeded [`MAX_CHAIN`] hops.
-    ChainTooLong,
-    /// An authoritative zone answered SERVFAIL while resolving this name
-    /// (injected via a [`crate::faults::FaultModel`]; transient —
-    /// retryable).
-    ServFail(Name),
-    /// An upstream query for this name timed out (injected via a
-    /// [`crate::faults::FaultModel`]; transient — retryable).
-    Timeout(Name),
-    /// The authoritative answer for this name arrived truncated or garbled
-    /// beyond use (injected via a [`crate::mutation::MutationModel`];
-    /// transient — retryable, like a real resolver falling back after a
-    /// malformed UDP response).
-    Truncated(Name),
-}
-
-impl ResolutionError {
-    /// Whether this failure is transient, i.e. a retry may succeed.
-    /// NXDOMAIN and over-long chains are authoritative facts; SERVFAIL and
-    /// timeouts are weather.
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            ResolutionError::ServFail(_)
-                | ResolutionError::Timeout(_)
-                | ResolutionError::Truncated(_)
-        )
-    }
-}
-
-impl core::fmt::Display for ResolutionError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ResolutionError::NxDomain(n) => write!(f, "NXDOMAIN for {n}"),
-            ResolutionError::ChainTooLong => write!(f, "CNAME chain too long"),
-            ResolutionError::ServFail(n) => write!(f, "SERVFAIL while resolving {n}"),
-            ResolutionError::Timeout(n) => write!(f, "upstream timeout while resolving {n}"),
-            ResolutionError::Truncated(n) => {
-                write!(f, "truncated/malformed answer while resolving {n}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ResolutionError {}
-
-/// A recursive resolver with its own cache, as run by each probe.
-#[derive(Debug, Clone, Default)]
-pub struct RecursiveResolver {
-    cache: Cache,
-}
-
-impl RecursiveResolver {
-    /// A resolver with a cold cache.
-    pub fn new() -> RecursiveResolver {
-        RecursiveResolver::default()
-    }
-
-    /// Resolves `qname`/`qtype` against `ns`, chasing CNAMEs, consulting and
-    /// filling the cache. Returns the trace even on failure (callers log
-    /// what the probe saw before the error). Equivalent to
-    /// [`RecursiveResolver::resolve_with`] under [`NoFaults`].
-    pub fn resolve(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_with(ns, qname, qtype, ctx, &NoFaults, 0)
-    }
-
-    /// Like [`RecursiveResolver::resolve`], but consults `faults` before
-    /// every upstream query (cache hits are never faulted — caches mask
-    /// authoritative outages, as in the real DNS). `attempt` is the
-    /// caller's 0-based retry counter, passed through so the fault model
-    /// can redraw per attempt. A faulted step is recorded in the trace
-    /// with no records before the error is returned.
-    pub fn resolve_with(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        attempt: u32,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(
-            ns,
-            qname,
-            qtype,
-            ctx,
-            faults,
-            &NoMutations,
-            BailiwickPolicy::Enforce,
-            attempt,
-            None,
-        )
-    }
-
-    /// Like [`RecursiveResolver::resolve_with`], additionally consulting a
-    /// per-round [`RoundMemo`] for answers whose zone declared a
-    /// memoizable [`crate::PolicyScope`]. The fault hook runs *before* the
-    /// memo, so a perturbed query bypasses memoization; replayed answers
-    /// are byte-for-byte what the authoritative query produced, so the
-    /// resolution (trace, cache effects and all) is bit-identical with the
-    /// memo on or off.
-    #[allow(clippy::too_many_arguments)] // the memo-bearing superset of resolve_with
-    pub fn resolve_memoized(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        attempt: u32,
-        memo: &mut RoundMemo,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(
-            ns,
-            qname,
-            qtype,
-            ctx,
-            faults,
-            &NoMutations,
-            BailiwickPolicy::Enforce,
-            attempt,
-            Some(memo),
-        )
-    }
-
-    /// The full adversarial entry point: a fault model, an answer-mutation
-    /// model, an explicit [`BailiwickPolicy`], and an optional round memo.
-    /// Every other entry point is this with [`NoMutations`] and
-    /// [`BailiwickPolicy::Enforce`]. A tampered query bypasses the memo
-    /// (like faulted queries do), so replayed answers are always the
-    /// untampered authoritative ones.
-    #[allow(clippy::too_many_arguments)] // the superset of every entry point
-    pub fn resolve_adversarial(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        attempt: u32,
-        memo: Option<&mut RoundMemo>,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(ns, qname, qtype, ctx, faults, mutations, bailiwick, attempt, memo)
-    }
-
-    #[allow(clippy::too_many_arguments)] // private driver behind the entry points
-    fn resolve_inner(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        attempt: u32,
-        mut memo: Option<&mut RoundMemo>,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        let mut trace = ResolutionTrace::default();
-        let mut current = qname.clone();
-        for _ in 0..MAX_CHAIN {
-            // Cache first.
-            let (records, from_cache, zone) = match self.cache.get(&current, qtype, ctx.now) {
-                Some(cached) => (cached, true, None),
-                None => {
-                    let authority = ns.authority_for(&current);
-                    let faulted = authority
-                        .and_then(|z| faults.upstream_fault(z.origin(), &current, ctx, attempt));
-                    if let Some(fault) = faulted {
-                        trace.steps.push(TraceStep {
-                            qname: current.clone(),
-                            qtype,
-                            records: Vec::new(),
-                            from_cache: false,
-                            zone: authority.map(|z| z.origin().clone()),
-                        });
-                        let err = match fault {
-                            UpstreamFault::ServFail => ResolutionError::ServFail(current),
-                            UpstreamFault::Timeout => ResolutionError::Timeout(current),
-                        };
-                        return (trace, Err(err));
-                    }
-                    // The mutation hook runs after the fault hook: a query
-                    // that never reaches the zone cannot see a tampered
-                    // answer.
-                    let tamper = authority
-                        .and_then(|z| mutations.answer_mutation(z.origin(), &current, ctx, attempt));
-                    if matches!(tamper, Some(AnswerTamper::Truncate)) {
-                        trace.steps.push(TraceStep {
-                            qname: current.clone(),
-                            qtype,
-                            records: Vec::new(),
-                            from_cache: false,
-                            zone: authority.map(|z| z.origin().clone()),
-                        });
-                        return (trace, Err(ResolutionError::Truncated(current)));
-                    }
-                    // Tampered queries bypass the memo entirely: the memo
-                    // must only ever hold clean authoritative answers.
-                    let memo_key = match (&memo, &tamper) {
-                        (Some(_), None) => MemoScope::for_query(ns.scope_of(&current), ctx.locode)
-                            .map(|scope| (current.clone(), qtype, scope, ctx.now)),
-                        _ => None,
-                    };
-                    let replayed = match (memo.as_deref_mut(), &memo_key) {
-                        (Some(m), Some(key)) => m.replay(key),
-                        _ => None,
-                    };
-                    if let Some((rrs, zone)) = replayed {
-                        // Replay the authoritative answer with identical
-                        // cache side effects.
-                        self.cache.put(current.clone(), qtype, rrs.clone(), ctx.now);
-                        (rrs, false, zone)
-                    } else {
-                        match ns.query(&current, qtype, ctx) {
-                            (ZoneAnswer::Records(mut rrs), zone) => {
-                                if let Some(t) = &tamper {
-                                    apply_tamper(&mut rrs, t);
-                                }
-                                // Bailiwick enforcement: drop records whose
-                                // owner lies outside the answering zone
-                                // before anything downstream (trace, cache,
-                                // memo) can see them. A no-op for every
-                                // well-formed answer.
-                                if bailiwick == BailiwickPolicy::Enforce {
-                                    if let Some(origin) = zone {
-                                        rrs.retain(|rr| rr.name.is_within(origin));
-                                    }
-                                }
-                                self.cache.put(current.clone(), qtype, rrs.clone(), ctx.now);
-                                if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
-                                    m.store(key, rrs.clone(), zone.cloned());
-                                }
-                                (rrs, false, zone.cloned())
-                            }
-                            (ZoneAnswer::NoData, zone) => {
-                                self.cache.put(current.clone(), qtype, Vec::new(), ctx.now);
-                                if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
-                                    m.store(key, Vec::new(), zone.cloned());
-                                }
-                                (Vec::new(), false, zone.cloned())
-                            }
-                            (ZoneAnswer::NxDomain, _) => {
-                                trace.steps.push(TraceStep {
-                                    qname: current.clone(),
-                                    qtype,
-                                    records: Vec::new(),
-                                    from_cache: false,
-                                    zone: None,
-                                });
-                                return (trace, Err(ResolutionError::NxDomain(current)));
-                            }
-                        }
-                    }
-                }
-            };
-            let next = records.iter().find_map(|rr| match &rr.rdata {
-                RData::Cname(target) if qtype != RecordType::Cname => Some(target.clone()),
-                _ => None,
-            });
-            let terminal = records.iter().any(|rr| rr.rtype() == qtype);
-            trace.steps.push(TraceStep {
-                qname: current.clone(),
-                qtype,
-                records,
-                from_cache,
-                zone,
-            });
-            match next {
-                Some(target) if !terminal => current = target,
-                _ => return (trace, Ok(())),
-            }
-        }
-        (trace, Err(ResolutionError::ChainTooLong))
-    }
-
-    /// Cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
-    /// Empties the cache.
-    pub fn flush(&mut self) {
-        self.cache.clear();
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zone::Zone;
+    use crate::context::QueryContext;
+    use crate::faults::UpstreamFault;
+    use crate::interned::{
+        CompiledNamespace, IResolutionError, IRoundMemo, InternedFaultModel, InternedResolver,
+        NoInternedFaults, ResolveScratch,
+    };
+    use crate::mutation::{
+        attacker_ns, attacker_owner, BailiwickPolicy, ITamper, InternedMutationModel,
+        NoInternedMutations,
+    };
+    use crate::zone::{Namespace, Zone};
     use mcdn_geo::{Continent, Coord, Duration, Locode, SimTime};
+    use mcdn_intern::NameId;
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -409,12 +121,75 @@ mod tests {
         ns
     }
 
+    /// One client's resolver over a compiled namespace: the cache lives
+    /// as long as the probe, and every call returns the materialized trace.
+    struct Probe<'c, 'n> {
+        ns: &'c CompiledNamespace<'n>,
+        scratch: ResolveScratch,
+        resolver: InternedResolver,
+    }
+
+    impl<'c, 'n> Probe<'c, 'n> {
+        fn new(ns: &'c CompiledNamespace<'n>) -> Probe<'c, 'n> {
+            Probe { ns, scratch: ResolveScratch::new(), resolver: InternedResolver::new() }
+        }
+
+        fn id(&mut self, name: &str) -> NameId {
+            self.ns.intern_in(&mut self.scratch, &n(name))
+        }
+
+        fn resolve(
+            &mut self,
+            qname: &str,
+            qtype: RecordType,
+            ctx: &QueryContext,
+        ) -> (ResolutionTrace, Result<(), IResolutionError>) {
+            self.resolve_adversarial(
+                qname,
+                qtype,
+                ctx,
+                &NoInternedFaults,
+                &NoInternedMutations,
+                BailiwickPolicy::Enforce,
+                None,
+            )
+        }
+
+        #[allow(clippy::too_many_arguments)] // mirrors InternedResolver::resolve_adversarial
+        fn resolve_adversarial(
+            &mut self,
+            qname: &str,
+            qtype: RecordType,
+            ctx: &QueryContext,
+            faults: &dyn InternedFaultModel,
+            mutations: &dyn InternedMutationModel,
+            bailiwick: BailiwickPolicy,
+            memo: Option<&mut IRoundMemo>,
+        ) -> (ResolutionTrace, Result<(), IResolutionError>) {
+            let id = self.id(qname);
+            let result = self.resolver.resolve_adversarial(
+                self.ns,
+                &mut self.scratch,
+                id,
+                qtype,
+                ctx,
+                faults,
+                mutations,
+                bailiwick,
+                0,
+                memo,
+            );
+            (self.ns.materialize_trace(&self.scratch, self.scratch.trace()), result)
+        }
+    }
+
     #[test]
     fn follows_full_chain() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let (trace, res) =
+            Probe::new(&cns).resolve("appldnld.apple.com", RecordType::A, &ctx_at(t0));
         res.unwrap();
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 253, 37, 16)]);
         let edges = trace.cname_edges();
@@ -429,13 +204,14 @@ mod tests {
     #[test]
     fn second_resolution_hits_cache_selectively() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let _ = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let _ = p.resolve("appldnld.apple.com", RecordType::A, &ctx_at(t0));
         // 30 s later: entry (21600) and akadns (120) CNAMEs still cached;
         // the 15 s selector and the 20 s A record have expired.
         let (trace, res) =
-            r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(30)));
+            p.resolve("appldnld.apple.com", RecordType::A, &ctx_at(t0 + Duration::secs(30)));
         res.unwrap();
         let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
         assert_eq!(cached, vec![true, true, false, false]);
@@ -444,10 +220,11 @@ mod tests {
     #[test]
     fn nxdomain_reported_with_trace() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("missing.apple.com"), RecordType::A, &ctx_at(t0));
-        assert_eq!(res, Err(ResolutionError::NxDomain(n("missing.apple.com"))));
+        let (trace, res) = p.resolve("missing.apple.com", RecordType::A, &ctx_at(t0));
+        assert_eq!(res, Err(IResolutionError::NxDomain(p.id("missing.apple.com"))));
         assert_eq!(trace.steps.len(), 1);
     }
 
@@ -458,18 +235,19 @@ mod tests {
         z.add_cname("a.loop.test", "b.loop.test", 60);
         z.add_cname("b.loop.test", "a.loop.test", 60);
         ns.add_zone(z);
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (_, res) = r.resolve(&ns, &n("a.loop.test"), RecordType::A, &ctx_at(t0));
-        assert_eq!(res, Err(ResolutionError::ChainTooLong));
+        let (_, res) = Probe::new(&cns).resolve("a.loop.test", RecordType::A, &ctx_at(t0));
+        assert_eq!(res, Err(IResolutionError::ChainTooLong));
     }
 
     #[test]
     fn aaaa_returns_nodata_not_error() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::Aaaa, &ctx_at(t0));
+        let (trace, res) =
+            Probe::new(&cns).resolve("appldnld.apple.com", RecordType::Aaaa, &ctx_at(t0));
         res.unwrap();
         // The chain is followed, but no AAAA exists at the end.
         assert!(trace.addresses().is_empty());
@@ -477,34 +255,41 @@ mod tests {
 
     /// Faults every upstream query to one zone (cache hits unaffected).
     struct ZoneDown {
-        origin: Name,
+        origin: NameId,
         fault: UpstreamFault,
     }
 
-    impl FaultModel for ZoneDown {
+    impl InternedFaultModel for ZoneDown {
         fn upstream_fault(
             &self,
-            zone: &Name,
-            _qname: &Name,
+            zone: NameId,
+            _zone_fnv: u64,
+            _qname: NameId,
+            _qname_fnv: u64,
             _ctx: &QueryContext,
             _attempt: u32,
         ) -> Option<UpstreamFault> {
-            (*zone == self.origin).then_some(self.fault)
+            (zone == self.origin).then_some(self.fault)
         }
     }
 
     #[test]
     fn servfail_zone_fails_resolution_with_trace() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let down = ZoneDown { origin: n("akadns.net"), fault: UpstreamFault::ServFail };
-        let (trace, res) =
-            r.resolve_with(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0), &down, 0);
-        assert_eq!(
-            res,
-            Err(ResolutionError::ServFail(n("appldnld.apple.com.akadns.net")))
+        let down = ZoneDown { origin: p.id("akadns.net"), fault: UpstreamFault::ServFail };
+        let (trace, res) = p.resolve_adversarial(
+            "appldnld.apple.com",
+            RecordType::A,
+            &ctx_at(t0),
+            &down,
+            &NoInternedMutations,
+            BailiwickPolicy::Enforce,
+            None,
         );
+        assert_eq!(res, Err(IResolutionError::ServFail(p.id("appldnld.apple.com.akadns.net"))));
         assert!(res.unwrap_err().is_transient());
         // The apple.com hop succeeded before the faulted akadns hop.
         assert_eq!(trace.steps.len(), 2);
@@ -515,16 +300,24 @@ mod tests {
     #[test]
     fn timeouts_are_transient_and_nxdomain_is_not() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let down = ZoneDown { origin: n("apple.com"), fault: UpstreamFault::Timeout };
-        let (_, res) =
-            r.resolve_with(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0), &down, 0);
+        let down = ZoneDown { origin: p.id("apple.com"), fault: UpstreamFault::Timeout };
+        let (_, res) = p.resolve_adversarial(
+            "appldnld.apple.com",
+            RecordType::A,
+            &ctx_at(t0),
+            &down,
+            &NoInternedMutations,
+            BailiwickPolicy::Enforce,
+            None,
+        );
         let err = res.unwrap_err();
-        assert_eq!(err, ResolutionError::Timeout(n("appldnld.apple.com")));
+        assert_eq!(err, IResolutionError::Timeout(p.id("appldnld.apple.com")));
         assert!(err.is_transient());
-        assert!(!ResolutionError::NxDomain(n("x.y")).is_transient());
-        assert!(!ResolutionError::ChainTooLong.is_transient());
+        assert!(!IResolutionError::NxDomain(p.id("x.y")).is_transient());
+        assert!(!IResolutionError::ChainTooLong.is_transient());
     }
 
     #[test]
@@ -532,88 +325,94 @@ mod tests {
         // A warm cache masks an authoritative outage until TTLs expire —
         // the graceful-degradation property real resolvers provide.
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (_, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let (_, res) = p.resolve("appldnld.apple.com", RecordType::A, &ctx_at(t0));
         res.unwrap();
-        let down = ZoneDown { origin: n("akadns.net"), fault: UpstreamFault::ServFail };
+        let down = ZoneDown { origin: p.id("akadns.net"), fault: UpstreamFault::ServFail };
         // 10 s later every hop is still cached: resolution succeeds even
         // though akadns.net is down.
-        let (trace, res) = r.resolve_with(
-            &ns,
-            &n("appldnld.apple.com"),
+        let (trace, res) = p.resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0 + Duration::secs(10)),
             &down,
-            0,
+            &NoInternedMutations,
+            BailiwickPolicy::Enforce,
+            None,
         );
         res.unwrap();
         assert!(!trace.addresses().is_empty());
         // After the akadns TTL (120 s) expires, the outage becomes visible.
-        let (_, res) = r.resolve_with(
-            &ns,
-            &n("appldnld.apple.com"),
+        let (_, res) = p.resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0 + Duration::secs(300)),
             &down,
-            0,
+            &NoInternedMutations,
+            BailiwickPolicy::Enforce,
+            None,
         );
-        assert!(matches!(res, Err(ResolutionError::ServFail(_))));
+        assert!(matches!(res, Err(IResolutionError::ServFail(_))));
     }
 
     #[test]
     fn memoized_resolution_is_bit_identical_and_replays_scoped_answers() {
-        use crate::zone::PolicyScope;
+        use crate::zone::{PolicyAnswer, PolicyScope};
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
         // A namespace whose akadns hop is a City-scoped policy that counts
         // how often the authoritative side is actually asked.
         let authoritative_queries = Arc::new(AtomicU64::new(0));
-        let build_ns = |counter: Arc<AtomicU64>| {
-            let mut ns = Namespace::new();
-            let mut apple = Zone::new(n("apple.com"));
-            apple.add_cname("appldnld.apple.com", "appldnld.apple.com.akadns.net", 21600);
-            ns.add_zone(apple);
-            let mut akadns = Zone::new(n("akadns.net"));
-            akadns.set_policy_scoped(
-                n("appldnld.apple.com.akadns.net"),
-                vec![n("a.gslb.applimg.com")],
-                Arc::new(move |_: RecordType, _: &QueryContext, _: &mut Vec<Ipv4Addr>| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    crate::zone::PolicyAnswer::Cname { target: 0, ttl: 120 }
-                }),
-                PolicyScope::City,
-            );
-            ns.add_zone(akadns);
-            let mut applimg = Zone::new(n("applimg.com"));
-            applimg.add_a("a.gslb.applimg.com", Ipv4Addr::new(17, 253, 37, 16), 20);
-            ns.add_zone(applimg);
-            ns
-        };
-        let ns = build_ns(authoritative_queries.clone());
+        let counter = authoritative_queries.clone();
+        let mut ns = Namespace::new();
+        let mut apple = Zone::new(n("apple.com"));
+        apple.add_cname("appldnld.apple.com", "appldnld.apple.com.akadns.net", 21600);
+        ns.add_zone(apple);
+        let mut akadns = Zone::new(n("akadns.net"));
+        akadns.set_policy_scoped(
+            n("appldnld.apple.com.akadns.net"),
+            vec![n("a.gslb.applimg.com")],
+            Arc::new(move |_: RecordType, _: &QueryContext, _: &mut Vec<Ipv4Addr>| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                PolicyAnswer::Cname { target: 0, ttl: 120 }
+            }),
+            PolicyScope::City,
+        );
+        ns.add_zone(akadns);
+        let mut applimg = Zone::new(n("applimg.com"));
+        applimg.add_a("a.gslb.applimg.com", Ipv4Addr::new(17, 253, 37, 16), 20);
+        ns.add_zone(applimg);
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let q = n("appldnld.apple.com");
+        let client = |i: u8| {
+            let mut ctx = ctx_at(t0);
+            ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
+            ctx
+        };
 
         // Plain resolution for reference (fresh resolver per client).
         let plain: Vec<_> = (0..4u8)
-            .map(|i| {
-                let mut ctx = ctx_at(t0);
-                ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
-                RecursiveResolver::new().resolve(&ns, &q, RecordType::A, &ctx)
-            })
+            .map(|i| Probe::new(&cns).resolve("appldnld.apple.com", RecordType::A, &client(i)))
             .collect();
         let before = authoritative_queries.load(Ordering::Relaxed);
 
         // Memoized resolution: same city → the City-scoped hop is asked
         // authoritatively once, replayed three times, bit-identically.
-        let mut memo = RoundMemo::new();
+        let mut memo = IRoundMemo::new();
         let memoized: Vec<_> = (0..4u8)
             .map(|i| {
-                let mut ctx = ctx_at(t0);
-                ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
-                RecursiveResolver::new()
-                    .resolve_memoized(&ns, &q, RecordType::A, &ctx, &NoFaults, 0, &mut memo)
+                Probe::new(&cns).resolve_adversarial(
+                    "appldnld.apple.com",
+                    RecordType::A,
+                    &client(i),
+                    &NoInternedFaults,
+                    &NoInternedMutations,
+                    BailiwickPolicy::Enforce,
+                    Some(&mut memo),
+                )
             })
             .collect();
         assert_eq!(plain, memoized, "memo on/off must not change any resolution");
@@ -630,73 +429,65 @@ mod tests {
     #[test]
     fn spoofed_records_are_dropped_under_enforce_and_land_under_accept() {
         let ns = namespace();
+        let cns = CompiledNamespace::compile_with_extra(&ns, &[attacker_owner(), attacker_ns()]);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let attacker = crate::mutation::attacker_owner();
+        let owner = cns.table().get(&attacker_owner()).unwrap();
+        let akadns = cns.table().get(&n("akadns.net")).unwrap();
         let attacker_addr = Ipv4Addr::new(198, 18, 0, 9);
-        let spoof = {
-            let attacker = attacker.clone();
-            move |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-                (*zone == n("akadns.net")).then(|| AnswerTamper::SpoofA {
-                    owner: attacker.clone(),
-                    addr: attacker_addr,
-                    ttl: 600,
-                })
-            }
+        let spoof = move |zone: NameId, _: u64, _: NameId, _: u64, _: &QueryContext, _: u32| {
+            (zone == akadns).then_some(ITamper::SpoofA { owner, addr: attacker_addr, ttl: 600 })
         };
         // Enforce drops the out-of-bailiwick record before anything sees
         // it: the whole resolution is bit-identical to the clean one.
-        let clean =
-            RecursiveResolver::new().resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
-        let enforced = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
+        let clean = Probe::new(&cns).resolve("appldnld.apple.com", RecordType::A, &ctx_at(t0));
+        let enforced = Probe::new(&cns).resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0),
-            &NoFaults,
+            &NoInternedFaults,
             &spoof,
             BailiwickPolicy::Enforce,
-            0,
             None,
         );
         assert_eq!(clean, enforced, "enforcement must neutralize the spoof exactly");
         // Accept: the attacker A record satisfies the terminal check at
         // the tampered hop, so the chase halts there mis-mapped.
-        let (trace, res) = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
+        let (trace, res) = Probe::new(&cns).resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0),
-            &NoFaults,
+            &NoInternedFaults,
             &spoof,
             BailiwickPolicy::Accept,
-            0,
             None,
         );
         res.unwrap();
         assert!(trace.addresses().contains(&attacker_addr));
+        let attacker = attacker_owner();
         assert!(trace.steps.iter().any(|s| s.records.iter().any(|rr| rr.name == attacker)));
     }
 
     #[test]
     fn truncation_fails_transiently_with_trace() {
         let ns = namespace();
+        let cns = CompiledNamespace::compile(&ns);
+        let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let trunc = |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-            (*zone == n("applimg.com")).then_some(AnswerTamper::Truncate)
+        let applimg = p.id("applimg.com");
+        let trunc = move |zone: NameId, _: u64, _: NameId, _: u64, _: &QueryContext, _: u32| {
+            (zone == applimg).then_some(ITamper::Truncate)
         };
-        let (trace, res) = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
+        let (trace, res) = p.resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0),
-            &NoFaults,
+            &NoInternedFaults,
             &trunc,
             BailiwickPolicy::Enforce,
-            0,
             None,
         );
         let err = res.unwrap_err();
-        assert_eq!(err, ResolutionError::Truncated(n("appldnld.g.applimg.com")));
+        assert_eq!(err, IResolutionError::Truncated(p.id("appldnld.g.applimg.com")));
         assert!(err.is_transient());
         let last = trace.steps.last().unwrap();
         assert_eq!(last.zone, Some(n("applimg.com")));
@@ -706,34 +497,31 @@ mod tests {
     #[test]
     fn tampered_queries_bypass_the_round_memo() {
         let ns = namespace();
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let q = n("appldnld.apple.com");
-        let mut clean_memo = RoundMemo::new();
-        let _ = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &q,
+        let mut clean_memo = IRoundMemo::new();
+        let _ = Probe::new(&cns).resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0),
-            &NoFaults,
-            &NoMutations,
+            &NoInternedFaults,
+            &NoInternedMutations,
             BailiwickPolicy::Enforce,
-            0,
             Some(&mut clean_memo),
         );
         assert_eq!(clean_memo.len(), 4, "all four chain hops memoize cleanly");
-        let inflate = |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-            (*zone == n("akadns.net")).then_some(AnswerTamper::InflateTtl { factor: 1000 })
+        let akadns = cns.table().get(&n("akadns.net")).unwrap();
+        let inflate = move |zone: NameId, _: u64, _: NameId, _: u64, _: &QueryContext, _: u32| {
+            (zone == akadns).then_some(ITamper::InflateTtl { factor: 1000 })
         };
-        let mut memo = RoundMemo::new();
-        let _ = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &q,
+        let mut memo = IRoundMemo::new();
+        let _ = Probe::new(&cns).resolve_adversarial(
+            "appldnld.apple.com",
             RecordType::A,
             &ctx_at(t0),
-            &NoFaults,
+            &NoInternedFaults,
             &inflate,
             BailiwickPolicy::Enforce,
-            0,
             Some(&mut memo),
         );
         assert_eq!(memo.len(), 3, "the tampered hop must not enter the memo");
@@ -742,10 +530,10 @@ mod tests {
     #[test]
     fn cname_query_does_not_chase() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let cns = CompiledNamespace::compile(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         let (trace, res) =
-            r.resolve(&ns, &n("appldnld.apple.com"), RecordType::Cname, &ctx_at(t0));
+            Probe::new(&cns).resolve("appldnld.apple.com", RecordType::Cname, &ctx_at(t0));
         res.unwrap();
         assert_eq!(trace.steps.len(), 1);
     }

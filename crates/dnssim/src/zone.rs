@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 /// What a [`MappingPolicy`] decided for one query — a `Copy` value, not
 /// records. Every record it stands for is owned by the queried name; the
-/// zone ([`Zone::answer`]) and the compiled namespace each build their own
-/// record form from it, so one policy logic serves both resolvers.
+/// zone ([`Zone::answer`]: the wire server, the iterative walk, overlay
+/// names) and the compiled namespace (the resolver's hot path) each build
+/// their own record form from it, so one policy logic serves every reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyAnswer {
     /// No records: a NODATA answer (the observed behaviour of Apple's
@@ -408,21 +409,6 @@ impl Namespace {
             Some(zone) => (zone.answer(qname, qtype, ctx), Some(zone.origin())),
             None => (ZoneAnswer::NxDomain, None),
         }
-    }
-
-    /// The declared answer scope at `name`: the authoritative zone's
-    /// [`Zone::scope_of`], or [`PolicyScope::Global`] when no zone is
-    /// authoritative (NXDOMAIN is the same for everyone — though the memo
-    /// never stores error answers anyway).
-    pub fn scope_of(&self, name: &Name) -> PolicyScope {
-        self.authority_for(name).map_or(PolicyScope::Global, |z| z.scope_of(name))
-    }
-
-    /// The declared mutable-input dependencies at `name`: the
-    /// authoritative zone's [`Zone::deps_of`], or [`PolicyDeps::none`]
-    /// when no zone is authoritative.
-    pub fn deps_of(&self, name: &Name) -> PolicyDeps {
-        self.authority_for(name).map_or(PolicyDeps::none(), |z| z.deps_of(name))
     }
 
     /// Number of installed zones.

@@ -25,12 +25,13 @@
 //! full sweep outputs.
 
 use crate::config::ScenarioConfig;
-use crate::dnscampaign::CampaignFaults;
+use crate::dnscampaign::InternedCampaignFaults;
 use crate::loads::update_loads;
 use crate::params;
 use crate::world::World;
 use mcdn_atlas::Probe;
 use mcdn_cdn::site::fnv64;
+use mcdn_dnssim::{CompiledNamespace, ResolveScratch};
 use mcdn_dnswire::RecordType;
 use mcdn_faults::{FaultProfile, RetryPolicy};
 use mcdn_geo::{Duration, Region, SimTime};
@@ -277,6 +278,12 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
     }
 
     // One DNS liveness probe per region, parked on a representative city.
+    // No round memo: without a mapping snapshot, a region's resolution may
+    // see state the previous region's share computation just wrote.
+    let cns = CompiledNamespace::compile(&world.ns);
+    let campaign_faults = InternedCampaignFaults::new(*faults, &world, cns.table());
+    let mut scratch = ResolveScratch::new();
+    let entry = cns.intern_in(&mut scratch, &metacdn::names::entry());
     let mut dns_probes: Vec<(Region, Probe)> = Region::ALL
         .into_iter()
         .filter_map(|region| {
@@ -287,7 +294,6 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
                 .map(|s| (region, Probe::new(9000 + region as u32, *s)))
         })
         .collect();
-    let entry = metacdn::names::entry();
     let retry = RetryPolicy::standard();
 
     let mut ticks = Vec::new();
@@ -329,7 +335,6 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
 
         // --- Controller feedback and the audited demand split -----------
         update_loads(&world, t);
-        let campaign_faults = CampaignFaults::new(*faults, &world);
         for region in Region::ALL {
             let demand = world.region_demand_bps(region, t);
             let share = world.state.effective_share(region, t);
@@ -347,12 +352,20 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
 
             let dns = match dns_probes.iter_mut().find(|(r, _)| *r == region) {
                 Some((_, probe)) => {
-                    let outcome =
-                        probe.measure_with(&world.ns, &entry, RecordType::A, t, &campaign_faults, &retry);
+                    let (result, attempts) = probe.measure_interned(
+                        &cns,
+                        &mut scratch,
+                        entry,
+                        RecordType::A,
+                        t,
+                        &campaign_faults,
+                        &retry,
+                        None,
+                    );
                     DnsProbe {
-                        ok: outcome.result.is_ok(),
-                        transient: matches!(&outcome.result, Err(e) if e.is_transient()),
-                        attempts: outcome.attempts,
+                        ok: result.is_ok(),
+                        transient: matches!(&result, Err(e) if e.is_transient()),
+                        attempts,
                     }
                 }
                 None => DnsProbe { ok: true, transient: false, attempts: 1 },

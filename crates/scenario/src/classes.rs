@@ -7,7 +7,7 @@
 //! or Limelight but not located within their respective autonomous systems
 //! are denoted as 'other AS'."
 
-use mcdn_dnssim::{CompiledNamespace, IRData, ITrace, ResolveScratch, ResolutionTrace};
+use mcdn_dnssim::{CompiledNamespace, IRData, ITrace, ResolveScratch};
 use mcdn_intern::{NameId, NameTable};
 use mcdn_netsim::{AsId, Topology};
 use std::net::Ipv4Addr;
@@ -82,91 +82,54 @@ pub enum DnsAttribution {
     Other,
 }
 
-/// Attributes a trace to a CDN from the names it visited.
-pub fn attribute_trace(trace: &ResolutionTrace) -> DnsAttribution {
-    let names: Vec<String> = trace
-        .steps
-        .iter()
-        .map(|s| s.qname.to_string())
-        .chain(trace.cname_edges().iter().map(|(_, to, _)| to.to_string()))
-        .collect();
-    for n in names.iter().rev() {
-        if n.ends_with("gslb.applimg.com") {
-            return DnsAttribution::Apple;
-        }
-        if n.ends_with("akamai.net") {
-            return DnsAttribution::Akamai;
-        }
-        if n.ends_with("llnwi.net") || n.ends_with("llnwd.net") {
-            return DnsAttribution::Limelight;
-        }
-    }
-    DnsAttribution::Other
-}
-
-/// Attribution suffix flags, one bit per CDN family. Computed from a
-/// name's display form with the same `ends_with` tests
-/// [`attribute_trace`] applies, so the interned path cannot drift from
-/// the string path.
-const ATTR_APPLE: u8 = 1;
-const ATTR_AKAMAI: u8 = 1 << 1;
-const ATTR_LIMELIGHT: u8 = 1 << 2;
-
-fn suffix_flags(name: &mcdn_dnswire::Name) -> u8 {
+/// The CDN family a name itself names, judged from its display form:
+/// `gslb.applimg.com` is Apple's GSLB, `akamai.net` an Akamai map,
+/// `llnwi.net` / `llnwd.net` a Limelight handover.
+fn family_of(name: &mcdn_dnswire::Name) -> Option<DnsAttribution> {
     let s = name.to_string();
-    let mut flags = 0;
     if s.ends_with("gslb.applimg.com") {
-        flags |= ATTR_APPLE;
-    }
-    if s.ends_with("akamai.net") {
-        flags |= ATTR_AKAMAI;
-    }
-    if s.ends_with("llnwi.net") || s.ends_with("llnwd.net") {
-        flags |= ATTR_LIMELIGHT;
-    }
-    flags
-}
-
-fn judge(flags: u8) -> Option<DnsAttribution> {
-    // Same per-name priority as the string scan: Apple, then Akamai,
-    // then Limelight.
-    if flags & ATTR_APPLE != 0 {
         Some(DnsAttribution::Apple)
-    } else if flags & ATTR_AKAMAI != 0 {
+    } else if s.ends_with("akamai.net") {
         Some(DnsAttribution::Akamai)
-    } else if flags & ATTR_LIMELIGHT != 0 {
+    } else if s.ends_with("llnwi.net") || s.ends_with("llnwd.net") {
         Some(DnsAttribution::Limelight)
     } else {
         None
     }
 }
 
-/// Per-[`NameId`] attribution flags, precomputed once per campaign so
-/// the per-trace scan does no string formatting or matching at all.
+/// Per-[`NameId`] CDN families, precomputed once per campaign so the
+/// per-trace scan does no string formatting or matching at all.
 #[derive(Debug, Clone)]
 pub struct AttributionTable {
-    flags: Vec<u8>,
+    families: Vec<Option<DnsAttribution>>,
 }
 
 impl AttributionTable {
-    /// Precomputes the suffix flags for every interned name.
+    /// Precomputes the CDN family of every interned name.
     pub fn build(table: &NameTable) -> AttributionTable {
-        AttributionTable { flags: table.iter().map(|(_, name)| suffix_flags(name)).collect() }
+        AttributionTable { families: table.iter().map(|(_, name)| family_of(name)).collect() }
     }
 
-    fn flags_of(&self, ns: &CompiledNamespace<'_>, scratch: &ResolveScratch, id: NameId) -> u8 {
-        match self.flags.get(id.index()) {
-            Some(&flags) => flags,
+    fn family(
+        &self,
+        ns: &CompiledNamespace<'_>,
+        scratch: &ResolveScratch,
+        id: NameId,
+    ) -> Option<DnsAttribution> {
+        match self.families.get(id.index()) {
+            Some(&family) => family,
             // Overlay name (never on the campaign hot path): judge its
             // display form directly.
-            None => suffix_flags(ns.name_in(scratch, id)),
+            None => family_of(ns.name_in(scratch, id)),
         }
     }
 }
 
-/// [`attribute_trace`] over an interned trace: scans the same combined
-/// name sequence (step qnames, then CNAME targets) in the same reversed
-/// order, consulting precomputed flags instead of rendered strings.
+/// Attributes a trace to a CDN from the names it visited: the last CDN
+/// family named in the sequence of step qnames followed by CNAME
+/// targets, scanned from its end. Consults precomputed families instead
+/// of rendered strings.
 pub fn attribute_interned(
     trace: &ITrace,
     attr: &AttributionTable,
@@ -179,14 +142,14 @@ pub fn attribute_interned(
     for step in trace.steps().iter().rev() {
         for record in trace.records_of(step).iter().rev() {
             if let IRData::Cname(target) = record.rdata {
-                if let Some(found) = judge(attr.flags_of(ns, scratch, target)) {
+                if let Some(found) = attr.family(ns, scratch, target) {
                     return found;
                 }
             }
         }
     }
     for step in trace.steps().iter().rev() {
-        if let Some(found) = judge(attr.flags_of(ns, scratch, step.qname)) {
+        if let Some(found) = attr.family(ns, scratch, step.qname) {
             return found;
         }
     }
@@ -245,46 +208,67 @@ pub fn classify_ip_from_origin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_dnssim::TraceStep;
-    use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
+    use mcdn_dnssim::{InternedResolver, Namespace, NoInternedFaults, QueryContext, Zone};
+    use mcdn_dnswire::{Name, RecordType};
+    use mcdn_geo::{Continent, Coord, Locode, SimTime};
 
-    fn trace_through(names: &[(&str, &str)]) -> ResolutionTrace {
-        let steps = names
-            .iter()
-            .map(|(from, to)| TraceStep {
-                qname: Name::parse(from).unwrap(),
-                qtype: RecordType::A,
-                records: vec![ResourceRecord::new(
-                    Name::parse(from).unwrap(),
-                    60,
-                    RData::Cname(Name::parse(to).unwrap()),
-                )],
-                from_cache: false,
-                zone: None,
-            })
-            .collect();
-        ResolutionTrace { steps }
+    /// Resolves a namespace holding exactly the CNAME hops `chain` from
+    /// its first owner and attributes the resulting trace.
+    fn attribute_chain(chain: &[(&str, &str)]) -> DnsAttribution {
+        let mut com = Zone::new(Name::parse("com").unwrap());
+        let mut net = Zone::new(Name::parse("net").unwrap());
+        for (from, to) in chain {
+            let zone = if from.ends_with(".com") { &mut com } else { &mut net };
+            zone.add_cname(from, to, 60);
+        }
+        let mut ns = Namespace::new();
+        ns.add_zone(com);
+        ns.add_zone(net);
+        let cns = CompiledNamespace::compile(&ns);
+        let attr = AttributionTable::build(cns.table());
+        let mut scratch = ResolveScratch::new();
+        let entry = cns.intern_in(&mut scratch, &Name::parse(chain[0].0).unwrap());
+        let ctx = QueryContext {
+            client_ip: Ipv4Addr::new(198, 51, 100, 1),
+            locode: Locode::parse("defra").unwrap(),
+            coord: Coord::new(50.1, 8.7),
+            continent: Continent::Europe,
+            now: SimTime::from_ymd(2017, 9, 19),
+        };
+        // The chain's last target has no records (NXDOMAIN); the trace
+        // still holds every hop.
+        let _ = InternedResolver::new().resolve(
+            &cns,
+            &mut scratch,
+            entry,
+            RecordType::A,
+            &ctx,
+            &NoInternedFaults,
+            0,
+            None,
+        );
+        attribute_interned(scratch.trace(), &attr, &cns, &scratch)
     }
 
     #[test]
     fn attribution_from_terminal_names() {
-        let apple = trace_through(&[
+        let apple = attribute_chain(&[
             ("appldnld.apple.com", "appldnld.g.applimg.com"),
             ("appldnld.g.applimg.com", "a.gslb.applimg.com"),
         ]);
-        assert_eq!(attribute_trace(&apple), DnsAttribution::Apple);
+        assert_eq!(apple, DnsAttribution::Apple);
 
-        let akamai = trace_through(&[
+        let akamai = attribute_chain(&[
             ("appldnld.apple.com", "appldnld2.apple.com.edgesuite.net"),
             ("appldnld2.apple.com.edgesuite.net", "a1271.gi3.akamai.net"),
         ]);
-        assert_eq!(attribute_trace(&akamai), DnsAttribution::Akamai);
+        assert_eq!(akamai, DnsAttribution::Akamai);
 
-        let ll = trace_through(&[("ios8-eu-lb.apple.com.akadns.net", "apple.vo.llnwi.net")]);
-        assert_eq!(attribute_trace(&ll), DnsAttribution::Limelight);
+        let ll = attribute_chain(&[("ios8-eu-lb.apple.com.akadns.net", "apple.vo.llnwi.net")]);
+        assert_eq!(ll, DnsAttribution::Limelight);
 
-        let other = trace_through(&[("x.example.com", "y.example.net")]);
-        assert_eq!(attribute_trace(&other), DnsAttribution::Other);
+        let other = attribute_chain(&[("x.example.com", "y.example.net")]);
+        assert_eq!(other, DnsAttribution::Other);
     }
 
     #[test]

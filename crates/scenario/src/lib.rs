@@ -66,8 +66,8 @@ pub use dnscampaign::{
     run_global_dns_threads_timed_observed, run_isp_dns, run_isp_dns_observed,
     run_isp_dns_resumable, run_isp_dns_resumable_with, run_isp_dns_resumable_with_observed,
     run_isp_dns_threads, run_isp_dns_threads_observed, run_isp_dns_threads_timed,
-    run_isp_dns_threads_timed_observed, CampaignFaults, CampaignMutations, DnsCampaignResult,
-    InternedCampaignFaults, InternedCampaignMutations, IpClassLedger, POISON_TTL,
+    run_isp_dns_threads_timed_observed, DnsCampaignResult, InternedCampaignFaults,
+    InternedCampaignMutations, IpClassLedger, POISON_TTL,
 };
 pub use poisoning::{
     check_poison_invariants, poison_grid, run_poison, run_poison_sweep, PoisonRunResult,

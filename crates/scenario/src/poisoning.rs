@@ -300,7 +300,7 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
                 &mutations,
                 bailiwick,
                 &retry,
-                &mut memo,
+                Some(&mut memo),
             );
             result.resolutions += 1;
             result.attempts += attempts as u64;

@@ -12,7 +12,9 @@ use std::fmt::Write as _;
 
 use crate::build_world_or_exit;
 use crate::core::names;
-use crate::dnssim::{QueryContext, RecursiveResolver};
+use crate::dnssim::{
+    CompiledNamespace, InternedResolver, NoInternedFaults, QueryContext, ResolveScratch,
+};
 use crate::dnswire::RecordType;
 use crate::geo::{Continent, Duration, Locode, Region, Registry, SimTime};
 use crate::scenario::{loads, params, run_global_dns_observed, CdnClass, ScenarioConfig};
@@ -38,9 +40,14 @@ pub fn quickstart_report() -> String {
     };
 
     // Resolve appldnld.apple.com through the full mapping chain.
-    let mut resolver = RecursiveResolver::new();
-    let (trace, result) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
-    result.expect("the entry point always resolves");
+    let ns = CompiledNamespace::compile(&world.ns);
+    let mut scratch = ResolveScratch::new();
+    let entry = ns.intern_in(&mut scratch, &names::entry());
+    let mut resolver = InternedResolver::new();
+    resolver
+        .resolve(&ns, &mut scratch, entry, RecordType::A, &ctx, &NoInternedFaults, 0, None)
+        .expect("the entry point always resolves");
+    let trace = ns.materialize_trace(&scratch, scratch.trace());
 
     let _ = writeln!(out, "CNAME chain for {} (client: Berlin, {now}):", names::entry());
     for (from, to, ttl) in trace.cname_edges() {
@@ -62,7 +69,17 @@ pub fn quickstart_report() -> String {
     // the Meta-CDN may hand this client to a different CDN.
     let mut later = ctx;
     later.now = now + Duration::secs(30);
-    let (trace2, _) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &later);
+    let _ = resolver.resolve(
+        &ns,
+        &mut scratch,
+        entry,
+        RecordType::A,
+        &later,
+        &NoInternedFaults,
+        0,
+        None,
+    );
+    let trace2 = ns.materialize_trace(&scratch, scratch.trace());
     let cached = trace2.steps.iter().filter(|s| s.from_cache).count();
     let _ = writeln!(
         out,

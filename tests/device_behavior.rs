@@ -4,7 +4,10 @@
 
 use metacdn_suite::cdn::HttpRequest;
 use metacdn_suite::core::names;
-use metacdn_suite::dnssim::{QueryContext, RecursiveResolver};
+use metacdn_suite::dnssim::{
+    resolve_cold, CompiledNamespace, InternedResolver, NoInternedFaults, QueryContext,
+    ResolveScratch,
+};
 use metacdn_suite::dnswire::RecordType;
 use metacdn_suite::geo::{Duration, Locode, Registry, SimTime};
 use metacdn_suite::scenario::{loads, ScenarioConfig, World};
@@ -29,17 +32,24 @@ fn hourly_polls_hit_mesu_and_cache_between() {
     let world = World::build(&ScenarioConfig::fast());
     let t0 = SimTime::from_ymd_hms(2017, 9, 19, 15, 0, 0);
     loads::update_loads(&world, t0);
-    let mut resolver = RecursiveResolver::new();
+    let ns = CompiledNamespace::compile(&world.ns);
+    let mut scratch = ResolveScratch::new();
+    let mesu = ns.intern_in(&mut scratch, &names::mesu());
+    let mut resolver = InternedResolver::new();
 
     // First poll resolves mesu.apple.com fresh…
-    let (trace, res) = resolver.resolve(&world.ns, &names::mesu(), RecordType::A, &device_ctx(t0));
-    res.unwrap();
-    let mesu_ip = trace.addresses()[0];
+    let ctx = device_ctx(t0);
+    resolver
+        .resolve(&ns, &mut scratch, mesu, RecordType::A, &ctx, &NoInternedFaults, 0, None)
+        .unwrap();
+    let mesu_ip = scratch.trace().addresses().next().unwrap();
     assert!(metacdn_suite::cdn::AppleCdn::scan_prefix().contains(mesu_ip));
 
     // …the next hourly poll re-resolves (mesu's 300 s TTL lapsed)…
-    let (trace2, _) =
-        resolver.resolve(&world.ns, &names::mesu(), RecordType::A, &device_ctx(t0 + Duration::HOUR));
+    let ctx = device_ctx(t0 + Duration::HOUR);
+    let _ =
+        resolver.resolve(&ns, &mut scratch, mesu, RecordType::A, &ctx, &NoInternedFaults, 0, None);
+    let trace2 = ns.materialize_trace(&scratch, scratch.trace());
     assert!(!trace2.steps[0].from_cache, "300 s TTL cannot survive an hour");
     assert_eq!(trace2.addresses(), vec![mesu_ip], "stable manifest host");
 }
@@ -69,9 +79,9 @@ fn user_initiated_download_flows_through_a_nearby_site() {
     loads::update_loads(&world, release_evening);
 
     // Resolve the download host.
-    let mut resolver = RecursiveResolver::new();
     let ctx = device_ctx(release_evening);
-    let (trace, res) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let (trace, res) =
+        resolve_cold(&CompiledNamespace::compile(&world.ns), &names::entry(), RecordType::A, &ctx);
     res.unwrap();
     let server = trace.addresses()[0];
 

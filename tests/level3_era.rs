@@ -7,7 +7,7 @@
 //! configuration has no trace of it.
 
 use metacdn_suite::core::names;
-use metacdn_suite::dnssim::{QueryContext, RecursiveResolver};
+use metacdn_suite::dnssim::{resolve_cold, CompiledNamespace, QueryContext};
 use metacdn_suite::dnswire::RecordType;
 use metacdn_suite::geo::{Locode, Registry, SimTime};
 use metacdn_suite::scenario::{loads, ScenarioConfig, World};
@@ -18,6 +18,7 @@ fn resolve_many(world: &World, n: u32) -> Vec<String> {
     loads::update_loads(world, now);
     let locode = Locode::parse("defra").unwrap();
     let city = Registry::by_locode(locode).unwrap();
+    let ns = CompiledNamespace::compile(&world.ns);
     let mut seen = Vec::new();
     for i in 0..n {
         let ctx = QueryContext {
@@ -27,8 +28,7 @@ fn resolve_many(world: &World, n: u32) -> Vec<String> {
             continent: city.continent,
             now,
         };
-        let mut r = RecursiveResolver::new();
-        let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let (trace, _) = resolve_cold(&ns, &names::entry(), RecordType::A, &ctx);
         for (_, to, _) in trace.cname_edges() {
             seen.push(to.to_string());
         }
@@ -71,6 +71,7 @@ fn apac_never_uses_level3_even_when_enabled() {
     loads::update_loads(&world, now);
     let locode = Locode::parse("jptyo").unwrap();
     let city = Registry::by_locode(locode).unwrap();
+    let ns = CompiledNamespace::compile(&world.ns);
     for i in 0..200u32 {
         let ctx = QueryContext {
             client_ip: Ipv4Addr::from(0x0ABB_0000 + i * 29),
@@ -79,8 +80,7 @@ fn apac_never_uses_level3_even_when_enabled() {
             continent: city.continent,
             now,
         };
-        let mut r = RecursiveResolver::new();
-        let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let (trace, _) = resolve_cold(&ns, &names::entry(), RecordType::A, &ctx);
         for (_, to, _) in trace.cname_edges() {
             assert!(!to.to_string().contains("lvl3"), "APAC client reached Level3");
         }

@@ -45,27 +45,55 @@ proptest! {
     }
 
     /// A cached RRset never outlives its minimum TTL and never reports a
-    /// larger TTL than it was stored with.
+    /// larger TTL than it was stored with: every lookup the resolver
+    /// serves from its cache is younger than the TTL, with the remaining
+    /// lifetime as its TTL, and every miss comes at or after expiry.
     #[test]
     fn cache_ttl_monotonicity(ttl in 1u32..10_000, mut probe_offsets in proptest::collection::vec(0u64..20_000, 1..20)) {
-        use metacdn_suite::dnssim::Cache;
-        use metacdn_suite::dnswire::{Name, RData, RecordType, ResourceRecord};
-        let mut cache = Cache::new();
+        use metacdn_suite::dnssim::{
+            CompiledNamespace, InternedResolver, Namespace, NoInternedFaults, QueryContext,
+            ResolveScratch, Zone,
+        };
+        use metacdn_suite::dnswire::{Name, RecordType};
+        let mut ns = Namespace::new();
+        let mut zone = Zone::new(Name::parse("apple.com").unwrap());
+        zone.add_a("x.apple.com", Ipv4Addr::new(17, 0, 0, 1), ttl);
+        ns.add_zone(zone);
+        let ns = CompiledNamespace::compile(&ns);
+        let mut scratch = ResolveScratch::new();
+        let name = ns.intern_in(&mut scratch, &Name::parse("x.apple.com").unwrap());
         let t0 = SimTime::from_ymd(2017, 9, 1);
-        let name = Name::parse("x.apple.com").unwrap();
-        let rr = ResourceRecord::new(name.clone(), ttl, RData::A(Ipv4Addr::new(17, 0, 0, 1)));
-        cache.put(name.clone(), RecordType::A, vec![rr], t0);
-        // Simulation time is monotonic; probe in order.
+        let locode = Locode::parse("deber").unwrap();
+        let mut ctx = QueryContext {
+            client_ip: Ipv4Addr::new(198, 51, 100, 1),
+            locode,
+            coord: metacdn_suite::geo::Coord::new(52.5, 13.4),
+            continent: metacdn_suite::geo::Continent::Europe,
+            now: t0,
+        };
+        let mut cache = InternedResolver::new();
+        cache
+            .resolve(&ns, &mut scratch, name, RecordType::A, &ctx, &NoInternedFaults, 0, None)
+            .unwrap();
+        // Simulation time is monotonic; probe in order. A miss stores the
+        // answer afresh, so ages count from the latest store.
         probe_offsets.sort_unstable();
+        let mut stored = t0;
         for off in probe_offsets {
-            let now = t0 + Duration::secs(off);
-            match cache.get(&name, RecordType::A, now) {
-                Some(rrs) => {
-                    prop_assert!(off < ttl as u64, "hit after expiry at +{off}s (ttl {ttl})");
-                    prop_assert!(rrs[0].ttl <= ttl);
-                    prop_assert!(rrs[0].ttl as u64 <= ttl as u64 - off);
-                }
-                None => prop_assert!(off >= ttl as u64, "miss before expiry at +{off}s (ttl {ttl})"),
+            ctx.now = t0 + Duration::secs(off);
+            cache
+                .resolve(&ns, &mut scratch, name, RecordType::A, &ctx, &NoInternedFaults, 0, None)
+                .unwrap();
+            let step = scratch.trace().steps()[0];
+            let rr = scratch.trace().records_of(&step)[0];
+            let age = ctx.now.since(stored).as_secs();
+            if step.from_cache {
+                prop_assert!(age < ttl as u64, "hit after expiry at +{off}s (ttl {ttl})");
+                prop_assert!(rr.ttl <= ttl);
+                prop_assert!(rr.ttl as u64 <= ttl as u64 - age);
+            } else {
+                prop_assert!(age >= ttl as u64, "miss before expiry at +{off}s (ttl {ttl})");
+                stored = ctx.now;
             }
         }
     }
