@@ -36,14 +36,16 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- campaign global > "$tmpdir
 diff -u "$tmpdir/run1.txt" "$tmpdir/run2.txt"
 echo "    identical ($(wc -l < "$tmpdir/run1.txt") lines)"
 
-echo "==> goldens: campaign, crawl, chaos and poison output match tests/goldens/"
+echo "==> goldens: campaign, crawl, traffic, chaos and poison output match tests/goldens/"
 # The committed goldens pin the stdout of each command byte for byte, so
 # an engine refactor cannot shift a table silently. The chaos and poison
 # runs below are diffed against their goldens as well.
 diff -u tests/goldens/campaign_global.txt "$tmpdir/run1.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- crawl > "$tmpdir/crawl.txt"
 diff -u tests/goldens/crawl.txt "$tmpdir/crawl.txt"
-echo "    campaign global and crawl match"
+cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic.txt"
+diff -u tests/goldens/traffic.txt "$tmpdir/traffic.txt"
+echo "    campaign global, crawl and traffic match"
 
 echo "==> chaos sweep: invariants hold, faulted runs replay bit-identically"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos1.txt"
@@ -109,7 +111,10 @@ MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
 MCDN_THREADS=4 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign global --metrics "$tmpdir/metrics_t4.jsonl" > "$tmpdir/t4.txt"
 diff -u "$tmpdir/t1.txt" "$tmpdir/t4.txt"
-echo "    identical ($(wc -l < "$tmpdir/t1.txt") lines)"
+MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic_t1.txt"
+MCDN_THREADS=4 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic_t4.txt"
+diff -u "$tmpdir/traffic_t1.txt" "$tmpdir/traffic_t4.txt"
+echo "    identical (campaign $(wc -l < "$tmpdir/t1.txt") lines, traffic $(wc -l < "$tmpdir/traffic_t1.txt") lines)"
 
 echo "==> metrics determinism: deterministic export byte-identical across thread counts"
 # Lines tagged "det":false are process telemetry (reuse replays, shard
