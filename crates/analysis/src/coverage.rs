@@ -11,7 +11,7 @@
 use crate::table::Table;
 use mcdn_faults::coverage::interpolate_gaps;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::estimate::scale_by_snmp_with_coverage;
+use mcdn_isp::CellTable;
 use mcdn_netsim::LinkId;
 use mcdn_scenario::{DnsCampaignResult, TrafficResult};
 
@@ -36,8 +36,8 @@ pub fn dns_campaign_coverage(result: &DnsCampaignResult) -> Table {
 /// Coverage summary of the border telemetry: NetFlow export losses, SNMP
 /// poll gaps, and how many scaling cells had real SNMP backing.
 pub fn telemetry_coverage(traffic: &TrafficResult) -> Table {
-    let (_, scaling) =
-        scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let scaling = cells.coverage();
     let mut t = Table::new(
         "Border telemetry coverage",
         &[

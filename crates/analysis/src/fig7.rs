@@ -5,9 +5,10 @@
 //! by SNMP octet counters, attribute to CDNs, and normalize each CDN's
 //! hourly rate by its own maximum over the three pre-update days.
 
+use crate::sums::OrderedSums;
 use crate::table::Table;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::estimate::scale_by_snmp_with_coverage;
+use mcdn_isp::CellTable;
 use mcdn_scenario::{CdnClass, TrafficResult};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -22,19 +23,17 @@ pub fn hourly_by_cdn(
     traffic: &TrafficResult,
     ip_classes: &HashMap<Ipv4Addr, CdnClass>,
 ) -> BTreeMap<(SimTime, CdnClass), f64> {
-    // The coverage-aware scaler degrades gracefully when SNMP polls
-    // were missed (gapped cells fall back to sampling-rate inversion
-    // instead of silently reading zero); with complete SNMP coverage it
-    // is identical to the plain SNMP scaler.
-    let (scaled, _coverage) =
-        scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
-    let mut out: BTreeMap<(SimTime, CdnClass), f64> = BTreeMap::new();
-    for v in scaled {
+    // The cell table degrades gracefully when SNMP polls were missed
+    // (gapped cells fall back to sampling-rate inversion instead of
+    // silently reading zero). Volumes are added in flow order: summing
+    // per cell or per source first would change the f64 totals.
+    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let mut out = OrderedSums::new();
+    for v in cells.volumes() {
         let Some(class) = ip_classes.get(&v.src) else { continue };
-        let hour = v.bin.floor_to(Duration::HOUR);
-        *out.entry((hour, class.cdn())).or_insert(0.0) += v.bytes;
+        out.add((v.bin.floor_to(Duration::HOUR), class.cdn()), v.bytes);
     }
-    out
+    out.into_map()
 }
 
 /// Per-CDN maximum hourly volume over the three days before `release_day`

@@ -4,9 +4,11 @@
 //! AS ≠ handover AS), and show each handover AS's daily share — plus the
 //! saturation state of the AS-D links that the event lights up.
 
+use crate::sums::OrderedSums;
 use crate::table::Table;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::estimate::scale_by_snmp_with_coverage;
+use mcdn_isp::CellTable;
+use mcdn_netsim::AsId;
 use mcdn_scenario::{params, CdnClass, TrafficResult, World};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -32,27 +34,32 @@ pub fn overflow_by_handover(
     ip_classes: &HashMap<Ipv4Addr, CdnClass>,
     world: &World,
 ) -> BTreeMap<(SimTime, &'static str), f64> {
-    // The coverage-aware scaler degrades gracefully when SNMP polls
-    // were missed (gapped cells fall back to sampling-rate inversion
-    // instead of silently reading zero); with complete SNMP coverage it
-    // is identical to the plain SNMP scaler.
-    let (scaled, _coverage) =
-        scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
-    let mut out: BTreeMap<(SimTime, &'static str), f64> = BTreeMap::new();
-    for v in scaled {
-        let Some(class) = ip_classes.get(&v.src) else { continue };
-        if class.cdn() != CdnClass::Limelight {
-            continue;
-        }
-        let Some(source_as) = world.topo.origin_of(v.src) else { continue };
+    // The cell table degrades gracefully when SNMP polls were missed
+    // (gapped cells fall back to sampling-rate inversion instead of
+    // silently reading zero). Volumes are added in flow order: summing
+    // per cell or per source first would change the f64 totals.
+    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
+    // The source AS of each Limelight-attributed address, `None` for any
+    // other address: one class lookup and trie walk per source address
+    // instead of per flow.
+    let mut limelight_origin: HashMap<Ipv4Addr, Option<AsId>> = HashMap::new();
+    let mut out = OrderedSums::new();
+    for v in cells.volumes() {
+        let origin = *limelight_origin.entry(v.src).or_insert_with(|| {
+            let class = ip_classes.get(&v.src)?;
+            if class.cdn() != CdnClass::Limelight {
+                return None;
+            }
+            world.topo.origin_of(v.src)
+        });
+        let Some(source_as) = origin else { continue };
         let handover = world.topo.link(v.link).other(params::EYEBALL_AS);
         if source_as == handover {
             continue; // direct traffic, not overflow
         }
-        *out.entry((v.bin.floor_day(), handover_label(world, handover))).or_insert(0.0) +=
-            v.bytes;
+        out.add((v.bin.floor_day(), handover_label(world, handover)), v.bytes);
     }
-    out
+    out.into_map()
 }
 
 /// The Figure 8 series: per day, each handover AS's share of Limelight

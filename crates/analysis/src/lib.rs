@@ -36,6 +36,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod poisoning;
+mod sums;
 pub mod table;
 pub mod via_inference;
 pub mod table1;

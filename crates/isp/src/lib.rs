@@ -32,6 +32,6 @@ pub mod snmp;
 pub use billing::percentile_95_5;
 pub use collector::{Collector, Exporter};
 pub use classify::{classify_flow, FlowClass, TrafficKind};
-pub use estimate::{scale_by_snmp, scale_by_snmp_with_coverage, ScaledVolume, ScalingCoverage};
+pub use estimate::{scale_by_snmp_with_coverage, CellTable, ScaledVolume, ScalingCoverage};
 pub use netflow::{ExportPacket, FlowRecord, Sampler};
 pub use snmp::SnmpCounters;
