@@ -25,7 +25,7 @@ use crate::loads::update_loads;
 use crate::params;
 use crate::world::World;
 use mcdn_cdn::site::fnv64;
-use mcdn_geo::{Continent, Region, SimTime};
+use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_isp::netflow::make_record;
 use mcdn_isp::{FlowRecord, Sampler, SnmpCounters};
 use mcdn_netsim::{AsId, LinkId, Router};
@@ -33,6 +33,7 @@ use mcdn_workload::diurnal;
 use metacdn::CdnKind;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// Output of the traffic collection window.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,15 +76,55 @@ fn spread(pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) -> Vec<
 
 /// A flow with its link placement decided — the input to the
 /// embarrassingly-parallel phase. Carries its tick (`t`) so flows from
-/// several ticks can ride one pool dispatch. `Clone` because the
-/// supervised shard runner requires it (the read-only phase-B closure
-/// never actually triggers a restore).
+/// several ticks can ride one pool dispatch. `landed` indexes the batch's
+/// landed-link arena. `Clone` because the supervised shard runner
+/// requires it (the read-only phase-B closure never actually triggers a
+/// restore).
 #[derive(Clone)]
 struct RoutedFlow {
     src: Ipv4Addr,
     src_as: AsId,
-    landed: Vec<(LinkId, u64)>,
+    landed: Range<usize>,
     t: SimTime,
+}
+
+/// Each source AS's handover links into the eyeball ISP, resolved on
+/// first use and kept for the run: the topology is frozen, so a source
+/// AS's path, its handover AS and that AS's parallel links never change.
+struct HandoverRoutes<'w> {
+    world: &'w World,
+    tick: Duration,
+    router: Router,
+    /// Per resolved source AS: its handover links sorted by id, each with
+    /// its capacity in bytes per tick; `None` when the AS has no
+    /// valley-free path to the ISP.
+    of_as: HashMap<AsId, Option<Vec<(LinkId, u64)>>>,
+}
+
+impl<'w> HandoverRoutes<'w> {
+    fn new(world: &'w World, tick: Duration) -> HandoverRoutes<'w> {
+        HandoverRoutes { world, tick, router: Router::new(), of_as: HashMap::new() }
+    }
+
+    /// The handover links of `src_as`, or `None` when it cannot reach
+    /// the ISP.
+    fn links(&mut self, src_as: AsId) -> Option<&[(LinkId, u64)]> {
+        let (topo, tick, router) = (&self.world.topo, self.tick, &mut self.router);
+        self.of_as
+            .entry(src_as)
+            .or_insert_with(|| {
+                let path = router.path(topo, src_as, params::EYEBALL_AS)?;
+                let handover = Router::handover(&path).unwrap_or(src_as);
+                let mut links: Vec<(LinkId, u64)> = topo
+                    .links_between(handover, params::EYEBALL_AS)
+                    .iter()
+                    .map(|l| (l.id, (l.capacity_bps * tick.as_secs() as f64 / 8.0) as u64))
+                    .collect();
+                links.sort_by_key(|(id, _)| *id);
+                Some(links)
+            })
+            .as_deref()
+    }
 }
 
 /// Ticks whose routed flows are batched into one phase-B pool dispatch.
@@ -137,7 +178,6 @@ fn run_traffic(
     threads: usize,
     mut walls: Option<&mut Vec<std::time::Duration>>,
 ) -> TrafficResult {
-    let mut router = Router::new();
     let mut snmp = SnmpCounters::new();
     let sampler = Sampler::new(cfg.netflow_sampling);
     let mut flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
@@ -149,15 +189,22 @@ fn run_traffic(
     let profile = cfg.faults.with_seed(cfg.faults.seed ^ 0x7E1E);
     let tick = cfg.traffic_tick;
     let eyeball = params::EYEBALL_AS;
+    let mut routes = HandoverRoutes::new(world, tick);
     let release = params::release();
     // The topology is frozen for the whole run: compile the RIB into its
     // flat binary-search form once instead of walking the trie per flow.
     let rib = world.topo.compiled_rib();
     // Routed flows accumulate here across ticks until a batch is big
-    // enough to amortize a pool dispatch (see [`TRAFFIC_BATCH_TICKS`]).
+    // enough to amortize a pool dispatch (see [`TRAFFIC_BATCH_TICKS`]);
+    // their landed (link, bytes) pairs share one arena.
     mcdn_exec::warm(threads);
     let mut batch: Vec<RoutedFlow> = Vec::new();
+    let mut landed: Vec<(LinkId, u64)> = Vec::new();
     let mut ticks_in_batch = 0usize;
+    // Bytes placed on each link this tick, indexed by link id, and the
+    // links placed on so far this tick.
+    let mut link_used: Vec<u64> = vec![0; world.topo.links().len()];
+    let mut touched: Vec<LinkId> = Vec::new();
 
     let mut t = cfg.traffic_start;
     while t < cfg.traffic_end {
@@ -239,42 +286,42 @@ fn run_traffic(
         // Phase A (serial): route every offered flow onto a concrete
         // ingress link. Parallel links fill in order — a flow's placement
         // depends on how full earlier flows left each link, so this phase
-        // cannot shard. SNMP octets are exact per-link sums and are
-        // accounted here too.
-        let mut link_used: HashMap<LinkId, u64> = HashMap::new();
+        // cannot shard. SNMP octets are exact per-link sums, accounted
+        // once per link from the tick's fill.
         for flow in &offered {
             let Some((_, src_as)) = rib.lookup(flow.src) else { continue };
-            let Some(path) = router.path(&world.topo, src_as, eyeball) else { continue };
-            let handover = Router::handover(&path).unwrap_or(src_as);
+            let Some(links) = routes.links(src_as) else { continue };
             let mut remaining = flow.bytes as u64;
-            let mut links: Vec<_> = world.topo.links_between(handover, eyeball);
-            links.sort_by_key(|l| l.id);
-            if cfg.link_selection == LinkSelection::Ecmp && links.len() > 1 {
-                // Rotate so this flow's hash picks its primary link; the
-                // fill loop below then only spills on saturation.
-                let pick = (fnv64(&flow.src.octets()) % links.len() as u64) as usize;
-                links.rotate_left(pick);
-            }
-            let mut landed: Vec<(LinkId, u64)> = Vec::new();
-            for link in &links {
+            // Under ECMP this flow's hash picks its primary link; the
+            // fill loop then only spills on saturation, in id order from
+            // there.
+            let pick = if cfg.link_selection == LinkSelection::Ecmp && links.len() > 1 {
+                (fnv64(&flow.src.octets()) % links.len() as u64) as usize
+            } else {
+                0
+            };
+            let start = landed.len();
+            for i in 0..links.len() {
                 if remaining == 0 {
                     break;
                 }
-                let cap_bytes = (link.capacity_bps * tick.as_secs() as f64 / 8.0) as u64;
-                let used = link_used.entry(link.id).or_insert(0);
-                let room = cap_bytes.saturating_sub(*used);
-                let take = remaining.min(room);
+                let (link_id, cap_bytes) = links[(pick + i) % links.len()];
+                let used = &mut link_used[link_id.0 as usize];
+                let take = remaining.min(cap_bytes.saturating_sub(*used));
                 if take > 0 {
+                    if *used == 0 {
+                        touched.push(link_id);
+                    }
                     *used += take;
-                    landed.push((link.id, take));
+                    landed.push((link_id, take));
                     remaining -= take;
                 }
             }
             dropped += remaining;
-            for (link_id, bytes) in &landed {
-                snmp.account(*link_id, *bytes);
-            }
-            batch.push(RoutedFlow { src: flow.src, src_as, landed, t });
+            batch.push(RoutedFlow { src: flow.src, src_as, landed: start..landed.len(), t });
+        }
+        for link_id in touched.drain(..) {
+            snmp.account(link_id, std::mem::take(&mut link_used[link_id.0 as usize]));
         }
         snmp.poll_filtered(t, |link| {
             if profile.snmp_poll_missed(link.0 as u64, t) {
@@ -308,7 +355,7 @@ fn run_traffic(
                     // long-lived flows into multiple records (active timeout).
                     // Chunk so the *sampled* count (true/1000) always fits.
                     const MAX_FLOW_BYTES: u64 = 2_000_000_000_000;
-                    for &(link_id, bytes) in &flow.landed {
+                    for &(link_id, bytes) in &landed[flow.landed.clone()] {
                         let mut left = bytes;
                         let mut chunk_i = 0u8;
                         while left > 0 {
@@ -362,6 +409,7 @@ fn run_traffic(
             export_losses += shard_losses;
         }
         batch.clear();
+        landed.clear();
         ticks_in_batch = 0;
     }
     TrafficResult {
