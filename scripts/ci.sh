@@ -80,10 +80,13 @@ cargo run --release -q -p mcdn-analysis --bin check_claims -- --paper > "$tmpdir
 grep -Eq "^all [0-9]+ claims PASS$" "$tmpdir/claims.txt"
 echo "    $(tail -1 "$tmpdir/claims.txt")"
 
-echo "==> fuzz smoke: fixed-seed wire fuzzing plus corpus replay, zero panics"
+echo "==> fuzz smoke: fixed-seed wire fuzzing plus corpus replay, zero panics, golden verdicts"
 cargo run --release -q -p mcdn-fuzzwire --bin fuzz_smoke > "$tmpdir/fuzz1.txt"
 cargo run --release -q -p mcdn-fuzzwire --bin fuzz_smoke > "$tmpdir/fuzz2.txt"
 diff -u "$tmpdir/fuzz1.txt" "$tmpdir/fuzz2.txt"
+# The golden pins the decoder's verdict on every mutated message, and so
+# the encoded bytes of the seed messages the mutations start from.
+diff -u tests/goldens/fuzz_smoke.txt "$tmpdir/fuzz1.txt"
 grep -q "zero panics across all mutated messages" "$tmpdir/fuzz1.txt"
 grep -q "panics=0" "$tmpdir/fuzz1.txt"
 echo "    $(grep -m1 'iterations=' "$tmpdir/fuzz1.txt" | sed 's/fuzzwire: //')"
