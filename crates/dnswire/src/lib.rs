@@ -26,6 +26,8 @@ pub mod edns;
 pub mod error;
 pub mod message;
 pub mod name;
+#[cfg(test)]
+mod reference;
 pub mod rr;
 
 pub use display::dig_format;

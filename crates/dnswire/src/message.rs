@@ -3,6 +3,7 @@
 use crate::error::WireError;
 use crate::name::Name;
 use crate::rr::{Class, RData, RecordType, ResourceRecord};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Query/response operation code.
@@ -141,42 +142,43 @@ pub struct Message {
     pub additionals: Vec<ResourceRecord>,
 }
 
-/// Tracks previously emitted names for RFC 1035 §4.1.4 compression.
-struct Compressor {
-    offsets: HashMap<Name, usize>,
+/// RFC 1035 §4.1.4 name compression for one message.
+///
+/// Every owner name emitted so far has recorded the offset of each of its
+/// suffixes at their first occurrence, keyed by the suffix's wire bytes
+/// borrowed from the message's own names. A later name ends in a pointer
+/// at its longest recorded suffix. Offsets from 0x4000 on cannot be
+/// addressed, so they are never recorded.
+struct Compressor<'a> {
+    offsets: HashMap<&'a [u8], u16>,
 }
 
-impl Compressor {
-    fn new() -> Compressor {
+impl<'a> Compressor<'a> {
+    fn new() -> Compressor<'a> {
         Compressor { offsets: HashMap::new() }
     }
 
     /// Emits `name` at the current end of `out`, reusing earlier occurrences
     /// of any suffix via pointers and remembering new suffixes.
-    fn emit(&mut self, name: &Name, out: &mut Vec<u8>) {
-        let mut current = name.clone();
-        loop {
-            if current.is_root() {
-                out.push(0);
-                return;
-            }
-            if let Some(&off) = self.offsets.get(&current) {
-                // Pointers only address the first 16 KiB minus the two flag bits.
-                if off < 0x4000 {
-                    out.push(0xC0 | ((off >> 8) as u8));
-                    out.push((off & 0xFF) as u8);
+    fn emit(&mut self, name: &'a Name, out: &mut Vec<u8>) {
+        let mut rest = name.wire();
+        while let Some(&len) = rest.first() {
+            match self.offsets.entry(rest) {
+                Entry::Occupied(first) => {
+                    out.extend_from_slice(&(0xC000 | first.get()).to_be_bytes());
                     return;
                 }
+                Entry::Vacant(slot) => {
+                    if let Ok(here @ 0..=0x3FFF) = u16::try_from(out.len()) {
+                        slot.insert(here);
+                    }
+                }
             }
-            let here = out.len();
-            if here < 0x4000 {
-                self.offsets.insert(current.clone(), here);
-            }
-            let label = &current.labels()[0];
-            out.push(label.len() as u8);
+            let (label, tail) = rest.split_at(1 + len as usize);
             out.extend_from_slice(label);
-            current = current.parent().expect("non-root name has a parent");
+            rest = tail;
         }
+        out.push(0);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Domain names: parsing, display, ordering, and wire representation.
 
 use crate::error::WireError;
+use core::cmp::Ordering;
 use core::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -13,20 +14,51 @@ pub const MAX_NAME_LEN: usize = 255;
 /// 128 comfortably exceeds any legitimate chain.
 const MAX_POINTER_HOPS: usize = 128;
 
-/// A fully-qualified domain name, stored as a sequence of lowercase labels.
+/// A fully-qualified domain name in its uncompressed wire form.
 ///
-/// DNS names compare case-insensitively (RFC 1035 §2.3.3); `Name` normalizes
-/// ASCII to lowercase at construction so `Eq`/`Hash`/`Ord` are cheap and
-/// consistent.
-#[derive(Debug, Clone, Eq, PartialOrd, Ord, Default)]
+/// The name is one buffer of length-prefixed labels, left-most first,
+/// without the terminating zero octet (the root is the empty buffer).
+/// DNS names compare case-insensitively (RFC 1035 §2.3.3); `Name`
+/// lowercases ASCII at construction, so clone, equality and
+/// [`Name::is_within`] are byte-slice operations and a decode fills a
+/// single buffer.
+///
+/// `Hash` and `Ord` walk the labels and behave exactly as they would on a
+/// `Vec` of label byte vectors: `Hash` writes the label count, then each
+/// label's length and bytes; `Ord` compares label by label, left-most
+/// first. Hash-map orders and sorted outputs keyed by names therefore do
+/// not depend on the representation.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Name {
-    labels: Vec<Vec<u8>>,
+    wire: Vec<u8>,
+}
+
+/// Appends `label` to a wire buffer as a length octet and its lowercased
+/// bytes, after the per-label checks of RFC 1035 §2.3.4.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> Result<(), WireError> {
+    if label.is_empty() {
+        return Err(WireError::BadName);
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(WireError::LabelTooLong);
+    }
+    wire.push(label.len() as u8);
+    wire.extend(label.iter().map(|b| b.to_ascii_lowercase()));
+    Ok(())
 }
 
 impl Name {
     /// The root name (zero labels).
     pub fn root() -> Name {
-        Name { labels: Vec::new() }
+        Name { wire: Vec::new() }
+    }
+
+    /// Wraps a buffer of well-formed labels, checking the whole-name limit.
+    fn from_wire(wire: Vec<u8>) -> Result<Name, WireError> {
+        if wire.len() + 1 > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong);
+        }
+        Ok(Name { wire })
     }
 
     /// Parses a dotted name such as `appldnld.apple.com`. A single trailing
@@ -39,21 +71,12 @@ impl Name {
         if s.is_empty() {
             return Err(WireError::BadName);
         }
-        let mut labels = Vec::new();
+        // Every dot becomes a length octet, plus one for the first label.
+        let mut wire = Vec::with_capacity(s.len() + 1);
         for part in s.split('.') {
-            if part.is_empty() {
-                return Err(WireError::BadName);
-            }
-            if part.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong);
-            }
-            labels.push(part.bytes().map(|b| b.to_ascii_lowercase()).collect());
+            push_label(&mut wire, part.as_bytes())?;
         }
-        let name = Name { labels };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(name)
+        Name::from_wire(wire)
     }
 
     /// Builds a name from raw label byte strings.
@@ -62,78 +85,72 @@ impl Name {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut wire = Vec::new();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(WireError::BadName);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong);
-            }
-            out.push(l.iter().map(|b| b.to_ascii_lowercase()).collect());
+            push_label(&mut wire, l.as_ref())?;
         }
-        let name = Name { labels: out };
-        if name.wire_len() > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong);
-        }
-        Ok(name)
+        Name::from_wire(wire)
     }
 
-    /// The labels, root-most last.
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    /// The labels, left-most first and root-most last.
+    pub fn labels(&self) -> Labels<'_> {
+        Labels { rest: &self.wire }
+    }
+
+    /// The labels in wire form (length-prefixed, lowercase), without the
+    /// terminating zero octet. Every suffix that starts at a label
+    /// boundary is the wire form of an ancestor name.
+    pub(crate) fn wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Number of labels.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Length of this name on the wire, including the terminating zero octet.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len() + 1
     }
 
     /// Whether `self` equals `suffix` or is a subdomain of it
     /// (`a.b.example.com` is within `example.com`).
     pub fn is_within(&self, suffix: &Name) -> bool {
-        if suffix.labels.len() > self.labels.len() {
+        let Some(skip) = self.wire.len().checked_sub(suffix.wire.len()) else {
+            return false;
+        };
+        if self.wire[skip..] != suffix.wire[..] {
             return false;
         }
-        let skip = self.labels.len() - suffix.labels.len();
-        self.labels[skip..] == suffix.labels[..]
+        // Equal bytes are equal labels only if they start on a label.
+        let mut at = 0;
+        while at < skip {
+            at += 1 + self.wire[at] as usize;
+        }
+        at == skip
     }
 
     /// The name with its leftmost label removed (`a.b.c` → `b.c`); `None` at
     /// the root.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name { labels: self.labels[1..].to_vec() })
-        }
+        let (&len, rest) = self.wire.split_first()?;
+        Some(Name { wire: rest[len as usize..].to_vec() })
     }
 
     /// Prepends a label (`child("www")` on `example.com` → `www.example.com`).
     pub fn child(&self, label: &str) -> Result<Name, WireError> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.as_bytes().to_vec());
-        labels.extend(self.labels.iter().cloned());
-        Name::from_labels(labels)
+        Name::from_labels(std::iter::once(label.as_bytes()).chain(self.labels()))
     }
 
     /// Encodes the name without compression, appending to `out`.
     pub fn encode_uncompressed(&self, out: &mut Vec<u8>) {
-        for l in &self.labels {
-            out.push(l.len() as u8);
-            out.extend_from_slice(l);
-        }
+        out.extend_from_slice(&self.wire);
         out.push(0);
     }
 
@@ -141,11 +158,12 @@ impl Name {
     /// pointers. Returns the name and the position just past its *first*
     /// occurrence (i.e. past the pointer if one was used).
     pub fn decode(buf: &[u8], pos: usize) -> Result<(Name, usize), WireError> {
-        let mut labels = Vec::new();
+        // The labels gather here and are copied out once, at their size.
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut used = 0usize;
         let mut cursor = pos;
         let mut after: Option<usize> = None; // resume point after first pointer
         let mut hops = 0usize;
-        let mut wire_len = 1usize; // terminating zero
         loop {
             let len = *buf.get(cursor).ok_or(WireError::Truncated)? as usize;
             match len {
@@ -157,11 +175,15 @@ impl Name {
                     let start = cursor + 1;
                     let end = start + len;
                     let label = buf.get(start..end).ok_or(WireError::Truncated)?;
-                    wire_len += len + 1;
-                    if wire_len > MAX_NAME_LEN {
+                    // `used + 1 + len` label bytes plus the terminating zero.
+                    if used + len + 2 > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    labels.push(label.iter().map(|b| b.to_ascii_lowercase()).collect());
+                    wire[used] = len as u8;
+                    let dst = &mut wire[used + 1..used + 1 + len];
+                    dst.copy_from_slice(label);
+                    dst.make_ascii_lowercase();
+                    used += 1 + len;
                     cursor = end;
                 }
                 l if l & 0xC0 == 0xC0 => {
@@ -183,28 +205,64 @@ impl Name {
                 _ => return Err(WireError::BadLabelType),
             }
         }
-        Ok((Name { labels }, after.unwrap_or(cursor)))
+        Ok((Name { wire: wire[..used].to_vec() }, after.unwrap_or(cursor)))
     }
 }
 
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.labels == other.labels
+/// The labels of a [`Name`], left-most first; see [`Name::labels`].
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        let (label, rest) = tail.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
+}
+
+impl std::iter::FusedIterator for Labels<'_> {}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl Hash for Name {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.labels.hash(state)
+        // The calls a `Vec<Vec<u8>>` of the labels makes: its length, then
+        // each label as a length-prefixed byte slice.
+        state.write_usize(self.label_count());
+        for label in self.labels() {
+            label.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Name").field("labels", &self.labels().collect::<Vec<_>>()).finish()
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return f.write_str(".");
         }
-        for (i, l) in self.labels.iter().enumerate() {
+        for (i, l) in self.labels().enumerate() {
             if i > 0 {
                 f.write_str(".")?;
             }
@@ -271,6 +329,10 @@ mod tests {
         assert!(!n("apple.com").is_within(&n("appldnld.apple.com")));
         assert!(!n("notapple.com").is_within(&n("apple.com")));
         assert!(n("apple.com").is_within(&Name::root()));
+        // The bytes of `com` end the one label `\003com`, but not on a
+        // label boundary.
+        let one_label = Name::from_labels([b"\x03com"]).unwrap();
+        assert!(!one_label.is_within(&n("com")));
     }
 
     #[test]
