@@ -1,7 +1,7 @@
 //! Measurement probes: located clients with their own caching resolvers.
 
 use mcdn_dnssim::{
-    BailiwickPolicy, CompiledNamespace, ICacheExportEntry, IResolutionError, IRoundMemo,
+    BailiwickPolicy, CompiledNamespace, ICacheExportEntry, IRecord, IResolutionError, IRoundMemo,
     InternedFaultModel, InternedMutationModel, InternedResolver, NoInternedMutations,
     QueryContext, ResolveScratch,
 };
@@ -163,6 +163,12 @@ impl Probe {
     /// [`InternedResolver::cache_export`].
     pub fn interned_cache_export(&self) -> (Vec<ICacheExportEntry>, u64, u64) {
         self.resolver.cache_export()
+    }
+
+    /// The records held in the resolver cache, borrowed. See
+    /// [`InternedResolver::cached_records`].
+    pub fn interned_cached_records(&self) -> impl Iterator<Item = &[IRecord]> {
+        self.resolver.cached_records()
     }
 
     /// Restores the resolver cache captured by

@@ -343,6 +343,14 @@ impl<'a> CompiledNamespace<'a> {
         MemoScope::for_query(self.meta_of(&scratch.overlay, id).scope, locode)
     }
 
+    /// Whether some zone is authoritative for the table name `id`
+    /// ([`Namespace::authority_for`] answered at compile time). False for
+    /// an id past the table: an overlay name's metadata lives in a
+    /// [`ResolveScratch`].
+    pub fn table_has_authority(&self, id: NameId) -> bool {
+        self.meta.get(id.index()).is_some_and(|m| m.authority.is_some())
+    }
+
     /// The namespace this was compiled from.
     pub fn namespace(&self) -> &'a Namespace {
         self.ns
@@ -1257,6 +1265,13 @@ impl InternedResolver {
         entries.sort_by_key(|&(id, qtype, _, _)| (id, qtype));
         let (hits, misses) = self.cache.stats();
         (entries, hits, misses)
+    }
+
+    /// The records of every cache entry [`cache_export`](Self::cache_export)
+    /// would copy out (live or expired, not evicted), borrowed and in no
+    /// particular order.
+    pub fn cached_records(&self) -> impl Iterator<Item = &[IRecord]> {
+        self.cache.held().map(|(_, e)| e.records.as_slice())
     }
 
     /// Restores state previously captured by

@@ -285,10 +285,11 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
         wire_decode_errors: 0,
     };
 
+    let mut memo = IRoundMemo::new();
     let mut t = cfg.traffic_start;
     while t < cfg.traffic_end {
         update_loads(&world, t);
-        let mut memo = IRoundMemo::new();
+        memo.clear();
         for probe in probes.iter_mut() {
             let (outcome, attempts) = probe.measure_interned_adversarial(
                 &cns,
@@ -317,7 +318,7 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
             audit_wire(&cns, &scratch, t, &mut result);
         }
         for probe in probes.iter() {
-            audit_cache(&world, &cns, probe, &mut result);
+            audit_cache(&cns, probe, &mut result);
         }
         t += cfg.traffic_tick;
     }
@@ -329,15 +330,11 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
 /// a name some installed zone is authoritative for (the mutation model
 /// only forges owners outside every zone, so an ownerless record is a
 /// poisoned one), and no cached TTL may exceed the cache cap.
-fn audit_cache(world: &World, cns: &CompiledNamespace<'_>, probe: &Probe, result: &mut PoisonRunResult) {
-    let table = cns.table();
-    let (entries, _, _) = probe.interned_cache_export();
-    for (_, _, _, records) in &entries {
+fn audit_cache(cns: &CompiledNamespace<'_>, probe: &Probe, result: &mut PoisonRunResult) {
+    for records in probe.interned_cached_records() {
         for r in records {
             result.cache_records_scanned += 1;
-            let in_bailiwick = r.name.index() < table.len()
-                && world.ns.authority_for(table.name(r.name)).is_some();
-            if !in_bailiwick {
+            if !cns.table_has_authority(r.name) {
                 result.out_of_bailiwick_cached += 1;
             }
             if r.ttl > MAX_CACHE_TTL {
@@ -358,13 +355,14 @@ fn audit_wire(
     result: &mut PoisonRunResult,
 ) {
     let trace = cns.materialize_trace(scratch, scratch.trace());
-    for step in &trace.steps {
+    let mut mangled = Vec::new();
+    for step in trace.steps {
         if step.records.is_empty() {
             continue;
         }
-        let query = Message::query((t.0 & 0xFFFF) as u16, step.qname.clone(), step.qtype);
+        let query = Message::query((t.0 & 0xFFFF) as u16, step.qname, step.qtype);
         let mut response = Message::response_to(&query, Rcode::NoError);
-        response.answers = step.records.clone();
+        response.answers = step.records;
         let Ok(bytes) = response.encode() else {
             continue; // attacker-long chains can exceed wire limits; skip
         };
@@ -379,7 +377,7 @@ fn audit_wire(
             h.finish()
         };
         for _ in 0..WIRE_MUTATIONS_PER_MESSAGE {
-            let mut mangled = bytes.clone();
+            mangled.clone_from(&bytes);
             let r = splitmix(&mut seed);
             match r % 3 {
                 0 => {
