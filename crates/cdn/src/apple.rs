@@ -28,6 +28,8 @@ const GSLB_ROTATION: Duration = Duration::mins(5);
 #[derive(Debug)]
 pub struct AppleCdn {
     sites: Vec<EdgeSite>,
+    /// Each site's continent, parallel to `sites`, resolved once at build.
+    continents: Vec<Option<Continent>>,
     ptr: HashMap<Ipv4Addr, ServerName>,
     per_server_bps: f64,
 }
@@ -70,7 +72,9 @@ impl AppleCdn {
                 block += 1;
             }
         }
-        AppleCdn { sites, ptr, per_server_bps }
+        let continents =
+            sites.iter().map(|s| Registry::by_locode(s.locode).map(|c| c.continent)).collect();
+        AppleCdn { sites, continents, ptr, per_server_bps }
     }
 
     /// All sites.
@@ -79,6 +83,8 @@ impl AppleCdn {
     }
 
     /// Mutable site access (the workload drives downloads through sites).
+    /// A site's continent is resolved at build, so changing its `locode`
+    /// here does not move its capacity to another continent.
     pub fn sites_mut(&mut self) -> &mut [EdgeSite] {
         &mut self.sites
     }
@@ -141,10 +147,9 @@ impl AppleCdn {
     pub fn capacity_bps_on_where<F: Fn(u64) -> f64>(&self, continent: Continent, factor: F) -> f64 {
         self.sites
             .iter()
-            .filter(|s| {
-                Registry::by_locode(s.locode).map(|c| c.continent) == Some(continent)
-            })
-            .map(|s| {
+            .zip(&self.continents)
+            .filter(|(_, c)| **c == Some(continent))
+            .map(|(s, _)| {
                 s.bx_count() as f64 * self.per_server_bps * factor(s.site_key()).clamp(0.0, 1.0)
             })
             .sum()

@@ -36,7 +36,6 @@ use mcdn_dnswire::RecordType;
 use mcdn_faults::{FaultProfile, RetryPolicy};
 use mcdn_geo::{Duration, Region, SimTime};
 use metacdn::{CdnKind, HealthParams, HealthTracker, SelectionShare};
-use std::collections::HashMap;
 
 /// Pseudo-sites per (third-party CDN, region) that infrastructure fault
 /// windows are drawn over. Third-party models expose address pools, not
@@ -55,6 +54,30 @@ pub fn control_key(kind: CdnKind) -> u64 {
 /// and brownout window placement).
 fn domain_key(kind: CdnKind, region: Region, i: u32) -> u64 {
     fnv64(format!("{kind}-{region:?}-domain-{i}").as_bytes())
+}
+
+/// One health-tracked (CDN, region) pair of a run, with its fault-layer
+/// keys formatted and hashed once per run instead of on every probe.
+struct Tracked {
+    kind: CdnKind,
+    region: Region,
+    /// [`control_key`] of `kind`.
+    control: u64,
+    /// [`domain_key`] of each third-party fault domain, in domain order.
+    domains: [u64; THIRD_PARTY_FAULT_DOMAINS as usize],
+    tracker: HealthTracker,
+}
+
+impl Tracked {
+    fn new(kind: CdnKind, region: Region) -> Tracked {
+        Tracked {
+            kind,
+            region,
+            control: control_key(kind),
+            domains: std::array::from_fn(|i| domain_key(kind, region, i as u32)),
+            tracker: HealthTracker::new(),
+        }
+    }
 }
 
 /// One named failure scenario of the sweep grid.
@@ -219,10 +242,17 @@ fn region_kinds(level3: bool, region: Region) -> Vec<CdnKind> {
     kinds
 }
 
-/// The fraction of its configured capacity a CDN retains in `region` at
-/// `now` under `faults` — before any health verdict or load coupling.
-fn infra_capacity_factor(world: &World, kind: CdnKind, region: Region, faults: &FaultProfile, now: SimTime) -> f64 {
-    match kind {
+/// The fraction of its configured capacity the pair's CDN retains in its
+/// region at `now` under `faults` — before any health verdict or load
+/// coupling.
+fn infra_capacity_factor(
+    world: &World,
+    pair: &Tracked,
+    faults: &FaultProfile,
+    now: SimTime,
+) -> f64 {
+    let region = pair.region;
+    match pair.kind {
         CdnKind::Apple => {
             let full = world.apple_capacity_bps(region);
             if full <= 0.0 {
@@ -240,25 +270,23 @@ fn infra_capacity_factor(world: &World, kind: CdnKind, region: Region, faults: &
         }
         _ => {
             let n = THIRD_PARTY_FAULT_DOMAINS;
-            (0..n)
-                .map(|i| faults.site_capacity_factor(domain_key(kind, region, i), now))
-                .sum::<f64>()
+            pair.domains.iter().map(|&key| faults.site_capacity_factor(key, now)).sum::<f64>()
                 / n as f64
         }
     }
 }
 
-/// Whether one health probe of `(kind, region)` succeeds at `now`: fails
+/// Whether one health probe of the pair succeeds at `now`: fails
 /// during a telemetry blackout, while the CDN's control plane is killed,
 /// or while the CDN retains no capacity in the region.
-fn health_probe_ok(world: &World, kind: CdnKind, region: Region, faults: &FaultProfile, now: SimTime) -> bool {
+fn health_probe_ok(world: &World, pair: &Tracked, faults: &FaultProfile, now: SimTime) -> bool {
     if faults.health_blackout(now) {
         return false;
     }
-    if faults.target_killed(control_key(kind), now) {
+    if faults.target_killed(pair.control, now) {
         return false;
     }
-    infra_capacity_factor(world, kind, region, faults, now) > 0.0
+    infra_capacity_factor(world, pair, faults, now) > 0.0
 }
 
 /// Runs one chaos scenario over `cfg`'s traffic window against a fresh
@@ -270,12 +298,13 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
     let health = scenario.health;
     let apple_site_keys: Vec<u64> = world.apple.sites().iter().map(|s| s.site_key()).collect();
 
-    let mut trackers: HashMap<(CdnKind, Region), HealthTracker> = HashMap::new();
-    for region in Region::ALL {
-        for kind in region_kinds(cfg.enable_level3, region) {
-            trackers.insert((kind, region), HealthTracker::new());
-        }
-    }
+    let mut tracked: Vec<Tracked> = Region::ALL
+        .into_iter()
+        .flat_map(|region| {
+            let kinds = region_kinds(cfg.enable_level3, region);
+            kinds.into_iter().map(move |kind| Tracked::new(kind, region))
+        })
+        .collect();
 
     // One DNS liveness probe per region, parked on a representative city.
     // No round memo: without a mapping snapshot, a region's resolution may
@@ -305,10 +334,10 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
         // --- Health probe loop (may run several probes per tick) --------
         while next_probe <= t {
             probes_per_tracker += 1;
-            for ((kind, region), tracker) in trackers.iter_mut() {
-                let ok = health_probe_ok(&world, *kind, *region, faults, next_probe);
-                if tracker.observe(ok, &health).is_some() {
-                    world.state.set_cdn_health(*kind, *region, tracker.is_up());
+            for pair in tracked.iter_mut() {
+                let ok = health_probe_ok(&world, pair, faults, next_probe);
+                if pair.tracker.observe(ok, &health).is_some() {
+                    world.state.set_cdn_health(pair.kind, pair.region, pair.tracker.is_up());
                 }
             }
             next_probe += probe_interval;
@@ -319,17 +348,15 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
             for key in &apple_site_keys {
                 world.state.set_site_down(*key, faults.site_is_down(*key, t));
             }
-            for region in Region::ALL {
-                for kind in region_kinds(cfg.enable_level3, region) {
-                    let mut factor = infra_capacity_factor(&world, kind, region, faults, t);
-                    if kind == CdnKind::Apple {
-                        // Load-coupled degradation uses the utilization of
-                        // the previous controller step (the feedback loop's
-                        // one-tick observation delay).
-                        factor *= faults.apple_load_factor(world.state.apple_utilization(region));
-                    }
-                    world.state.set_capacity_factor(kind, region, factor);
+            for pair in &tracked {
+                let mut factor = infra_capacity_factor(&world, pair, faults, t);
+                if pair.kind == CdnKind::Apple {
+                    // Load-coupled degradation uses the utilization of
+                    // the previous controller step (the feedback loop's
+                    // one-tick observation delay).
+                    factor *= faults.apple_load_factor(world.state.apple_utilization(pair.region));
                 }
+                world.state.set_capacity_factor(pair.kind, pair.region, factor);
             }
         }
 
@@ -375,10 +402,10 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
         t += cfg.traffic_tick;
     }
 
-    let mut transitions: Vec<(CdnKind, Region, u64)> = trackers
+    let mut transitions: Vec<(CdnKind, Region, u64)> = tracked
         .iter()
-        .filter(|(_, tr)| tr.transitions() > 0)
-        .map(|((k, r), tr)| (*k, *r, tr.transitions()))
+        .filter(|pair| pair.tracker.transitions() > 0)
+        .map(|pair| (pair.kind, pair.region, pair.tracker.transitions()))
         .collect();
     transitions.sort_by_key(|(k, r, _)| (*k as u8, *r as u8));
     ChaosRunResult { scenario: scenario.name, health, ticks, probes_per_tracker, transitions }
