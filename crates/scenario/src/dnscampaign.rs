@@ -1221,33 +1221,66 @@ mod tests {
     /// The campaign engine's output is pinned — quiet, under a chaos-grade
     /// fault profile, and under poisoning with and without bailiwick
     /// enforcement — for every field of the result, including the
-    /// canonical memo accounting. The digests were cross-checked against
-    /// an independent reference engine when recorded: a mismatch is a
+    /// canonical memo accounting, for the global and the in-ISP
+    /// campaign. The global digests were cross-checked against an
+    /// independent reference engine when recorded: a mismatch is a
     /// behaviour change, and a pin moves only with an intended output
     /// change (together with `tests/goldens/` and `results/`).
     #[test]
     fn campaign_output_is_pinned_under_four_fault_profiles() {
         let profiles = [
-            ("none", mcdn_faults::FaultProfile::none(), 0x4a16_b8cb_14a9_2da1),
-            ("total-dark", crate::chaos::total_dark_scenario(41).faults, 0x4a16_b8cb_14a9_2da1),
-            ("poisoning-enforced", mcdn_faults::FaultProfile::poisoning(43), 0x0d95_0588_7d42_d74f),
+            (
+                "none",
+                mcdn_faults::FaultProfile::none(),
+                0x4a16_b8cb_14a9_2da1,
+                0x921c_d35f_8338_4be2,
+            ),
+            (
+                "total-dark",
+                crate::chaos::total_dark_scenario(41).faults,
+                0x4a16_b8cb_14a9_2da1,
+                0xc9dd_f08d_04e0_d43d,
+            ),
+            (
+                "poisoning-enforced",
+                mcdn_faults::FaultProfile::poisoning(43),
+                0x0d95_0588_7d42_d74f,
+                0xbcaa_5a9b_735e_5407,
+            ),
             (
                 "poisoning-open",
                 mcdn_faults::FaultProfile::poisoning(43).with_bailiwick_enforcement(false),
                 0x2167_8d4b_cd69_1d64,
+                0x3bcb_9c06_0932_165f,
             ),
         ];
-        for (label, faults, pin) in profiles {
+        for (label, faults, global_pin, isp_pin) in profiles {
             let mut cfg = ScenarioConfig::fast();
             cfg.global_probes = 40;
             cfg.global_dns_interval = Duration::hours(2);
             cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
             cfg.global_end = SimTime::from_ymd(2017, 9, 19);
+            cfg.isp_probes = 40;
+            cfg.isp_dns_interval = Duration::hours(6);
+            cfg.isp_start = SimTime::from_ymd(2017, 9, 16);
+            cfg.isp_end = SimTime::from_ymd(2017, 9, 23);
             cfg.faults = faults;
             let world = World::build(&cfg);
             let got = run_global_dns_threads(&world, &cfg, 2);
             assert!(got.resolutions > 0);
-            assert_eq!(result_digest(&got), pin, "campaign output moved under profile {label}");
+            assert_eq!(
+                result_digest(&got),
+                global_pin,
+                "global campaign output moved under profile {label}"
+            );
+            let world = World::build(&cfg);
+            let got = run_isp_dns_threads(&world, &cfg, 2);
+            assert!(got.resolutions > 0);
+            assert_eq!(
+                result_digest(&got),
+                isp_pin,
+                "ISP campaign output moved under profile {label}"
+            );
         }
     }
 

@@ -98,6 +98,102 @@ mod tests {
         assert!(w2.state.a1015_active(Region::Eu, probe_at), "a1015 should be live 7h in");
     }
 
+    /// Pins every controller read through a 30-minute `update_loads` walk
+    /// over Sep 18–22: the exported signals (f64 bits), each region's
+    /// effective share, a1015 activation, and the step-② and step-③
+    /// selections of a fixed client set — read under an installed
+    /// snapshot and from the live state, before and after the chaos
+    /// signals (health verdicts, capacity factors, down sites) are set
+    /// partway through. A mismatch is a behaviour change of the
+    /// controller.
+    #[test]
+    fn controller_reads_are_pinned_through_an_update_walk() {
+        use metacdn::{install_snapshot, MetaCdnState};
+        use std::net::Ipv4Addr;
+        use std::sync::Arc;
+
+        fn reads_into(h: &mut mcdn_faults::Fnv64, state: &MetaCdnState, t: SimTime) {
+            for region in Region::ALL {
+                for (k, p) in state.effective_share(region, t).iter() {
+                    h.update(&[*k as u8]);
+                    h.update(&p.to_bits().to_le_bytes());
+                }
+                h.update(&[state.a1015_active(region, t) as u8, 0xff]);
+                for i in 0..24u32 {
+                    let ip = Ipv4Addr::from(0x0A00_0000 + i * 7919);
+                    let pick = |k: Option<CdnKind>| k.map_or(0xee, |k| k as u8);
+                    h.update(&[
+                        pick(state.select_cdn(region, ip, t)),
+                        pick(state.select_third_party(region, ip, t)),
+                    ]);
+                }
+            }
+        }
+
+        fn signals_into(h: &mut mcdn_faults::Fnv64, state: &MetaCdnState) {
+            let s = state.export_signals();
+            for (r, v) in &s.apple_util {
+                h.update(&[*r as u8]);
+                h.update(&v.to_bits().to_le_bytes());
+            }
+            for (k, r, v) in s.cdn_load.iter().chain(&s.capacity_factor) {
+                h.update(&[*k as u8, *r as u8]);
+                h.update(&v.to_bits().to_le_bytes());
+            }
+            for (r, since) in &s.akamai_overload_since {
+                h.update(&[*r as u8]);
+                h.update(&since.as_secs().to_le_bytes());
+            }
+            for (k, r, healthy) in &s.cdn_health {
+                h.update(&[*k as u8, *r as u8, *healthy as u8]);
+            }
+            for (r, share) in &s.last_good {
+                h.update(&[*r as u8, share.len() as u8]);
+                for (k, p) in share {
+                    h.update(&[*k as u8]);
+                    h.update(&p.to_bits().to_le_bytes());
+                }
+            }
+            for key in &s.down_sites {
+                h.update(&key.to_le_bytes());
+            }
+            h.update(b"|");
+        }
+
+        let w = World::build(&ScenarioConfig::fast());
+        let sites: Vec<u64> = w.apple.sites().iter().map(|s| s.site_key()).collect();
+        let mut h = mcdn_faults::Fnv64::new();
+        let mut t = SimTime::from_ymd(2017, 9, 18);
+        while t < SimTime::from_ymd(2017, 9, 22) {
+            if t == SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0) {
+                w.state.set_cdn_health(CdnKind::Limelight, Region::Eu, false);
+                w.state.set_capacity_factor(CdnKind::Apple, Region::Eu, 0.5);
+                w.state.set_capacity_factor(CdnKind::Akamai, Region::Us, 0.25);
+                w.state.set_capacity_factor(CdnKind::Limelight, Region::Apac, 0.5);
+                w.state.set_site_down(sites[0], true);
+                w.state.set_site_down(sites[sites.len() / 2], true);
+            }
+            if t == SimTime::from_ymd_hms(2017, 9, 20, 12, 0, 0) {
+                // Every CDN dark in APAC: the controller freezes onto its
+                // last-known-good mapping there.
+                for k in CdnKind::ALL {
+                    w.state.set_cdn_health(k, Region::Apac, false);
+                }
+                w.state.set_cdn_health(CdnKind::Limelight, Region::Eu, true);
+                w.state.set_site_down(sites[0], false);
+            }
+            update_loads(&w, t);
+            {
+                let _g = install_snapshot(Arc::new(w.state.capture()));
+                reads_into(&mut h, &w.state, t);
+            }
+            reads_into(&mut h, &w.state, t);
+            signals_into(&mut h, &w.state);
+            t += Duration::mins(30);
+        }
+        assert_eq!(h.finish(), 0xd5cc_26b6_fc53_105e, "controller reads moved");
+    }
+
     #[test]
     fn d_pool_engages_only_during_event_days() {
         let w = World::build(&ScenarioConfig::fast());
