@@ -7,8 +7,13 @@
 //! per (group, label); the figure series are the set sizes.
 
 use mcdn_geo::{Duration, SimTime};
+use mcdn_intern::FnvBuildHasher;
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
+
+/// One cell's distinct addresses. Membership is only ever counted or
+/// exported sorted, so the map's iteration order never reaches output.
+type IpSet = HashSet<Ipv4Addr, FnvBuildHasher>;
 
 /// Counts unique addresses per (time bin, group, label).
 ///
@@ -17,7 +22,7 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniqueIpAggregator<G, L> {
     bin: Duration,
-    sets: BTreeMap<(SimTime, G, L), HashSet<Ipv4Addr>>,
+    sets: BTreeMap<(SimTime, G, L), IpSet>,
 }
 
 impl<G, L> UniqueIpAggregator<G, L>
@@ -37,7 +42,9 @@ where
         self.sets.entry((bin, group, label)).or_default().insert(ip);
     }
 
-    /// Records many addresses from one answer.
+    /// Records many addresses into one cell with a single cell lookup;
+    /// equal to [`record`](Self::record) for each address in turn (an
+    /// empty `ips` creates no cell).
     pub fn record_all<I: IntoIterator<Item = Ipv4Addr>>(
         &mut self,
         t: SimTime,
@@ -45,14 +52,17 @@ where
         label: L,
         ips: I,
     ) {
-        for ip in ips {
-            self.record(t, group, label, ip);
+        let mut ips = ips.into_iter().peekable();
+        if ips.peek().is_none() {
+            return;
         }
+        let bin = t.floor_to(self.bin);
+        self.sets.entry((bin, group, label)).or_default().extend(ips);
     }
 
     /// The unique-IP count for one cell.
     pub fn count(&self, bin_start: SimTime, group: G, label: L) -> usize {
-        self.sets.get(&(bin_start, group, label)).map(HashSet::len).unwrap_or(0)
+        self.sets.get(&(bin_start, group, label)).map(IpSet::len).unwrap_or(0)
     }
 
     /// All cells as `(bin_start, group, label, unique_count)`, in time order.
@@ -198,6 +208,35 @@ mod tests {
             }
             left.merge(right);
             assert_eq!(left, whole, "split at {split}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// One `record_all` per batch equals `record` per address,
+            /// including empty batches (which create no cell).
+            #[test]
+            fn record_all_equals_repeated_record(
+                batches in vec((0u64..300, 0u8..3, 0u8..3, vec(0u32..40, 0..12)), 0..16),
+            ) {
+                let t0 = SimTime::from_ymd(2017, 9, 19);
+                let mut all: UniqueIpAggregator<u8, u8> =
+                    UniqueIpAggregator::new(Duration::hours(1));
+                let mut each = all.clone();
+                for (mins, g, l, ns) in batches {
+                    let t = t0 + Duration::mins(mins);
+                    all.record_all(t, g, l, ns.iter().map(|&n| ip(n)));
+                    for n in ns {
+                        each.record(t, g, l, ip(n));
+                    }
+                }
+                prop_assert_eq!(&all, &each);
+                prop_assert_eq!(all.cells(), each.cells());
+            }
         }
     }
 

@@ -4,6 +4,7 @@
 use crate::site::{fnv64, EdgeSite};
 use crate::naming::{Function, ServerName};
 use mcdn_geo::{Continent, Coord, Duration, Locode, Registry, SimTime};
+use mcdn_intern::FnvBuildHasher;
 use mcdn_netsim::Ipv4Net;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -131,7 +132,7 @@ impl AppleCdn {
                 .iter()
                 .map(|s| (s.site_key(), s.coord, s.vip_addrs()))
                 .collect(),
-            ranks: std::sync::RwLock::new(HashMap::new()),
+            ranks: std::sync::RwLock::new(HashMap::default()),
         }
     }
 
@@ -176,14 +177,14 @@ pub struct GslbDirectory {
     /// walking a cached full order and skipping down sites answers
     /// exactly like filter-then-sort — without the per-query sort that
     /// dominated the resolution hot path.
-    ranks: std::sync::RwLock<HashMap<(u64, u64), Vec<u16>>>,
+    ranks: std::sync::RwLock<HashMap<(u64, u64), Vec<u16>, FnvBuildHasher>>,
 }
 
 impl Clone for GslbDirectory {
     fn clone(&self) -> Self {
         GslbDirectory {
             sites: self.sites.clone(),
-            ranks: std::sync::RwLock::new(HashMap::new()),
+            ranks: std::sync::RwLock::new(HashMap::default()),
         }
     }
 }

@@ -43,6 +43,8 @@ pub mod health;
 pub mod kinds;
 pub mod names;
 pub mod policy;
+#[cfg(test)]
+mod reference;
 pub mod state;
 pub mod zones;
 

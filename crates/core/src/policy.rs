@@ -10,7 +10,6 @@
 
 use crate::kinds::CdnKind;
 use mcdn_geo::{Region, SimTime};
-use std::collections::HashMap;
 
 /// Relative selection weights for one region at one time. Weights need not
 /// sum to one; selection normalizes.
@@ -181,19 +180,20 @@ impl<'a> IntoIterator for &'a SelectionShare {
 #[derive(Debug, Clone)]
 pub struct Schedule {
     default: CdnShare,
-    breakpoints: HashMap<Region, Vec<(SimTime, CdnShare)>>,
+    /// Time-sorted breakpoints, one list per region (`Region as usize`).
+    breakpoints: [Vec<(SimTime, CdnShare)>; Region::ALL.len()],
 }
 
 impl Schedule {
     /// A schedule returning `default` everywhere until breakpoints are set.
     pub fn constant(default: CdnShare) -> Schedule {
-        Schedule { default, breakpoints: HashMap::new() }
+        Schedule { default, breakpoints: Default::default() }
     }
 
     /// Adds a breakpoint: from `at` onward, `region` uses `share`.
     /// Breakpoints may be added in any order.
     pub fn set_from(&mut self, region: Region, at: SimTime, share: CdnShare) {
-        let v = self.breakpoints.entry(region).or_default();
+        let v = &mut self.breakpoints[region as usize];
         v.push((at, share));
         v.sort_by_key(|(t, _)| *t);
     }
@@ -213,10 +213,7 @@ impl Schedule {
             return false;
         }
         self.default.weight(kind) > 0.0
-            || self
-                .breakpoints
-                .get(&region)
-                .is_some_and(|pts| pts.iter().any(|(_, s)| s.weight(kind) > 0.0))
+            || self.breakpoints[region as usize].iter().any(|(_, s)| s.weight(kind) > 0.0)
     }
 
     /// The weight-schedule epoch at `now`: the number of breakpoints (in
@@ -226,23 +223,17 @@ impl Schedule {
     /// schedule-dependent resolutions across rounds and invalidate them
     /// exactly at weight transitions.
     pub fn epoch_at(&self, now: SimTime) -> u64 {
-        self.breakpoints
-            .values()
-            .flat_map(|pts| pts.iter())
-            .filter(|(at, _)| *at <= now)
-            .count() as u64
+        self.breakpoints.iter().flatten().filter(|(at, _)| *at <= now).count() as u64
     }
 
     /// The share in force for `region` at `now`.
     pub fn share_at(&self, region: Region, now: SimTime) -> CdnShare {
         let mut current = self.default;
-        if let Some(points) = self.breakpoints.get(&region) {
-            for (at, share) in points {
-                if *at <= now {
-                    current = *share;
-                } else {
-                    break;
-                }
+        for (at, share) in &self.breakpoints[region as usize] {
+            if *at <= now {
+                current = *share;
+            } else {
+                break;
             }
         }
         current

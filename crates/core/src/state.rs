@@ -31,7 +31,7 @@ use crate::policy::{CdnShare, Schedule, SelectionShare};
 use mcdn_cdn::site::fnv64;
 use mcdn_geo::{Duration, Region, SimTime};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,21 +48,48 @@ const A1015_RETIRE_BELOW: f64 = 0.2;
 /// Selection decisions re-randomize with the selector TTL.
 const SELECT_BUCKET_SECS: u64 = 15;
 
+const REGIONS: usize = Region::ALL.len();
+const KINDS: usize = CdnKind::ALL.len();
+
+/// One optional signal per region, indexed by `Region as usize`
+/// ([`Region::ALL`] order).
+type PerRegion<T> = [Option<T>; REGIONS];
+/// One optional signal per (CDN, region), indexed
+/// `[CdnKind as usize][Region as usize]` ([`CdnKind::ALL`] order).
+type PerCdnRegion<T> = [PerRegion<T>; KINDS];
+
+/// The controller's mutable signals in fixed arrays: a read is an index,
+/// not a hash. `None` is "never set", which [`MetaCdnState::export_signals`]
+/// keeps apart from a set default (a reported healthy verdict, factor 1),
+/// and walking the arrays in index order is the canonical sorted order.
 #[derive(Debug, Default, Clone)]
 struct Inner {
-    apple_util: HashMap<Region, f64>,
-    cdn_load: HashMap<(CdnKind, Region), f64>,
-    akamai_overload_since: HashMap<Region, SimTime>,
+    apple_util: PerRegion<f64>,
+    cdn_load: PerCdnRegion<f64>,
+    akamai_overload_since: PerRegion<SimTime>,
     /// Health verdicts from the chaos layer's probe loop; absent = healthy.
-    cdn_health: HashMap<(CdnKind, Region), bool>,
+    cdn_health: PerCdnRegion<bool>,
     /// Remaining serving-capacity fraction per (CDN, region); absent = 1.
-    capacity_factor: HashMap<(CdnKind, Region), f64>,
+    capacity_factor: PerCdnRegion<f64>,
     /// Last share computed while at least one CDN was still reachable —
     /// the mapping the controller freezes onto when every health signal
     /// is lost.
-    last_good: HashMap<Region, SelectionShare>,
+    last_good: PerRegion<SelectionShare>,
     /// Apple GSLB sites currently down (by site key); the GSLB skips them.
     down_sites: HashSet<u64>,
+}
+
+/// The set entries of a per-region array, in [`Region::ALL`] order.
+fn per_region<T: Copy>(a: &PerRegion<T>) -> impl Iterator<Item = (Region, T)> + '_ {
+    Region::ALL.into_iter().zip(a).filter_map(|(r, v)| v.map(|v| (r, v)))
+}
+
+/// The set entries of a per-(CDN, region) array, sorted by (CDN, region).
+fn per_cdn_region<T: Copy>(a: &PerCdnRegion<T>) -> impl Iterator<Item = (CdnKind, Region, T)> + '_ {
+    CdnKind::ALL
+        .into_iter()
+        .zip(a)
+        .flat_map(|(k, row)| per_region(row).map(move |(r, v)| (k, r, v)))
 }
 
 /// Shared controller state (thread-safe; policies hold `Arc<MetaCdnState>`).
@@ -211,27 +238,17 @@ impl MetaCdnState {
     /// driver's writes.
     pub fn export_signals(&self) -> SignalState {
         let inner = self.inner.read().expect("state lock");
-        let mut s = SignalState {
-            apple_util: inner.apple_util.iter().map(|(&r, &v)| (r, v)).collect(),
-            cdn_load: inner.cdn_load.iter().map(|(&(k, r), &v)| (k, r, v)).collect(),
-            akamai_overload_since: inner
-                .akamai_overload_since
-                .iter()
-                .map(|(&r, &t)| (r, t))
-                .collect(),
-            cdn_health: inner.cdn_health.iter().map(|(&(k, r), &h)| (k, r, h)).collect(),
-            capacity_factor: inner.capacity_factor.iter().map(|(&(k, r), &v)| (k, r, v)).collect(),
-            last_good: inner.last_good.iter().map(|(&r, share)| (r, share.to_vec())).collect(),
-            down_sites: inner.down_sites.iter().copied().collect(),
-        };
-        s.apple_util.sort_by_key(|&(r, _)| r);
-        s.cdn_load.sort_by_key(|&(k, r, _)| (k, r));
-        s.akamai_overload_since.sort_by_key(|&(r, _)| r);
-        s.cdn_health.sort_by_key(|&(k, r, _)| (k, r));
-        s.capacity_factor.sort_by_key(|&(k, r, _)| (k, r));
-        s.last_good.sort_by_key(|&(r, _)| r);
-        s.down_sites.sort_unstable();
-        s
+        let mut down_sites: Vec<u64> = inner.down_sites.iter().copied().collect();
+        down_sites.sort_unstable();
+        SignalState {
+            apple_util: per_region(&inner.apple_util).collect(),
+            cdn_load: per_cdn_region(&inner.cdn_load).collect(),
+            akamai_overload_since: per_region(&inner.akamai_overload_since).collect(),
+            cdn_health: per_cdn_region(&inner.cdn_health).collect(),
+            capacity_factor: per_cdn_region(&inner.capacity_factor).collect(),
+            last_good: per_region(&inner.last_good).map(|(r, share)| (r, share.to_vec())).collect(),
+            down_sites,
+        }
     }
 
     /// Replaces the controller's mutable signals wholesale with a set
@@ -242,35 +259,46 @@ impl MetaCdnState {
     /// a1015 activation timestamp) that must not re-fire when replaying
     /// already-settled history.
     pub fn restore_signals(&self, s: &SignalState) {
-        let mut inner = self.inner.write().expect("state lock");
-        *inner = Inner {
-            apple_util: s.apple_util.iter().copied().collect(),
-            cdn_load: s.cdn_load.iter().map(|&(k, r, v)| ((k, r), v)).collect(),
-            akamai_overload_since: s.akamai_overload_since.iter().copied().collect(),
-            cdn_health: s.cdn_health.iter().map(|&(k, r, h)| ((k, r), h)).collect(),
-            capacity_factor: s.capacity_factor.iter().map(|&(k, r, v)| ((k, r), v)).collect(),
-            last_good: s
-                .last_good
-                .iter()
-                .map(|(r, shares)| (*r, shares.iter().copied().collect()))
-                .collect(),
-            down_sites: s.down_sites.iter().copied().collect(),
-        };
-        drop(inner);
+        let mut restored =
+            Inner { down_sites: s.down_sites.iter().copied().collect(), ..Inner::default() };
+        for &(r, v) in &s.apple_util {
+            restored.apple_util[r as usize] = Some(v);
+        }
+        for &(k, r, v) in &s.cdn_load {
+            restored.cdn_load[k as usize][r as usize] = Some(v);
+        }
+        for &(r, t) in &s.akamai_overload_since {
+            restored.akamai_overload_since[r as usize] = Some(t);
+        }
+        for &(k, r, h) in &s.cdn_health {
+            restored.cdn_health[k as usize][r as usize] = Some(h);
+        }
+        for &(k, r, v) in &s.capacity_factor {
+            restored.capacity_factor[k as usize][r as usize] = Some(v);
+        }
+        for (r, shares) in &s.last_good {
+            restored.last_good[*r as usize] = Some(shares.iter().copied().collect());
+        }
+        *self.inner.write().expect("state lock") = restored;
         self.bump_version();
     }
 
     /// Runs `f` over the state's inner view: the thread's innermost
     /// installed snapshot of *this* state if one exists (lock-free),
     /// otherwise the live data under the read lock.
+    ///
+    /// The snapshot is read in place, under the thread-local stack's
+    /// shared borrow: `f` only reads, so nothing can install or uninstall
+    /// while it runs.
     fn with_inner<R>(&self, f: impl FnOnce(&Inner) -> R) -> R {
-        let snap = INSTALLED.with(|s| {
-            s.borrow().iter().rev().find(|m| m.state_id == self.state_id).cloned()
-        });
-        match snap {
-            Some(snap) => f(&snap.inner),
-            None => f(&self.inner.read().expect("state lock")),
-        }
+        INSTALLED.with(|s| {
+            let installed = s.borrow();
+            if let Some(snap) = installed.iter().rev().find(|m| m.state_id == self.state_id) {
+                return f(&snap.inner);
+            }
+            drop(installed);
+            f(&self.inner.read().expect("state lock"))
+        })
     }
 
     /// Whether a snapshot of this state is installed on the current thread
@@ -287,7 +315,7 @@ impl MetaCdnState {
     /// Reports Apple's candidate utilization for `region` this tick:
     /// `demand directed at Apple ÷ Apple capacity`, uncapped.
     pub fn set_apple_utilization(&self, region: Region, util: f64) {
-        self.inner.write().expect("state lock").apple_util.insert(region, util.max(0.0));
+        self.inner.write().expect("state lock").apple_util[region as usize] = Some(util.max(0.0));
         self.bump_version();
     }
 
@@ -296,12 +324,13 @@ impl MetaCdnState {
     pub fn set_cdn_load(&self, kind: CdnKind, region: Region, load: f64, now: SimTime) {
         let load = load.clamp(0.0, 1.0);
         let mut inner = self.inner.write().expect("state lock");
-        inner.cdn_load.insert((kind, region), load);
+        inner.cdn_load[kind as usize][region as usize] = Some(load);
         if kind == CdnKind::Akamai {
+            let since = &mut inner.akamai_overload_since[region as usize];
             if load >= AKAMAI_OVERLOAD_THRESHOLD {
-                inner.akamai_overload_since.entry(region).or_insert(now);
+                since.get_or_insert(now);
             } else if load < A1015_RETIRE_BELOW {
-                inner.akamai_overload_since.remove(&region);
+                *since = None;
             }
         }
         drop(inner);
@@ -310,52 +339,45 @@ impl MetaCdnState {
 
     /// The last reported pool load for `(kind, region)`, default 0.
     pub fn cdn_load(&self, kind: CdnKind, region: Region) -> f64 {
-        self.with_inner(|inner| *inner.cdn_load.get(&(kind, region)).unwrap_or(&0.0))
+        self.with_inner(|inner| inner.cdn_load[kind as usize][region as usize].unwrap_or(0.0))
     }
 
     /// Apple's last reported utilization for `region`, default 0.
     pub fn apple_utilization(&self, region: Region) -> f64 {
-        self.with_inner(|inner| *inner.apple_util.get(&region).unwrap_or(&0.0))
+        self.with_inner(|inner| inner.apple_util[region as usize].unwrap_or(0.0))
     }
 
     /// Whether the `a1015.gi3.akamai.net` event map serves `region` at `now`.
     pub fn a1015_active(&self, region: Region, now: SimTime) -> bool {
-        self.with_inner(|inner| {
-            inner
-                .akamai_overload_since
-                .get(&region)
-                .is_some_and(|since| now >= *since + A1015_LAG)
-        })
+        self.with_inner(|inner| a1015_active_in(inner, region, now))
     }
 
     /// Reports a CDN's health verdict for `region`, as decided by the
     /// chaos layer's probe loop (through [`crate::health::HealthTracker`]
     /// hysteresis). Unhealthy CDNs are ejected from the effective share.
     pub fn set_cdn_health(&self, kind: CdnKind, region: Region, healthy: bool) {
-        self.inner.write().expect("state lock").cdn_health.insert((kind, region), healthy);
+        self.inner.write().expect("state lock").cdn_health[kind as usize][region as usize] =
+            Some(healthy);
         self.bump_version();
     }
 
     /// The last health verdict for `(kind, region)`; defaults to healthy.
     pub fn cdn_healthy(&self, kind: CdnKind, region: Region) -> bool {
-        self.with_inner(|inner| *inner.cdn_health.get(&(kind, region)).unwrap_or(&true))
+        self.with_inner(|inner| healthy_in(inner, kind, region))
     }
 
     /// Reports the fraction of its modeled capacity a CDN retains in
     /// `region` (site outages, brownouts, load-coupled degradation).
     /// Values are clamped to `[0, 1]`; 1 — the default — is a no-op.
     pub fn set_capacity_factor(&self, kind: CdnKind, region: Region, factor: f64) {
-        self.inner
-            .write()
-            .expect("state lock")
-            .capacity_factor
-            .insert((kind, region), factor.clamp(0.0, 1.0));
+        self.inner.write().expect("state lock").capacity_factor[kind as usize][region as usize] =
+            Some(factor.clamp(0.0, 1.0));
         self.bump_version();
     }
 
     /// The last reported capacity factor for `(kind, region)`, default 1.
     pub fn capacity_factor(&self, kind: CdnKind, region: Region) -> f64 {
-        self.with_inner(|inner| *inner.capacity_factor.get(&(kind, region)).unwrap_or(&1.0))
+        self.with_inner(|inner| factor_in(inner, kind, region))
     }
 
     /// Marks one Apple GSLB site (by [`mcdn_cdn::site::EdgeSite::site_key`])
@@ -382,78 +404,17 @@ impl MetaCdnState {
     }
 
     /// The selection probabilities actually in force: the scheduled share
-    /// with Apple's overflow spilled onto the available third parties,
-    /// then degraded by the health/capacity signals of the chaos layer
-    /// (no-op while no degradation signal is set).
+    /// with Apple's overflow spilled onto the available third parties
+    /// ([`overflow_in`]), then degraded by the health/capacity signals of
+    /// the chaos layer ([`degrade_in`]; no-op while no degradation signal
+    /// is set). Both steps read one view of the signals.
     pub fn effective_share(&self, region: Region, now: SimTime) -> SelectionShare {
-        let probs = self.overflow_share(region, now);
-        self.degraded_share(region, probs)
-    }
-
-    /// The scheduled share with Apple's overflow applied (health-blind).
-    fn overflow_share(&self, region: Region, now: SimTime) -> SelectionShare {
-        let base = self.schedule.share_at(region, now);
-        let mut probs = base.normalized_in(region);
-        if probs.is_empty() {
-            return probs;
-        }
-        let util = self.apple_utilization(region);
-        if util <= 1.0 {
-            return probs;
-        }
-        // Apple can serve only 1/util of what the schedule directs at it.
-        let apple_p = probs
-            .iter()
-            .find(|(k, _)| *k == CdnKind::Apple)
-            .map(|(_, p)| *p)
-            .unwrap_or(0.0);
-        let kept = apple_p / util;
-        let spill = apple_p - kept;
-        let third_total: f64 =
-            probs.iter().filter(|(k, _)| *k != CdnKind::Apple).map(|(_, p)| p).sum();
-        for (k, p) in probs.iter_mut() {
-            if *k == CdnKind::Apple {
-                *p = kept;
-            } else if third_total > 0.0 {
-                *p += spill * (*p / third_total);
-            }
-        }
-        if third_total == 0.0 && spill > 0.0 {
-            // No third party scheduled: engage every available one equally
-            // (the controller's last-resort overflow).
-            let thirds = || {
-                CdnKind::THIRD_PARTY
-                    .into_iter()
-                    .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
-            };
-            let n = thirds().count();
-            for k in thirds() {
-                probs.set(k, spill / n as f64);
-            }
-        }
-        probs
-    }
-
-    /// Applies the chaos layer's degradation signals to a share vector:
-    ///
-    /// 1. **Capacity-aware load shedding** — each CDN keeps weight in
-    ///    proportion to its remaining capacity factor; the shed weight
-    ///    spills onto the surviving CDNs proportionally (the
-    ///    next-preferred CDNs absorb it).
-    /// 2. **Health ejection** — CDNs voted unhealthy by the probe loop
-    ///    contribute nothing.
-    /// 3. **Last-known-good fallback** — if every CDN is ejected or at
-    ///    factor 0, the controller freezes onto the last share it computed
-    ///    while something was still reachable (or the undegraded share if
-    ///    degradation struck before anything was recorded).
-    ///
-    /// With no health verdicts and all factors at 1 the input is returned
-    /// untouched, keeping fault-free pipelines bit-identical.
-    fn degraded_share(&self, region: Region, probs: SelectionShare) -> SelectionShare {
-        if probs.is_empty() {
-            return probs;
-        }
-        match self.with_inner(|inner| degrade_in(inner, region, &probs)) {
+        let scheduled = self.schedule.share_at(region, now).normalized_in(region);
+        let (probs, outcome) = self.with_inner(|inner| {
+            let probs = overflow_in(inner, region, scheduled);
+            (probs, degrade_in(inner, region, &probs))
+        });
+        match outcome {
             DegradeOutcome::Untouched => probs,
             DegradeOutcome::Frozen(last_good) => last_good.unwrap_or(probs),
             DegradeOutcome::Shed(out) => {
@@ -461,7 +422,7 @@ impl MetaCdnState {
                 // mutate the live state, and the live `last_good` keeps
                 // being maintained by the driver's between-round calls.
                 if !self.snapshot_installed() {
-                    self.inner.write().expect("state lock").last_good.insert(region, out);
+                    self.inner.write().expect("state lock").last_good[region as usize] = Some(out);
                 }
                 out
             }
@@ -491,19 +452,68 @@ impl MetaCdnState {
     /// A copy of the mutable state for inspection.
     pub fn snapshot(&self, now: SimTime) -> StateSnapshot {
         let inner = self.inner.read().expect("state lock");
-        let mut apple_util: Vec<_> = inner.apple_util.iter().map(|(r, u)| (*r, *u)).collect();
-        apple_util.sort_by_key(|(r, _)| *r);
-        let mut cdn_load: Vec<_> =
-            inner.cdn_load.iter().map(|((k, r), l)| (*k, *r, *l)).collect();
-        cdn_load.sort_by_key(|a| (a.0, a.1));
-        let a1015_active = Region::ALL
-            .into_iter()
-            .filter(|r| {
-                inner.akamai_overload_since.get(r).is_some_and(|s| now >= *s + A1015_LAG)
-            })
-            .collect();
-        StateSnapshot { apple_util, cdn_load, a1015_active }
+        StateSnapshot {
+            apple_util: per_region(&inner.apple_util).collect(),
+            cdn_load: per_cdn_region(&inner.cdn_load).collect(),
+            a1015_active: Region::ALL
+                .into_iter()
+                .filter(|&r| a1015_active_in(&inner, r, now))
+                .collect(),
+        }
     }
+}
+
+/// The normalized scheduled share `probs` with Apple's overflow applied
+/// (health-blind), against one view of the signals.
+fn overflow_in(inner: &Inner, region: Region, mut probs: SelectionShare) -> SelectionShare {
+    if probs.is_empty() {
+        return probs;
+    }
+    let util = inner.apple_util[region as usize].unwrap_or(0.0);
+    if util <= 1.0 {
+        return probs;
+    }
+    // Apple can serve only 1/util of what the schedule directs at it.
+    let apple_p = probs.iter().find(|(k, _)| *k == CdnKind::Apple).map(|(_, p)| *p).unwrap_or(0.0);
+    let kept = apple_p / util;
+    let spill = apple_p - kept;
+    let third_total: f64 = probs.iter().filter(|(k, _)| *k != CdnKind::Apple).map(|(_, p)| p).sum();
+    for (k, p) in probs.iter_mut() {
+        if *k == CdnKind::Apple {
+            *p = kept;
+        } else if third_total > 0.0 {
+            *p += spill * (*p / third_total);
+        }
+    }
+    if third_total == 0.0 && spill > 0.0 {
+        // No third party scheduled: engage every available one equally
+        // (the controller's last-resort overflow).
+        let thirds = || {
+            CdnKind::THIRD_PARTY
+                .into_iter()
+                .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
+        };
+        let n = thirds().count();
+        for k in thirds() {
+            probs.set(k, spill / n as f64);
+        }
+    }
+    probs
+}
+
+/// Whether the a1015 event map serves `region` at `now`, against one view.
+fn a1015_active_in(inner: &Inner, region: Region, now: SimTime) -> bool {
+    inner.akamai_overload_since[region as usize].is_some_and(|since| now >= since + A1015_LAG)
+}
+
+/// The health verdict for `(kind, region)` in one view; absent = healthy.
+fn healthy_in(inner: &Inner, kind: CdnKind, region: Region) -> bool {
+    inner.cdn_health[kind as usize][region as usize].unwrap_or(true)
+}
+
+/// The capacity factor for `(kind, region)` in one view; absent = 1.
+fn factor_in(inner: &Inner, kind: CdnKind, region: Region) -> f64 {
+    inner.capacity_factor[kind as usize][region as usize].unwrap_or(1.0)
 }
 
 /// What the degradation signals did to a share vector (computed against
@@ -518,20 +528,33 @@ enum DegradeOutcome {
     Shed(SelectionShare),
 }
 
-/// The pure half of [`MetaCdnState::degraded_share`]: steps 1–3 of the
-/// degradation pipeline against a borrowed view, no locking, no writes.
+/// Applies the chaos layer's degradation signals to a share vector,
+/// against a borrowed view (no locking, no writes):
+///
+/// 1. **Capacity-aware load shedding** — each CDN keeps weight in
+///    proportion to its remaining capacity factor; the shed weight
+///    spills onto the surviving CDNs proportionally (the
+///    next-preferred CDNs absorb it).
+/// 2. **Health ejection** — CDNs voted unhealthy by the probe loop
+///    contribute nothing.
+/// 3. **Last-known-good fallback** — if every CDN is ejected or at
+///    factor 0, the controller freezes onto the last share it computed
+///    while something was still reachable (or the undegraded share if
+///    degradation struck before anything was recorded).
+///
+/// With no health verdicts and all factors at 1 the input stands
+/// untouched, keeping fault-free pipelines bit-identical.
 fn degrade_in(inner: &Inner, region: Region, probs: &SelectionShare) -> DegradeOutcome {
-    let degraded = probs.iter().any(|(k, _)| {
-        !*inner.cdn_health.get(&(*k, region)).unwrap_or(&true)
-            || *inner.capacity_factor.get(&(*k, region)).unwrap_or(&1.0) < 1.0
-    });
+    let degraded = probs
+        .iter()
+        .any(|&(k, _)| !healthy_in(inner, k, region) || factor_in(inner, k, region) < 1.0);
     if !degraded {
         return DegradeOutcome::Untouched;
     }
     let mut kept = *probs;
     for (k, p) in kept.iter_mut() {
-        let healthy = *inner.cdn_health.get(&(*k, region)).unwrap_or(&true);
-        let factor = (*inner.capacity_factor.get(&(*k, region)).unwrap_or(&1.0)).clamp(0.0, 1.0);
+        let healthy = healthy_in(inner, *k, region);
+        let factor = factor_in(inner, *k, region).clamp(0.0, 1.0);
         *p = if healthy { *p * factor } else { 0.0 };
     }
     let total: f64 = probs.iter().map(|(_, p)| p).sum();
@@ -539,7 +562,7 @@ fn degrade_in(inner: &Inner, region: Region, probs: &SelectionShare) -> DegradeO
     if kept_total <= 0.0 {
         // Every health signal lost: graceful degradation to the
         // last-known-good mapping.
-        return DegradeOutcome::Frozen(inner.last_good.get(&region).copied());
+        return DegradeOutcome::Frozen(inner.last_good[region as usize]);
     }
     kept.retain(|(_, p)| *p > 0.0);
     for (_, p) in kept.iter_mut() {
@@ -582,6 +605,7 @@ pub fn pick_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn state_with(apple: f64, akamai: f64, limelight: f64) -> MetaCdnState {
         MetaCdnState::new(Schedule::constant(CdnShare {

@@ -18,6 +18,8 @@ use mcdn_dnssim::{Namespace, PolicyAnswer, PolicyScope, QueryContext, Zone};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::continent::SpecialMarket;
 use mcdn_geo::Region;
+use mcdn_intern::FnvBuildHasher;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -202,8 +204,8 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
     // Whether a client coordinate is outside Apple's footprint is a pure
     // function of the coordinate; memoize it so the per-query cost is one
     // map probe instead of a distance scan over every site.
-    let coverage: std::sync::RwLock<std::collections::HashMap<(u64, u64), bool>> =
-        std::sync::RwLock::new(std::collections::HashMap::new());
+    let coverage: std::sync::RwLock<HashMap<(u64, u64), bool, FnvBuildHasher>> =
+        std::sync::RwLock::new(HashMap::default());
     z.set_policy(
         names::selector(),
         // 0/1: the two GSLB heads; 2 + `Region as u16`: the regional

@@ -98,7 +98,7 @@ impl PartialEq for DnsCampaignResult {
 /// merging shard ledgers in any order equals observing serially.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IpClassLedger {
-    seen: HashMap<Ipv4Addr, (SimTime, CdnClass)>,
+    seen: HashMap<Ipv4Addr, (SimTime, CdnClass), FnvBuildHasher>,
 }
 
 impl IpClassLedger {
@@ -372,6 +372,65 @@ struct ShardPartial {
     obs: mcdn_obs::ShardObs,
 }
 
+/// The round merge's buffers, kept (capacity and all) across rounds.
+///
+/// Every observation of a round shares the round's instant, so a repeat
+/// adds nothing to the unique-IP sets or the class ledger (a round repeats
+/// each observation about ten times). [`finish`] therefore sorts and
+/// de-duplicates the round's observations, records each (continent,
+/// class) run into its aggregator cell with one lookup, and observes each
+/// distinct (address, class) once. Set union and the ledger's max are
+/// order-independent, so this equals `record` plus `observe` for every
+/// observation in partial order.
+///
+/// Observations are held as packed `u64` keys, `continent << 40 | class
+/// << 32 | address`: one integer compare per sort step, and key order is
+/// (continent, class, address) order, since both enums' discriminants
+/// follow their declaration order (the order of `ALL`).
+///
+/// [`finish`]: RoundMerge::finish
+#[derive(Default)]
+struct RoundMerge {
+    keys: Vec<u64>,
+    /// The round's distinct (address, class) pairs as `address << 8 |
+    /// class`.
+    classes: Vec<u64>,
+}
+
+impl RoundMerge {
+    /// Adds one partial's observations to the round buffer.
+    fn add(&mut self, observations: &[(Continent, CdnClass, Ipv4Addr)]) {
+        self.keys.extend(observations.iter().map(|&(continent, class, ip)| {
+            (continent as u64) << 40 | (class as u64) << 32 | u64::from(u32::from(ip))
+        }));
+    }
+
+    /// Records the round's observations at `t` and empties the buffers.
+    fn finish(
+        &mut self,
+        t: SimTime,
+        agg: &mut UniqueIpAggregator<Continent, CdnClass>,
+        ledger: &mut IpClassLedger,
+    ) {
+        let class_of = |k: u64| CdnClass::ALL[(k & 0xff) as usize];
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        for cell in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let continent = Continent::ALL[(cell[0] >> 40) as usize];
+            let ips = cell.iter().map(|&k| Ipv4Addr::from(k as u32));
+            agg.record_all(t, continent, class_of(cell[0] >> 32), ips);
+        }
+        self.classes.extend(self.keys.iter().map(|&k| (k & 0xffff_ffff) << 8 | (k >> 32 & 0xff)));
+        self.classes.sort_unstable();
+        self.classes.dedup();
+        for &k in &self.classes {
+            ledger.observe(Ipv4Addr::from((k >> 8) as u32), t, class_of(k));
+        }
+        self.keys.clear();
+        self.classes.clear();
+    }
+}
+
 /// One shard's reusable working state, alive for the whole campaign: the
 /// resolve scratch (overlay interner, answer buffers, trace arena) and
 /// the per-round memo. Keyed by **shard index**, not by pool worker, so
@@ -570,8 +629,10 @@ fn drive_campaign(
     let shard_count = mcdn_exec::shard_bounds(fleet.len(), p.threads).len().max(1);
     let shard_states: Vec<std::sync::Mutex<ShardState>> =
         (0..shard_count).map(|_| std::sync::Mutex::new(ShardState::default())).collect();
-    // The cross-shard memo-count merge, cleared (capacity kept) per round.
+    // The cross-shard memo-count and observation merges, cleared
+    // (capacity kept) per round.
     let mut round_counts: HashMap<SharedMemoKey, u64, FnvBuildHasher> = HashMap::default();
+    let mut round_merge = RoundMerge::default();
     // The controller evolves in real time regardless of how often probes
     // measure: walk it on a fine grid between measurement rounds so load
     // history (and the a1015 activation lag) is independent of cadence.
@@ -616,9 +677,7 @@ fn drive_campaign(
                 // restart at zero (they describe work this process did).
                 obs.restore(&ckpt.obs_counters, ckpt.obs_events);
                 for ((bin_start, cont, class), ips) in ckpt.cells {
-                    for ip in ips {
-                        agg.record(bin_start, cont, class, ip);
-                    }
+                    agg.record_all(bin_start, cont, class, ips);
                 }
                 for (ip, obs_t, class) in ckpt.ledger {
                     classes.observe(ip, obs_t, class);
@@ -849,10 +908,7 @@ fn drive_campaign(
         round_counts.clear();
         for partial in partials {
             obs.absorb(partial.obs);
-            for (continent, class, ip) in partial.observations {
-                agg.record(t, continent, class, ip);
-                classes.observe(ip, t, class);
-            }
+            round_merge.add(&partial.observations);
             resolutions += partial.resolutions;
             attempts += partial.attempts;
             retry_exhausted += partial.retry_exhausted;
@@ -861,6 +917,7 @@ fn drive_campaign(
                 *round_counts.entry(key).or_default() += count;
             }
         }
+        round_merge.finish(t, &mut agg, &mut classes);
         let round_lookups: u64 = round_counts.values().sum();
         memo_lookups += round_lookups;
         memo_hits += round_lookups - round_counts.len() as u64;
@@ -1549,6 +1606,67 @@ mod tests {
         b.observe(ip, t0, CdnClass::Akamai);
         b.observe(ip, t0, CdnClass::Apple);
         assert_eq!(a.into_classes(), b.into_classes());
+    }
+
+    /// The per-observation round merge [`RoundMerge`] replaced, kept as its
+    /// reference: `record` plus `observe` for each observation, in partial
+    /// order.
+    fn reference_merge(
+        partials: &[Vec<(Continent, CdnClass, Ipv4Addr)>],
+        t: SimTime,
+        agg: &mut UniqueIpAggregator<Continent, CdnClass>,
+        ledger: &mut IpClassLedger,
+    ) {
+        for &(continent, class, ip) in partials.iter().flatten() {
+            agg.record(t, continent, class, ip);
+            ledger.observe(ip, t, class);
+        }
+    }
+
+    mod merge_props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// One observation over all six continents and all six classes,
+        /// with its address drawn from a pool of 24: repeats within and
+        /// across partials, reclassifications across rounds and
+        /// same-instant class conflicts are all common.
+        fn observation() -> impl Strategy<Value = (Continent, CdnClass, Ipv4Addr)> {
+            (0usize..6, 0usize..6, 0u32..24).prop_map(|(c, l, n)| {
+                (Continent::ALL[c], CdnClass::ALL[l], Ipv4Addr::from(0x1700_0000 + n))
+            })
+        }
+
+        proptest! {
+            /// Rounds of partials merged by sorting and de-duplicating one
+            /// round buffer equal the per-observation reference: the same
+            /// aggregator (by `==` and by its cells) and the same ledger.
+            /// Rounds advance 0, 25 or 50 minutes, so rounds share
+            /// instants and cross hour bins.
+            #[test]
+            fn round_merge_matches_the_per_observation_reference(
+                rounds in vec((0u64..3, vec(vec(observation(), 0..30), 1..4)), 1..6),
+            ) {
+                let bin = Duration::hours(1);
+                let (mut agg, mut ledger) = (UniqueIpAggregator::new(bin), IpClassLedger::new());
+                let (mut ref_agg, mut ref_ledger) =
+                    (UniqueIpAggregator::new(bin), IpClassLedger::new());
+                let mut merge = RoundMerge::default();
+                let mut t = SimTime::from_ymd_hms(2017, 9, 19, 16, 40, 0);
+                for (step, partials) in rounds {
+                    t += Duration::mins(25 * step);
+                    for partial in &partials {
+                        merge.add(partial);
+                    }
+                    merge.finish(t, &mut agg, &mut ledger);
+                    reference_merge(&partials, t, &mut ref_agg, &mut ref_ledger);
+                }
+                prop_assert_eq!(&agg, &ref_agg);
+                prop_assert_eq!(agg.cells(), ref_agg.cells());
+                prop_assert_eq!(ledger.entries(), ref_ledger.entries());
+            }
+        }
     }
 
     /// A tiny campaign around the release: checks the EU spike mechanism

@@ -17,8 +17,8 @@ echo "==> cargo test"
 # run only its integration suites and skip every member crate's units.
 cargo test -q --workspace
 
-echo "==> cargo clippy -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy -D warnings (tests, examples and benches included)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc: every intra-doc link resolves"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
@@ -79,6 +79,28 @@ echo "    $(ls results/*.csv | wc -l) CSVs, fig2.dot and repro_paper.txt identic
 cargo run --release -q -p mcdn-analysis --bin check_claims -- --paper > "$tmpdir/claims.txt"
 grep -Eq "^all [0-9]+ claims PASS$" "$tmpdir/claims.txt"
 echo "    $(tail -1 "$tmpdir/claims.txt")"
+
+echo "==> benchmark goldens: every workload's output matches benchmark/goldens/digests.txt"
+# The benchmark digests every repetition's output and checks it against
+# the committed digests at the paper seed and at the held-out seed 7; a
+# mismatch prints "correct": false, counts a failed repetition and makes
+# the run exit 1. One short run per seed is enough: every repetition is
+# checked, the warm-up included.
+cargo test -q --manifest-path benchmark/Cargo.toml
+for seed in paper 7; do
+  seed_args=()
+  [ "$seed" = paper ] || seed_args=(--seed "$seed")
+  cargo run --release -q --manifest-path benchmark/Cargo.toml -- \
+    "${seed_args[@]}" --seconds 1 --trace 0 > "$tmpdir/bench_$seed.txt" 2> "$tmpdir/bench_$seed.err"
+  workloads="$(grep -c '^{' "$tmpdir/bench_$seed.txt" || true)"
+  clean="$(grep '^{' "$tmpdir/bench_$seed.txt" | grep '"correct": true' | grep -c '"failed": 0,' || true)"
+  if [ "$workloads" -ne 4 ] || [ "$clean" -ne 4 ]; then
+    echo "    FAIL: seed $seed: $clean of $workloads workload lines correct with no failed repetition"
+    cat "$tmpdir/bench_$seed.txt"
+    exit 1
+  fi
+  echo "    seed $seed: 4 of 4 workloads correct, 0 failed repetitions"
+done
 
 echo "==> fuzz smoke: fixed-seed wire fuzzing plus corpus replay, zero panics, golden verdicts"
 cargo run --release -q -p mcdn-fuzzwire --bin fuzz_smoke > "$tmpdir/fuzz1.txt"
