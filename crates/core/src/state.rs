@@ -404,10 +404,10 @@ impl MetaCdnState {
     }
 
     /// The selection probabilities actually in force: the scheduled share
-    /// with Apple's overflow spilled onto the available third parties
-    /// ([`overflow_in`]), then degraded by the health/capacity signals of
-    /// the chaos layer ([`degrade_in`]; no-op while no degradation signal
-    /// is set). Both steps read one view of the signals.
+    /// with Apple's overflow spilled onto the available third parties,
+    /// then degraded by the health/capacity signals of the chaos layer
+    /// (no-op while no degradation signal is set). Both steps read one
+    /// view of the signals.
     pub fn effective_share(&self, region: Region, now: SimTime) -> SelectionShare {
         let scheduled = self.schedule.share_at(region, now).normalized_in(region);
         let (probs, outcome) = self.with_inner(|inner| {
