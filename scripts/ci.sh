@@ -41,11 +41,14 @@ echo "==> goldens: campaign, crawl, traffic, chaos and poison output match tests
 # an engine refactor cannot shift a table silently. The chaos and poison
 # runs below are diffed against their goldens as well.
 diff -u tests/goldens/campaign_global.txt "$tmpdir/run1.txt"
+cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+  campaign isp --metrics "$tmpdir/isp_metrics.jsonl" > "$tmpdir/isp.txt"
+diff -u tests/goldens/campaign_isp.txt "$tmpdir/isp.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- crawl > "$tmpdir/crawl.txt"
 diff -u tests/goldens/crawl.txt "$tmpdir/crawl.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic.txt"
 diff -u tests/goldens/traffic.txt "$tmpdir/traffic.txt"
-echo "    campaign global, crawl and traffic match"
+echo "    campaign global, campaign isp, crawl and traffic match"
 
 echo "==> chaos sweep: invariants hold, faulted runs replay bit-identically"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos1.txt"
@@ -124,11 +127,14 @@ echo "==> incremental reuse: replay output vs full recompute, byte-identical"
 MCDN_NO_REUSE=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign global > "$tmpdir/noreuse.txt"
 diff -u "$tmpdir/run1.txt" "$tmpdir/noreuse.txt"
+MCDN_NO_REUSE=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+  campaign isp > "$tmpdir/isp_noreuse.txt"
+diff -u "$tmpdir/isp.txt" "$tmpdir/isp_noreuse.txt"
 MCDN_NO_REUSE=1 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos_noreuse.txt"
 diff -u "$tmpdir/chaos1.txt" "$tmpdir/chaos_noreuse.txt"
 MCDN_NO_REUSE=1 cargo run --release -q --example poison_sweep > "$tmpdir/poison_noreuse.txt"
 diff -u "$tmpdir/poison1.txt" "$tmpdir/poison_noreuse.txt"
-echo "    reuse == full recompute on quiet + chaos + poisoning grids"
+echo "    reuse == full recompute on quiet global + in-ISP + chaos + poisoning grids"
 
 echo "==> parallel determinism: MCDN_THREADS=1 vs MCDN_THREADS=4"
 MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
@@ -136,6 +142,11 @@ MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
 MCDN_THREADS=4 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign global --metrics "$tmpdir/metrics_t4.jsonl" > "$tmpdir/t4.txt"
 diff -u "$tmpdir/t1.txt" "$tmpdir/t4.txt"
+for n in 1 4; do
+  MCDN_THREADS=$n cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+    campaign isp > "$tmpdir/isp_t$n.txt"
+  diff -u "$tmpdir/isp.txt" "$tmpdir/isp_t$n.txt"
+done
 MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic_t1.txt"
 MCDN_THREADS=4 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic_t4.txt"
 diff -u "$tmpdir/traffic_t1.txt" "$tmpdir/traffic_t4.txt"
@@ -170,6 +181,24 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign global --journal "$journal" > "$tmpdir/resumed.txt"
 diff -u "$tmpdir/run1.txt" "$tmpdir/resumed.txt"
 echo "    resumed output identical to uninterrupted run"
+# The same drill on the in-ISP campaign, whose deterministic metrics
+# lines must also match the uninterrupted run's (isp.txt and
+# isp_metrics.jsonl from the goldens stage).
+isp_journal="$tmpdir/isp.journal"
+if MCDN_KILL_AFTER_ROUND=3 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+    campaign isp --journal "$isp_journal" > "$tmpdir/isp_killed.txt" 2> "$tmpdir/isp_killed.err"; then
+  echo "    FAIL: killed in-ISP run exited 0"; exit 1
+fi
+grep -q "suspending after 3/" "$tmpdir/isp_killed.err" || {
+  echo "    FAIL: in-ISP run did not suspend at round 3"; cat "$tmpdir/isp_killed.err"; exit 1; }
+cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+  campaign isp --journal "$isp_journal" --metrics "$tmpdir/isp_resumed.jsonl" \
+  > "$tmpdir/isp_resumed.txt"
+diff -u "$tmpdir/isp.txt" "$tmpdir/isp_resumed.txt"
+grep -v '"det":false' "$tmpdir/isp_metrics.jsonl" > "$tmpdir/isp_metrics.det"
+grep -v '"det":false' "$tmpdir/isp_resumed.jsonl" > "$tmpdir/isp_resumed.det"
+diff -u "$tmpdir/isp_metrics.det" "$tmpdir/isp_resumed.det"
+echo "    in-ISP resumed output and $(wc -l < "$tmpdir/isp_metrics.det") deterministic metrics lines identical"
 
 echo "==> pool-vs-scope equivalence: persistent pool vs retired scoped engine"
 cargo test --release -q -p mcdn-exec pool_matches

@@ -15,6 +15,7 @@ use metacdn_suite::scenario::dnscampaign::testhooks;
 use metacdn_suite::scenario::{
     run_global_dns_resumable, run_global_dns_resumable_with,
     run_global_dns_resumable_with_observed, run_global_dns_threads,
+    run_isp_dns_resumable_with_observed, run_isp_dns_threads,
     total_dark_scenario, CampaignError, CampaignRun, DnsCampaignResult, ResumeOptions,
     ScenarioConfig, World,
 };
@@ -26,15 +27,51 @@ use std::sync::Mutex;
 /// panic from the test that planted it.
 static CAMPAIGNS: Mutex<()> = Mutex::new(());
 
-/// A 6-round global campaign small enough to replay dozens of times.
+/// 6-round global and in-ISP campaigns small enough to replay dozens of
+/// times.
 fn tiny_cfg(faults: FaultProfile) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::fast();
     cfg.global_probes = 24;
     cfg.global_dns_interval = Duration::hours(4);
     cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
     cfg.global_end = SimTime::from_ymd_hms(2017, 9, 19, 12, 0, 0);
+    cfg.isp_probes = 24;
+    cfg.isp_dns_interval = Duration::hours(4);
+    cfg.isp_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
+    cfg.isp_end = SimTime::from_ymd_hms(2017, 9, 19, 12, 0, 0);
     cfg.faults = faults;
     cfg
+}
+
+/// The two journaled campaigns: the worldwide one behind Figure 4 and the
+/// in-ISP one behind Figure 5.
+#[derive(Debug, Clone, Copy)]
+enum Campaign {
+    Global,
+    Isp,
+}
+
+/// The plain (unjournaled) run of `campaign`.
+fn run_plain(campaign: Campaign, cfg: &ScenarioConfig, threads: usize) -> DnsCampaignResult {
+    let world = build_world_or_exit(cfg);
+    match campaign {
+        Campaign::Global => run_global_dns_threads(&world, cfg, threads),
+        Campaign::Isp => run_isp_dns_threads(&world, cfg, threads),
+    }
+}
+
+/// One journaled invocation of `campaign`, with its metrics snapshot.
+fn run_journal(
+    campaign: Campaign,
+    cfg: &ScenarioConfig,
+    path: &std::path::Path,
+    opts: ResumeOptions,
+) -> Result<(CampaignRun, metacdn_suite::obs::MetricsSnapshot), CampaignError> {
+    let world = build_world_or_exit(cfg);
+    match campaign {
+        Campaign::Global => run_global_dns_resumable_with_observed(&world, cfg, path, opts),
+        Campaign::Isp => run_isp_dns_resumable_with_observed(&world, cfg, path, opts),
+    }
 }
 
 const TINY_ROUNDS: u64 = 6;
@@ -55,11 +92,13 @@ fn opts(threads: usize, stop_after: Option<u64>) -> ResumeOptions {
 
 /// Runs the journaled campaign to completion (fresh world), panicking on
 /// any engine error — the happy path of every identity check below.
-fn run_journaled(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize) -> DnsCampaignResult {
-    let world = build_world_or_exit(cfg);
-    match run_global_dns_resumable_with(&world, cfg, path, opts(threads, None))
-        .expect("journaled campaign")
-    {
+fn run_journaled(
+    campaign: Campaign,
+    cfg: &ScenarioConfig,
+    path: &std::path::Path,
+    threads: usize,
+) -> DnsCampaignResult {
+    match run_journal(campaign, cfg, path, opts(threads, None)).expect("journaled campaign").0 {
         CampaignRun::Complete(result) => result,
         CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
     }
@@ -67,10 +106,16 @@ fn run_journaled(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize) -
 
 /// Runs `stop_after` rounds and suspends with a durable checkpoint — the
 /// graceful half of a crash (the CI gate does the SIGKILL half).
-fn run_partial(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize, stop_after: u64) {
-    let world = build_world_or_exit(cfg);
-    match run_global_dns_resumable_with(&world, cfg, path, opts(threads, Some(stop_after)))
+fn run_partial(
+    campaign: Campaign,
+    cfg: &ScenarioConfig,
+    path: &std::path::Path,
+    threads: usize,
+    stop_after: u64,
+) {
+    match run_journal(campaign, cfg, path, opts(threads, Some(stop_after)))
         .expect("suspending campaign")
+        .0
     {
         CampaignRun::Suspended { rounds_done, total_rounds } => {
             assert_eq!(rounds_done, stop_after);
@@ -83,33 +128,34 @@ fn run_partial(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize, sto
 #[test]
 fn kill_at_every_round_resume_is_bit_identical() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    for (label, faults) in profiles() {
-        let cfg = tiny_cfg(faults);
-        for threads in [1usize, 4] {
-            let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    for campaign in [Campaign::Global, Campaign::Isp] {
+        for (label, faults) in profiles() {
+            let cfg = tiny_cfg(faults);
+            for threads in [1usize, 4] {
+                let baseline = run_plain(campaign, &cfg, threads);
+                let tag = format!("{campaign:?}-{label}-{threads}");
+                assert!(baseline.resolutions > 0, "[{tag}] the campaign resolved nothing");
 
-            // Uninterrupted journaled run: journaling itself must not
-            // perturb the trajectory.
-            let path = journal_path(&format!("uninterrupted-{label}-{threads}"));
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(
-                run_journaled(&cfg, &path, threads),
-                baseline,
-                "[{label}/{threads}t] journaled run diverged from the plain engine"
-            );
-            let _ = std::fs::remove_file(&path);
-
-            // Die after round k, resume, for every k.
-            for k in 1..TINY_ROUNDS {
-                let path = journal_path(&format!("kill-{label}-{threads}-{k}"));
+                // Uninterrupted journaled run: journaling itself must not
+                // perturb the trajectory.
+                let path = journal_path(&format!("uninterrupted-{tag}"));
                 let _ = std::fs::remove_file(&path);
-                run_partial(&cfg, &path, threads, k);
-                let resumed = run_journaled(&cfg, &path, threads);
                 assert_eq!(
-                    resumed, baseline,
-                    "[{label}/{threads}t] resume after round {k} diverged"
+                    run_journaled(campaign, &cfg, &path, threads),
+                    baseline,
+                    "[{tag}] journaled run diverged from the plain engine"
                 );
                 let _ = std::fs::remove_file(&path);
+
+                // Die after round k, resume, for every k.
+                for k in 1..TINY_ROUNDS {
+                    let path = journal_path(&format!("kill-{tag}-{k}"));
+                    let _ = std::fs::remove_file(&path);
+                    run_partial(campaign, &cfg, &path, threads, k);
+                    let resumed = run_journaled(campaign, &cfg, &path, threads);
+                    assert_eq!(resumed, baseline, "[{tag}] resume after round {k} diverged");
+                    let _ = std::fs::remove_file(&path);
+                }
             }
         }
     }
@@ -125,9 +171,9 @@ fn repeatedly_killed_run_still_matches() {
     let _ = std::fs::remove_file(&path);
     // Die after rounds 1, 3, and 5 of 6, then finish.
     for stop in [1, 3, 5] {
-        run_partial(&cfg, &path, threads, stop);
+        run_partial(Campaign::Global, &cfg, &path, threads, stop);
     }
-    assert_eq!(run_journaled(&cfg, &path, threads), baseline);
+    assert_eq!(run_journaled(Campaign::Global, &cfg, &path, threads), baseline);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -159,7 +205,7 @@ fn bit_flip_in_journal_falls_back_to_intact_checkpoint() {
     let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
     let path = journal_path("bit-flip");
     let _ = std::fs::remove_file(&path);
-    run_partial(&cfg, &path, threads, 4);
+    run_partial(Campaign::Global, &cfg, &path, threads, 4);
     // Flip one bit inside the last record's payload: its checksum fails,
     // recovery truncates to the previous intact checkpoint, and the resume
     // recomputes the lost rounds.
@@ -167,7 +213,7 @@ fn bit_flip_in_journal_falls_back_to_intact_checkpoint() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
-    assert_eq!(run_journaled(&cfg, &path, threads), baseline);
+    assert_eq!(run_journaled(Campaign::Global, &cfg, &path, threads), baseline);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -179,11 +225,11 @@ fn truncated_journal_tail_resumes_from_durable_prefix() {
     let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
     let path = journal_path("torn-tail");
     let _ = std::fs::remove_file(&path);
-    run_partial(&cfg, &path, threads, 3);
+    run_partial(Campaign::Global, &cfg, &path, threads, 3);
     // A torn write: the machine died mid-append. Drop the last 7 bytes.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
-    assert_eq!(run_journaled(&cfg, &path, threads), baseline);
+    assert_eq!(run_journaled(Campaign::Global, &cfg, &path, threads), baseline);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -193,7 +239,7 @@ fn stale_fingerprint_is_a_typed_error_not_a_panic() {
     let cfg = tiny_cfg(FaultProfile::none());
     let path = journal_path("stale-fingerprint");
     let _ = std::fs::remove_file(&path);
-    run_partial(&cfg, &path, 1, 2);
+    run_partial(Campaign::Global, &cfg, &path, 1, 2);
 
     // Same journal, different campaign config (seed moved): refused.
     let mut other = cfg;
@@ -250,35 +296,34 @@ fn resumed_metrics_snapshot_is_byte_identical() {
     let _guard = CAMPAIGNS.lock().unwrap();
     // The deterministic metrics ride in the checkpoints: a campaign killed
     // after any round and resumed must export the same `det_jsonl()` bytes
-    // as the uninterrupted run, for both fault profiles.
-    for (label, faults) in profiles() {
-        let cfg = tiny_cfg(faults);
-        let threads = 4;
-        let path = journal_path(&format!("obs-baseline-{label}"));
-        let _ = std::fs::remove_file(&path);
-        let world = build_world_or_exit(&cfg);
-        let (run, baseline_snap) =
-            run_global_dns_resumable_with_observed(&world, &cfg, &path, opts(threads, None))
+    // as the uninterrupted run, for both campaigns and both fault profiles.
+    for campaign in [Campaign::Global, Campaign::Isp] {
+        for (label, faults) in profiles() {
+            let cfg = tiny_cfg(faults);
+            let threads = 4;
+            let tag = format!("{campaign:?}-{label}");
+            let path = journal_path(&format!("obs-baseline-{tag}"));
+            let _ = std::fs::remove_file(&path);
+            let (run, baseline_snap) = run_journal(campaign, &cfg, &path, opts(threads, None))
                 .expect("uninterrupted observed run");
-        assert!(matches!(run, CampaignRun::Complete(_)));
-        let baseline = baseline_snap.det_jsonl();
-        let _ = std::fs::remove_file(&path);
-
-        for k in 1..TINY_ROUNDS {
-            let path = journal_path(&format!("obs-kill-{label}-{k}"));
-            let _ = std::fs::remove_file(&path);
-            run_partial(&cfg, &path, threads, k);
-            let world = build_world_or_exit(&cfg);
-            let (run, snap) =
-                run_global_dns_resumable_with_observed(&world, &cfg, &path, opts(threads, None))
-                    .expect("resumed observed run");
             assert!(matches!(run, CampaignRun::Complete(_)));
-            assert_eq!(
-                snap.det_jsonl(),
-                baseline,
-                "[{label}] metrics export diverged after kill+resume at round {k}"
-            );
+            let baseline = baseline_snap.det_jsonl();
             let _ = std::fs::remove_file(&path);
+
+            for k in 1..TINY_ROUNDS {
+                let path = journal_path(&format!("obs-kill-{tag}-{k}"));
+                let _ = std::fs::remove_file(&path);
+                run_partial(campaign, &cfg, &path, threads, k);
+                let (run, snap) = run_journal(campaign, &cfg, &path, opts(threads, None))
+                    .expect("resumed observed run");
+                assert!(matches!(run, CampaignRun::Complete(_)));
+                assert_eq!(
+                    snap.det_jsonl(),
+                    baseline,
+                    "[{tag}] metrics export diverged after kill+resume at round {k}"
+                );
+                let _ = std::fs::remove_file(&path);
+            }
         }
     }
 }
