@@ -11,7 +11,7 @@
 use mcdn_analysis::{fig2, fig3, fig7, fig8, table1, Table};
 use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_scenario::{
-    loads, params, run_global_dns, run_isp_dns, run_isp_traffic, CdnClass, ScenarioConfig, World,
+    loads, params, run_dns, run_traffic, Campaign, CdnClass, ScenarioConfig, World,
 };
 
 struct Claims {
@@ -106,7 +106,7 @@ fn main() {
 
     // --- §4 / Figures 4, 5 -------------------------------------------------
     eprintln!("running DNS campaigns…");
-    let global = run_global_dns(&world, &cfg);
+    let global = run_dns(&world, &cfg, Campaign::Global, 0).result;
     let total_at = |bin: SimTime, cont: Continent| -> f64 {
         CdnClass::ALL
             .iter()
@@ -120,7 +120,7 @@ fn main() {
         / total_at(SimTime::from_ymd_hms(2017, 9, 18, 18, 0, 0), Continent::NorthAmerica).max(1.0);
     claims.check("fig4: North America stays flat", "~1x", na_ratio, 0.5, 1.5);
 
-    let isp = run_isp_dns(&world, &cfg);
+    let isp = run_dns(&world, &cfg, Campaign::Isp, 0).result;
     let (akamai_rise, apple_ratio) = mcdn_analysis::fig5::fig5_akamai_rise(&isp);
     let rise_band = if paper_scale { (300.0, 600.0) } else { (80.0, 600.0) };
     claims.check("fig5: Akamai IP rise Sep 18→20 (%)", "+408%", akamai_rise, rise_band.0, rise_band.1);
@@ -130,7 +130,7 @@ fn main() {
     eprintln!("running border telemetry…");
     let mut ip_classes = isp.ip_classes.clone();
     ip_classes.extend(global.ip_classes.iter().map(|(k, v)| (*k, *v)));
-    let traffic = run_isp_traffic(&world, &cfg);
+    let (traffic, _) = run_traffic(&world, &cfg, 0);
     let summary = fig7::fig7_summary(&traffic, &ip_classes, release);
     let ratio = |cdn: &str| -> f64 {
         summary.find_row(0, cdn).map(|r| r[1].parse().unwrap_or(0.0)).unwrap_or(0.0)

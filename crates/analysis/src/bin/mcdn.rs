@@ -17,9 +17,8 @@
 
 use mcdn_analysis::{fig2, fig3, fig4, fig5, fig7, fig8, table1};
 use mcdn_scenario::{
-    loads, params, run_global_dns, run_global_dns_observed, run_global_dns_resumable_with_observed,
-    run_isp_dns, run_isp_dns_observed, run_isp_dns_resumable_with_observed, run_isp_traffic,
-    CampaignRun, DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
+    loads, params, run_dns, run_dns_journaled, run_traffic, Campaign, CampaignRun,
+    DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
 };
 use mcdn_geo::{Locode, Registry, SimTime};
 
@@ -142,28 +141,22 @@ fn die_hard() -> ! {
     std::process::abort();
 }
 
-/// Runs the selected campaign, journaled (`--journal`) or plain. A
-/// journaled run that suspends under `MCDN_KILL_AFTER_ROUND` self-kills
-/// after its checkpoint is durable and never returns.
+/// Runs `campaign`, journaled (`--journal`) or plain. A journaled run
+/// that suspends under `MCDN_KILL_AFTER_ROUND` self-kills after its
+/// checkpoint is durable and never returns.
 fn run_selected_campaign(
-    which: &str,
+    campaign: Campaign,
     world: &World,
     cfg: &ScenarioConfig,
     args: &[String],
 ) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
     let Some(path) = journal_arg(args) else {
-        return match which {
-            "global" => run_global_dns_observed(world, cfg),
-            _ => run_isp_dns_observed(world, cfg),
-        };
+        let report = run_dns(world, cfg, campaign, 0);
+        return (report.result, report.metrics);
     };
     let stop_after = kill_after_round();
     let opts = ResumeOptions { threads: 0, checkpoint_every: 1, stop_after_rounds: stop_after };
-    let run = match which {
-        "global" => run_global_dns_resumable_with_observed(world, cfg, &path, opts),
-        _ => run_isp_dns_resumable_with_observed(world, cfg, &path, opts),
-    };
-    match run {
+    match run_dns_journaled(world, cfg, campaign, &path, opts) {
         Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
         Ok((CampaignRun::Suspended { rounds_done, total_rounds }, _)) => {
             eprintln!("suspending after {rounds_done}/{total_rounds} rounds (checkpoint durable)");
@@ -177,13 +170,14 @@ fn run_selected_campaign(
 }
 
 fn cmd_campaign(args: &[String]) {
-    let which = args.first().map(String::as_str).unwrap_or("global");
-    if !matches!(which, "global" | "isp") {
-        usage();
-    }
+    let campaign = match args.first().map(String::as_str) {
+        None | Some("global") => Campaign::Global,
+        Some("isp") => Campaign::Isp,
+        Some(_) => usage(),
+    };
     let cfg = cfg_from(args);
     let world = World::build(&cfg);
-    let (result, metrics) = run_selected_campaign(which, &world, &cfg, args);
+    let (result, metrics) = run_selected_campaign(campaign, &world, &cfg, args);
     if let Some(path) = metrics_arg(args) {
         if let Err(e) = std::fs::write(&path, metrics.jsonl()) {
             eprintln!("cannot write metrics to {}: {e}", path.display());
@@ -191,12 +185,12 @@ fn cmd_campaign(args: &[String]) {
         }
     }
     println!("{} resolutions", result.resolutions);
-    match which {
-        "global" => {
+    match campaign {
+        Campaign::Global => {
             println!("{}", fig4::fig4_summary(&result, params::release()));
             println!("{}", fig4::fig4_eu_peak_breakdown(&result, params::release()));
         }
-        _ => {
+        Campaign::Isp => {
             let (rise, apple) = fig5::fig5_akamai_rise(&result);
             println!("Akamai unique IPs Sep 18 → 20: {rise:+.0}%  (Apple stability {apple:.2})");
         }
@@ -207,12 +201,12 @@ fn cmd_traffic(args: &[String]) {
     let cfg = cfg_from(args);
     let world = World::build(&cfg);
     eprintln!("running DNS campaigns for the cross-correlation IP set…");
-    let global = run_global_dns(&world, &cfg);
-    let isp = run_isp_dns(&world, &cfg);
+    let global = run_dns(&world, &cfg, Campaign::Global, 0).result;
+    let isp = run_dns(&world, &cfg, Campaign::Isp, 0).result;
     let mut ip_classes = isp.ip_classes;
     ip_classes.extend(global.ip_classes);
     eprintln!("running border telemetry…");
-    let traffic = run_isp_traffic(&world, &cfg);
+    let (traffic, _) = run_traffic(&world, &cfg, 0);
     println!("{}", fig7::fig7_summary(&traffic, &ip_classes, params::release()));
     println!("{}", fig8::fig8_series(&traffic, &ip_classes, &world));
     println!("{}", fig8::fig8_d_link_saturation(&traffic, &world, cfg.traffic_tick));

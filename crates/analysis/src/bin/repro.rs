@@ -10,7 +10,7 @@
 //! (use a release build). `--csv-dir` additionally writes each table as CSV.
 
 use mcdn_analysis::{fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, table1, via_inference, Table};
-use mcdn_scenario::{params, run_global_dns, run_isp_dns, run_isp_traffic, ScenarioConfig, World};
+use mcdn_scenario::{params, run_dns, run_traffic, Campaign, ScenarioConfig, World};
 use std::io::Write;
 
 fn emit(table: &Table, csv_dir: Option<&str>, slug: &str) {
@@ -66,7 +66,7 @@ fn main() {
     emit(&via_inference::hierarchy_table(&report), csv_dir, "via_hierarchy");
 
     eprintln!("running global DNS campaign (fig 4)…");
-    let global = run_global_dns(&world, &cfg);
+    let global = run_dns(&world, &cfg, Campaign::Global, 0).result;
     println!("global campaign: {} resolutions\n", global.resolutions);
     emit(&fig4::fig4_summary(&global, release), csv_dir, "fig4_summary");
     emit(&fig4::fig4_eu_peak_breakdown(&global, release), csv_dir, "fig4_eu_peak");
@@ -75,7 +75,7 @@ fn main() {
     }
 
     eprintln!("running in-ISP DNS campaign (fig 5)…");
-    let isp = run_isp_dns(&world, &cfg);
+    let isp = run_dns(&world, &cfg, Campaign::Isp, 0).result;
     println!("ISP campaign: {} resolutions\n", isp.resolutions);
     let (rise, apple_ratio) = fig5::fig5_akamai_rise(&isp);
     println!(
@@ -94,7 +94,7 @@ fn main() {
     ip_classes.extend(global.ip_classes.iter().map(|(k, v)| (*k, *v)));
 
     eprintln!("running ISP border telemetry (figs 7, 8)…");
-    let traffic = run_isp_traffic(&world, &cfg);
+    let (traffic, _) = run_traffic(&world, &cfg, 0);
     println!(
         "telemetry: {} sampled flow records, {} SNMP samples, {} bytes dropped at saturated links\n",
         traffic.flows.len(),

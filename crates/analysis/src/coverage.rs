@@ -102,7 +102,7 @@ pub fn link_series_with_gaps(
 mod tests {
     use super::*;
     use mcdn_isp::SnmpCounters;
-    use mcdn_scenario::{run_global_dns, ScenarioConfig, World};
+    use mcdn_scenario::{run_dns, Campaign, ScenarioConfig, World};
 
     fn traffic_with_gap() -> TrafficResult {
         let t0 = SimTime::from_ymd(2017, 9, 19);
@@ -160,7 +160,7 @@ mod tests {
         cfg.global_start = SimTime::from_ymd(2017, 9, 19);
         cfg.global_end = SimTime::from_ymd(2017, 9, 20);
         let world = World::build(&cfg);
-        let result = run_global_dns(&world, &cfg);
+        let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
         let t = dns_campaign_coverage(&result);
         assert_eq!(t.rows[0][0], t.rows[0][1], "no faults → attempts == measurements");
         assert_eq!(t.rows[0][2], "0");

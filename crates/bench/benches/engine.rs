@@ -7,20 +7,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcdn_bench::micro_world;
-use mcdn_scenario::{run_global_dns_threads, run_isp_dns_threads, run_isp_traffic_threads};
+use mcdn_scenario::{run_dns, run_traffic, Campaign};
 
 fn bench_global_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_global_dns_threads(&world, &cfg, 1);
+    let serial = run_dns(&world, &cfg, Campaign::Global, 1).result;
     let mut g = c.benchmark_group("engine/global_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_global_dns_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(run_dns(&world, &cfg, Campaign::Global, 1).result))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_global_dns_threads(&world, &cfg, mcdn_exec::thread_count()))
+            std::hint::black_box(run_dns(&world, &cfg, Campaign::Global, mcdn_exec::thread_count()).result)
         })
     });
     g.finish();
@@ -28,16 +28,16 @@ fn bench_global_campaign(c: &mut Criterion) {
 
 fn bench_isp_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_isp_dns_threads(&world, &cfg, 1);
+    let serial = run_dns(&world, &cfg, Campaign::Isp, 1).result;
     let mut g = c.benchmark_group("engine/isp_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_isp_dns_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(run_dns(&world, &cfg, Campaign::Isp, 1).result))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_isp_dns_threads(&world, &cfg, mcdn_exec::thread_count()))
+            std::hint::black_box(run_dns(&world, &cfg, Campaign::Isp, mcdn_exec::thread_count()).result)
         })
     });
     g.finish();
@@ -45,16 +45,16 @@ fn bench_isp_campaign(c: &mut Criterion) {
 
 fn bench_traffic(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_isp_traffic_threads(&world, &cfg, 1);
+    let serial = run_traffic(&world, &cfg, 1).0;
     let mut g = c.benchmark_group("engine/isp_traffic");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.flows.len() as u64));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_isp_traffic_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(run_traffic(&world, &cfg, 1).0))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_isp_traffic_threads(&world, &cfg, mcdn_exec::thread_count()))
+            std::hint::black_box(run_traffic(&world, &cfg, mcdn_exec::thread_count()).0)
         })
     });
     g.finish();

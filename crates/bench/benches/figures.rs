@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcdn_analysis::{fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, table1};
 use mcdn_bench::{micro_cfg, micro_world};
-use mcdn_scenario::{params, run_global_dns, run_isp_dns, run_isp_traffic, World};
+use mcdn_scenario::{params, run_dns, run_traffic, Campaign, World};
 use std::hint::black_box;
 
 fn bench_fig1_timeline(c: &mut Criterion) {
@@ -52,7 +52,7 @@ fn bench_fig4_unique_ips_global(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fig4_global_campaign_and_summary", |b| {
         b.iter(|| {
-            let result = run_global_dns(&world, &cfg);
+            let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
             black_box(fig4::fig4_summary(&result, params::release()))
         })
     });
@@ -65,7 +65,7 @@ fn bench_fig5_unique_ips_isp(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("fig5_isp_campaign_and_series", |b| {
         b.iter(|| {
-            let result = run_isp_dns(&world, &cfg);
+            let result = run_dns(&world, &cfg, Campaign::Isp, 0).result;
             black_box((fig5::fig5_series(&result), fig5::fig5_akamai_rise(&result)))
         })
     });
@@ -80,15 +80,15 @@ fn bench_fig6_classification(c: &mut Criterion) {
 fn bench_fig7_offload_traffic(c: &mut Criterion) {
     let cfg = micro_cfg();
     let world = World::build(&cfg);
-    let dns = run_isp_dns(&world, &cfg);
-    let traffic = run_isp_traffic(&world, &cfg);
+    let dns = run_dns(&world, &cfg, Campaign::Isp, 0).result;
+    let traffic = run_traffic(&world, &cfg, 0).0;
     let mut g = c.benchmark_group("fig7");
     g.sample_size(10);
     g.bench_function("fig7_scaling_and_summary", |b| {
         b.iter(|| black_box(fig7::fig7_summary(&traffic, &dns.ip_classes, params::release())))
     });
     g.bench_function("fig7_telemetry_generation", |b| {
-        b.iter(|| black_box(run_isp_traffic(&world, &cfg)))
+        b.iter(|| black_box(run_traffic(&world, &cfg, 0).0))
     });
     g.finish();
 }
@@ -96,8 +96,8 @@ fn bench_fig7_offload_traffic(c: &mut Criterion) {
 fn bench_fig8_overflow(c: &mut Criterion) {
     let cfg = micro_cfg();
     let world = World::build(&cfg);
-    let dns = run_isp_dns(&world, &cfg);
-    let traffic = run_isp_traffic(&world, &cfg);
+    let dns = run_dns(&world, &cfg, Campaign::Isp, 0).result;
+    let traffic = run_traffic(&world, &cfg, 0).0;
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
     g.bench_function("fig8_overflow_series", |b| {

@@ -8,11 +8,11 @@
 //! `BENCH_campaigns.json` in the working directory.
 
 use alloc_counter::CountingAlloc;
+use mcdn_exec::Recovery;
 use mcdn_geo::{Duration, SimTime};
 use mcdn_scenario::{
-    run_global_dns_resumable_with, run_global_dns_threads, run_global_dns_threads_observed,
-    run_global_dns_threads_timed, run_isp_dns_threads_timed, run_isp_traffic_threads_timed,
-    CampaignRun, ResumeOptions, ScenarioConfig, World, TRAFFIC_BATCH_TICKS,
+    run_dns, run_dns_journaled, run_traffic, Campaign, CampaignReport, CampaignRun, ResumeOptions,
+    ScenarioConfig, World, TRAFFIC_BATCH_TICKS,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -82,46 +82,60 @@ struct Run {
 const REPS: usize = 3;
 
 /// Per-dispatch cost of waking the pool at `threads` width: the measured
-/// wall clock of a no-op `shard_map` over one item per shard, on a warm
-/// pool. Multiplied by a run's dispatch count this estimates how much of
-/// its wall went to orchestration rather than work — the quantity the
-/// persistent pool exists to shrink.
+/// wall clock of a no-op fail-fast `shard_map` over one item per shard,
+/// on a warm pool. Multiplied by a run's dispatch count this estimates
+/// how much of its wall went to orchestration rather than work — the
+/// quantity the persistent pool exists to shrink.
 fn dispatch_cost_ms(threads: usize) -> f64 {
     if threads <= 1 {
         return 0.0; // inline path: no handshake at all
     }
     mcdn_exec::warm(threads);
     let mut items = vec![0u8; threads];
+    let mut dispatch = || {
+        let shards = mcdn_exec::shard_map(&mut items, threads, Recovery::FailFast, |_, _| ());
+        std::hint::black_box(shards.expect("no-op shards cannot panic"));
+    };
     for _ in 0..64 {
-        std::hint::black_box(mcdn_exec::shard_map(&mut items, threads, |_, _| ()));
+        dispatch();
     }
     let reps = 512u32;
     let start = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(mcdn_exec::shard_map(&mut items, threads, |_, _| ()));
+        dispatch();
     }
     start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
 }
 
-/// The same no-op dispatch measured through the retired spawn-per-round
-/// engine (`mcdn_exec::reference`), kept in-tree as a differential
-/// oracle. The pool-vs-scoped ratio is the one engine property a
-/// single-core host can still measure without scheduler noise drowning
-/// it (spawn costs tens of microseconds per worker; a warm-pool wake is
-/// single-digit), so the degraded gate leans on it where raw speedup
-/// cannot discriminate.
+/// The same no-op dispatch the way the retired spawn-per-round engine ran
+/// it: one scoped thread spawned and joined per shard of
+/// [`mcdn_exec::shard_bounds`]. The pool-vs-scoped ratio is the one engine
+/// property a single-core host can still measure without scheduler noise
+/// drowning it (spawn costs tens of microseconds per worker; a warm-pool
+/// wake is single-digit), so the degraded gate leans on it where raw
+/// speedup cannot discriminate.
 fn scoped_dispatch_cost_ms(threads: usize) -> f64 {
     if threads <= 1 {
         return 0.0;
     }
-    let mut items = vec![0u8; threads];
+    let dispatch = || {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = mcdn_exec::shard_bounds(threads, threads)
+                .into_iter()
+                .map(|shard| scope.spawn(move || std::hint::black_box(shard)))
+                .collect();
+            for handle in handles {
+                handle.join().expect("no-op shard");
+            }
+        })
+    };
     for _ in 0..16 {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(&mut items, threads, |_, _| ()));
+        dispatch();
     }
     let reps = 128u32;
     let start = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(&mut items, threads, |_, _| ()));
+        dispatch();
     }
     start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
 }
@@ -247,7 +261,7 @@ const ALLOC_GATE_PER_RESOLUTION: f64 = 1.0;
 fn audit_campaign_allocs(cfg: &ScenarioConfig) -> AllocAudit {
     let world = World::build(cfg);
     let before = ALLOC.snapshot();
-    let result = run_global_dns_threads(&world, cfg, 1);
+    let result = run_dns(&world, cfg, Campaign::Global, 1).result;
     let delta = ALLOC.snapshot().since(before);
     AllocAudit { resolutions: result.resolutions, allocs: delta.allocs, bytes: delta.bytes }
 }
@@ -310,7 +324,7 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
         for _ in 0..OVERHEAD_REPS_PER_ROUND {
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = run_global_dns_threads(&world, cfg, 1);
+            let r = run_dns(&world, cfg, Campaign::Global, 1).result;
             plain_ms = plain_ms.min(start.elapsed().as_secs_f64() * 1e3);
             plain_result = Some(r);
 
@@ -320,8 +334,9 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
             let world = World::build(cfg);
             let opts = ResumeOptions { threads: 1, checkpoint_every: 1, stop_after_rounds: None };
             let start = Instant::now();
-            let r = match run_global_dns_resumable_with(&world, cfg, &path, opts)
+            let r = match run_dns_journaled(&world, cfg, Campaign::Global, &path, opts)
                 .expect("journaled campaign")
+                .0
             {
                 CampaignRun::Complete(r) => r,
                 CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
@@ -399,7 +414,8 @@ fn bench_obs_overhead(cfg: &ScenarioConfig) -> (ObsOverhead, mcdn_obs::MetricsSn
             mcdn_obs::set_enabled(true);
             let world = World::build(cfg);
             let start = Instant::now();
-            let (r, snap) = run_global_dns_threads_observed(&world, cfg, 1);
+            let CampaignReport { result: r, metrics: snap, .. } =
+                run_dns(&world, cfg, Campaign::Global, 1);
             enabled_ms = enabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             snapshot = Some(snap);
             enabled_result = Some(r);
@@ -407,7 +423,7 @@ fn bench_obs_overhead(cfg: &ScenarioConfig) -> (ObsOverhead, mcdn_obs::MetricsSn
             mcdn_obs::set_enabled(false);
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = run_global_dns_threads(&world, cfg, 1);
+            let r = run_dns(&world, cfg, Campaign::Global, 1).result;
             disabled_ms = disabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             mcdn_obs::set_enabled(true);
             disabled_result = Some(r);
@@ -753,8 +769,8 @@ fn main() {
     let mut benches = Vec::new();
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_global_dns_threads_timed(world, cfg, threads);
-        (r.resolutions, r, walls)
+        let report = run_dns(world, cfg, Campaign::Global, threads);
+        (report.result.resolutions, report.result, report.shard_walls)
     });
     let first = &outs[0];
     benches.push(Bench {
@@ -769,8 +785,8 @@ fn main() {
     });
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_isp_dns_threads_timed(world, cfg, threads);
-        (r.resolutions, r, walls)
+        let report = run_dns(world, cfg, Campaign::Isp, threads);
+        (report.result.resolutions, report.result, report.shard_walls)
     });
     let first = &outs[0];
     benches.push(Bench {
@@ -785,7 +801,7 @@ fn main() {
     });
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_isp_traffic_threads_timed(world, cfg, threads);
+        let (r, walls) = run_traffic(world, cfg, threads);
         (r.flows.len() as u64, r, walls)
     });
     let first = &outs[0];

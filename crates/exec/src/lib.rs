@@ -47,7 +47,7 @@
 //!
 //! # Panic recovery
 //!
-//! Supervised maps isolate shard panics with [`catch_unwind`] and recover
+//! [`shard_map`] isolates shard panics with [`catch_unwind`] and recovers
 //! according to a [`Recovery`] policy: [`Recovery::Pristine`] clones the
 //! shard into a **reusable per-worker pristine buffer** before the first
 //! attempt and rolls back + retries deterministically (the buffer is one
@@ -107,12 +107,12 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Default retry budget for [`shard_map_supervised`]: one clean rerun
-/// after the initial attempt, then one more — enough to outlast any
+/// Default retry budget of the retrying [`Recovery`] policies: one clean
+/// rerun after the initial attempt, then one more — enough to outlast any
 /// one-shot injected fault while still bounding a deterministic panic.
 pub const DEFAULT_SHARD_RETRIES: u32 = 2;
 
-/// How a supervised shard recovers from a panicking attempt.
+/// How a shard recovers from a panicking attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Recovery {
     /// Clone the shard into the worker's reusable pristine buffer before
@@ -215,8 +215,8 @@ where
     if let Recovery::Pristine { .. } = recovery {
         PRISTINE.with(|slot| {
             // Reuse the worker's buffer when the item type matches; the
-            // borrow is released before `f` runs so nested supervised maps
-            // on this thread simply fall back to a fresh buffer.
+            // borrow is released before `f` runs so nested maps on this
+            // thread simply fall back to a fresh buffer.
             let mut pristine: Box<Vec<T>> = slot
                 .borrow_mut()
                 .take()
@@ -271,16 +271,9 @@ where
 }
 
 /// What one shard execution produced, keyed by shard index in the job's
-/// result slots.
-enum Outcome<R> {
-    /// The closure returned; wall time covers every attempt.
-    Done(R, Duration),
-    /// A supervised shard exhausted its recovery budget.
-    Failed(ShardFailure),
-    /// An unsupervised shard panicked; the payload is re-thrown on the
-    /// calling thread once the whole round has retired.
-    Panicked(Box<dyn Any + Send>),
-}
+/// result slots: the closure's value with a wall time covering every
+/// attempt, or the failure of a shard that exhausted its recovery budget.
+type Outcome<R> = Result<(R, Duration), ShardFailure>;
 
 /// Live pool telemetry, for benches and the reuse tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,7 +441,7 @@ mod pool {
         /// by the dispatcher only after the countdown hits zero (the
         /// release `fetch_sub` / acquire load pair orders the accesses).
         results: Vec<UnsafeCell<Option<Outcome<R>>>>,
-        recovery: Option<Recovery>,
+        recovery: Recovery,
         remaining: AtomicUsize,
         waiter: std::thread::Thread,
     }
@@ -468,10 +461,11 @@ mod pool {
         }
     }
 
-    /// The unsupervised thunk: one attempt, panics captured for re-throw.
-    unsafe fn run_plain<T, R, F>(job: *const (), shard: usize)
+    /// The thunk every task runs: the shard's attempt loop under the
+    /// job's recovery policy, timed, then retired.
+    unsafe fn run_shard<T, R, F>(job: *const (), shard: usize)
     where
-        T: Send,
+        T: Clone + Send + 'static,
         R: Send,
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
@@ -485,56 +479,29 @@ mod pool {
         // SAFETY: `f` outlives the job (it lives in the dispatcher's frame).
         let f = unsafe { &*job.f };
         let started = Instant::now();
-        let outcome = match catch_unwind(AssertUnwindSafe(|| f(shard, items))) {
-            Ok(r) => Outcome::Done(r, started.elapsed()),
-            Err(payload) => {
-                mcdn_obs::global_add(mcdn_obs::global::SHARD_PANICS, 1);
-                Outcome::Panicked(payload)
-            }
-        };
+        let outcome =
+            supervise_shard(shard, items, job.recovery, f).map(|r| (r, started.elapsed()));
         // SAFETY: per-shard slot invariant, see `retire`.
         unsafe { retire(job, shard, outcome) };
     }
 
-    /// The supervised thunk: attempt loop under the job's recovery policy.
-    unsafe fn run_supervised<T, R, F>(job: *const (), shard: usize)
+    /// Shards `items`, runs every shard through [`run_shard`] (on pool
+    /// workers where possible, inline otherwise), and returns the
+    /// outcomes in canonical shard order. The core of [`shard_map`].
+    ///
+    /// [`shard_map`]: super::shard_map
+    pub(super) fn execute<T, R, F>(
+        items: &mut [T],
+        threads: usize,
+        recovery: Recovery,
+        f: &F,
+    ) -> Vec<Outcome<R>>
     where
         T: Clone + Send + 'static,
         R: Send,
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
-        // SAFETY: identical to `run_plain` — job outlives the call, shards
-        // are disjoint, `f` lives in the dispatcher's frame.
-        let job = unsafe { &*(job as *const Job<T, R, F>) };
-        let slot = &job.shards[shard];
-        let items = unsafe { std::slice::from_raw_parts_mut(slot.ptr, slot.len) };
-        let f = unsafe { &*job.f };
-        let recovery = job.recovery.expect("supervised job carries a recovery policy");
-        let started = Instant::now();
-        let outcome = match supervise_shard(shard, items, recovery, f) {
-            Ok(r) => Outcome::Done(r, started.elapsed()),
-            Err(failure) => Outcome::Failed(failure),
-        };
-        unsafe { retire(job, shard, outcome) };
-    }
-
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Shards `items`, runs every shard through `run` (on pool workers
-    /// where possible, inline otherwise), and returns the outcomes in
-    /// canonical shard order. The core of every public map.
-    fn execute<T, R, F>(
-        items: &mut [T],
-        threads: usize,
-        recovery: Option<Recovery>,
-        run: unsafe fn(*const (), usize),
-        f: &F,
-    ) -> Vec<Outcome<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
+        let run: unsafe fn(*const (), usize) = run_shard::<T, R, F>;
         let bounds = super::shard_bounds(items.len(), threads);
         let n = bounds.len();
         if n == 0 {
@@ -618,104 +585,25 @@ mod pool {
             .map(|slot| slot.into_inner().expect("every shard retired an outcome"))
             .collect()
     }
-
-    pub(super) fn execute_plain<T, R, F>(items: &mut [T], threads: usize, f: &F) -> Vec<Outcome<R>>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        execute(items, threads, None, run_plain::<T, R, F>, f)
-    }
-
-    pub(super) fn execute_supervised<T, R, F>(
-        items: &mut [T],
-        threads: usize,
-        recovery: Recovery,
-        f: &F,
-    ) -> Vec<Outcome<R>>
-    where
-        T: Clone + Send + 'static,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        execute(items, threads, Some(recovery), run_supervised::<T, R, F>, f)
-    }
 }
 
 /// Runs `f` over contiguous shards of `items` on the worker pool and
-/// returns the per-shard results **in shard order** (shard 0 first).
+/// returns the per-shard results **in shard order** (shard 0 first), with
+/// each shard's wall time (attempts included) beside them.
 ///
 /// `f` receives the shard index and a mutable slice of that shard's
 /// items; shards never overlap, so the borrow is race-free by
 /// construction. With `threads <= 1` (or a single shard) the shards run
-/// inline on the caller's thread. A panicking shard is re-thrown on the
-/// caller **after** the whole round retired (lowest shard index wins when
-/// several panic).
-pub fn shard_map<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    let outcomes = pool::execute_plain(items, threads, &f);
-    let mut out = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Done(r, _) => out.push(r),
-            Outcome::Panicked(payload) => std::panic::resume_unwind(payload),
-            Outcome::Failed(_) => unreachable!("plain maps carry no recovery policy"),
-        }
-    }
-    out
-}
-
-/// Collects supervised outcomes into the canonical result: every shard's
-/// value in shard order, or the failure of the **lowest-indexed** failing
-/// shard — independent of worker scheduling.
-fn collect_supervised<R>(
-    outcomes: Vec<Outcome<R>>,
-) -> Result<(Vec<R>, Vec<Duration>), ShardFailure> {
-    let mut values = Vec::with_capacity(outcomes.len());
-    let mut walls = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        match outcome {
-            Outcome::Done(r, wall) => {
-                values.push(r);
-                walls.push(wall);
-            }
-            Outcome::Failed(failure) => return Err(failure),
-            Outcome::Panicked(_) => unreachable!("supervised shards never re-throw"),
-        }
-    }
-    Ok((values, walls))
-}
-
-/// [`shard_map`] with panic isolation under an explicit [`Recovery`]
-/// policy: each shard runs under [`catch_unwind`] and recovers per the
-/// policy. If any shard exhausts its budget the whole map returns the
-/// failure of the **lowest-indexed** failing shard (canonical order),
-/// instead of aborting the process.
-pub fn shard_map_recover<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    recovery: Recovery,
-    f: F,
-) -> Result<Vec<R>, ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    collect_supervised(pool::execute_supervised(items, threads, recovery, &f)).map(|(v, _)| v)
-}
-
-/// [`shard_map_recover`] that additionally reports each shard's wall time
-/// (attempts included), in canonical shard order. The timings are
-/// side-band observability — bench harnesses use them to spot shards that
-/// straggle — and never feed back into any result, so determinism of the
-/// returned `Vec<R>` is untouched.
-pub fn shard_map_recover_timed<T, R, F>(
+/// inline on the caller's thread. Each shard runs under [`catch_unwind`]
+/// and recovers from a panic per `recovery`; if any shard exhausts its
+/// budget, the map returns the failure of the **lowest-indexed** failing
+/// shard (canonical order, independent of worker scheduling) instead of
+/// aborting the process.
+///
+/// The wall times are side-band observability — bench harnesses use them
+/// to spot shards that straggle — and never feed back into any result, so
+/// the returned values are deterministic.
+pub fn shard_map<T, R, F>(
     items: &mut [T],
     threads: usize,
     recovery: Recovery,
@@ -726,162 +614,138 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    collect_supervised(pool::execute_supervised(items, threads, recovery, &f))
-}
-
-/// [`shard_map`] with panic isolation and pristine-restore retries: the
-/// historical supervised entry point, equivalent to [`shard_map_recover`]
-/// with [`Recovery::Pristine`]`{ retries }`.
-pub fn shard_map_supervised<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    retries: u32,
-    f: F,
-) -> Result<Vec<R>, ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    shard_map_recover(items, threads, Recovery::Pristine { retries }, f)
-}
-
-/// [`shard_map_supervised`] with per-shard wall times; see
-/// [`shard_map_recover_timed`].
-pub fn shard_map_supervised_timed<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    retries: u32,
-    f: F,
-) -> Result<(Vec<R>, Vec<Duration>), ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    shard_map_recover_timed(items, threads, Recovery::Pristine { retries }, f)
-}
-
-/// The retired spawn-per-round engine, kept verbatim as the pool's
-/// differential oracle: for any input, [`reference::shard_map_scoped`]
-/// and [`shard_map`] must produce identical results (the CI
-/// pool-vs-scope stage runs the comparison). Not used by any campaign
-/// path.
-#[doc(hidden)]
-pub mod reference {
-    use super::{panic_message, Recovery, ShardFailure};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Scoped-thread `shard_map`: spawns one thread per shard per call.
-    pub fn shard_map_scoped<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        let bounds = super::shard_bounds(items.len(), threads);
-        if bounds.len() <= 1 || threads <= 1 {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut rest = items;
-            for (i, b) in bounds.iter().enumerate() {
-                let (shard, tail) = rest.split_at_mut(b.len());
-                rest = tail;
-                out.push(f(i, shard));
-            }
-            return out;
-        }
-        let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-        let mut rest = items;
-        for b in &bounds {
-            let (shard, tail) = rest.split_at_mut(b.len());
-            rest = tail;
-            shards.push(shard);
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || f(i, shard)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-        })
-    }
-
-    /// Scoped-thread supervised map with per-call pristine clones — the
-    /// pre-pool recovery semantics under [`Recovery::Pristine`].
-    pub fn shard_map_supervised_scoped<T, R, F>(
-        items: &mut [T],
-        threads: usize,
-        retries: u32,
-        f: F,
-    ) -> Result<Vec<R>, ShardFailure>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        let _ = Recovery::Pristine { retries }; // semantics documented above
-        fn supervise<T: Clone, R, F: Fn(usize, &mut [T]) -> R>(
-            index: usize,
-            shard: &mut [T],
-            retries: u32,
-            f: &F,
-        ) -> Result<R, ShardFailure> {
-            let pristine: Vec<T> = shard.to_vec();
-            let attempts = retries.saturating_add(1);
-            let mut last_message = String::new();
-            for attempt in 0..attempts {
-                match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
-                    Ok(r) => return Ok(r),
-                    Err(payload) => {
-                        last_message = panic_message(payload);
-                        if attempt + 1 < attempts {
-                            shard.clone_from_slice(&pristine);
-                        }
-                    }
-                }
-            }
-            Err(ShardFailure { shard: index, attempts, message: last_message })
-        }
-        let bounds = super::shard_bounds(items.len(), threads);
-        if bounds.len() <= 1 || threads <= 1 {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut rest = items;
-            for (i, b) in bounds.iter().enumerate() {
-                let (shard, tail) = rest.split_at_mut(b.len());
-                rest = tail;
-                out.push(supervise(i, shard, retries, &f)?);
-            }
-            return Ok(out);
-        }
-        let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-        let mut rest = items;
-        for b in &bounds {
-            let (shard, tail) = rest.split_at_mut(b.len());
-            rest = tail;
-            shards.push(shard);
-        }
-        let f = &f;
-        let results: Vec<Result<R, ShardFailure>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || supervise(i, shard, retries, f)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard supervisor panicked")).collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r?);
-        }
-        Ok(out)
-    }
+    pool::execute(items, threads, recovery, &f).into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// The retired spawn-per-round engine, kept as the pool's differential
+    /// oracle: for any input, [`reference::shard_map_scoped`] and
+    /// [`shard_map`] must produce identical results (the CI pool-vs-scope
+    /// stage runs the `pool_matches` tests).
+    mod reference {
+        use super::{panic_message, Recovery, ShardFailure};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Scoped-thread `shard_map`: spawns one thread per shard per call.
+        pub fn shard_map_scoped<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
+        where
+            T: Send,
+            R: Send,
+            F: Fn(usize, &mut [T]) -> R + Sync,
+        {
+            let bounds = super::shard_bounds(items.len(), threads);
+            if bounds.len() <= 1 || threads <= 1 {
+                let mut out = Vec::with_capacity(bounds.len());
+                let mut rest = items;
+                for (i, b) in bounds.iter().enumerate() {
+                    let (shard, tail) = rest.split_at_mut(b.len());
+                    rest = tail;
+                    out.push(f(i, shard));
+                }
+                return out;
+            }
+            let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
+            let mut rest = items;
+            for b in &bounds {
+                let (shard, tail) = rest.split_at_mut(b.len());
+                rest = tail;
+                shards.push(shard);
+            }
+            let f = &f;
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, shard)| scope.spawn(move || f(i, shard)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+            })
+        }
+
+        /// Scoped-thread supervised map with per-call pristine clones — the
+        /// pre-pool recovery semantics under [`Recovery::Pristine`].
+        pub fn shard_map_supervised_scoped<T, R, F>(
+            items: &mut [T],
+            threads: usize,
+            retries: u32,
+            f: F,
+        ) -> Result<Vec<R>, ShardFailure>
+        where
+            T: Send + Clone,
+            R: Send,
+            F: Fn(usize, &mut [T]) -> R + Sync,
+        {
+            let _ = Recovery::Pristine { retries }; // semantics documented above
+            fn supervise<T: Clone, R, F: Fn(usize, &mut [T]) -> R>(
+                index: usize,
+                shard: &mut [T],
+                retries: u32,
+                f: &F,
+            ) -> Result<R, ShardFailure> {
+                let pristine: Vec<T> = shard.to_vec();
+                let attempts = retries.saturating_add(1);
+                let mut last_message = String::new();
+                for attempt in 0..attempts {
+                    match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
+                        Ok(r) => return Ok(r),
+                        Err(payload) => {
+                            last_message = panic_message(payload);
+                            if attempt + 1 < attempts {
+                                shard.clone_from_slice(&pristine);
+                            }
+                        }
+                    }
+                }
+                Err(ShardFailure { shard: index, attempts, message: last_message })
+            }
+            let bounds = super::shard_bounds(items.len(), threads);
+            if bounds.len() <= 1 || threads <= 1 {
+                let mut out = Vec::with_capacity(bounds.len());
+                let mut rest = items;
+                for (i, b) in bounds.iter().enumerate() {
+                    let (shard, tail) = rest.split_at_mut(b.len());
+                    rest = tail;
+                    out.push(supervise(i, shard, retries, &f)?);
+                }
+                return Ok(out);
+            }
+            let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
+            let mut rest = items;
+            for b in &bounds {
+                let (shard, tail) = rest.split_at_mut(b.len());
+                rest = tail;
+                shards.push(shard);
+            }
+            let f = &f;
+            let results: Vec<Result<R, ShardFailure>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, shard)| scope.spawn(move || supervise(i, shard, retries, f)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("shard supervisor panicked")).collect()
+            });
+            let mut out = Vec::with_capacity(results.len());
+            for r in results {
+                out.push(r?);
+            }
+            Ok(out)
+        }
+    }
+
+    /// `shard_map` without recovery, for the tests where nothing panics.
+    fn map_values<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
+    where
+        T: Send + Clone + 'static,
+        R: Send,
+        F: Fn(usize, &mut [T]) -> R + Sync,
+    {
+        shard_map(items, threads, Recovery::FailFast, f).expect("no shard panics").0
+    }
 
     #[test]
     fn bounds_partition_exactly() {
@@ -905,12 +769,15 @@ mod tests {
     fn shard_map_results_in_shard_order_for_any_thread_count() {
         let serial: Vec<Vec<u32>> = {
             let mut items: Vec<u32> = (0..103).collect();
-            shard_map(&mut items, 1, |_, shard| shard.to_vec())
+            map_values(&mut items, 1, |_, shard| shard.to_vec())
         };
         let flat_serial: Vec<u32> = serial.into_iter().flatten().collect();
-        for threads in [2usize, 3, 8] {
+        for threads in [1usize, 2, 3, 8] {
             let mut items: Vec<u32> = (0..103).collect();
-            let parts = shard_map(&mut items, threads, |_, shard| shard.to_vec());
+            let (parts, walls) =
+                shard_map(&mut items, threads, Recovery::FailFast, |_, shard| shard.to_vec())
+                    .unwrap();
+            assert_eq!(walls.len(), parts.len(), "one wall per shard: threads={threads}");
             let flat: Vec<u32> = parts.into_iter().flatten().collect();
             assert_eq!(flat, flat_serial, "threads={threads}");
         }
@@ -919,7 +786,7 @@ mod tests {
     #[test]
     fn shard_map_mutates_disjoint_shards() {
         let mut items = vec![0u64; 50];
-        let sums = shard_map(&mut items, 4, |i, shard| {
+        let sums = map_values(&mut items, 4, |i, shard| {
             for x in shard.iter_mut() {
                 *x = i as u64 + 1;
             }
@@ -933,7 +800,7 @@ mod tests {
     #[test]
     fn more_threads_than_items_degrades_gracefully() {
         let mut items = vec![1u8, 2, 3];
-        let parts = shard_map(&mut items, 16, |_, shard| shard.to_vec());
+        let parts = map_values(&mut items, 16, |_, shard| shard.to_vec());
         assert_eq!(parts.len(), 3);
         assert_eq!(parts.concat(), vec![1, 2, 3]);
     }
@@ -941,26 +808,8 @@ mod tests {
     #[test]
     fn empty_input_yields_no_shards() {
         let mut items: Vec<u8> = Vec::new();
-        let parts: Vec<usize> = shard_map(&mut items, 4, |_, shard| shard.len());
+        let parts: Vec<usize> = map_values(&mut items, 4, |_, shard| shard.len());
         assert!(parts.is_empty());
-    }
-
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn supervised_matches_unsupervised_when_nothing_panics() {
-        for threads in [1usize, 3, 8] {
-            let mut a: Vec<u32> = (0..57).collect();
-            let mut b = a.clone();
-            let plain = shard_map(&mut a, threads, |i, s| (i, s.iter().sum::<u32>()));
-            let supervised =
-                shard_map_supervised(&mut b, threads, DEFAULT_SHARD_RETRIES, |i, s| {
-                    (i, s.iter().sum::<u32>())
-                })
-                .unwrap();
-            assert_eq!(plain, supervised, "threads={threads}");
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -969,18 +818,20 @@ mod tests {
             let fired = AtomicU32::new(0);
             let mut items: Vec<u64> = (0..40).collect();
             let expected: Vec<u64> = items.iter().map(|x| x + 1).collect();
-            let parts = shard_map_supervised(&mut items, threads, 1, |i, shard| {
-                // Mutate first, then panic once mid-shard on shard 0: the
-                // supervisor must roll the mutation back before retrying.
-                for x in shard.iter_mut() {
-                    *x += 1;
-                }
-                if i == 0 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("injected shard panic");
-                }
-                shard.iter().sum::<u64>()
-            })
-            .unwrap();
+            let (parts, _) =
+                shard_map(&mut items, threads, Recovery::Pristine { retries: 1 }, |i, shard| {
+                    // Mutate first, then panic once mid-shard on shard 0:
+                    // the supervisor must roll the mutation back before
+                    // retrying.
+                    for x in shard.iter_mut() {
+                        *x += 1;
+                    }
+                    if i == 0 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
+                        panic!("injected shard panic");
+                    }
+                    shard.iter().sum::<u64>()
+                })
+                .unwrap();
             assert_eq!(items, expected, "threads={threads}: mutation applied exactly once");
             assert_eq!(
                 parts.iter().sum::<u64>(),
@@ -993,7 +844,7 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_is_a_typed_failure_for_the_lowest_shard() {
         let mut items: Vec<u8> = (0..32).collect();
-        let err = shard_map_supervised(&mut items, 4, 2, |i, _shard| {
+        let err = shard_map(&mut items, 4, Recovery::Pristine { retries: 2 }, |i, _shard| {
             if i >= 1 {
                 panic!("shard {i} always fails");
             }
@@ -1008,28 +859,9 @@ mod tests {
     }
 
     #[test]
-    fn timed_supervision_matches_results_and_reports_one_wall_per_shard() {
-        for threads in [1usize, 4] {
-            let mut a: Vec<u32> = (0..57).collect();
-            let mut b = a.clone();
-            let plain = shard_map_supervised(&mut a, threads, DEFAULT_SHARD_RETRIES, |i, s| {
-                (i, s.iter().sum::<u32>())
-            })
-            .unwrap();
-            let (timed, walls) =
-                shard_map_supervised_timed(&mut b, threads, DEFAULT_SHARD_RETRIES, |i, s| {
-                    (i, s.iter().sum::<u32>())
-                })
-                .unwrap();
-            assert_eq!(plain, timed, "threads={threads}");
-            assert_eq!(walls.len(), timed.len(), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn non_string_panic_payloads_do_not_crash_the_supervisor() {
         let mut items = vec![0u8; 4];
-        let err = shard_map_supervised(&mut items, 1, 0, |_, _| {
+        let err = shard_map(&mut items, 1, Recovery::Pristine { retries: 0 }, |_, _| {
             std::panic::panic_any(42u32);
         })
         .unwrap_err();
@@ -1040,44 +872,47 @@ mod tests {
 
     #[test]
     fn fail_fast_reports_the_first_panic_without_retrying() {
-        for threads in [1usize, 4] {
+        // Shard 0 alone panics, then shards 1 to 3 of four all panic: the
+        // lowest panicking shard is reported either way.
+        for (threads, panicking) in [(1usize, &[0usize][..]), (4, &[0]), (4, &[1, 2, 3])] {
             let attempts = AtomicU32::new(0);
             let mut items: Vec<u32> = (0..16).collect();
-            let err = shard_map_recover(&mut items, threads, Recovery::FailFast, |i, _| {
+            let err = shard_map(&mut items, threads, Recovery::FailFast, |i, _| {
                 attempts.fetch_add(1, Ordering::SeqCst);
-                if i == 0 {
-                    panic!("fail fast");
+                if panicking.contains(&i) {
+                    panic!("fail fast in shard {i}");
                 }
                 i
             })
             .unwrap_err();
-            assert_eq!(err.shard, 0, "threads={threads}");
+            assert_eq!(err.shard, panicking[0], "threads={threads}");
             assert_eq!(err.attempts, 1, "fail-fast budgets exactly one attempt");
+            assert_eq!(err.message, format!("fail fast in shard {}", panicking[0]));
+            assert_eq!(
+                attempts.load(Ordering::SeqCst) as usize,
+                shard_bounds(16, threads).len(),
+                "threads={threads}: every shard ran once, none retried"
+            );
         }
     }
 
     #[test]
     fn fail_fast_matches_pristine_when_nothing_panics() {
-        for threads in [1usize, 4] {
-            let mut a: Vec<u32> = (0..41).collect();
+        fn mutate_and_sum(i: usize, s: &mut [u32]) -> (usize, u32) {
+            for x in s.iter_mut() {
+                *x = x.wrapping_mul(3) ^ i as u32;
+            }
+            (i, s.iter().sum::<u32>())
+        }
+        for threads in [1usize, 3, 4, 8] {
+            let mut a: Vec<u32> = (0..57).collect();
             let mut b = a.clone();
-            let fast = shard_map_recover(&mut a, threads, Recovery::FailFast, |i, s| {
-                for x in s.iter_mut() {
-                    *x = x.wrapping_mul(3) ^ i as u32;
-                }
-                s.iter().sum::<u32>()
-            })
-            .unwrap();
-            let pristine = shard_map_recover(
+            let fast = map_values(&mut a, threads, mutate_and_sum);
+            let (pristine, _) = shard_map(
                 &mut b,
                 threads,
                 Recovery::Pristine { retries: DEFAULT_SHARD_RETRIES },
-                |i, s| {
-                    for x in s.iter_mut() {
-                        *x = x.wrapping_mul(3) ^ i as u32;
-                    }
-                    s.iter().sum::<u32>()
-                },
+                mutate_and_sum,
             )
             .unwrap();
             assert_eq!(fast, pristine, "threads={threads}");
@@ -1089,7 +924,7 @@ mod tests {
     fn retry_unrestored_retries_read_only_shards() {
         let fired = AtomicU32::new(0);
         let mut items: Vec<u32> = (0..20).collect();
-        let sums = shard_map_recover(
+        let (sums, _) = shard_map(
             &mut items,
             4,
             Recovery::RetryUnrestored { retries: 1 },
@@ -1115,7 +950,7 @@ mod tests {
             for n in [0usize, 1, 7, 64, 103] {
                 let mut a: Vec<u32> = (0..n as u32).collect();
                 let mut b = a.clone();
-                let pooled = shard_map(&mut a, threads, |i, s| {
+                let pooled = map_values(&mut a, threads, |i, s| {
                     for x in s.iter_mut() {
                         *x = x.wrapping_add(i as u32);
                     }
@@ -1151,7 +986,9 @@ mod tests {
                     s.iter().sum::<u64>()
                 }
             }
-            let pooled = shard_map_supervised(&mut a, threads, 2, run(&fired_pool)).unwrap();
+            let (pooled, _) =
+                shard_map(&mut a, threads, Recovery::Pristine { retries: 2 }, run(&fired_pool))
+                    .unwrap();
             let scoped =
                 reference::shard_map_supervised_scoped(&mut b, threads, 2, run(&fired_scope))
                     .unwrap();
@@ -1169,7 +1006,7 @@ mod tests {
         assert!(before.spawned >= 7, "warm(8) must leave >=7 workers: {before:?}");
         for round in 0..32 {
             let mut items: Vec<u64> = (0..64).collect();
-            let sums = shard_map(&mut items, 8, |i, s| (i, s.iter().sum::<u64>()));
+            let sums = map_values(&mut items, 8, |i, s| (i, s.iter().sum::<u64>()));
             assert_eq!(sums.len(), 8, "round {round}");
         }
         let after = pool_stats();
@@ -1178,20 +1015,5 @@ mod tests {
             "32 rounds over a warm pool must not spawn: {before:?} -> {after:?}"
         );
         assert!(after.dispatches >= before.dispatches + 32);
-    }
-
-    #[test]
-    fn unsupervised_panic_is_rethrown_after_the_round_retires() {
-        let mut items: Vec<u32> = (0..32).collect();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            shard_map(&mut items, 4, |i, s| {
-                if i == 2 {
-                    panic!("boom in shard 2");
-                }
-                s.len()
-            })
-        }));
-        let payload = caught.expect_err("panic must propagate");
-        assert_eq!(panic_message(payload), "boom in shard 2");
     }
 }

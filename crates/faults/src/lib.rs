@@ -483,17 +483,6 @@ impl FaultProfile {
                 || self.mutate_inflate_ttl)
     }
 
-    /// True when this profile can make a campaign shard *unwind* (as
-    /// opposed to merely returning faulted values). Every current fault
-    /// family fails measurements — timeouts, SERVFAILs, forged records,
-    /// telemetry gaps — and never panics the worker, so supervised
-    /// engines can skip the pristine shard clone and take the zero-copy
-    /// fail-fast path. A future fault family that aborts workers mid-
-    /// shard must return `true` here to get pristine-restore supervision.
-    pub fn may_panic(&self) -> bool {
-        false
-    }
-
     /// True when any *infrastructure* fault kind (site outage, brownout,
     /// NS outage, load-coupled degradation, targeted kill, telemetry
     /// blackout) can ever fire.

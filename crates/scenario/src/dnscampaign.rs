@@ -161,6 +161,34 @@ impl DnsCampaignResult {
     }
 }
 
+/// Which DNS campaign to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Campaign {
+    /// The worldwide campaign (Figure 4): `cfg.global_probes` probes
+    /// resolving the entry name every `cfg.global_dns_interval` from
+    /// `cfg.global_start` to `cfg.global_end`, binned hourly.
+    Global,
+    /// The in-ISP campaign (Figure 5): `cfg.isp_probes` probes inside the
+    /// Eyeball ISP resolving every `cfg.isp_dns_interval` from
+    /// `cfg.isp_start` to `cfg.isp_end`, binned daily.
+    Isp,
+}
+
+/// Everything a plain campaign run measured.
+#[derive(Debug, Clone)]
+pub struct CampaignReport {
+    /// The measurement output, identical for any thread count.
+    pub result: DnsCampaignResult,
+    /// The deterministic counter registry, trace events, and
+    /// per-campaign process-global deltas. Its deterministic portion is
+    /// bit-identical for any thread count, like the result.
+    pub metrics: mcdn_obs::MetricsSnapshot,
+    /// The wall-clock time of every shard execution, round-major in
+    /// canonical shard order: side-band load-balance telemetry that never
+    /// feeds back into the result.
+    pub shard_walls: Vec<std::time::Duration>,
+}
+
 /// Which operator's live load a zone's fault odds couple to, decided once
 /// per interned name by [`load_class`].
 #[derive(Debug, Clone, Copy)]
@@ -457,13 +485,12 @@ struct ShardState {
 }
 
 /// The recovery policy of one campaign round. Pristine-restore clones are
-/// paid only when a shard can actually unwind — an armed test hook, or a
-/// fault profile whose faults panic (none today, see
-/// [`FaultProfile::may_panic`]); every production round takes the
-/// zero-copy fail-fast path, which still reports a typed
-/// [`mcdn_exec::ShardFailure`] if a genuine bug panics a shard.
-fn round_recovery(profile: &FaultProfile) -> mcdn_exec::Recovery {
-    if profile.may_panic() || testhooks::is_armed() {
+/// paid only when a test hook has armed a shard panic; every production
+/// round takes the zero-copy fail-fast path, since no fault family
+/// unwinds a shard, and still reports a typed [`mcdn_exec::ShardFailure`]
+/// if a genuine bug panics one.
+fn round_recovery() -> mcdn_exec::Recovery {
+    if testhooks::is_armed() {
         mcdn_exec::Recovery::Pristine { retries: mcdn_exec::DEFAULT_SHARD_RETRIES }
     } else {
         mcdn_exec::Recovery::FailFast
@@ -509,8 +536,8 @@ pub mod testhooks {
     }
 }
 
-/// The flat knobs of one campaign, bundled so the plain and resumable
-/// drivers share a single signature.
+/// The flat knobs of one campaign, bundled so the plain and journaled
+/// runners share a single signature.
 #[derive(Clone, Copy)]
 struct CampaignParams<'a> {
     world: &'a World,
@@ -573,8 +600,8 @@ impl CampaignParams<'_> {
     }
 }
 
-/// The campaign engine. One code path serves all four public entry
-/// points:
+/// The campaign engine. One code path serves both runners, [`run_dns`]
+/// and [`run_dns_journaled`]:
 ///
 /// * plain runs (`journal_path: None`, `stop_after: None`),
 /// * journaled runs (checkpoint after every `checkpoint_every`-th round),
@@ -585,17 +612,17 @@ impl CampaignParams<'_> {
 ///   checkpoint).
 ///
 /// Rounds dispatch onto the persistent worker pool
-/// ([`mcdn_exec::shard_map_recover_timed`]), with the recovery policy
-/// picked per round: zero-copy fail-fast when nothing can panic (the
-/// production default), pristine-restore with deterministic retry when a
-/// test hook arms a mid-shard panic.
+/// ([`mcdn_exec::shard_map`]), with the recovery policy picked per round:
+/// zero-copy fail-fast when nothing can panic (the production default),
+/// pristine-restore with deterministic retry when a test hook arms a
+/// mid-shard panic. Every round's shard walls are kept and returned
+/// beside the metrics snapshot.
 fn drive_campaign(
     p: &CampaignParams<'_>,
     journal_path: Option<&Path>,
     checkpoint_every: u64,
     stop_after: Option<u64>,
-    mut walls: Option<&mut Vec<std::time::Duration>>,
-) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
+) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot, Vec<std::time::Duration>), CampaignError> {
     let world = p.world;
     let mut fleet = build_fleet(p.specs.to_vec());
     let mut agg = UniqueIpAggregator::new(p.bin);
@@ -633,6 +660,7 @@ fn drive_campaign(
     // (capacity kept) per round.
     let mut round_counts: HashMap<SharedMemoKey, u64, FnvBuildHasher> = HashMap::default();
     let mut round_merge = RoundMerge::default();
+    let mut walls = Vec::new();
     // The controller evolves in real time regardless of how often probes
     // measure: walk it on a fine grid between measurement rounds so load
     // history (and the a1015 activation lag) is independent of cadence.
@@ -733,10 +761,10 @@ fn drive_campaign(
             state_version: world.state.version(),
             schedule_epoch: world.state.schedule_epoch(t),
         };
-        let (partials, shard_walls) = mcdn_exec::shard_map_recover_timed(
+        let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut fleet,
             p.threads,
-            round_recovery(&p.profile),
+            round_recovery(),
             |shard_idx, shard| {
                 let _guard = metacdn::install_snapshot(Arc::clone(&snap));
                 // A panicking attempt poisons the mutex with the guard
@@ -896,11 +924,9 @@ fn drive_campaign(
                 partial
             },
         )?;
-        if let Some(w) = walls.as_deref_mut() {
-            // Side-band telemetry only: the walls never feed back into the
-            // merged result, so timed and untimed runs stay bit-identical.
-            w.extend(shard_walls);
-        }
+        // Side-band telemetry only: the walls never feed back into the
+        // merged result.
+        walls.extend(shard_walls);
         // Canonical merge, in shard order. Memo counts are summed per key
         // across shards first: `lookups` is the total demand for memoizable
         // answers and `hits` what a single-shard memo would have served —
@@ -985,7 +1011,7 @@ fn drive_campaign(
             }
         }
         if suspending {
-            return Ok((CampaignRun::Suspended { rounds_done, total_rounds }, obs.finish()));
+            return Ok((CampaignRun::Suspended { rounds_done, total_rounds }, obs.finish(), walls));
         }
     }
     Ok((
@@ -1000,192 +1026,69 @@ fn drive_campaign(
             reused_resolutions: reused,
         }),
         obs.finish(),
+        walls,
     ))
 }
 
 /// Runs a campaign to completion without a journal, preserving the
-/// historical infallible contract of the classic entry points: shards are
-/// still panic-isolated and retried, but a shard that defeats its whole
-/// retry budget aborts the process here.
-fn run_to_completion(p: &CampaignParams<'_>) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    match drive_campaign(p, None, 1, None, None) {
-        Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
-        Ok((CampaignRun::Suspended { .. }, _)) => unreachable!("no stop_after was requested"),
+/// historical infallible contract of the plain runner: shards are still
+/// panic-isolated, but a shard that defeats its recovery budget aborts
+/// the process here.
+fn run_to_completion(p: &CampaignParams<'_>) -> CampaignReport {
+    match drive_campaign(p, None, 1, None) {
+        Ok((CampaignRun::Complete(result), metrics, shard_walls)) => {
+            CampaignReport { result, metrics, shard_walls }
+        }
+        Ok((CampaignRun::Suspended { .. }, ..)) => unreachable!("no stop_after was requested"),
         Err(e) => panic!("campaign failed: {e}"),
     }
 }
 
-/// [`run_to_completion`] that also collects the wall-clock time of every
-/// supervised shard execution, in canonical (round-major, shard-minor)
-/// order.
-fn run_to_completion_timed(
-    p: &CampaignParams<'_>,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    let mut walls = Vec::new();
-    let (result, snapshot) = match drive_campaign(p, None, 1, None, Some(&mut walls)) {
-        Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
-        Ok((CampaignRun::Suspended { .. }, _)) => unreachable!("no stop_after was requested"),
-        Err(e) => panic!("campaign failed: {e}"),
+/// The [`CampaignParams`] of `campaign`, shared by both runners so a plain
+/// and a journaled run walk the identical trajectory. `threads == 0`
+/// means [`mcdn_exec::thread_count()`] (the `MCDN_THREADS` environment
+/// variable overrides).
+fn campaign_params<'a>(
+    world: &'a World,
+    cfg: &ScenarioConfig,
+    campaign: Campaign,
+    threads: usize,
+) -> CampaignParams<'a> {
+    let (specs, start, end, interval, bin, salt) = match campaign {
+        Campaign::Global => (
+            &world.global_probe_specs,
+            cfg.global_start,
+            cfg.global_end,
+            cfg.global_dns_interval,
+            Duration::hours(1),
+            0xA7A5,
+        ),
+        Campaign::Isp => (
+            &world.isp_probe_specs,
+            cfg.isp_start,
+            cfg.isp_end,
+            cfg.isp_dns_interval,
+            Duration::days(1),
+            0xB7B5,
+        ),
     };
-    (result, walls, snapshot)
-}
-
-/// The worldwide campaign (Figure 4): `cfg.global_probes` probes resolving
-/// the entry name every `cfg.global_dns_interval`, binned hourly. Runs on
-/// [`mcdn_exec::thread_count()`] workers (the `MCDN_THREADS` environment
-/// variable overrides); the result is identical for any thread count.
-pub fn run_global_dns(world: &World, cfg: &ScenarioConfig) -> DnsCampaignResult {
-    run_global_dns_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_global_dns`] that also returns the campaign's
-/// [`mcdn_obs::MetricsSnapshot`] — the deterministic counter registry,
-/// trace events, and per-campaign process-global deltas.
-pub fn run_global_dns_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_global_dns_threads_observed(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_global_dns`] with an explicit worker count.
-pub fn run_global_dns_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> DnsCampaignResult {
-    run_global_dns_threads_observed(world, cfg, threads).0
-}
-
-/// [`run_global_dns_threads`] with the campaign's metrics snapshot. The
-/// deterministic portion of the snapshot is bit-identical for any worker
-/// count, like the result itself.
-pub fn run_global_dns_threads_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_to_completion(&global_params(world, cfg, threads))
-}
-
-/// [`run_global_dns_threads`] that additionally reports the wall-clock
-/// time of every supervised shard execution, round-major in canonical
-/// shard order — the load-balance telemetry the campaign benchmark
-/// records. Timing is side-band only: the campaign result is
-/// bit-identical to the untimed entry point's.
-pub fn run_global_dns_threads_timed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>) {
-    let (result, walls, _) = run_to_completion_timed(&global_params(world, cfg, threads));
-    (result, walls)
-}
-
-/// [`run_global_dns_threads_timed`] that additionally returns the
-/// metrics snapshot — what the campaign benchmark embeds in its report.
-pub fn run_global_dns_threads_timed_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    run_to_completion_timed(&global_params(world, cfg, threads))
-}
-
-/// [`run_isp_dns_threads`] with per-shard wall times; see
-/// [`run_global_dns_threads_timed`].
-pub fn run_isp_dns_threads_timed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>) {
-    let (result, walls, _) = run_to_completion_timed(&isp_params(world, cfg, threads));
-    (result, walls)
-}
-
-/// [`run_isp_dns_threads_timed`] with the metrics snapshot; see
-/// [`run_global_dns_threads_timed_observed`].
-pub fn run_isp_dns_threads_timed_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    run_to_completion_timed(&isp_params(world, cfg, threads))
-}
-
-/// The in-ISP campaign (Figure 5): probes inside the Eyeball ISP resolving
-/// every `cfg.isp_dns_interval` from Aug 20 to Dec 31, binned daily. Runs
-/// on [`mcdn_exec::thread_count()`] workers; the result is identical for
-/// any thread count.
-pub fn run_isp_dns(world: &World, cfg: &ScenarioConfig) -> DnsCampaignResult {
-    run_isp_dns_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_dns`] with the campaign's metrics snapshot; see
-/// [`run_global_dns_observed`].
-pub fn run_isp_dns_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_isp_dns_threads_observed(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_dns`] with an explicit worker count.
-pub fn run_isp_dns_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> DnsCampaignResult {
-    run_isp_dns_threads_observed(world, cfg, threads).0
-}
-
-/// [`run_isp_dns_threads`] with the campaign's metrics snapshot; see
-/// [`run_global_dns_threads_observed`].
-pub fn run_isp_dns_threads_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_to_completion(&isp_params(world, cfg, threads))
-}
-
-/// [`CampaignParams`] of the global campaign, shared by the plain and
-/// resumable entry points so both walk the identical trajectory.
-fn global_params<'a>(world: &'a World, cfg: &ScenarioConfig, threads: usize) -> CampaignParams<'a> {
     CampaignParams {
         world,
-        specs: &world.global_probe_specs,
-        start: cfg.global_start,
-        end: cfg.global_end,
-        interval: cfg.global_dns_interval,
-        bin: Duration::hours(1),
-        availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xA7A5),
-        profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xA7A5),
+        specs,
+        start,
+        end,
+        interval,
+        bin,
+        availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ salt),
+        profile: cfg.faults.with_seed(cfg.faults.seed ^ salt),
         retry: cfg.retry,
-        threads,
+        threads: resolve_threads(threads),
         reuse: reuse_enabled(),
     }
 }
 
-/// [`CampaignParams`] of the in-ISP campaign.
-fn isp_params<'a>(world: &'a World, cfg: &ScenarioConfig, threads: usize) -> CampaignParams<'a> {
-    CampaignParams {
-        world,
-        specs: &world.isp_probe_specs,
-        start: cfg.isp_start,
-        end: cfg.isp_end,
-        interval: cfg.isp_dns_interval,
-        bin: Duration::days(1),
-        availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xB7B5),
-        profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xB7B5),
-        retry: cfg.retry,
-        threads,
-        reuse: reuse_enabled(),
-    }
-}
-
-/// Resolves `ResumeOptions::threads == 0` to the ambient worker count.
-fn resolve_threads(threads: usize) -> usize {
+/// Resolves a thread count of 0 to the ambient worker count.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         mcdn_exec::thread_count()
     } else {
@@ -1193,81 +1096,47 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Crash-safe [`run_global_dns`]: checkpoints progress into the journal at
-/// `journal` after every round and, when the journal already holds a
-/// checkpoint from an interrupted run with the same config fingerprint,
-/// resumes from it instead of starting over. The completed result is
-/// bit-identical to an uninterrupted [`run_global_dns`] regardless of how
-/// many times the process died and resumed in between.
-pub fn run_global_dns_resumable(
+/// Runs `campaign` to completion on `threads` workers (0: see
+/// [`mcdn_exec::thread_count()`]) and reports its result, metrics
+/// snapshot and shard walls. The result and the snapshot's deterministic
+/// portion are identical for any thread count.
+///
+/// # Panics
+///
+/// With "campaign failed" if a shard panics past its recovery budget.
+pub fn run_dns(
     world: &World,
     cfg: &ScenarioConfig,
-    journal: &Path,
-) -> Result<DnsCampaignResult, CampaignError> {
-    match run_global_dns_resumable_with(world, cfg, journal, ResumeOptions::default())? {
-        CampaignRun::Complete(result) => Ok(result),
-        CampaignRun::Suspended { .. } => unreachable!("no stop_after was requested"),
-    }
+    campaign: Campaign,
+    threads: usize,
+) -> CampaignReport {
+    run_to_completion(&campaign_params(world, cfg, campaign, threads))
 }
 
-/// [`run_global_dns_resumable`] with explicit [`ResumeOptions`]: worker
-/// count, checkpoint cadence, and an optional round budget after which the
-/// run suspends with a durable checkpoint instead of completing.
-pub fn run_global_dns_resumable_with(
+/// Crash-safe [`run_dns`]: checkpoints progress into the journal at
+/// `journal` (cadence and worker count per `opts`) and, when the journal
+/// already holds a checkpoint from an interrupted run with the same
+/// config fingerprint, resumes from it instead of starting over. With
+/// [`ResumeOptions::stop_after_rounds`] the run suspends with a durable
+/// checkpoint after that many rounds in total.
+///
+/// The completed result is bit-identical to an uninterrupted [`run_dns`]
+/// however many times the process died and resumed in between.
+/// Deterministic counters and trace events in the snapshot survive
+/// kill→resume bit-exactly (they ride in every checkpoint);
+/// process-class counters describe only the work the final process
+/// performed.
+pub fn run_dns_journaled(
     world: &World,
     cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<CampaignRun, CampaignError> {
-    Ok(run_global_dns_resumable_with_observed(world, cfg, journal, opts)?.0)
-}
-
-/// [`run_global_dns_resumable_with`] that also returns the metrics
-/// snapshot. Deterministic counters and trace events survive kill→resume
-/// bit-exactly (they ride in every checkpoint); process-class counters
-/// describe only the work the final process performed.
-pub fn run_global_dns_resumable_with_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
+    campaign: Campaign,
     journal: &Path,
     opts: ResumeOptions,
 ) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
-    let p = global_params(world, cfg, resolve_threads(opts.threads));
-    drive_campaign(&p, Some(journal), opts.checkpoint_every, opts.stop_after_rounds, None)
-}
-
-/// Crash-safe [`run_isp_dns`]; see [`run_global_dns_resumable`].
-pub fn run_isp_dns_resumable(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-) -> Result<DnsCampaignResult, CampaignError> {
-    match run_isp_dns_resumable_with(world, cfg, journal, ResumeOptions::default())? {
-        CampaignRun::Complete(result) => Ok(result),
-        CampaignRun::Suspended { .. } => unreachable!("no stop_after was requested"),
-    }
-}
-
-/// [`run_isp_dns_resumable`] with explicit [`ResumeOptions`].
-pub fn run_isp_dns_resumable_with(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<CampaignRun, CampaignError> {
-    Ok(run_isp_dns_resumable_with_observed(world, cfg, journal, opts)?.0)
-}
-
-/// [`run_isp_dns_resumable_with`] with the metrics snapshot; see
-/// [`run_global_dns_resumable_with_observed`].
-pub fn run_isp_dns_resumable_with_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
-    let p = isp_params(world, cfg, resolve_threads(opts.threads));
-    drive_campaign(&p, Some(journal), opts.checkpoint_every, opts.stop_after_rounds, None)
+    let p = campaign_params(world, cfg, campaign, opts.threads);
+    let (run, metrics, _) =
+        drive_campaign(&p, Some(journal), opts.checkpoint_every, opts.stop_after_rounds)?;
+    Ok((run, metrics))
 }
 
 #[cfg(test)]
@@ -1323,7 +1192,7 @@ mod tests {
             cfg.isp_end = SimTime::from_ymd(2017, 9, 23);
             cfg.faults = faults;
             let world = World::build(&cfg);
-            let got = run_global_dns_threads(&world, &cfg, 2);
+            let got = run_dns(&world, &cfg, Campaign::Global, 2).result;
             assert!(got.resolutions > 0);
             assert_eq!(
                 result_digest(&got),
@@ -1331,7 +1200,7 @@ mod tests {
                 "global campaign output moved under profile {label}"
             );
             let world = World::build(&cfg);
-            let got = run_isp_dns_threads(&world, &cfg, 2);
+            let got = run_dns(&world, &cfg, Campaign::Isp, 2).result;
             assert!(got.resolutions > 0);
             assert_eq!(
                 result_digest(&got),
@@ -1385,15 +1254,15 @@ mod tests {
                 cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
                 cfg.global_end = SimTime::from_ymd(2017, 9, 19);
                 cfg.faults = faults;
-                let (full, full_obs) = {
+                let CampaignReport { result: full, metrics: full_obs, .. } = {
                     let world = World::build(&cfg);
-                    let mut p = global_params(&world, &cfg, threads);
+                    let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
                     p.reuse = false;
                     run_to_completion(&p)
                 };
-                let (incremental, incremental_obs) = {
+                let CampaignReport { result: incremental, metrics: incremental_obs, .. } = {
                     let world = World::build(&cfg);
-                    let mut p = global_params(&world, &cfg, threads);
+                    let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
                     p.reuse = true;
                     run_to_completion(&p)
                 };
@@ -1428,9 +1297,9 @@ mod tests {
         let mut counts = Vec::new();
         for threads in [1usize, 2, 8] {
             let world = World::build(&cfg);
-            let mut p = global_params(&world, &cfg, threads);
+            let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
             p.reuse = true;
-            counts.push(run_to_completion(&p).0.reused_resolutions);
+            counts.push(run_to_completion(&p).result.reused_resolutions);
         }
         assert!(counts[0] > 0, "quiet steady state must replay some resolutions");
         assert_eq!(counts[0], counts[1]);
@@ -1450,7 +1319,7 @@ mod tests {
         cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
         cfg.global_end = SimTime::from_ymd(2017, 9, 19);
         let world = World::build(&cfg);
-        let (result, _) = run_to_completion(&global_params(&world, &cfg, 2));
+        let result = run_dns(&world, &cfg, Campaign::Global, 2).result;
 
         let mut telemetry_only = result.clone();
         telemetry_only.reused_resolutions = result.reused_resolutions + 1_000_000;
@@ -1514,7 +1383,7 @@ mod tests {
                 threads: 1,
                 reuse,
             };
-            run_to_completion(&p).0
+            run_to_completion(&p).result
         };
         let incremental = run(true);
         let full = run(false);
@@ -1543,7 +1412,7 @@ mod tests {
         cfg.global_end = SimTime::from_ymd(2017, 9, 19);
         let plain = {
             let world = World::build(&cfg);
-            run_global_dns_threads(&world, &cfg, 2)
+            run_dns(&world, &cfg, Campaign::Global, 2).result
         };
         // First process: run half the campaign, then suspend.
         {
@@ -1553,7 +1422,7 @@ mod tests {
                 stop_after_rounds: Some(12),
                 ..ResumeOptions::default()
             };
-            match run_global_dns_resumable_with(&world, &cfg, &journal, opts).unwrap() {
+            match run_dns_journaled(&world, &cfg, Campaign::Global, &journal, opts).unwrap().0 {
                 CampaignRun::Suspended { rounds_done, .. } => assert_eq!(rounds_done, 12),
                 CampaignRun::Complete(_) => panic!("should have suspended"),
             }
@@ -1562,7 +1431,7 @@ mod tests {
         let resumed = {
             let world = World::build(&cfg);
             let opts = ResumeOptions { threads: 2, ..ResumeOptions::default() };
-            match run_global_dns_resumable_with(&world, &cfg, &journal, opts).unwrap() {
+            match run_dns_journaled(&world, &cfg, Campaign::Global, &journal, opts).unwrap().0 {
                 CampaignRun::Complete(result) => result,
                 CampaignRun::Suspended { .. } => panic!("should have completed"),
             }
@@ -1682,7 +1551,7 @@ mod tests {
         cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
         cfg.global_end = SimTime::from_ymd(2017, 9, 20);
         let world = World::build(&cfg);
-        let result = run_global_dns(&world, &cfg);
+        let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
         assert!(result.resolutions > 0);
 
         let day_bin = |d: u32, h: u32| SimTime::from_ymd_hms(2017, 9, d, h, 0, 0);
@@ -1708,7 +1577,7 @@ mod tests {
         cfg.global_start = SimTime::from_ymd_hms(2017, 9, 19, 12, 0, 0);
         cfg.global_end = SimTime::from_ymd_hms(2017, 9, 20, 0, 0, 0);
         let world = World::build(&cfg);
-        let result = run_global_dns(&world, &cfg);
+        let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
         let classes: std::collections::HashSet<_> = result.ip_classes.values().copied().collect();
         assert!(classes.contains(&CdnClass::Apple));
         assert!(classes.contains(&CdnClass::Akamai));
@@ -1726,7 +1595,7 @@ mod tests {
         cfg.isp_start = SimTime::from_ymd(2017, 9, 16);
         cfg.isp_end = SimTime::from_ymd(2017, 9, 22);
         let world = World::build(&cfg);
-        let result = run_isp_dns(&world, &cfg);
+        let result = run_dns(&world, &cfg, Campaign::Isp, 0).result;
         // Apple's count varies little between a quiet day and the event day
         // ("Apple's CDN [has] a somewhat stable number of IPs").
         let quiet = result.unique_ips.count(

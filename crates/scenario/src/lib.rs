@@ -1,7 +1,10 @@
 //! The calibrated iOS 11 rollout scenario.
 //!
 //! This crate assembles every substrate into the world the paper measured,
-//! and drives the three measurement campaigns over it:
+//! and drives the three measurements over it: [`run_dns`] runs the global
+//! or the in-ISP DNS campaign ([`Campaign`]), [`run_dns_journaled`] runs
+//! one crash-safe through a checkpoint journal, and [`run_traffic`] runs
+//! the border telemetry. The modules:
 //!
 //! * [`sites`] — Apple's 34 delivery-site locations with per-site server
 //!   counts (the ground truth Figure 3 rediscovers by scanning).
@@ -25,6 +28,8 @@
 //!   cache, and wire-level audits per tick.
 //! * [`traffic`] — the ISP border telemetry simulation: flows over BGP
 //!   paths onto capacity-limited peering links, NetFlow sampling, SNMP.
+//! * [`compat`] — the older campaign entry-point names the benchmark
+//!   still imports, each one call of a runner below.
 //! * [`timeline()`] — the Figure 1 measurement calendar.
 //! * [`classes`] — the CDN classification used in every figure legend
 //!   (Akamai / Akamai other AS / Limelight / Limelight other AS / Apple /
@@ -38,6 +43,7 @@ pub mod bgpfeed;
 pub mod chaos;
 pub mod checkpoint;
 pub mod classes;
+pub mod compat;
 pub mod config;
 pub mod dnscampaign;
 pub mod loads;
@@ -58,16 +64,16 @@ pub use chaos::{
 pub use checkpoint::{CampaignError, CampaignRun, ResumeOptions};
 pub use classes::CdnClass;
 pub use config::{LinkSelection, ScenarioConfig};
-pub use dnscampaign::{
-    bailiwick_policy, reuse_enabled, run_global_dns, run_global_dns_observed,
-    run_global_dns_resumable, run_global_dns_resumable_with,
+pub use compat::{
     run_global_dns_resumable_with_observed, run_global_dns_threads,
-    run_global_dns_threads_observed, run_global_dns_threads_timed,
-    run_global_dns_threads_timed_observed, run_isp_dns, run_isp_dns_observed,
-    run_isp_dns_resumable, run_isp_dns_resumable_with, run_isp_dns_resumable_with_observed,
-    run_isp_dns_threads, run_isp_dns_threads_observed, run_isp_dns_threads_timed,
-    run_isp_dns_threads_timed_observed, DnsCampaignResult, InternedCampaignFaults,
-    InternedCampaignMutations, IpClassLedger, POISON_TTL,
+    run_global_dns_threads_observed, run_global_dns_threads_timed_observed,
+    run_isp_dns_threads_observed, run_isp_dns_threads_timed_observed, run_isp_traffic_threads,
+    run_isp_traffic_threads_timed,
+};
+pub use dnscampaign::{
+    bailiwick_policy, reuse_enabled, run_dns, run_dns_journaled, Campaign, CampaignReport,
+    DnsCampaignResult, InternedCampaignFaults, InternedCampaignMutations, IpClassLedger,
+    POISON_TTL,
 };
 pub use poisoning::{
     check_poison_invariants, poison_grid, run_poison, run_poison_sweep, PoisonRunResult,
@@ -76,8 +82,5 @@ pub use poisoning::{
 pub use reuse::{RecordedPut, ReuseSlot, ReuseVersions};
 pub use timeline::{timeline, TimelineEntry};
 pub use tracecampaign::{run_traceroutes, TracerouteCampaignResult};
-pub use traffic::{
-    run_isp_traffic, run_isp_traffic_threads, run_isp_traffic_threads_timed, TrafficResult,
-    TRAFFIC_BATCH_TICKS,
-};
+pub use traffic::{run_traffic, TrafficResult, TRAFFIC_BATCH_TICKS};
 pub use world::{World, WorldBuildError};

@@ -77,9 +77,8 @@ fn spread(pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) -> Vec<
 /// A flow with its link placement decided — the input to the
 /// embarrassingly-parallel phase. Carries its tick (`t`) so flows from
 /// several ticks can ride one pool dispatch. `landed` indexes the batch's
-/// landed-link arena. `Clone` because the supervised shard runner
-/// requires it (the read-only phase-B closure never actually triggers a
-/// restore).
+/// landed-link arena. `Clone` because [`mcdn_exec::shard_map`] requires
+/// it (the read-only phase-B closure never actually triggers a restore).
 #[derive(Clone)]
 struct RoutedFlow {
     src: Ipv4Addr,
@@ -140,50 +139,25 @@ impl<'w> HandoverRoutes<'w> {
 /// size and any thread count.
 pub const TRAFFIC_BATCH_TICKS: usize = 8;
 
-/// Runs the border telemetry over `cfg`'s traffic window on
-/// [`mcdn_exec::thread_count()`] workers (the `MCDN_THREADS` environment
-/// variable overrides); the result is identical for any thread count.
-pub fn run_isp_traffic(world: &World, cfg: &ScenarioConfig) -> TrafficResult {
-    run_isp_traffic_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_traffic`] with an explicit worker count.
-pub fn run_isp_traffic_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> TrafficResult {
-    run_traffic(world, cfg, threads, None)
-}
-
-/// [`run_isp_traffic_threads`] that additionally reports the wall-clock
-/// time of every phase-B shard execution, dispatch-major in canonical
-/// shard order — the telemetry the campaign benchmark summarizes. Timing
-/// is side-band only: the result is bit-identical to the untimed entry
-/// point's.
-pub fn run_isp_traffic_threads_timed(
+/// Runs the border telemetry over `cfg`'s traffic window on `threads`
+/// workers (0 means [`mcdn_exec::thread_count()`]; the `MCDN_THREADS`
+/// environment variable overrides). The result is identical for any
+/// thread count. Beside it comes the wall-clock time of every phase-B
+/// shard execution, dispatch-major in canonical shard order: side-band
+/// telemetry that never feeds back into the result.
+pub fn run_traffic(
     world: &World,
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (TrafficResult, Vec<std::time::Duration>) {
-    let mut walls = Vec::new();
-    let result = run_traffic(world, cfg, threads, Some(&mut walls));
-    (result, walls)
-}
-
-/// The traffic engine behind both public entry points.
-fn run_traffic(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-    mut walls: Option<&mut Vec<std::time::Duration>>,
-) -> TrafficResult {
+    let threads = crate::dnscampaign::resolve_threads(threads);
     let mut snmp = SnmpCounters::new();
     let sampler = Sampler::new(cfg.netflow_sampling);
     let mut flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
     let mut dropped = 0u64;
     let mut export_losses = 0u64;
     let mut polls_missed = 0u64;
+    let mut walls = Vec::new();
     // Telemetry faults draw from their own seed stream so DNS-side and
     // traffic-side fault patterns are independent.
     let profile = cfg.faults.with_seed(cfg.faults.seed ^ 0x7E1E);
@@ -343,7 +317,7 @@ fn run_traffic(
         // tick-major flow order, so the record stream is bit-identical to
         // a per-tick (or serial) sweep. The closure never mutates its
         // shard, so a panicking shard retries without a restore.
-        let (partials, shard_walls) = mcdn_exec::shard_map_recover_timed(
+        let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut batch,
             threads,
             mcdn_exec::Recovery::RetryUnrestored { retries: mcdn_exec::DEFAULT_SHARD_RETRIES },
@@ -399,11 +373,7 @@ fn run_traffic(
             },
         )
         .unwrap_or_else(|e| panic!("traffic phase B failed: {e}"));
-        if let Some(w) = walls.as_deref_mut() {
-            // Side-band telemetry only; timed and untimed runs stay
-            // bit-identical.
-            w.extend(shard_walls);
-        }
+        walls.extend(shard_walls);
         for (shard_flows, shard_losses) in partials {
             flows.extend(shard_flows);
             export_losses += shard_losses;
@@ -412,14 +382,15 @@ fn run_traffic(
         landed.clear();
         ticks_in_batch = 0;
     }
-    TrafficResult {
+    let result = TrafficResult {
         flows,
         snmp,
         dropped_bytes: dropped,
         sampling: cfg.netflow_sampling,
         export_losses,
         polls_missed,
-    }
+    };
+    (result, walls)
 }
 
 /// The Limelight A-side cache addresses used for pre-fill injection.
@@ -454,7 +425,7 @@ mod tests {
     fn produces_flows_and_snmp() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_traffic(&world, &cfg, 0).0;
         assert!(!r.flows.is_empty());
         assert!(r.snmp.samples().count() > 0);
         // Every flow's link actually touches the eyeball AS.
@@ -467,7 +438,7 @@ mod tests {
     fn event_day_saturates_d_links() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_traffic(&world, &cfg, 0).0;
         // At some poll during the event, at least two of the four D links
         // run at their capacity.
         let cap_bytes =
@@ -492,7 +463,7 @@ mod tests {
     fn d_links_are_quiet_before_release() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_traffic(&world, &cfg, 0).0;
         let before: u64 = r
             .snmp
             .samples()
@@ -512,7 +483,7 @@ mod tests {
     fn akamai_link_carries_dominant_baseline() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_traffic(&world, &cfg, 0).0;
         // On the quiet day, the Akamai direct link carries more than the
         // Limelight direct link (Akamai is the biggest CDN traffic-wise).
         let day = SimTime::from_ymd(2017, 9, 18);
@@ -544,7 +515,7 @@ mod link_selection_tests {
         cfg.traffic_tick = Duration::mins(30);
         cfg.link_selection = selection;
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_traffic(&world, &cfg, 0).0;
         (world, r, cfg)
     }
 

@@ -10,7 +10,7 @@ use metacdn_suite::analysis::fig4::fig4_summary;
 use metacdn_suite::faults::{FaultProfile, RetryPolicy};
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::build_world_or_exit;
-use metacdn_suite::scenario::{run_global_dns, ScenarioConfig};
+use metacdn_suite::scenario::{run_dns, Campaign, ScenarioConfig};
 
 fn main() {
     let mut cfg = ScenarioConfig::fast();
@@ -23,7 +23,7 @@ fn main() {
     // A clean run first: the fault layer defaults to FaultProfile::none()
     // and is guaranteed inert.
     let world = build_world_or_exit(&cfg);
-    let clean = run_global_dns(&world, &cfg);
+    let clean = run_dns(&world, &cfg, Campaign::Global, 0).result;
     println!("— clean campaign —");
     println!("{}", dns_campaign_coverage(&clean));
 
@@ -33,7 +33,7 @@ fn main() {
     cfg.faults = FaultProfile::realistic(params_seed(&cfg));
     cfg.retry = RetryPolicy::standard();
     let world = build_world_or_exit(&cfg);
-    let faulted = run_global_dns(&world, &cfg);
+    let faulted = run_dns(&world, &cfg, Campaign::Global, 0).result;
     println!("— faulted campaign (FaultProfile::realistic) —");
     println!("{}", dns_campaign_coverage(&faulted));
 

@@ -11,7 +11,7 @@ use metacdn_suite::analysis::{fig7, fig8};
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::isp::billing::percentile_95_5;
 use metacdn_suite::build_world_or_exit;
-use metacdn_suite::scenario::{params, run_isp_dns, run_isp_traffic, ScenarioConfig};
+use metacdn_suite::scenario::{params, run_dns, run_traffic, Campaign, ScenarioConfig};
 
 fn main() {
     let mut cfg = ScenarioConfig::fast();
@@ -23,9 +23,9 @@ fn main() {
     let release = params::release();
 
     eprintln!("collecting DNS-observed server IPs (cross-correlation input)…");
-    let dns = run_isp_dns(&world, &cfg);
+    let dns = run_dns(&world, &cfg, Campaign::Isp, 0).result;
     eprintln!("collecting border telemetry (NetFlow + SNMP + BGP)…");
-    let traffic = run_isp_traffic(&world, &cfg);
+    let traffic = run_traffic(&world, &cfg, 0).0;
     println!(
         "{} sampled NetFlow records (1-in-{} packet sampling), {} SNMP polls, {:.1} TB dropped at saturated links\n",
         traffic.flows.len(),

@@ -17,7 +17,7 @@ use crate::dnssim::{
 };
 use crate::dnswire::RecordType;
 use crate::geo::{Continent, Duration, Locode, Region, Registry, SimTime};
-use crate::scenario::{loads, params, run_global_dns_observed, CdnClass, ScenarioConfig};
+use crate::scenario::{loads, params, run_dns, Campaign, CampaignReport, CdnClass, ScenarioConfig};
 
 /// The quickstart walkthrough: resolve the update entry point as a Berlin
 /// client, show the CNAME chain, the answer set, cache behavior on
@@ -124,7 +124,7 @@ pub fn ios_update_rollout_report() -> String {
         cfg.global_start,
         cfg.global_end
     );
-    let (result, metrics) = run_global_dns_observed(&world, &cfg);
+    let CampaignReport { result, metrics, .. } = run_dns(&world, &cfg, Campaign::Global, 0);
     let _ = writeln!(out, "{} resolutions performed\n", result.resolutions);
 
     // Hourly EU unique-IP series, paper-figure style.

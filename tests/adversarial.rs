@@ -13,8 +13,8 @@ use metacdn_suite::build_world_or_exit;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::{
-    params, poison_grid, run_global_dns_resumable_with, run_global_dns_threads, run_poison_sweep,
-    CampaignRun, DnsCampaignResult, ResumeOptions, ScenarioConfig,
+    params, poison_grid, run_dns, run_dns_journaled, run_poison_sweep, Campaign, CampaignRun,
+    DnsCampaignResult, ResumeOptions, ScenarioConfig,
 };
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -56,7 +56,10 @@ fn mutation_profiles() -> [(&'static str, FaultProfile); 3] {
 fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {
     let world = build_world_or_exit(cfg);
     let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: Some(stop_after) };
-    match run_global_dns_resumable_with(&world, cfg, path, opts).expect("suspending campaign") {
+    match run_dns_journaled(&world, cfg, Campaign::Global, path, opts)
+        .expect("suspending campaign")
+        .0
+    {
         CampaignRun::Suspended { rounds_done, .. } => assert_eq!(rounds_done, stop_after),
         CampaignRun::Complete(_) => panic!("run with stop_after={stop_after} must suspend"),
     }
@@ -65,7 +68,7 @@ fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {
 fn run_resuming(cfg: &ScenarioConfig, path: &Path) -> DnsCampaignResult {
     let world = build_world_or_exit(cfg);
     let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: None };
-    match run_global_dns_resumable_with(&world, cfg, path, opts).expect("resumed campaign") {
+    match run_dns_journaled(&world, cfg, Campaign::Global, path, opts).expect("resumed campaign").0 {
         CampaignRun::Complete(result) => result,
         CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
     }
@@ -79,7 +82,7 @@ fn journal_resume_is_byte_identical_under_every_mutation_profile() {
     for (label, faults) in mutation_profiles() {
         let cfg = tiny_cfg(faults);
         let world = build_world_or_exit(&cfg);
-        let want = run_global_dns_threads(&world, &cfg, 2);
+        let want = run_dns(&world, &cfg, Campaign::Global, 2).result;
         assert!(want.resolutions > 0);
 
         let path = journal_path(label);
@@ -98,8 +101,8 @@ fn journal_resume_is_byte_identical_under_every_mutation_profile() {
 fn enforcement_is_a_no_op_for_honest_answers() {
     let on = tiny_cfg(FaultProfile::none());
     let off = tiny_cfg(FaultProfile::none().with_bailiwick_enforcement(false));
-    let want = run_global_dns_threads(&build_world_or_exit(&on), &on, 2);
-    let got = run_global_dns_threads(&build_world_or_exit(&off), &off, 2);
+    let want = run_dns(&build_world_or_exit(&on), &on, Campaign::Global, 2).result;
+    let got = run_dns(&build_world_or_exit(&off), &off, Campaign::Global, 2).result;
     assert_eq!(got, want);
 }
 
@@ -112,7 +115,7 @@ fn campaign_routes_no_demand_to_the_attacker_unless_enforcement_is_off() {
     let prefix = enforced.faults.attacker_prefix;
     let in_attacker_prefix = move |ip: &Ipv4Addr| ip.octets()[..2] == prefix[..];
 
-    let hardened = run_global_dns_threads(&build_world_or_exit(&enforced), &enforced, 2);
+    let hardened = run_dns(&build_world_or_exit(&enforced), &enforced, Campaign::Global, 2).result;
     assert!(hardened.resolutions > 0);
     assert!(
         !hardened.ip_classes.keys().any(in_attacker_prefix),
@@ -120,7 +123,7 @@ fn campaign_routes_no_demand_to_the_attacker_unless_enforcement_is_off() {
     );
 
     let open = tiny_cfg(FaultProfile::poisoning(7).with_bailiwick_enforcement(false));
-    let poisoned = run_global_dns_threads(&build_world_or_exit(&open), &open, 2);
+    let poisoned = run_dns(&build_world_or_exit(&open), &open, Campaign::Global, 2).result;
     assert!(
         poisoned.ip_classes.keys().any(in_attacker_prefix),
         "open campaign must show the measurable mis-mapping delta"

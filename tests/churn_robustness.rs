@@ -5,7 +5,7 @@
 //! the stable-Apple observation still hold.
 
 use metacdn_suite::geo::{Continent, Duration, SimTime};
-use metacdn_suite::scenario::{run_global_dns, CdnClass, ScenarioConfig, World};
+use metacdn_suite::scenario::{run_dns, Campaign, CdnClass, ScenarioConfig, World};
 
 #[test]
 fn eu_spike_survives_probe_churn() {
@@ -16,7 +16,7 @@ fn eu_spike_survives_probe_churn() {
     cfg.global_end = SimTime::from_ymd(2017, 9, 20);
     cfg.probe_availability = 0.88;
     let world = World::build(&cfg);
-    let result = run_global_dns(&world, &cfg);
+    let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
 
     // Fewer resolutions than a perfect fleet would make…
     let perfect_rounds =

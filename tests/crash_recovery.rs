@@ -12,12 +12,10 @@ use metacdn_suite::build_world_or_exit;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::dnscampaign::testhooks;
+use metacdn_suite::obs::MetricsSnapshot;
 use metacdn_suite::scenario::{
-    run_global_dns_resumable, run_global_dns_resumable_with,
-    run_global_dns_resumable_with_observed, run_global_dns_threads,
-    run_isp_dns_resumable_with_observed, run_isp_dns_threads,
-    total_dark_scenario, CampaignError, CampaignRun, DnsCampaignResult, ResumeOptions,
-    ScenarioConfig, World,
+    run_dns, run_dns_journaled, total_dark_scenario, Campaign, CampaignError, CampaignRun,
+    DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
 };
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -43,35 +41,20 @@ fn tiny_cfg(faults: FaultProfile) -> ScenarioConfig {
     cfg
 }
 
-/// The two journaled campaigns: the worldwide one behind Figure 4 and the
-/// in-ISP one behind Figure 5.
-#[derive(Debug, Clone, Copy)]
-enum Campaign {
-    Global,
-    Isp,
-}
-
-/// The plain (unjournaled) run of `campaign`.
+/// The plain (unjournaled) run of `campaign` over a fresh world.
 fn run_plain(campaign: Campaign, cfg: &ScenarioConfig, threads: usize) -> DnsCampaignResult {
-    let world = build_world_or_exit(cfg);
-    match campaign {
-        Campaign::Global => run_global_dns_threads(&world, cfg, threads),
-        Campaign::Isp => run_isp_dns_threads(&world, cfg, threads),
-    }
+    run_dns(&build_world_or_exit(cfg), cfg, campaign, threads).result
 }
 
-/// One journaled invocation of `campaign`, with its metrics snapshot.
+/// One journaled invocation of `campaign` over a fresh world, with its
+/// metrics snapshot.
 fn run_journal(
     campaign: Campaign,
     cfg: &ScenarioConfig,
     path: &std::path::Path,
     opts: ResumeOptions,
-) -> Result<(CampaignRun, metacdn_suite::obs::MetricsSnapshot), CampaignError> {
-    let world = build_world_or_exit(cfg);
-    match campaign {
-        Campaign::Global => run_global_dns_resumable_with_observed(&world, cfg, path, opts),
-        Campaign::Isp => run_isp_dns_resumable_with_observed(&world, cfg, path, opts),
-    }
+) -> Result<(CampaignRun, MetricsSnapshot), CampaignError> {
+    run_dns_journaled(&build_world_or_exit(cfg), cfg, campaign, path, opts)
 }
 
 const TINY_ROUNDS: u64 = 6;
@@ -166,7 +149,7 @@ fn repeatedly_killed_run_still_matches() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(total_dark_scenario(41).faults);
     let threads = 4;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = run_plain(Campaign::Global, &cfg, threads);
     let path = journal_path("multi-kill");
     let _ = std::fs::remove_file(&path);
     // Die after rounds 1, 3, and 5 of 6, then finish.
@@ -182,13 +165,13 @@ fn injected_shard_panic_is_retried_with_identical_output() {
     let _guard = CAMPAIGNS.lock().unwrap();
     for threads in [1usize, 4] {
         let cfg = tiny_cfg(FaultProfile::none());
-        let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+        let baseline = run_plain(Campaign::Global, &cfg, threads);
         // Arm a one-shot panic in the last shard: it fires mid-shard in the
         // first round, after earlier probes already mutated their caches.
         // The supervisor must quarantine the shard, restore its pristine
         // probes, retry, and complete with bit-identical output.
         testhooks::arm_shard_panic(threads - 1);
-        let faulted = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+        let faulted = run_plain(Campaign::Global, &cfg, threads);
         testhooks::disarm();
         assert_eq!(
             faulted, baseline,
@@ -202,7 +185,7 @@ fn bit_flip_in_journal_falls_back_to_intact_checkpoint() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(FaultProfile::none());
     let threads = 1;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = run_plain(Campaign::Global, &cfg, threads);
     let path = journal_path("bit-flip");
     let _ = std::fs::remove_file(&path);
     run_partial(Campaign::Global, &cfg, &path, threads, 4);
@@ -222,7 +205,7 @@ fn truncated_journal_tail_resumes_from_durable_prefix() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(FaultProfile::none());
     let threads = 1;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = run_plain(Campaign::Global, &cfg, threads);
     let path = journal_path("torn-tail");
     let _ = std::fs::remove_file(&path);
     run_partial(Campaign::Global, &cfg, &path, threads, 3);
@@ -244,8 +227,7 @@ fn stale_fingerprint_is_a_typed_error_not_a_panic() {
     // Same journal, different campaign config (seed moved): refused.
     let mut other = cfg;
     other.seed ^= 0x5EED;
-    let world = build_world_or_exit(&other);
-    match run_global_dns_resumable(&world, &other, &path) {
+    match run_journal(Campaign::Global, &other, &path, ResumeOptions::default()) {
         Err(CampaignError::FingerprintMismatch { expected, found }) => {
             assert_ne!(expected, found);
         }
@@ -254,8 +236,7 @@ fn stale_fingerprint_is_a_typed_error_not_a_panic() {
 
     // Same journal, different worker count: the shard layout is part of
     // the fingerprint too.
-    let world = build_world_or_exit(&cfg);
-    let run = run_global_dns_resumable_with(&world, &cfg, &path, opts(2, None));
+    let run = run_journal(Campaign::Global, &cfg, &path, opts(2, None));
     assert!(
         matches!(run, Err(CampaignError::FingerprintMismatch { .. })),
         "thread-count change must be refused"
@@ -268,8 +249,7 @@ fn foreign_file_is_rejected_as_bad_magic() {
     let cfg = tiny_cfg(FaultProfile::none());
     let path = journal_path("foreign");
     std::fs::write(&path, b"definitely not a campaign journal").unwrap();
-    let world = build_world_or_exit(&cfg);
-    match run_global_dns_resumable(&world, &cfg, &path) {
+    match run_journal(Campaign::Global, &cfg, &path, ResumeOptions::default()) {
         Err(CampaignError::Journal(metacdn_suite::journal::JournalError::BadMagic)) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }

@@ -9,7 +9,7 @@ use metacdn_suite::analysis::fig7::fig7_series;
 use metacdn_suite::faults::{FaultProfile, RetryPolicy};
 use metacdn_suite::geo::{Continent, Duration, SimTime};
 use metacdn_suite::scenario::{
-    run_global_dns, run_isp_traffic, CdnClass, ScenarioConfig, World,
+    run_dns, run_traffic, Campaign, CdnClass, ScenarioConfig, World,
 };
 use std::collections::HashMap;
 
@@ -37,9 +37,9 @@ fn zero_fault_profile_changes_nothing() {
     bare.retry = RetryPolicy::none();
 
     let world = World::build(&quiet);
-    let a = run_global_dns(&world, &quiet);
+    let a = run_dns(&world, &quiet, Campaign::Global, 0).result;
     let world2 = World::build(&bare);
-    let b = run_global_dns(&world2, &bare);
+    let b = run_dns(&world2, &bare, Campaign::Global, 0).result;
 
     let series_a: Vec<_> = a.unique_ips.series().collect();
     let series_b: Vec<_> = b.unique_ips.series().collect();
@@ -64,7 +64,7 @@ fn eu_spike_survives_realistic_faults() {
     cfg.faults = FaultProfile::realistic(17);
     cfg.retry = RetryPolicy::standard();
     let world = World::build(&cfg);
-    let result = run_global_dns(&world, &cfg);
+    let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
 
     // Faults actually fired and retries actually ran…
     assert!(result.attempts > result.resolutions, "the profile must bite");
@@ -114,7 +114,7 @@ fn total_dns_outage_degrades_gracefully() {
     cfg.faults = profile;
     cfg.retry = RetryPolicy::standard();
     let world = World::build(&cfg);
-    let result = run_global_dns(&world, &cfg);
+    let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
 
     assert!(result.resolutions > 0, "measurements were still attempted");
     assert_eq!(result.retry_exhausted, result.resolutions, "every one failed");
@@ -143,7 +143,7 @@ fn snmp_blackout_keeps_figures_alive() {
     profile.netflow_export_loss = 0.10;
     cfg.faults = profile;
     let world = World::build(&cfg);
-    let traffic = run_isp_traffic(&world, &cfg);
+    let traffic = run_traffic(&world, &cfg, 0).0;
 
     assert!(traffic.polls_missed > 0, "the blackout must bite");
     assert!(traffic.export_losses > 0, "export loss must bite");
@@ -157,7 +157,7 @@ fn snmp_blackout_keeps_figures_alive() {
         c.global_dns_interval = Duration::hours(6);
         c
     };
-    let dns = run_global_dns(&world, &dns_cfg);
+    let dns = run_dns(&world, &dns_cfg, Campaign::Global, 0).result;
     let t = fig7_series(&traffic, &dns.ip_classes, cfg.traffic_start);
     drop(t);
     // And the coverage table names the gap.

@@ -13,8 +13,7 @@ use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::obs;
 use metacdn_suite::scenario::{
-    run_global_dns_threads_observed, run_isp_dns_threads_observed, total_dark_scenario,
-    DnsCampaignResult, ScenarioConfig, World,
+    run_dns, total_dark_scenario, Campaign, CampaignReport, DnsCampaignResult, ScenarioConfig,
 };
 use std::sync::Mutex;
 
@@ -50,13 +49,12 @@ fn profiles() -> [(&'static str, FaultProfile); 3] {
     ]
 }
 
-/// The two campaigns under oracle, as (label, runner) pairs.
-type Runner = fn(&World, &ScenarioConfig, usize) -> (DnsCampaignResult, obs::MetricsSnapshot);
-fn campaigns() -> [(&'static str, Runner); 2] {
-    [
-        ("global", run_global_dns_threads_observed as Runner),
-        ("isp", run_isp_dns_threads_observed as Runner),
-    ]
+/// The two campaigns under oracle.
+const CAMPAIGNS_UNDER_ORACLE: [Campaign; 2] = [Campaign::Global, Campaign::Isp];
+
+/// Runs `campaign` over a fresh world on `threads` workers.
+fn run(campaign: Campaign, cfg: &ScenarioConfig, threads: usize) -> CampaignReport {
+    run_dns(&build_world_or_exit(cfg), cfg, campaign, threads)
 }
 
 /// The exact-equality oracle: every deterministic counter with an engine
@@ -111,13 +109,12 @@ fn assert_snapshot_matches(
 #[test]
 fn counters_equal_engine_ground_truth_under_every_profile() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    for (campaign, runner) in campaigns() {
+    for campaign in CAMPAIGNS_UNDER_ORACLE {
         for (profile, faults) in profiles() {
             let cfg = tiny_cfg(faults);
-            let world = build_world_or_exit(&cfg);
-            let (result, snap) = runner(&world, &cfg, 2);
+            let CampaignReport { result, metrics: snap, .. } = run(campaign, &cfg, 2);
             assert!(result.resolutions > 0);
-            assert_snapshot_matches(&format!("{campaign}/{profile}"), &result, &snap);
+            assert_snapshot_matches(&format!("{campaign:?}/{profile}"), &result, &snap);
         }
     }
 }
@@ -126,9 +123,7 @@ fn counters_equal_engine_ground_truth_under_every_profile() {
 fn fault_and_tamper_counters_fire_under_their_profiles() {
     let _guard = CAMPAIGNS.lock().unwrap();
     // Quiet profile: the adversarial counters must stay exactly zero.
-    let cfg = tiny_cfg(FaultProfile::none());
-    let world = build_world_or_exit(&cfg);
-    let (_, quiet) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let quiet = run(Campaign::Global, &tiny_cfg(FaultProfile::none()), 2).metrics;
     for id in [
         obs::id::FAULT_SERVFAIL,
         obs::id::FAULT_TIMEOUT,
@@ -142,18 +137,14 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
         assert_eq!(quiet.counter(id), 0, "quiet profile must not record counter {id}");
     }
     // The chaos blackout injects transport faults.
-    let cfg = tiny_cfg(total_dark_scenario(41).faults);
-    let world = build_world_or_exit(&cfg);
-    let (_, dark) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let dark = run(Campaign::Global, &tiny_cfg(total_dark_scenario(41).faults), 2).metrics;
     assert!(
         dark.counter(obs::id::FAULT_SERVFAIL) + dark.counter(obs::id::FAULT_TIMEOUT) > 0,
         "total-dark must record transport faults"
     );
     // The poisoning adversary forges answers; enforcement drops the
     // out-of-bailiwick ones.
-    let cfg = tiny_cfg(FaultProfile::poisoning(43));
-    let world = build_world_or_exit(&cfg);
-    let (_, poisoned) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let poisoned = run(Campaign::Global, &tiny_cfg(FaultProfile::poisoning(43)), 2).metrics;
     let tampers = poisoned.counter(obs::id::TAMPER_SPOOF_A)
         + poisoned.counter(obs::id::TAMPER_INJECT_NS)
         + poisoned.counter(obs::id::TAMPER_TRUNCATE)
@@ -168,22 +159,20 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
 #[test]
 fn det_export_is_byte_identical_across_worker_counts() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    for (campaign, runner) in campaigns() {
+    for campaign in CAMPAIGNS_UNDER_ORACLE {
         for (profile, faults) in profiles() {
             let cfg = tiny_cfg(faults);
             let mut exports = Vec::new();
             for threads in [1usize, 2, 8] {
-                let world = build_world_or_exit(&cfg);
-                let (_, snap) = runner(&world, &cfg, threads);
-                exports.push(snap.det_jsonl());
+                exports.push(run(campaign, &cfg, threads).metrics.det_jsonl());
             }
             assert_eq!(
                 exports[0], exports[1],
-                "[{campaign}/{profile}] det export differs between 1 and 2 workers"
+                "[{campaign:?}/{profile}] det export differs between 1 and 2 workers"
             );
             assert_eq!(
                 exports[0], exports[2],
-                "[{campaign}/{profile}] det export differs between 1 and 8 workers"
+                "[{campaign:?}/{profile}] det export differs between 1 and 8 workers"
             );
         }
     }
@@ -198,13 +187,13 @@ fn det_export_is_byte_identical_across_reuse_arms() {
     let mut cfg = tiny_cfg(FaultProfile::none());
     cfg.global_dns_interval = Duration::mins(30);
     cfg.global_end = cfg.global_start + Duration::hours(6);
-    let world = build_world_or_exit(&cfg);
-    let (with_reuse, reuse_snap) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let CampaignReport { result: with_reuse, metrics: reuse_snap, .. } =
+        run(Campaign::Global, &cfg, 2);
     assert!(with_reuse.reused_resolutions > 0, "steady state must replay something");
 
     std::env::set_var("MCDN_NO_REUSE", "1");
-    let world = build_world_or_exit(&cfg);
-    let (without_reuse, no_reuse_snap) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let CampaignReport { result: without_reuse, metrics: no_reuse_snap, .. } =
+        run(Campaign::Global, &cfg, 2);
     std::env::remove_var("MCDN_NO_REUSE");
 
     assert_eq!(without_reuse.reused_resolutions, 0);
@@ -220,9 +209,7 @@ fn det_export_is_byte_identical_across_reuse_arms() {
 #[test]
 fn full_export_is_a_superset_of_the_det_export() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    let cfg = tiny_cfg(FaultProfile::none());
-    let world = build_world_or_exit(&cfg);
-    let (_, snap) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let snap = run(Campaign::Global, &tiny_cfg(FaultProfile::none()), 2).metrics;
     // The CI determinism stage strips the full export down to the det
     // lines with `grep -v '"det":false'`; pin that contract here.
     let stripped: String = snap

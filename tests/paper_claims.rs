@@ -7,7 +7,7 @@
 use metacdn_suite::analysis::{fig2, fig7, fig8};
 use metacdn_suite::geo::{Continent, Duration, SimTime};
 use metacdn_suite::scenario::{
-    params, run_global_dns, run_isp_dns, run_isp_traffic, CdnClass, ScenarioConfig, World,
+    params, run_dns, run_traffic, Campaign, CdnClass, ScenarioConfig, World,
 };
 
 fn event_cfg() -> ScenarioConfig {
@@ -30,7 +30,7 @@ fn event_cfg() -> ScenarioConfig {
 fn europe_spikes_alone_and_apple_stays_flat() {
     let cfg = event_cfg();
     let world = World::build(&cfg);
-    let result = run_global_dns(&world, &cfg);
+    let result = run_dns(&world, &cfg, Campaign::Global, 0).result;
     let release = params::release();
     let pre_bin = SimTime::from_ymd_hms(2017, 9, 18, 18, 0, 0);
     let peak_bin = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
@@ -81,8 +81,8 @@ fn mapping_graph_matches_figure_2() {
 fn figure7_ordering_and_day_split() {
     let cfg = event_cfg();
     let world = World::build(&cfg);
-    let dns = run_isp_dns(&world, &cfg);
-    let traffic = run_isp_traffic(&world, &cfg);
+    let dns = run_dns(&world, &cfg, Campaign::Isp, 0).result;
+    let traffic = run_traffic(&world, &cfg, 0).0;
     let t = fig7::fig7_summary(&traffic, &dns.ip_classes, params::release());
     let ratio = |cdn: &str| -> f64 {
         t.find_row(0, cdn).unwrap()[1].parse().unwrap()
@@ -107,8 +107,8 @@ fn figure7_ordering_and_day_split() {
 fn figure8_as_d_lifecycle() {
     let cfg = event_cfg();
     let world = World::build(&cfg);
-    let dns = run_isp_dns(&world, &cfg);
-    let traffic = run_isp_traffic(&world, &cfg);
+    let dns = run_dns(&world, &cfg, Campaign::Isp, 0).result;
+    let traffic = run_traffic(&world, &cfg, 0).0;
     let t = fig8::fig8_series(&traffic, &dns.ip_classes, &world);
     let share = |day: &str, asn: &str| -> f64 {
         t.rows
@@ -144,7 +144,7 @@ fn figure5_akamai_rises_apple_stable() {
     let mut cfg = event_cfg();
     cfg.isp_probes = 200; // denser fleet so daily unions resolve the pools
     let world = World::build(&cfg);
-    let result = run_isp_dns(&world, &cfg);
+    let result = run_dns(&world, &cfg, Campaign::Isp, 0).result;
     let (rise, apple_ratio) = metacdn_suite::analysis::fig5::fig5_akamai_rise(&result);
     assert!(rise > 100.0, "Akamai must rise steeply (paper +408%), got +{rise:.0}%");
     assert!((0.5..1.6).contains(&apple_ratio), "Apple stable, got ratio {apple_ratio:.2}");

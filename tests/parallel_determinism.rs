@@ -7,7 +7,7 @@ use metacdn_suite::exec::shard_bounds;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::{
-    run_global_dns_threads, run_isp_dns_threads, run_isp_traffic_threads, standard_grid,
+    run_dns, run_traffic, standard_grid, Campaign,
     CdnClass, IpClassLedger, ScenarioConfig, World,
 };
 use proptest::prelude::*;
@@ -63,10 +63,10 @@ fn global_campaign_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_global_dns_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = run_dns(&World::build(&cfg), &cfg, Campaign::Global, THREAD_COUNTS[0]).result;
         assert!(baseline.resolutions > 0);
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_global_dns_threads(&World::build(&cfg), &cfg, *threads);
+            let r = run_dns(&World::build(&cfg), &cfg, Campaign::Global, *threads).result;
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
         // The memo accounting must be canonical too (covered by the
@@ -80,10 +80,10 @@ fn isp_campaign_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_isp_dns_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = run_dns(&World::build(&cfg), &cfg, Campaign::Isp, THREAD_COUNTS[0]).result;
         assert!(baseline.resolutions > 0);
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_isp_dns_threads(&World::build(&cfg), &cfg, *threads);
+            let r = run_dns(&World::build(&cfg), &cfg, Campaign::Isp, *threads).result;
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
     }
@@ -94,10 +94,10 @@ fn traffic_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_isp_traffic_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = run_traffic(&World::build(&cfg), &cfg, THREAD_COUNTS[0]).0;
         assert!(!baseline.flows.is_empty());
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_isp_traffic_threads(&World::build(&cfg), &cfg, *threads);
+            let r = run_traffic(&World::build(&cfg), &cfg, *threads).0;
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
     }
@@ -115,9 +115,9 @@ fn pool_is_reused_across_back_to_back_campaigns() {
     // can trigger a spawn, the stability assertion below cannot be
     // perturbed by a neighbour.
     metacdn_suite::exec::warm(*THREAD_COUNTS.iter().max().unwrap());
-    let first = run_global_dns_threads(&World::build(&cfg), &cfg, threads);
+    let first = run_dns(&World::build(&cfg), &cfg, Campaign::Global, threads).result;
     let between = metacdn_suite::exec::pool_stats();
-    let second = run_global_dns_threads(&World::build(&cfg), &cfg, threads);
+    let second = run_dns(&World::build(&cfg), &cfg, Campaign::Global, threads).result;
     let after = metacdn_suite::exec::pool_stats();
     assert_eq!(first, second, "back-to-back campaigns must agree");
     assert_eq!(

@@ -6,7 +6,7 @@
 use metacdn_suite::analysis::fig8;
 use metacdn_suite::geo::{Duration, Region, SimTime};
 use metacdn_suite::scenario::{
-    loads, params, run_isp_dns, run_isp_traffic, ScenarioConfig, World,
+    loads, params, run_dns, run_traffic, Campaign, ScenarioConfig, World,
 };
 
 fn window(start: (u32, u32), end: (u32, u32)) -> ScenarioConfig {
@@ -26,15 +26,15 @@ fn ios_11_1_is_a_smaller_echo_of_the_main_event() {
     // Main event window.
     let cfg_main = window((9, 15), (9, 23));
     let world_main = World::build(&cfg_main);
-    let dns_main = run_isp_dns(&world_main, &cfg_main);
-    let traffic_main = run_isp_traffic(&world_main, &cfg_main);
+    let dns_main = run_dns(&world_main, &cfg_main, Campaign::Isp, 0).result;
+    let traffic_main = run_traffic(&world_main, &cfg_main, 0).0;
     let d_main = fig8::d_peak_share(&traffic_main, &dns_main.ip_classes, &world_main);
 
     // 11.1 window.
     let cfg_minor = window((10, 28), (11, 4));
     let world_minor = World::build(&cfg_minor);
-    let dns_minor = run_isp_dns(&world_minor, &cfg_minor);
-    let traffic_minor = run_isp_traffic(&world_minor, &cfg_minor);
+    let dns_minor = run_dns(&world_minor, &cfg_minor, Campaign::Isp, 0).result;
+    let traffic_minor = run_traffic(&world_minor, &cfg_minor, 0).0;
 
     // Limelight load rises at the 11.1 release but stays well below the
     // September peak.

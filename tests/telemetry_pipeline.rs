@@ -10,7 +10,7 @@ use metacdn_suite::isp::estimate::{by_source_as, scale_by_snmp_with_coverage};
 use metacdn_suite::isp::{ExportPacket, FlowRecord, Sampler, SnmpCounters};
 use metacdn_suite::netsim::LinkId;
 use metacdn_suite::scenario::{
-    params, run_global_dns, run_isp_dns, run_isp_traffic, LinkSelection, ScenarioConfig,
+    params, run_dns, run_traffic, Campaign, LinkSelection, ScenarioConfig,
     TrafficResult, World,
 };
 use std::net::Ipv4Addr;
@@ -71,7 +71,7 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
 fn netflow_export_packets_roundtrip_from_simulated_records() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_traffic(&world, &cfg, 0).0;
     assert!(result.flows.len() > 100);
     // Pack records 30-at-a-time into v5 export packets and decode them back
     // — the collector boundary a real deployment would cross.
@@ -95,7 +95,7 @@ fn netflow_export_packets_roundtrip_from_simulated_records() {
 fn snmp_totals_match_generated_traffic_modulo_drops() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_traffic(&world, &cfg, 0).0;
     // Everything SNMP counted entered via a link that touches the ISP, and
     // drops happen only when parallel links fill — on the uncongested big
     // CDN links, SNMP must never exceed capacity.
@@ -114,7 +114,7 @@ fn snmp_totals_match_generated_traffic_modulo_drops() {
 fn sampled_flows_estimate_true_link_volume() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_traffic(&world, &cfg, 0).0;
     // Pick the busiest link; the SNMP-scaled flow sum equals the SNMP
     // total by construction, and the *unscaled* sampled sum times the
     // sampling rate should land within ~5% (law of large numbers).
@@ -142,7 +142,7 @@ fn sampled_flows_estimate_true_link_volume() {
 fn source_as_fields_match_bgp_origin() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_traffic(&world, &cfg, 0).0;
     for (_, _, rec) in result.flows.iter().take(2000) {
         let origin = world.topo.origin_of(rec.src).expect("flow sources are routable");
         assert_eq!(
@@ -232,9 +232,9 @@ fn telemetry_output_is_pinned_under_both_link_selections() {
     for (selection, traffic_pin, tables_pin, share_pin) in pins {
         let cfg = pinned_cfg(selection);
         let world = World::build(&cfg);
-        let mut ip_classes = run_isp_dns(&world, &cfg).ip_classes;
-        ip_classes.extend(run_global_dns(&world, &cfg).ip_classes);
-        let traffic = run_isp_traffic(&world, &cfg);
+        let mut ip_classes = run_dns(&world, &cfg, Campaign::Isp, 0).result.ip_classes;
+        ip_classes.extend(run_dns(&world, &cfg, Campaign::Global, 0).result.ip_classes);
+        let traffic = run_traffic(&world, &cfg, 0).0;
         assert!(
             traffic.export_losses > 0 && traffic.polls_missed > 0,
             "telemetry loss must bite"
