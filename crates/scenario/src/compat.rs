@@ -8,7 +8,7 @@
 
 use crate::checkpoint::{CampaignError, CampaignRun, ResumeOptions};
 use crate::config::ScenarioConfig;
-use crate::dnscampaign::{run_dns, run_dns_journaled, Campaign, CampaignReport, DnsCampaignResult};
+use crate::dnscampaign::{run_dns, run_dns_journaled, Campaign, DnsCampaignResult};
 use crate::traffic::{run_traffic, TrafficResult};
 use crate::world::World;
 use mcdn_obs::MetricsSnapshot;
@@ -30,8 +30,8 @@ pub fn run_global_dns_threads_observed(
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (DnsCampaignResult, MetricsSnapshot) {
-    let CampaignReport { result, metrics, .. } = run_dns(world, cfg, Campaign::Global, threads);
-    (result, metrics)
+    let report = run_dns(world, cfg, Campaign::Global, threads);
+    (report.result, report.metrics)
 }
 
 /// [`run_dns`] of the global campaign: result, shard walls and snapshot.
@@ -40,9 +40,8 @@ pub fn run_global_dns_threads_timed_observed(
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (DnsCampaignResult, Vec<Duration>, MetricsSnapshot) {
-    let CampaignReport { result, metrics, shard_walls } =
-        run_dns(world, cfg, Campaign::Global, threads);
-    (result, shard_walls, metrics)
+    let report = run_dns(world, cfg, Campaign::Global, threads);
+    (report.result, report.shard_walls, report.metrics)
 }
 
 /// [`run_dns`] of the in-ISP campaign: the result and metrics snapshot.
@@ -51,8 +50,8 @@ pub fn run_isp_dns_threads_observed(
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (DnsCampaignResult, MetricsSnapshot) {
-    let CampaignReport { result, metrics, .. } = run_dns(world, cfg, Campaign::Isp, threads);
-    (result, metrics)
+    let report = run_dns(world, cfg, Campaign::Isp, threads);
+    (report.result, report.metrics)
 }
 
 /// [`run_dns`] of the in-ISP campaign: result, shard walls and snapshot.
@@ -61,9 +60,8 @@ pub fn run_isp_dns_threads_timed_observed(
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (DnsCampaignResult, Vec<Duration>, MetricsSnapshot) {
-    let CampaignReport { result, metrics, shard_walls } =
-        run_dns(world, cfg, Campaign::Isp, threads);
-    (result, shard_walls, metrics)
+    let report = run_dns(world, cfg, Campaign::Isp, threads);
+    (report.result, report.shard_walls, report.metrics)
 }
 
 /// [`run_dns_journaled`] of the global campaign.

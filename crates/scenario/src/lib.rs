@@ -63,13 +63,13 @@ pub use chaos::{
 };
 pub use checkpoint::{CampaignError, CampaignRun, ResumeOptions};
 pub use classes::CdnClass;
-pub use config::{LinkSelection, ScenarioConfig};
 pub use compat::{
     run_global_dns_resumable_with_observed, run_global_dns_threads,
     run_global_dns_threads_observed, run_global_dns_threads_timed_observed,
     run_isp_dns_threads_observed, run_isp_dns_threads_timed_observed, run_isp_traffic_threads,
     run_isp_traffic_threads_timed,
 };
+pub use config::{LinkSelection, ScenarioConfig};
 pub use dnscampaign::{
     bailiwick_policy, reuse_enabled, run_dns, run_dns_journaled, Campaign, CampaignReport,
     DnsCampaignResult, InternedCampaignFaults, InternedCampaignMutations, IpClassLedger,
