@@ -81,6 +81,19 @@ struct Run {
 /// anyway.
 const REPS: usize = 3;
 
+/// Mean wall clock of one `dispatch` call in ms, over `reps` calls timed
+/// after `warmup` untimed ones.
+fn mean_dispatch_ms(warmup: u32, reps: u32, mut dispatch: impl FnMut()) -> f64 {
+    for _ in 0..warmup {
+        dispatch();
+    }
+    let start = Instant::now();
+    for _ in 0..reps {
+        dispatch();
+    }
+    start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
+}
+
 /// Per-dispatch cost of waking the pool at `threads` width: the measured
 /// wall clock of a no-op fail-fast `shard_map` over one item per shard,
 /// on a warm pool. Multiplied by a run's dispatch count this estimates
@@ -92,19 +105,10 @@ fn dispatch_cost_ms(threads: usize) -> f64 {
     }
     mcdn_exec::warm(threads);
     let mut items = vec![0u8; threads];
-    let mut dispatch = || {
+    mean_dispatch_ms(64, 512, || {
         let shards = mcdn_exec::shard_map(&mut items, threads, Recovery::FailFast, |_, _| ());
         std::hint::black_box(shards.expect("no-op shards cannot panic"));
-    };
-    for _ in 0..64 {
-        dispatch();
-    }
-    let reps = 512u32;
-    let start = Instant::now();
-    for _ in 0..reps {
-        dispatch();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
+    })
 }
 
 /// The same no-op dispatch the way the retired spawn-per-round engine ran
@@ -118,7 +122,7 @@ fn scoped_dispatch_cost_ms(threads: usize) -> f64 {
     if threads <= 1 {
         return 0.0;
     }
-    let dispatch = || {
+    mean_dispatch_ms(16, 128, || {
         std::thread::scope(|scope| {
             let handles: Vec<_> = mcdn_exec::shard_bounds(threads, threads)
                 .into_iter()
@@ -128,16 +132,7 @@ fn scoped_dispatch_cost_ms(threads: usize) -> f64 {
                 handle.join().expect("no-op shard");
             }
         })
-    };
-    for _ in 0..16 {
-        dispatch();
-    }
-    let reps = 128u32;
-    let start = Instant::now();
-    for _ in 0..reps {
-        dispatch();
-    }
-    start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
+    })
 }
 
 /// One benched campaign: canonical counters plus per-thread-count runs.
