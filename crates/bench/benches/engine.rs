@@ -20,7 +20,8 @@ fn bench_global_campaign(c: &mut Criterion) {
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_dns(&world, &cfg, Campaign::Global, mcdn_exec::thread_count()).result)
+            let threads = mcdn_exec::thread_count();
+            std::hint::black_box(run_dns(&world, &cfg, Campaign::Global, threads).result)
         })
     });
     g.finish();
@@ -37,7 +38,8 @@ fn bench_isp_campaign(c: &mut Criterion) {
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_dns(&world, &cfg, Campaign::Isp, mcdn_exec::thread_count()).result)
+            let threads = mcdn_exec::thread_count();
+            std::hint::black_box(run_dns(&world, &cfg, Campaign::Isp, threads).result)
         })
     });
     g.finish();

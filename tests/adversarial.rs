@@ -68,7 +68,10 @@ fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {
 fn run_resuming(cfg: &ScenarioConfig, path: &Path) -> DnsCampaignResult {
     let world = build_world_or_exit(cfg);
     let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: None };
-    match run_dns_journaled(&world, cfg, Campaign::Global, path, opts).expect("resumed campaign").0 {
+    match run_dns_journaled(&world, cfg, Campaign::Global, path, opts)
+        .expect("resumed campaign")
+        .0
+    {
         CampaignRun::Complete(result) => result,
         CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
     }

@@ -7,8 +7,7 @@ use metacdn_suite::exec::shard_bounds;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::{
-    run_dns, run_traffic, standard_grid, Campaign,
-    CdnClass, IpClassLedger, ScenarioConfig, World,
+    run_dns, run_traffic, standard_grid, Campaign, CdnClass, IpClassLedger, ScenarioConfig, World,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -58,16 +57,17 @@ fn profiles() -> [(&'static str, FaultProfile); 3] {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-#[test]
-fn global_campaign_bit_identical_across_thread_counts() {
+/// Runs `campaign` over a fresh world at every thread count, under every
+/// fault profile, and requires each result to equal the serial one.
+fn assert_bit_identical_across_thread_counts(campaign: Campaign) {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_dns(&World::build(&cfg), &cfg, Campaign::Global, THREAD_COUNTS[0]).result;
+        let run = |threads| run_dns(&World::build(&cfg), &cfg, campaign, threads).result;
+        let baseline = run(THREAD_COUNTS[0]);
         assert!(baseline.resolutions > 0);
-        for threads in &THREAD_COUNTS[1..] {
-            let r = run_dns(&World::build(&cfg), &cfg, Campaign::Global, *threads).result;
-            assert_eq!(r, baseline, "faults={label} threads={threads}");
+        for &threads in &THREAD_COUNTS[1..] {
+            assert_eq!(run(threads), baseline, "{campaign:?} faults={label} threads={threads}");
         }
         // The memo accounting must be canonical too (covered by the
         // equality above, but state the figures a reader should expect).
@@ -76,17 +76,13 @@ fn global_campaign_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn global_campaign_bit_identical_across_thread_counts() {
+    assert_bit_identical_across_thread_counts(Campaign::Global);
+}
+
+#[test]
 fn isp_campaign_bit_identical_across_thread_counts() {
-    for (label, faults) in profiles() {
-        let mut cfg = small_cfg();
-        cfg.faults = faults;
-        let baseline = run_dns(&World::build(&cfg), &cfg, Campaign::Isp, THREAD_COUNTS[0]).result;
-        assert!(baseline.resolutions > 0);
-        for threads in &THREAD_COUNTS[1..] {
-            let r = run_dns(&World::build(&cfg), &cfg, Campaign::Isp, *threads).result;
-            assert_eq!(r, baseline, "faults={label} threads={threads}");
-        }
-    }
+    assert_bit_identical_across_thread_counts(Campaign::Isp);
 }
 
 #[test]
