@@ -463,6 +463,12 @@ mod pool {
 
     /// The thunk every task runs: the shard's attempt loop under the
     /// job's recovery policy, timed, then retired.
+    ///
+    /// # Safety
+    ///
+    /// `job` must point at a live `Job<T, R, F>` whose dispatcher stays
+    /// parked until the job's countdown reaches zero, and `shard` must be
+    /// an index of that job that no other call runs.
     unsafe fn run_shard<T, R, F>(job: *const (), shard: usize)
     where
         T: Clone + Send + 'static,
