@@ -31,7 +31,8 @@ cargo test -q -p mcdn-obs --no-default-features
 echo "==> determinism: same seed, same campaign output"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run --release -q -p mcdn-analysis --bin mcdn -- campaign global > "$tmpdir/run1.txt"
+cargo run --release -q -p mcdn-analysis --bin mcdn -- \
+  campaign global --metrics "$tmpdir/global_metrics.jsonl" > "$tmpdir/run1.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- campaign global > "$tmpdir/run2.txt"
 diff -u "$tmpdir/run1.txt" "$tmpdir/run2.txt"
 echo "    identical ($(wc -l < "$tmpdir/run1.txt") lines)"
@@ -39,16 +40,23 @@ echo "    identical ($(wc -l < "$tmpdir/run1.txt") lines)"
 echo "==> goldens: campaign, crawl, traffic, chaos and poison output match tests/goldens/"
 # The committed goldens pin the stdout of each command byte for byte, so
 # an engine refactor cannot shift a table silently. The chaos and poison
-# runs below are diffed against their goldens as well.
+# runs below are diffed against their goldens as well. Both campaigns'
+# deterministic metrics lines (those not tagged "det":false) are pinned
+# too: the thread-count and kill->resume stages compare them only within
+# one commit, so a counter shift common to every run would pass there.
 diff -u tests/goldens/campaign_global.txt "$tmpdir/run1.txt"
+grep -v '"det":false' "$tmpdir/global_metrics.jsonl" > "$tmpdir/global_metrics.det"
+diff -u tests/goldens/campaign_global_metrics.det.jsonl "$tmpdir/global_metrics.det"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign isp --metrics "$tmpdir/isp_metrics.jsonl" > "$tmpdir/isp.txt"
 diff -u tests/goldens/campaign_isp.txt "$tmpdir/isp.txt"
+grep -v '"det":false' "$tmpdir/isp_metrics.jsonl" > "$tmpdir/isp_metrics.det"
+diff -u tests/goldens/campaign_isp_metrics.det.jsonl "$tmpdir/isp_metrics.det"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- crawl > "$tmpdir/crawl.txt"
 diff -u tests/goldens/crawl.txt "$tmpdir/crawl.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic.txt"
 diff -u tests/goldens/traffic.txt "$tmpdir/traffic.txt"
-echo "    campaign global, campaign isp, crawl and traffic match"
+echo "    campaign global and isp (stdout and deterministic metrics), crawl and traffic match"
 
 echo "==> chaos sweep: invariants hold, faulted runs replay bit-identically"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos1.txt"
@@ -195,7 +203,6 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign isp --journal "$isp_journal" --metrics "$tmpdir/isp_resumed.jsonl" \
   > "$tmpdir/isp_resumed.txt"
 diff -u "$tmpdir/isp.txt" "$tmpdir/isp_resumed.txt"
-grep -v '"det":false' "$tmpdir/isp_metrics.jsonl" > "$tmpdir/isp_metrics.det"
 grep -v '"det":false' "$tmpdir/isp_resumed.jsonl" > "$tmpdir/isp_resumed.det"
 diff -u "$tmpdir/isp_metrics.det" "$tmpdir/isp_resumed.det"
 echo "    in-ISP resumed output and $(wc -l < "$tmpdir/isp_metrics.det") deterministic metrics lines identical"
