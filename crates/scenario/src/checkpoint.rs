@@ -321,15 +321,22 @@ impl Checkpoint {
         let memo_lookups = r.u64()?;
         let memo_hits = r.u64()?;
 
-        let n_obs = r.u32()? as usize;
-        let mut obs_counters = Vec::with_capacity(n_obs.min(1 << 16));
-        for _ in 0..n_obs {
+        // The metrics export indexes its name tables by these, so a count
+        // or kind this build does not know is refused here, not at export.
+        if r.u32()? as usize != mcdn_obs::N_DET {
+            return Err(CodecError::Invalid("deterministic counter count"));
+        }
+        let mut obs_counters = Vec::with_capacity(mcdn_obs::N_DET);
+        for _ in 0..mcdn_obs::N_DET {
             obs_counters.push(r.u64()?);
         }
         let n_events = r.u32()? as usize;
         let mut obs_events = Vec::with_capacity(n_events.min(1 << 20));
         for _ in 0..n_events {
             let kind = r.u16()?;
+            if usize::from(kind) >= mcdn_obs::EVENT_NAMES.len() {
+                return Err(CodecError::Invalid("trace event kind"));
+            }
             let t = r.u64()?;
             let key = r.u32()?;
             let value = r.u64()?;
@@ -600,7 +607,11 @@ mod tests {
             retry_exhausted: 2,
             memo_lookups: 400,
             memo_hits: 350,
-            obs_counters: vec![7, 123, 150, 2, 400],
+            obs_counters: [7, 123, 150, 2, 400, 350]
+                .into_iter()
+                .chain(std::iter::repeat(0))
+                .take(mcdn_obs::N_DET)
+                .collect(),
             obs_events: vec![
                 mcdn_obs::TraceEvent { kind: 0, t: 1_000_000, key: 7, value: 123 },
                 mcdn_obs::TraceEvent { kind: 1, t: 999_500, key: 42, value: 0 },
@@ -678,6 +689,35 @@ mod tests {
         match Checkpoint::decode(&bytes, 4) {
             Err(CodecError::Invalid(_)) => {}
             other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+
+    /// A checksum-valid checkpoint holding an event kind this build has
+    /// no name for is refused: resuming it would panic in the metrics
+    /// export.
+    #[test]
+    fn unknown_trace_event_kind_is_rejected_at_decode_time() {
+        let mut ckpt = sample_checkpoint();
+        ckpt.obs_events[1].kind = mcdn_obs::EVENT_NAMES.len() as u16;
+        let bytes = ckpt.encode(64).expect("encode");
+        match Checkpoint::decode(&bytes, 64) {
+            Err(CodecError::Invalid("trace event kind")) => {}
+            other => panic!("expected Invalid(trace event kind), got {other:?}"),
+        }
+    }
+
+    /// A checkpoint whose deterministic counters are not exactly the
+    /// registry's `N_DET` is refused, rather than restored as a prefix.
+    #[test]
+    fn wrong_counter_count_is_rejected_at_decode_time() {
+        for n in [0, mcdn_obs::N_DET - 1, mcdn_obs::N_DET + 1] {
+            let mut ckpt = sample_checkpoint();
+            ckpt.obs_counters.resize(n, 0);
+            let bytes = ckpt.encode(64).expect("encode");
+            match Checkpoint::decode(&bytes, 64) {
+                Err(CodecError::Invalid("deterministic counter count")) => {}
+                other => panic!("{n} counters: expected Invalid(counter count), got {other:?}"),
+            }
         }
     }
 
