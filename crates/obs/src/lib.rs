@@ -64,7 +64,7 @@
 
 #[cfg(feature = "obs")]
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Number of deterministic-class counters (ids `0..N_DET`).
 pub const N_DET: usize = 18;
@@ -337,32 +337,19 @@ impl Default for Hist {
 // Enable gate
 // ---------------------------------------------------------------------------
 
-/// 0 = disabled, 1 = enabled, 2 = uninitialized (read `MCDN_OBS`).
-static ENABLED: AtomicU8 = AtomicU8::new(2);
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Whether recording is currently enabled. Initialized from `MCDN_OBS`
-/// (`0` disables) on first use; [`set_enabled`] overrides at runtime.
+/// Whether recording is currently enabled (it starts enabled).
 #[inline]
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => false,
-        1 => true,
-        _ => init_enabled(),
-    }
-}
-
-#[cold]
-fn init_enabled() -> bool {
-    let on = std::env::var_os("MCDN_OBS").map(|v| v != "0").unwrap_or(true);
-    ENABLED.store(on as u8, Ordering::Relaxed);
-    on
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Enables or disables all recording at runtime. Toggling mid-campaign
 /// is unsupported: reuse slots recorded while disabled carry empty
 /// deltas, so flip only between campaigns (as the bench does).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on as u8, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
