@@ -116,7 +116,6 @@ mod tests {
                 retry_exhausted: 0,
                 memo_lookups: 0,
                 memo_hits: 0,
-                reused_resolutions: 0,
             },
             release,
         )

@@ -61,11 +61,6 @@ impl RefSchedule {
                 .is_some_and(|pts| pts.iter().any(|(_, s)| s.weight(kind) > 0.0))
     }
 
-    fn epoch_at(&self, now: SimTime) -> u64 {
-        self.breakpoints.values().flat_map(|pts| pts.iter()).filter(|(at, _)| *at <= now).count()
-            as u64
-    }
-
     fn share_at(&self, region: Region, now: SimTime) -> CdnShare {
         let mut current = self.default;
         if let Some(points) = self.breakpoints.get(&region) {
@@ -382,8 +377,8 @@ mod props {
     }
 
     proptest! {
-        /// The array-backed weight schedule answers `share_at`,
-        /// `epoch_at` and `ever_uses_in` like the map-backed one.
+        /// The array-backed weight schedule answers `share_at` and
+        /// `ever_uses_in` like the map-backed one.
         #[test]
         fn schedule_reads_match_the_map_model(
             default in weights(),
@@ -392,7 +387,6 @@ mod props {
             let (real, model) = schedules(default, &points);
             for h in 0..40u64 {
                 let now = t0() + Duration::hours(h);
-                prop_assert_eq!(real.epoch_at(now), model.epoch_at(now));
                 for region in Region::ALL {
                     prop_assert_eq!(real.share_at(region, now), model.share_at(region, now));
                 }

@@ -98,12 +98,6 @@ pub struct MetaCdnState {
     /// Distinguishes states so an installed [`MappingSnapshot`] can never
     /// serve reads of a *different* state (e.g. two worlds in one test).
     state_id: u64,
-    /// Monotonic mutation counter: bumped by every signal write
-    /// (`set_*`, [`Self::restore_signals`]). Two reads with equal
-    /// versions are guaranteed to observe identical mutable signals,
-    /// which is what the incremental resolution engine's version vectors
-    /// key on.
-    version: AtomicU64,
     schedule: Schedule,
     inner: RwLock<Inner>,
 }
@@ -200,26 +194,9 @@ impl MetaCdnState {
     pub fn new(schedule: Schedule) -> MetaCdnState {
         MetaCdnState {
             state_id: NEXT_STATE_ID.fetch_add(1, Ordering::Relaxed),
-            version: AtomicU64::new(0),
             schedule,
             inner: RwLock::new(Inner::default()),
         }
-    }
-
-    /// The current mutation version of the controller's signals. Every
-    /// `set_*` write (and [`Self::restore_signals`]) advances it, so two
-    /// equal readings bracket a window with no signal change.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// The weight-schedule epoch at `now` (see [`Schedule::epoch_at`]).
-    pub fn schedule_epoch(&self, now: SimTime) -> u64 {
-        self.schedule.epoch_at(now)
     }
 
     /// Captures the mutable mapping inputs as an immutable
@@ -280,7 +257,6 @@ impl MetaCdnState {
             restored.last_good[*r as usize] = Some(shares.iter().copied().collect());
         }
         *self.inner.write().expect("state lock") = restored;
-        self.bump_version();
     }
 
     /// Runs `f` over the state's inner view: the thread's innermost
@@ -316,7 +292,6 @@ impl MetaCdnState {
     /// `demand directed at Apple ÷ Apple capacity`, uncapped.
     pub fn set_apple_utilization(&self, region: Region, util: f64) {
         self.inner.write().expect("state lock").apple_util[region as usize] = Some(util.max(0.0));
-        self.bump_version();
     }
 
     /// Reports a third-party CDN's pool load (0..1) for `region` at `now`;
@@ -333,8 +308,6 @@ impl MetaCdnState {
                 *since = None;
             }
         }
-        drop(inner);
-        self.bump_version();
     }
 
     /// The last reported pool load for `(kind, region)`, default 0.
@@ -358,7 +331,6 @@ impl MetaCdnState {
     pub fn set_cdn_health(&self, kind: CdnKind, region: Region, healthy: bool) {
         self.inner.write().expect("state lock").cdn_health[kind as usize][region as usize] =
             Some(healthy);
-        self.bump_version();
     }
 
     /// The last health verdict for `(kind, region)`; defaults to healthy.
@@ -372,7 +344,6 @@ impl MetaCdnState {
     pub fn set_capacity_factor(&self, kind: CdnKind, region: Region, factor: f64) {
         self.inner.write().expect("state lock").capacity_factor[kind as usize][region as usize] =
             Some(factor.clamp(0.0, 1.0));
-        self.bump_version();
     }
 
     /// The last reported capacity factor for `(kind, region)`, default 1.
@@ -389,8 +360,6 @@ impl MetaCdnState {
         } else {
             inner.down_sites.remove(&site_key);
         }
-        drop(inner);
-        self.bump_version();
     }
 
     /// Whether the Apple site with `site_key` is currently marked down.

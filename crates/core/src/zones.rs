@@ -131,11 +131,8 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     // Step ①: China/India diversion, everything else back to Apple.
     // The answer depends only on the client's city (its special-market
     // membership), never its address — declared City-scoped so the
-    // engine's per-round memo can replay it across a city's probes, and
-    // dependency-free (`PolicyDeps::none`) so the incremental engine can
-    // replay it across *rounds*: nothing that changes between rounds
-    // (time, health signals, the weight schedule) enters the answer.
-    z.set_policy_with_deps(
+    // engine's per-round memo can replay it across a city's probes.
+    z.set_policy_scoped(
         names::geo_split(),
         vec![
             names::selector(),
@@ -153,7 +150,6 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
             })
         }),
         PolicyScope::City,
-        mcdn_dnssim::PolicyDeps::none(),
     );
 
     // Dedicated market pools (terminal A records).

@@ -55,7 +55,7 @@ pub use cache::MAX_CACHE_TTL;
 pub use context::QueryContext;
 pub use faults::UpstreamFault;
 pub use interned::{
-    resolve_cold, CompiledNamespace, DepRecord, ICacheExportEntry, IRData, IRecord,
+    resolve_cold, CompiledNamespace, ICacheExportEntry, IRData, IRecord,
     IResolutionError, IRoundMemo, ITrace, ITraceStep, InternedFaultModel, InternedResolver,
     NoInternedFaults, ResolveScratch, SharedMemoKey, SharedName,
 };
@@ -67,6 +67,4 @@ pub use mutation::{
 };
 pub use resolver::{ResolutionTrace, TraceStep};
 pub use wire::serve;
-pub use zone::{
-    MappingPolicy, Namespace, PolicyAnswer, PolicyDeps, PolicyScope, Zone, ZoneAnswer,
-};
+pub use zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope, Zone, ZoneAnswer};

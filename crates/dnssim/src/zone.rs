@@ -68,12 +68,11 @@ where
 }
 
 /// A registered policy: the hook, its declared CNAME targets, and the
-/// declared scope and dependencies of its answers.
+/// declared scope of its answers.
 struct PolicyEntry {
     policy: Arc<dyn MappingPolicy>,
     targets: Vec<Name>,
     scope: PolicyScope,
-    deps: PolicyDeps,
 }
 
 /// How much of the [`QueryContext`] a name's answer actually depends on —
@@ -96,59 +95,6 @@ pub enum PolicyScope {
     /// The answer may depend on the full context, including `client_ip`
     /// (selectors, GSLBs, load-balancer rotations). Never memoized.
     Client,
-}
-
-/// Which *mutable campaign inputs* a name's answers can depend on — the
-/// declaration that makes cross-round resolution reuse sound.
-///
-/// [`PolicyScope`] bounds how much of one query's context an answer reads;
-/// `PolicyDeps` bounds which inputs *changing between rounds* can change
-/// the answer for a fixed context. Static records depend on nothing.
-/// Dynamic policies default to [`PolicyDeps::all`] (never reused across
-/// rounds); a policy registered through [`Zone::set_policy_with_deps`]
-/// declares a narrower set, promising that two queries agreeing on the
-/// context and on every declared input receive identical records —
-/// including TTLs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PolicyDeps(u8);
-
-impl PolicyDeps {
-    /// The answer reads the query time `ctx.now` (rotations, time-bucketed
-    /// hashes, lag windows). Time advances every round, so a time-dependent
-    /// answer is never reusable.
-    pub const TIME: PolicyDeps = PolicyDeps(1 << 0);
-    /// The answer reads live health/capacity/load signals (the shared
-    /// `MetaCdnState`), versioned by its mutation counter.
-    pub const STATE: PolicyDeps = PolicyDeps(1 << 1);
-    /// The answer reads the commercial weight schedule, versioned by its
-    /// breakpoint epoch.
-    pub const SCHEDULE: PolicyDeps = PolicyDeps(1 << 2);
-
-    /// No mutable input: the answer is a pure function of the context.
-    pub const fn none() -> PolicyDeps {
-        PolicyDeps(0)
-    }
-
-    /// Every mutable input — the conservative default for undeclared
-    /// policies.
-    pub const fn all() -> PolicyDeps {
-        PolicyDeps(Self::TIME.0 | Self::STATE.0 | Self::SCHEDULE.0)
-    }
-
-    /// The union of two dependency sets.
-    pub const fn union(self, other: PolicyDeps) -> PolicyDeps {
-        PolicyDeps(self.0 | other.0)
-    }
-
-    /// Whether every dependency in `other` is also in `self`.
-    pub const fn contains(self, other: PolicyDeps) -> bool {
-        self.0 & other.0 == other.0
-    }
-
-    /// Whether no mutable input is declared.
-    pub const fn is_none(self) -> bool {
-        self.0 == 0
-    }
 }
 
 /// Key for the static record map: owner name + record type wire value.
@@ -222,26 +168,9 @@ impl Zone {
         policy: Arc<dyn MappingPolicy>,
         scope: PolicyScope,
     ) {
-        self.set_policy_with_deps(owner, targets, policy, scope, PolicyDeps::all());
-    }
-
-    /// Attaches a dynamic policy at `owner` declaring both its context
-    /// scope (see [`PolicyScope`]) and which mutable campaign inputs its
-    /// answers read (see [`PolicyDeps`]). Declaring anything narrower than
-    /// [`PolicyDeps::all`] is a promise the caller must keep: the
-    /// incremental engine will replay a prior round's answer after those
-    /// inputs change.
-    pub fn set_policy_with_deps(
-        &mut self,
-        owner: Name,
-        targets: Vec<Name>,
-        policy: Arc<dyn MappingPolicy>,
-        scope: PolicyScope,
-        deps: PolicyDeps,
-    ) {
         assert!(owner.is_within(&self.origin), "{} outside zone {}", owner, self.origin);
         self.names.insert(owner.clone(), ());
-        self.policies.insert(owner, PolicyEntry { policy, targets, scope, deps });
+        self.policies.insert(owner, PolicyEntry { policy, targets, scope });
     }
 
     /// The declared scope of answers at `qname`: the policy's declared
@@ -249,14 +178,6 @@ impl Zone {
     /// (static records and existence facts depend on no context).
     pub fn scope_of(&self, qname: &Name) -> PolicyScope {
         self.policies.get(qname).map_or(PolicyScope::Global, |p| p.scope)
-    }
-
-    /// The declared mutable-input dependencies of answers at `qname`: the
-    /// policy's declared deps if a policy is attached, otherwise
-    /// [`PolicyDeps::none`] (static records and existence facts never
-    /// change within a campaign).
-    pub fn deps_of(&self, qname: &Name) -> PolicyDeps {
-        self.policies.get(qname).map_or(PolicyDeps::none(), |p| p.deps)
     }
 
     /// Whether any record or policy exists at `name` (for NXDOMAIN vs NODATA).

@@ -15,7 +15,6 @@ use crate::classes::{attribute_interned, classify_ip_from_origin, AttributionTab
 use crate::config::ScenarioConfig;
 use crate::loads::update_loads;
 use crate::params;
-use crate::reuse::{ReuseSlot, ReuseVersions};
 use crate::world::World;
 use mcdn_atlas::{build_fleet, Availability, UniqueIpAggregator};
 use mcdn_dnssim::{
@@ -34,7 +33,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Output of one DNS campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnsCampaignResult {
     /// Unique cache IPs per (time bin, probe continent, CDN class) — the
     /// Figure 4 / Figure 5 series.
@@ -61,30 +60,6 @@ pub struct DnsCampaignResult {
     /// Memoizable lookups that a single-shard engine would have served
     /// from the per-round memo (`memo_lookups − distinct keys`); canonical.
     pub memo_hits: u64,
-    /// Resolutions served by replaying a dependency-versioned
-    /// [`ReuseSlot`] instead of entering the resolver. **Telemetry of
-    /// this process run only**: slots live in engine memory, so a
-    /// resumed campaign restarts the counter at zero while producing the
-    /// identical measurement output — which is why [`PartialEq`] ignores
-    /// this field.
-    pub reused_resolutions: u64,
-}
-
-/// Equality over the *measurement output*: every field except
-/// [`reused_resolutions`](DnsCampaignResult::reused_resolutions), which
-/// reports how the output was obtained (replay vs recompute), not what
-/// it is. The incremental engine's whole contract is that the two are
-/// indistinguishable.
-impl PartialEq for DnsCampaignResult {
-    fn eq(&self, other: &DnsCampaignResult) -> bool {
-        self.unique_ips == other.unique_ips
-            && self.ip_classes == other.ip_classes
-            && self.resolutions == other.resolutions
-            && self.attempts == other.attempts
-            && self.retry_exhausted == other.retry_exhausted
-            && self.memo_lookups == other.memo_lookups
-            && self.memo_hits == other.memo_hits
-    }
 }
 
 /// Order-independent accumulator for `address → CDN class` observations.
@@ -392,7 +367,6 @@ struct ShardPartial {
     resolutions: u64,
     attempts: u64,
     retry_exhausted: u64,
-    reused: u64,
     memo_counts: HashMap<SharedMemoKey, u64, FnvBuildHasher>,
     /// The shard's drained observability sink (deterministic counters +
     /// trace events), absorbed into the campaign accumulator in canonical
@@ -459,29 +433,21 @@ impl RoundMerge {
     }
 }
 
-/// One shard's reusable working state, alive for the whole campaign: the
-/// resolve scratch (overlay interner, answer buffers, trace arena) and
-/// the per-round memo. Keyed by **shard index**, not by pool worker, so
+/// One shard's working state, alive for the whole campaign: the resolve
+/// scratch (overlay interner, answer buffers, trace arena) and the
+/// per-round memo. Keyed by **shard index**, not by pool worker, so
 /// which thread happens to serve a shard can never influence the state it
 /// sees — and the warm arenas stop being rebuilt every round.
 ///
-/// Reuse is observationally safe: the memo is cleared at the top of every
-/// round closure (also what makes a pristine-restore retry replay the
-/// panicked attempt's exact inputs), `intern_in` is idempotent, and memo
-/// counts are exported under shard-independent `SharedName` keys.
+/// Keeping it across rounds is observationally safe: the memo is cleared
+/// at the top of every round closure (also what makes a pristine-restore
+/// retry replay the panicked attempt's exact inputs), `intern_in` is
+/// idempotent, and memo counts are exported under shard-independent
+/// `SharedName` keys.
 #[derive(Default)]
 struct ShardState {
     scratch: ResolveScratch,
     memo: IRoundMemo,
-    /// One [`ReuseSlot`] per shard-local probe offset. The shard
-    /// partition is a pure function of fleet size and thread count, both
-    /// fixed for a campaign, so an offset names the same probe in every
-    /// round. Slots are engine memory, never checkpointed: a resumed
-    /// campaign recomputes its first rounds, which the replay invariant
-    /// makes output-identical.
-    slots: Vec<Option<ReuseSlot>>,
-    /// Per-probe classification buffer, reused to record slot outcomes.
-    outcome_buf: Vec<(Ipv4Addr, CdnClass)>,
 }
 
 /// The recovery policy of one campaign round. Pristine-restore clones are
@@ -550,19 +516,6 @@ struct CampaignParams<'a> {
     profile: FaultProfile,
     retry: RetryPolicy,
     threads: usize,
-    /// Whether rounds may replay dependency-versioned [`ReuseSlot`]s.
-    /// Deliberately **not** part of [`fingerprint`](Self::fingerprint):
-    /// reuse changes how results are computed, never what they are, so a
-    /// journal written either way resumes under either setting.
-    reuse: bool,
-}
-
-/// Whether the campaign engines replay unchanged resolutions across
-/// rounds (the default). Setting the `MCDN_NO_REUSE` environment
-/// variable forces full recomputation — the differential oracle's
-/// control arm, also handy when bisecting a suspected reuse bug.
-pub fn reuse_enabled() -> bool {
-    std::env::var_os("MCDN_NO_REUSE").is_none()
 }
 
 impl CampaignParams<'_> {
@@ -632,7 +585,6 @@ fn drive_campaign(
     let mut retry_exhausted = 0u64;
     let mut memo_lookups = 0u64;
     let mut memo_hits = 0u64;
-    let mut reused = 0u64;
     let entry = metacdn::names::entry();
     // Compile the round-invariant structures once per campaign: the
     // namespace is frozen into the id-keyed form every shard shares
@@ -751,16 +703,6 @@ fn drive_campaign(
         // live state's lock, and a probe's answer cannot depend on which
         // shard ran first.
         let snap = Arc::new(world.state.capture());
-        // Sample the round's version vector after the controller has
-        // settled: anything a resolution can observe is covered by one of
-        // these four monotonic counters (plus the probe's own cache,
-        // which the slots' TTL clocks track arithmetically).
-        let versions = ReuseVersions {
-            compile_id: cns.compile_id(),
-            fault_digest: p.profile.reuse_digest(t),
-            state_version: world.state.version(),
-            schedule_epoch: world.state.schedule_epoch(t),
-        };
         let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut fleet,
             p.threads,
@@ -772,7 +714,7 @@ fn drive_campaign(
                 // so the poison flag carries no information here.
                 let mut state =
                     shard_states[shard_idx].lock().unwrap_or_else(|e| e.into_inner());
-                let ShardState { scratch, memo, slots, outcome_buf } = &mut *state;
+                let ShardState { scratch, memo } = &mut *state;
                 // Reset the per-round memo before anything else: round
                 // N+1 must never see round N's answers, and a pristine-
                 // restore retry must replay the panicked attempt's exact
@@ -782,14 +724,12 @@ fn drive_campaign(
                 // closure must drain exactly what *this* execution
                 // recorded, including across pristine-restore retries.
                 mcdn_obs::shard_reset();
-                slots.resize_with(shard.len(), || None);
                 let entry_id = cns.intern_in(scratch, &entry);
                 let mut partial = ShardPartial {
                     observations: Vec::new(),
                     resolutions: 0,
                     attempts: 0,
                     retry_exhausted: 0,
-                    reused: 0,
                     memo_counts: HashMap::default(),
                     obs: Default::default(),
                 };
@@ -802,56 +742,6 @@ fn drive_campaign(
                     if !p.availability.is_online(probe.id, t) {
                         continue; // probe offline this epoch
                     }
-                    // Incremental fast path: a slot whose version vector
-                    // still matches and whose TTL clocks permit replay
-                    // reproduces the resolution bit for bit — cache
-                    // stores, counters, memo contributions, classified
-                    // addresses — without entering the resolver.
-                    let replayable = p.reuse
-                        && slots[i].as_ref().is_some_and(|s| s.is_valid(t, &versions));
-                    if p.reuse && !replayable && slots[i].is_some() {
-                        // A held slot whose version vector or TTL clocks no
-                        // longer match: the probe falls back to a full
-                        // recomputation this round.
-                        mcdn_obs::record(mcdn_obs::id::REUSE_INVALIDATIONS, 1);
-                    }
-                    if replayable {
-                        let slot = slots[i].as_mut().expect("validated above");
-                        for put in slot.puts() {
-                            probe.interned_cache_put(put.id, put.qtype, &put.records, t);
-                        }
-                        let (hits, misses) = slot.cache_deltas();
-                        probe.interned_cache_add_stats(hits, misses);
-                        let continent = probe.spec.city.continent;
-                        partial.observations.extend(
-                            slot.outcomes().iter().map(|&(ip, class)| (continent, class, ip)),
-                        );
-                        // A replayed probe never touches the shard memo,
-                        // so its contributions are injected directly —
-                        // re-timed to this round's instant, exactly the
-                        // key a live lookup would have used. A same-round
-                        // recomputing probe stores its own entry, so the
-                        // merged per-key counts and distinct-key set are
-                        // unchanged.
-                        for &(id, qtype, scope) in slot.memo_keys() {
-                            let name = cns.shared_name(scratch, id);
-                            *partial.memo_counts.entry((name, qtype, scope, t)).or_default() += 1;
-                        }
-                        partial.resolutions += 1;
-                        partial.attempts += 1;
-                        partial.reused += 1;
-                        // Re-apply the recorded metrics delta verbatim:
-                        // deterministic counters come out identical to the
-                        // recomputation the replay stands in for.
-                        mcdn_obs::apply_delta(slot.obs_delta());
-                        mcdn_obs::record(mcdn_obs::id::REUSE_REPLAYS, 1);
-                        slot.mark_applied(t);
-                        continue;
-                    }
-                    // Bracket the resolution with a counter mark so a
-                    // successful single-attempt window can record its
-                    // exact metrics delta into the reuse slot below.
-                    mcdn_obs::mark();
                     let (result, outcome_attempts) = probe.measure_interned_adversarial(
                         &cns,
                         scratch,
@@ -872,7 +762,6 @@ fn drive_campaign(
                         mcdn_obs::trace(mcdn_obs::event::RETRY_EXHAUSTED, t.as_secs(), probe.id, 0);
                     }
                     let attribution = attribute_interned(scratch.trace(), &attr, &cns, scratch);
-                    outcome_buf.clear();
                     for ip in scratch.trace().addresses() {
                         let origin = rib.lookup(ip).map(|(_, asn)| asn);
                         let class = classify_ip_from_origin(
@@ -883,38 +772,9 @@ fn drive_campaign(
                             params::APPLE_AS,
                         );
                         partial.observations.push((probe.spec.city.continent, class, ip));
-                        if p.reuse {
-                            outcome_buf.push((ip, class));
-                        }
                     }
                     partial.resolutions += 1;
                     mcdn_obs::record(mcdn_obs::id::RESOLUTIONS, 1);
-                    // Re-record the slot after every recomputation (and
-                    // drop it when the resolution is not replayable): the
-                    // slot must always describe the probe's *current*
-                    // cache trajectory.
-                    if p.reuse {
-                        slots[i] = if result.is_ok() && outcome_attempts == 1 {
-                            ReuseSlot::record(
-                                scratch.trace(),
-                                scratch.dep_record(),
-                                &cns,
-                                scratch,
-                                probe.spec.city.locode,
-                                outcome_buf,
-                                t,
-                                versions,
-                                // Lazy: evaluated (one Vec) only for
-                                // recordable chains.
-                                mcdn_obs::delta_since_mark,
-                            )
-                        } else {
-                            None
-                        };
-                        if slots[i].is_some() {
-                            mcdn_obs::record(mcdn_obs::id::REUSE_RECORDS, 1);
-                        }
-                    }
                 }
                 memo.counts_into(&cns, scratch, &mut partial.memo_counts);
                 // Drain the thread-local sink into the partial: the merge
@@ -938,7 +798,6 @@ fn drive_campaign(
             resolutions += partial.resolutions;
             attempts += partial.attempts;
             retry_exhausted += partial.retry_exhausted;
-            reused += partial.reused;
             for (key, count) in partial.memo_counts {
                 *round_counts.entry(key).or_default() += count;
             }
@@ -1023,7 +882,6 @@ fn drive_campaign(
             retry_exhausted,
             memo_lookups,
             memo_hits,
-            reused_resolutions: reused,
         }),
         obs.finish(),
         walls,
@@ -1083,7 +941,6 @@ fn campaign_params<'a>(
         profile: cfg.faults.with_seed(cfg.faults.seed ^ salt),
         retry: cfg.retry,
         threads: resolve_threads(threads),
-        reuse: reuse_enabled(),
     }
 }
 
@@ -1213,7 +1070,6 @@ mod tests {
     /// A canonical FNV-64 digest of a campaign's measurement output: the
     /// unique-IP cells with their sorted members, the address-sorted IP
     /// classes, and the resolution, attempt, exhausted and memo counts.
-    /// `reused_resolutions` is left out, as [`PartialEq`] leaves it out.
     fn result_digest(r: &DnsCampaignResult) -> u64 {
         let mut h = Fnv64::new();
         for ((t, continent, class), members) in r.unique_ips.cells() {
@@ -1230,214 +1086,6 @@ mod tests {
             r.resolutions, r.attempts, r.retry_exhausted, r.memo_lookups, r.memo_hits
         );
         h.finish()
-    }
-
-    /// The incremental engine's correctness contract — the full-recompute
-    /// differential oracle: with reuse enabled, every campaign output is
-    /// bit-identical to full recomputation, across thread counts and
-    /// under quiet, chaos-grade, and poisoning-grade fault profiles.
-    /// (`PartialEq` on the result deliberately ignores the
-    /// `reused_resolutions` telemetry; every measurement field is
-    /// compared.)
-    #[test]
-    fn incremental_reuse_matches_full_recompute() {
-        let profiles = [
-            ("none", mcdn_faults::FaultProfile::none()),
-            ("total-dark", crate::chaos::total_dark_scenario(41).faults),
-            ("poisoning-enforced", mcdn_faults::FaultProfile::poisoning(43)),
-        ];
-        for (label, faults) in profiles {
-            for threads in [1usize, 2, 8] {
-                let mut cfg = ScenarioConfig::fast();
-                cfg.global_probes = 60;
-                cfg.global_dns_interval = Duration::mins(30);
-                cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
-                cfg.global_end = SimTime::from_ymd(2017, 9, 19);
-                cfg.faults = faults;
-                let CampaignReport { result: full, metrics: full_obs, .. } = {
-                    let world = World::build(&cfg);
-                    let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
-                    p.reuse = false;
-                    run_to_completion(&p)
-                };
-                let CampaignReport { result: incremental, metrics: incremental_obs, .. } = {
-                    let world = World::build(&cfg);
-                    let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
-                    p.reuse = true;
-                    run_to_completion(&p)
-                };
-                assert_eq!(
-                    incremental, full,
-                    "incremental engine diverged under profile {label}, {threads} threads"
-                );
-                // The deterministic metrics export is part of the reuse
-                // contract too: replayed deltas must reproduce the exact
-                // counters a recomputation records.
-                assert_eq!(
-                    incremental_obs.det_jsonl(),
-                    full_obs.det_jsonl(),
-                    "deterministic metrics diverged under profile {label}, {threads} threads"
-                );
-                assert_eq!(full.reused_resolutions, 0);
-                assert!(full.resolutions > 0);
-            }
-        }
-    }
-
-    /// Steady state must actually replay: the quiet global campaign has
-    /// special-market probes whose whole chain is time-independent, and
-    /// the reused count is canonical (identical for every thread count).
-    #[test]
-    fn quiet_campaign_replays_and_count_is_canonical() {
-        let mut cfg = ScenarioConfig::fast();
-        cfg.global_probes = 60;
-        cfg.global_dns_interval = Duration::mins(30);
-        cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
-        cfg.global_end = SimTime::from_ymd(2017, 9, 19);
-        let mut counts = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let world = World::build(&cfg);
-            let mut p = campaign_params(&world, &cfg, Campaign::Global, threads);
-            p.reuse = true;
-            counts.push(run_to_completion(&p).result.reused_resolutions);
-        }
-        assert!(counts[0] > 0, "quiet steady state must replay some resolutions");
-        assert_eq!(counts[0], counts[1]);
-        assert_eq!(counts[0], counts[2]);
-    }
-
-    /// Pins the [`PartialEq`] contract documented on
-    /// [`DnsCampaignResult`]: `reused_resolutions` is process telemetry
-    /// (replay vs recompute), not measurement output, so two results
-    /// differing only there compare equal — while every measurement
-    /// field still participates in equality.
-    #[test]
-    fn reused_resolutions_is_excluded_from_equality() {
-        let mut cfg = ScenarioConfig::fast();
-        cfg.global_probes = 12;
-        cfg.global_dns_interval = Duration::hours(6);
-        cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
-        cfg.global_end = SimTime::from_ymd(2017, 9, 19);
-        let world = World::build(&cfg);
-        let result = run_dns(&world, &cfg, Campaign::Global, 2).result;
-
-        let mut telemetry_only = result.clone();
-        telemetry_only.reused_resolutions = result.reused_resolutions + 1_000_000;
-        assert_eq!(result, telemetry_only, "reused_resolutions must not affect equality");
-
-        for mutate in [
-            (|r: &mut DnsCampaignResult| r.resolutions += 1) as fn(&mut DnsCampaignResult),
-            |r| r.attempts += 1,
-            |r| r.retry_exhausted += 1,
-            |r| r.memo_lookups += 1,
-            |r| r.memo_hits += 1,
-            |r| {
-                r.ip_classes.insert(Ipv4Addr::new(203, 0, 113, 99), CdnClass::Apple);
-            },
-        ] {
-            let mut changed = result.clone();
-            mutate(&mut changed);
-            assert_ne!(result, changed, "measurement fields must affect equality");
-        }
-    }
-
-    /// TTL-boundary exactness, pinned to a single special-market probe
-    /// whose chain is `entry` (static CNAME, TTL 21600) → geo split
-    /// (pure policy CNAME, TTL 120) → market pool (static A, TTL 60):
-    ///
-    /// * round 1 resolves cold (all misses, the 21600 s entry store
-    ///   blocks reuse for a full entry lifetime),
-    /// * round 2 re-resolves (entry now a cache hit) and records the
-    ///   replayable slot,
-    /// * rounds 3–12 replay (the 120 s stores expire between rounds, the
-    ///   entry hit stays live),
-    /// * round 13 lands exactly on the entry's absolute expiry — the
-    ///   slot invalidates *at* the boundary, never one round early or
-    ///   late — and the cycle repeats.
-    ///
-    /// 24 half-hour rounds ⇒ exactly 2 × 10 replays, and the output is
-    /// bit-identical to full recomputation.
-    #[test]
-    fn ttl_boundaries_gate_reuse_exactly() {
-        use mcdn_geo::{Locode, Registry};
-        let cfg = ScenarioConfig::fast();
-        let beijing = Registry::by_locode(Locode::parse("cnbjs").unwrap()).unwrap();
-        let start = SimTime::from_ymd(2017, 9, 18);
-        let run = |reuse: bool| {
-            let world = World::build(&cfg);
-            let spec = mcdn_atlas::ProbeSpec {
-                city: beijing,
-                as_id: world.global_probe_specs[0].as_id,
-                ip: Ipv4Addr::new(100, 64, 0, 1),
-            };
-            let p = CampaignParams {
-                world: &world,
-                specs: std::slice::from_ref(&spec),
-                start,
-                end: start + Duration::hours(12),
-                interval: Duration::mins(30),
-                bin: Duration::hours(1),
-                availability: Availability::with_rate(1.0, 0),
-                profile: FaultProfile::none(),
-                retry: RetryPolicy::none(),
-                threads: 1,
-                reuse,
-            };
-            run_to_completion(&p).result
-        };
-        let incremental = run(true);
-        let full = run(false);
-        assert_eq!(incremental, full);
-        assert_eq!(incremental.resolutions, 24);
-        assert_eq!(
-            incremental.reused_resolutions, 20,
-            "expected rounds 3-12 and 15-24 to replay, 1-2 and 13-14 to recompute"
-        );
-        assert_eq!(full.reused_resolutions, 0);
-    }
-
-    /// Suspend/resume with reuse enabled: slots are engine memory, so the
-    /// resumed process recomputes where the uninterrupted one replayed —
-    /// and the measurement output must not care.
-    #[test]
-    fn resume_with_reuse_is_output_identical() {
-        let dir = std::env::temp_dir().join(format!("mcdn-reuse-resume-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = dir.join("reuse-resume.journal");
-        let _ = std::fs::remove_file(&journal);
-        let mut cfg = ScenarioConfig::fast();
-        cfg.global_probes = 30;
-        cfg.global_dns_interval = Duration::mins(30);
-        cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
-        cfg.global_end = SimTime::from_ymd(2017, 9, 19);
-        let plain = {
-            let world = World::build(&cfg);
-            run_dns(&world, &cfg, Campaign::Global, 2).result
-        };
-        // First process: run half the campaign, then suspend.
-        {
-            let world = World::build(&cfg);
-            let opts = ResumeOptions {
-                threads: 2,
-                stop_after_rounds: Some(12),
-                ..ResumeOptions::default()
-            };
-            match run_dns_journaled(&world, &cfg, Campaign::Global, &journal, opts).unwrap().0 {
-                CampaignRun::Suspended { rounds_done, .. } => assert_eq!(rounds_done, 12),
-                CampaignRun::Complete(_) => panic!("should have suspended"),
-            }
-        }
-        // Second process: resume and finish. Its reuse slots start empty.
-        let resumed = {
-            let world = World::build(&cfg);
-            let opts = ResumeOptions { threads: 2, ..ResumeOptions::default() };
-            match run_dns_journaled(&world, &cfg, Campaign::Global, &journal, opts).unwrap().0 {
-                CampaignRun::Complete(result) => result,
-                CampaignRun::Suspended { .. } => panic!("should have completed"),
-            }
-        };
-        assert_eq!(resumed, plain);
-        let _ = std::fs::remove_file(&journal);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod dnscampaign;
 pub mod loads;
 pub mod params;
 pub mod poisoning;
-pub mod reuse;
 pub mod sites;
 pub mod timeline;
 pub mod tracecampaign;
@@ -71,15 +70,13 @@ pub use compat::{
 };
 pub use config::{LinkSelection, ScenarioConfig};
 pub use dnscampaign::{
-    bailiwick_policy, reuse_enabled, run_dns, run_dns_journaled, Campaign, CampaignReport,
-    DnsCampaignResult, InternedCampaignFaults, InternedCampaignMutations, IpClassLedger,
-    POISON_TTL,
+    bailiwick_policy, run_dns, run_dns_journaled, Campaign, CampaignReport, DnsCampaignResult,
+    InternedCampaignFaults, InternedCampaignMutations, IpClassLedger, POISON_TTL,
 };
 pub use poisoning::{
     check_poison_invariants, poison_grid, run_poison, run_poison_sweep, PoisonRunResult,
     PoisonScenario, PoisonViolation,
 };
-pub use reuse::{RecordedPut, ReuseSlot, ReuseVersions};
 pub use timeline::{timeline, TimelineEntry};
 pub use tracecampaign::{run_traceroutes, TracerouteCampaignResult};
 pub use traffic::{run_traffic, TrafficResult, TRAFFIC_BATCH_TICKS};

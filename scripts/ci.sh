@@ -127,23 +127,6 @@ echo "    $(grep -m1 'iterations=' "$tmpdir/fuzz1.txt" | sed 's/fuzzwire: //')"
 echo "==> adversarial bit-identity: resume + enforcement under every mutation profile"
 cargo test --release -q --test adversarial
 
-echo "==> incremental reuse: replay output vs full recompute, byte-identical"
-# The cross-round reuse engine is on by default; MCDN_NO_REUSE=1 forces
-# the full-recompute control arm. The quiet campaign, the chaos grid, and
-# the poisoning grid must all byte-match their reuse-enabled runs above
-# (run1.txt / chaos1.txt / poison1.txt).
-MCDN_NO_REUSE=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
-  campaign global > "$tmpdir/noreuse.txt"
-diff -u "$tmpdir/run1.txt" "$tmpdir/noreuse.txt"
-MCDN_NO_REUSE=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
-  campaign isp > "$tmpdir/isp_noreuse.txt"
-diff -u "$tmpdir/isp.txt" "$tmpdir/isp_noreuse.txt"
-MCDN_NO_REUSE=1 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos_noreuse.txt"
-diff -u "$tmpdir/chaos1.txt" "$tmpdir/chaos_noreuse.txt"
-MCDN_NO_REUSE=1 cargo run --release -q --example poison_sweep > "$tmpdir/poison_noreuse.txt"
-diff -u "$tmpdir/poison1.txt" "$tmpdir/poison_noreuse.txt"
-echo "    reuse == full recompute on quiet global + in-ISP + chaos + poisoning grids"
-
 echo "==> parallel determinism: MCDN_THREADS=1 vs MCDN_THREADS=4"
 MCDN_THREADS=1 cargo run --release -q -p mcdn-analysis --bin mcdn -- \
   campaign global --metrics "$tmpdir/metrics_t1.jsonl" > "$tmpdir/t1.txt"
@@ -161,9 +144,8 @@ diff -u "$tmpdir/traffic_t1.txt" "$tmpdir/traffic_t4.txt"
 echo "    identical (campaign $(wc -l < "$tmpdir/t1.txt") lines, traffic $(wc -l < "$tmpdir/traffic_t1.txt") lines)"
 
 echo "==> metrics determinism: deterministic export byte-identical across thread counts"
-# Lines tagged "det":false are process telemetry (reuse replays, shard
-# timings, dispatch histograms) and legitimately vary; everything else
-# must not. Stripping them must also leave a non-trivial export.
+# Lines tagged "det":false are process telemetry (shard timings,
+# dispatch histograms) and legitimately vary; everything else must not. Stripping them must also leave a non-trivial export.
 grep -v '"det":false' "$tmpdir/metrics_t1.jsonl" > "$tmpdir/metrics_t1.det"
 grep -v '"det":false' "$tmpdir/metrics_t4.jsonl" > "$tmpdir/metrics_t4.det"
 diff -u "$tmpdir/metrics_t1.det" "$tmpdir/metrics_t4.det"
@@ -172,9 +154,7 @@ grep -q '"name":"campaign.resolutions"' "$tmpdir/metrics_t1.det"
 echo "    identical ($(wc -l < "$tmpdir/metrics_t1.det") deterministic lines)"
 
 echo "==> crash recovery: SIGKILL mid-campaign, resume, byte-diff vs uninterrupted"
-# run1.txt above is the uninterrupted campaign (reuse enabled — the
-# default — so this also proves a resumed run, whose reuse slots start
-# empty, byte-matches one that replayed). Journal a run, let it
+# run1.txt above is the uninterrupted campaign. Journal a run, let it
 # self-SIGKILL after round 3 with its checkpoint durable, then resume from
 # the journal; the resumed run's full output must be byte-identical.
 journal="$tmpdir/campaign.journal"
@@ -219,7 +199,7 @@ if ! scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null; then
   echo "    gate failed once; retrying (single-core scheduler jitter tolerance)"
   scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null
 fi
-grep -q '"schema": "mcdn-bench-campaigns-v8"' "$tmpdir/BENCH_campaigns.json"
+grep -q '"schema": "mcdn-bench-campaigns-v9"' "$tmpdir/BENCH_campaigns.json"
 grep -q '"identical_across_threads": true' "$tmpdir/BENCH_campaigns.json"
 if grep -q '"identical_across_threads": false' "$tmpdir/BENCH_campaigns.json"; then
   echo "    FAIL: some campaign diverged across thread counts"; exit 1
@@ -228,7 +208,7 @@ for field in thread_counts memo_hit_rate wall_ms shard_walls p50_ms p90_ms max_m
              dispatch_overhead_ms speedup_vs_serial speedup_gate dispatch_microbench \
              scoped_over_pool traffic_batch_ticks available_parallelism \
              checkpoint_overhead_pct raw_overhead_pct noise_floor \
-             reuse_rate reused_resolutions reuse_gate ratio_vs_v5 \
+             serial_gate ratio_vs_v5 \
              observability obs_overhead_pct budget_pct metrics trace_events \
              alloc_audit allocs_per_resolution bytes_per_resolution; do
   grep -q "\"$field\"" "$tmpdir/BENCH_campaigns.json" || {
