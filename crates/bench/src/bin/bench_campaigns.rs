@@ -8,7 +8,6 @@
 //! `BENCH_campaigns.json` in the working directory.
 
 use alloc_counter::CountingAlloc;
-use mcdn_exec::Recovery;
 use mcdn_geo::{Duration, SimTime};
 use mcdn_scenario::{
     run_dns, run_dns_journaled, run_traffic, Campaign, CampaignReport, CampaignRun, ResumeOptions,
@@ -95,7 +94,7 @@ fn mean_dispatch_ms(warmup: u32, reps: u32, mut dispatch: impl FnMut()) -> f64 {
 }
 
 /// Per-dispatch cost of waking the pool at `threads` width: the measured
-/// wall clock of a no-op fail-fast `shard_map` over one item per shard,
+/// wall clock of a no-op `shard_map` over one item per shard,
 /// on a warm pool. Multiplied by a run's dispatch count this estimates
 /// how much of its wall went to orchestration rather than work — the
 /// quantity the persistent pool exists to shrink.
@@ -106,7 +105,7 @@ fn dispatch_cost_ms(threads: usize) -> f64 {
     mcdn_exec::warm(threads);
     let mut items = vec![0u8; threads];
     mean_dispatch_ms(64, 512, || {
-        let shards = mcdn_exec::shard_map(&mut items, threads, Recovery::FailFast, |_, _| ());
+        let shards = mcdn_exec::shard_map(&mut items, threads, |_, _| ());
         std::hint::black_box(shards.expect("no-op shards cannot panic"));
     })
 }

@@ -45,24 +45,19 @@
 //! park — which keeps the serial and parallel engines literally the same
 //! code.
 //!
-//! # Panic recovery
+//! # Shard failures
 //!
-//! [`shard_map`] isolates shard panics with [`catch_unwind`] and recovers
-//! according to a [`Recovery`] policy: [`Recovery::Pristine`] clones the
-//! shard into a **reusable per-worker pristine buffer** before the first
-//! attempt and rolls back + retries deterministically (the buffer is one
-//! allocation per worker, reused across every round it supervises);
-//! [`Recovery::FailFast`] skips the clone entirely — the zero-copy fast
-//! path for configurations that cannot panic — and converts a first panic
-//! into a typed [`ShardFailure`]; [`Recovery::RetryUnrestored`] retries
-//! without restoring, which is sound only for closures that never mutate
-//! their shard.
+//! [`shard_map`] runs each shard exactly once under [`catch_unwind`]. A
+//! panicking shard is isolated (the other shards still run and no worker
+//! dies), and the map returns the lowest-indexed panicking shard as a
+//! typed [`ShardFailure`] instead of unwinding into the caller. Shards
+//! are not retried: a shard is a deterministic function of its inputs,
+//! so a second run would panic the same way.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::any::Any;
-use std::cell::RefCell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -107,68 +102,22 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Default retry budget of the retrying [`Recovery`] policies: one clean
-/// rerun after the initial attempt, then one more — enough to outlast any
-/// one-shot injected fault while still bounding a deterministic panic.
-pub const DEFAULT_SHARD_RETRIES: u32 = 2;
-
-/// How a shard recovers from a panicking attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recovery {
-    /// Clone the shard into the worker's reusable pristine buffer before
-    /// the first attempt; a panicking attempt is rolled back to the clone
-    /// and deterministically re-executed, up to `retries` extra times.
-    /// The clone is the price of retrying closures that mutate their
-    /// shard mid-attempt.
-    Pristine {
-        /// Extra attempts after the initial run.
-        retries: u32,
-    },
-    /// No clone, no retry: the first panic fails the shard with a typed
-    /// [`ShardFailure`]. The zero-copy fast path for configurations where
-    /// nothing is expected to panic — a panic then signals a genuine bug,
-    /// and retrying over possibly half-mutated state would be wrong.
-    FailFast,
-    /// No clone; a panicking attempt is re-executed over the shard
-    /// exactly as the panic left it, up to `retries` extra times. Sound
-    /// **only** when the closure never mutates its shard items (e.g. the
-    /// traffic engine's read-only record building).
-    RetryUnrestored {
-        /// Extra attempts after the initial run.
-        retries: u32,
-    },
-}
-
-impl Recovery {
-    /// Total attempts this policy budgets (initial run included).
-    fn attempts(self) -> u32 {
-        match self {
-            Recovery::Pristine { retries } | Recovery::RetryUnrestored { retries } => {
-                retries.saturating_add(1)
-            }
-            Recovery::FailFast => 1,
-        }
-    }
-}
-
-/// A shard that kept panicking until its retry budget ran out.
+/// A shard that panicked.
 ///
 /// Surfaced instead of aborting the process so a long campaign can fail
-/// *typed*: the caller decides whether to quarantine the result, persist a
-/// checkpoint, or propagate the failure.
+/// *typed*: the caller decides whether to persist a checkpoint or
+/// propagate the failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFailure {
     /// Index of the failing shard (canonical shard order).
     pub shard: usize,
-    /// Total attempts made (initial run + retries).
-    pub attempts: u32,
-    /// The panic payload of the final attempt, if it was a string.
+    /// The panic payload, if it was a string.
     pub message: String,
 }
 
 impl core::fmt::Display for ShardFailure {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "shard {} panicked {} time(s): {}", self.shard, self.attempts, self.message)
+        write!(f, "shard {} panicked: {}", self.shard, self.message)
     }
 }
 
@@ -184,106 +133,31 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-thread_local! {
-    /// The worker's reusable pristine buffer (see [`Recovery::Pristine`]):
-    /// one allocation per worker thread, reused across every shard and
-    /// round that worker supervises, instead of a fresh `Vec` per shard
-    /// attempt. Type-erased because pool workers outlive any one
-    /// campaign's item type; a type change simply re-allocates once.
-    static PRISTINE: RefCell<Option<Box<dyn Any + Send>>> = const { RefCell::new(None) };
-}
-
-/// Runs one shard's attempt loop under `recovery`.
+/// Runs shard `index` once under [`catch_unwind`].
 ///
-/// `AssertUnwindSafe` is sound here because the only state `f` can reach
-/// across the unwind boundary is the shard slice itself, and every policy
-/// accounts for it: `Pristine` restores the pre-attempt contents before a
-/// retry, `RetryUnrestored` is only used with non-mutating closures, and
-/// `FailFast` discards the whole map (the caller never observes the
-/// shard's partial state as a success).
-fn supervise_shard<T, R, F>(
-    index: usize,
-    shard: &mut [T],
-    recovery: Recovery,
-    f: &F,
-) -> Result<R, ShardFailure>
+/// `AssertUnwindSafe` is sound here because a panicking shard fails the
+/// whole map: the caller never observes what the shard left half-done as
+/// a success.
+fn run_caught<T, R, F>(index: usize, shard: &mut [T], f: &F) -> Result<R, ShardFailure>
 where
-    T: Clone + Send + 'static,
     F: Fn(usize, &mut [T]) -> R,
 {
-    let attempts = recovery.attempts();
-    if let Recovery::Pristine { .. } = recovery {
-        PRISTINE.with(|slot| {
-            // Reuse the worker's buffer when the item type matches; the
-            // borrow is released before `f` runs so nested maps on this
-            // thread simply fall back to a fresh buffer.
-            let mut pristine: Box<Vec<T>> = slot
-                .borrow_mut()
-                .take()
-                .and_then(|b| b.downcast::<Vec<T>>().ok())
-                .unwrap_or_default();
-            pristine.clear();
-            pristine.extend(shard.iter().cloned());
-            let mut last_message = String::new();
-            let mut result = None;
-            for attempt in 0..attempts {
-                match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
-                    Ok(r) => {
-                        result = Some(r);
-                        break;
-                    }
-                    Err(payload) => {
-                        last_message = panic_message(payload);
-                        mcdn_obs::global_add(mcdn_obs::global::SHARD_PANICS, 1);
-                        // Quarantine: throw away whatever the panicking
-                        // attempt did to the shard and restore the pristine
-                        // items, so a retry replays the exact same
-                        // deterministic inputs.
-                        if attempt + 1 < attempts {
-                            shard.clone_from_slice(&pristine);
-                            mcdn_obs::global_add(mcdn_obs::global::SHARD_RESTORES, 1);
-                        }
-                    }
-                }
-            }
-            // Drop the clones eagerly (they can hold warm caches) but hand
-            // the allocation back to the worker for the next round.
-            pristine.clear();
-            *slot.borrow_mut() = Some(pristine as Box<dyn Any + Send>);
-            match result {
-                Some(r) => Ok(r),
-                None => Err(ShardFailure { shard: index, attempts, message: last_message }),
-            }
-        })
-    } else {
-        let mut last_message = String::new();
-        for _ in 0..attempts {
-            match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => {
-                    last_message = panic_message(payload);
-                    mcdn_obs::global_add(mcdn_obs::global::SHARD_PANICS, 1);
-                }
-            }
-        }
-        Err(ShardFailure { shard: index, attempts, message: last_message })
-    }
+    catch_unwind(AssertUnwindSafe(|| f(index, shard))).map_err(|payload| {
+        mcdn_obs::global_add(mcdn_obs::global::SHARD_PANICS, 1);
+        ShardFailure { shard: index, message: panic_message(payload) }
+    })
 }
 
 /// What one shard execution produced, keyed by shard index in the job's
-/// result slots: the closure's value with a wall time covering every
-/// attempt, or the failure of a shard that exhausted its recovery budget.
+/// result slots: the closure's value with its wall time, or the failure
+/// of a shard that panicked.
 type Outcome<R> = Result<(R, Duration), ShardFailure>;
 
-/// Live pool telemetry, for benches and the reuse tests.
+/// Live pool telemetry, for benches and the pool-reuse tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Workers spawned since process start (never shrinks).
     pub spawned: usize,
-    /// Workers currently asleep on the run queue (a sampled instant —
-    /// workers in the middle of claiming a task are neither parked nor
-    /// visibly busy).
-    pub parked: usize,
     /// Parallel dispatches served (rounds that actually used workers).
     pub dispatches: u64,
 }
@@ -307,7 +181,7 @@ pub fn pool_stats() -> PoolStats {
 /// job, the closure, and the shard borrows) unwinds or returns.
 #[allow(unsafe_code)]
 mod pool {
-    use super::{supervise_shard, Outcome, PoolStats, Recovery};
+    use super::{run_caught, Outcome, PoolStats};
     use std::cell::UnsafeCell;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -337,7 +211,6 @@ mod pool {
         /// Workers sleep on this between rounds.
         work_ready: Condvar,
         spawned: AtomicUsize,
-        idle: AtomicUsize,
         dispatches: AtomicU64,
     }
 
@@ -347,7 +220,6 @@ mod pool {
             queue: Mutex::new(VecDeque::new()),
             work_ready: Condvar::new(),
             spawned: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
             dispatches: AtomicU64::new(0),
         })
     }
@@ -374,12 +246,10 @@ mod pool {
                             }
                             // Parked between rounds: sleep until the next
                             // dispatch pushes work.
-                            pool.idle.fetch_add(1, Ordering::Relaxed);
                             queue = pool
                                 .work_ready
                                 .wait(queue)
                                 .unwrap_or_else(|e| e.into_inner());
-                            pool.idle.fetch_sub(1, Ordering::Relaxed);
                         }
                     };
                     // SAFETY: the dispatcher that queued this task parks
@@ -419,7 +289,6 @@ mod pool {
         let pool = state();
         PoolStats {
             spawned: pool.spawned.load(Ordering::Relaxed),
-            parked: pool.idle.load(Ordering::Relaxed),
             dispatches: pool.dispatches.load(Ordering::Relaxed),
         }
     }
@@ -441,7 +310,6 @@ mod pool {
         /// by the dispatcher only after the countdown hits zero (the
         /// release `fetch_sub` / acquire load pair orders the accesses).
         results: Vec<UnsafeCell<Option<Outcome<R>>>>,
-        recovery: Recovery,
         remaining: AtomicUsize,
         waiter: std::thread::Thread,
     }
@@ -461,8 +329,8 @@ mod pool {
         }
     }
 
-    /// The thunk every task runs: the shard's attempt loop under the
-    /// job's recovery policy, timed, then retired.
+    /// The thunk every task runs: the shard, caught and timed, then
+    /// retired.
     ///
     /// # Safety
     ///
@@ -471,7 +339,7 @@ mod pool {
     /// an index of that job that no other call runs.
     unsafe fn run_shard<T, R, F>(job: *const (), shard: usize)
     where
-        T: Clone + Send + 'static,
+        T: Send,
         R: Send,
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
@@ -485,8 +353,7 @@ mod pool {
         // SAFETY: `f` outlives the job (it lives in the dispatcher's frame).
         let f = unsafe { &*job.f };
         let started = Instant::now();
-        let outcome =
-            supervise_shard(shard, items, job.recovery, f).map(|r| (r, started.elapsed()));
+        let outcome = run_caught(shard, items, f).map(|r| (r, started.elapsed()));
         // SAFETY: per-shard slot invariant, see `retire`.
         unsafe { retire(job, shard, outcome) };
     }
@@ -496,14 +363,9 @@ mod pool {
     /// outcomes in canonical shard order. The core of [`shard_map`].
     ///
     /// [`shard_map`]: super::shard_map
-    pub(super) fn execute<T, R, F>(
-        items: &mut [T],
-        threads: usize,
-        recovery: Recovery,
-        f: &F,
-    ) -> Vec<Outcome<R>>
+    pub(super) fn execute<T, R, F>(items: &mut [T], threads: usize, f: &F) -> Vec<Outcome<R>>
     where
-        T: Clone + Send + 'static,
+        T: Send,
         R: Send,
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
@@ -524,7 +386,6 @@ mod pool {
             f,
             shards,
             results: (0..n).map(|_| UnsafeCell::new(None)).collect(),
-            recovery,
             remaining: AtomicUsize::new(n),
             waiter: std::thread::current(),
         };
@@ -595,16 +456,15 @@ mod pool {
 
 /// Runs `f` over contiguous shards of `items` on the worker pool and
 /// returns the per-shard results **in shard order** (shard 0 first), with
-/// each shard's wall time (attempts included) beside them.
+/// each shard's wall time beside them.
 ///
 /// `f` receives the shard index and a mutable slice of that shard's
 /// items; shards never overlap, so the borrow is race-free by
 /// construction. With `threads <= 1` (or a single shard) the shards run
-/// inline on the caller's thread. Each shard runs under [`catch_unwind`]
-/// and recovers from a panic per `recovery`; if any shard exhausts its
-/// budget, the map returns the failure of the **lowest-indexed** failing
-/// shard (canonical order, independent of worker scheduling) instead of
-/// aborting the process.
+/// inline on the caller's thread. Each shard runs exactly once under
+/// [`catch_unwind`]; if any shard panics, the map returns the failure of
+/// the **lowest-indexed** panicking shard (canonical order, independent
+/// of worker scheduling) instead of aborting the process.
 ///
 /// The wall times are side-band observability — bench harnesses use them
 /// to spot shards that straggle — and never feed back into any result, so
@@ -612,15 +472,14 @@ mod pool {
 pub fn shard_map<T, R, F>(
     items: &mut [T],
     threads: usize,
-    recovery: Recovery,
     f: F,
 ) -> Result<(Vec<R>, Vec<Duration>), ShardFailure>
 where
-    T: Send + Clone + 'static,
+    T: Send,
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
-    pool::execute(items, threads, recovery, &f).into_iter().collect()
+    pool::execute(items, threads, &f).into_iter().collect()
 }
 
 #[cfg(test)]
@@ -633,9 +492,6 @@ mod tests {
     /// [`shard_map`] must produce identical results (the CI pool-vs-scope
     /// stage runs the `pool_matches` tests).
     mod reference {
-        use super::{panic_message, Recovery, ShardFailure};
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-
         /// Scoped-thread `shard_map`: spawns one thread per shard per call.
         pub fn shard_map_scoped<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
         where
@@ -671,86 +527,16 @@ mod tests {
                 handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
             })
         }
-
-        /// Scoped-thread supervised map with per-call pristine clones — the
-        /// pre-pool recovery semantics under [`Recovery::Pristine`].
-        pub fn shard_map_supervised_scoped<T, R, F>(
-            items: &mut [T],
-            threads: usize,
-            retries: u32,
-            f: F,
-        ) -> Result<Vec<R>, ShardFailure>
-        where
-            T: Send + Clone,
-            R: Send,
-            F: Fn(usize, &mut [T]) -> R + Sync,
-        {
-            let _ = Recovery::Pristine { retries }; // semantics documented above
-            fn supervise<T: Clone, R, F: Fn(usize, &mut [T]) -> R>(
-                index: usize,
-                shard: &mut [T],
-                retries: u32,
-                f: &F,
-            ) -> Result<R, ShardFailure> {
-                let pristine: Vec<T> = shard.to_vec();
-                let attempts = retries.saturating_add(1);
-                let mut last_message = String::new();
-                for attempt in 0..attempts {
-                    match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
-                        Ok(r) => return Ok(r),
-                        Err(payload) => {
-                            last_message = panic_message(payload);
-                            if attempt + 1 < attempts {
-                                shard.clone_from_slice(&pristine);
-                            }
-                        }
-                    }
-                }
-                Err(ShardFailure { shard: index, attempts, message: last_message })
-            }
-            let bounds = super::shard_bounds(items.len(), threads);
-            if bounds.len() <= 1 || threads <= 1 {
-                let mut out = Vec::with_capacity(bounds.len());
-                let mut rest = items;
-                for (i, b) in bounds.iter().enumerate() {
-                    let (shard, tail) = rest.split_at_mut(b.len());
-                    rest = tail;
-                    out.push(supervise(i, shard, retries, &f)?);
-                }
-                return Ok(out);
-            }
-            let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-            let mut rest = items;
-            for b in &bounds {
-                let (shard, tail) = rest.split_at_mut(b.len());
-                rest = tail;
-                shards.push(shard);
-            }
-            let f = &f;
-            let results: Vec<Result<R, ShardFailure>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, shard)| scope.spawn(move || supervise(i, shard, retries, f)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard supervisor panicked")).collect()
-            });
-            let mut out = Vec::with_capacity(results.len());
-            for r in results {
-                out.push(r?);
-            }
-            Ok(out)
-        }
     }
 
-    /// `shard_map` without recovery, for the tests where nothing panics.
+    /// `shard_map`'s results, for the tests where nothing panics.
     fn map_values<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
     where
-        T: Send + Clone + 'static,
+        T: Send,
         R: Send,
         F: Fn(usize, &mut [T]) -> R + Sync,
     {
-        shard_map(items, threads, Recovery::FailFast, f).expect("no shard panics").0
+        shard_map(items, threads, f).expect("no shard panics").0
     }
 
     #[test]
@@ -780,9 +566,7 @@ mod tests {
         let flat_serial: Vec<u32> = serial.into_iter().flatten().collect();
         for threads in [1usize, 2, 3, 8] {
             let mut items: Vec<u32> = (0..103).collect();
-            let (parts, walls) =
-                shard_map(&mut items, threads, Recovery::FailFast, |_, shard| shard.to_vec())
-                    .unwrap();
+            let (parts, walls) = shard_map(&mut items, threads, |_, shard| shard.to_vec()).unwrap();
             assert_eq!(walls.len(), parts.len(), "one wall per shard: threads={threads}");
             let flat: Vec<u32> = parts.into_iter().flatten().collect();
             assert_eq!(flat, flat_serial, "threads={threads}");
@@ -819,133 +603,38 @@ mod tests {
     }
 
     #[test]
-    fn panicking_shard_is_restored_and_retried_deterministically() {
-        for threads in [1usize, 4] {
-            let fired = AtomicU32::new(0);
-            let mut items: Vec<u64> = (0..40).collect();
-            let expected: Vec<u64> = items.iter().map(|x| x + 1).collect();
-            let (parts, _) =
-                shard_map(&mut items, threads, Recovery::Pristine { retries: 1 }, |i, shard| {
-                    // Mutate first, then panic once mid-shard on shard 0:
-                    // the supervisor must roll the mutation back before
-                    // retrying.
-                    for x in shard.iter_mut() {
-                        *x += 1;
-                    }
-                    if i == 0 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("injected shard panic");
-                    }
-                    shard.iter().sum::<u64>()
-                })
-                .unwrap();
-            assert_eq!(items, expected, "threads={threads}: mutation applied exactly once");
-            assert_eq!(
-                parts.iter().sum::<u64>(),
-                expected.iter().sum::<u64>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn exhausted_retry_budget_is_a_typed_failure_for_the_lowest_shard() {
-        let mut items: Vec<u8> = (0..32).collect();
-        let err = shard_map(&mut items, 4, Recovery::Pristine { retries: 2 }, |i, _shard| {
-            if i >= 1 {
-                panic!("shard {i} always fails");
-            }
-            i
-        })
-        .unwrap_err();
-        assert_eq!(err.shard, 1, "lowest failing shard wins");
-        assert_eq!(err.attempts, 3);
-        assert!(err.message.contains("always fails"), "{}", err.message);
-        // Display is human-readable for logs.
-        assert!(err.to_string().contains("shard 1"));
-    }
-
-    #[test]
     fn non_string_panic_payloads_do_not_crash_the_supervisor() {
         let mut items = vec![0u8; 4];
-        let err = shard_map(&mut items, 1, Recovery::Pristine { retries: 0 }, |_, _| {
-            std::panic::panic_any(42u32);
-        })
-        .unwrap_err();
+        let err = shard_map(&mut items, 1, |_, _| std::panic::panic_any(42u32)).unwrap_err();
         assert_eq!(err.message, "non-string panic payload");
     }
 
-    // ------------------------------------------------ recovery policies ---
-
     #[test]
-    fn fail_fast_reports_the_first_panic_without_retrying() {
+    fn panicking_shard_is_a_typed_failure_for_the_lowest_shard() {
         // Shard 0 alone panics, then shards 1 to 3 of four all panic: the
         // lowest panicking shard is reported either way.
         for (threads, panicking) in [(1usize, &[0usize][..]), (4, &[0]), (4, &[1, 2, 3])] {
-            let attempts = AtomicU32::new(0);
+            let runs = AtomicU32::new(0);
             let mut items: Vec<u32> = (0..16).collect();
-            let err = shard_map(&mut items, threads, Recovery::FailFast, |i, _| {
-                attempts.fetch_add(1, Ordering::SeqCst);
+            let err = shard_map(&mut items, threads, |i, _| {
+                runs.fetch_add(1, Ordering::SeqCst);
                 if panicking.contains(&i) {
-                    panic!("fail fast in shard {i}");
+                    panic!("boom in shard {i}");
                 }
                 i
             })
             .unwrap_err();
-            assert_eq!(err.shard, panicking[0], "threads={threads}");
-            assert_eq!(err.attempts, 1, "fail-fast budgets exactly one attempt");
-            assert_eq!(err.message, format!("fail fast in shard {}", panicking[0]));
+            let lowest = panicking[0];
+            assert_eq!(err.shard, lowest, "threads={threads}");
+            assert_eq!(err.message, format!("boom in shard {lowest}"));
+            // Display is human-readable for logs.
+            assert_eq!(err.to_string(), format!("shard {lowest} panicked: boom in shard {lowest}"));
             assert_eq!(
-                attempts.load(Ordering::SeqCst) as usize,
+                runs.load(Ordering::SeqCst) as usize,
                 shard_bounds(16, threads).len(),
                 "threads={threads}: every shard ran once, none retried"
             );
         }
-    }
-
-    #[test]
-    fn fail_fast_matches_pristine_when_nothing_panics() {
-        fn mutate_and_sum(i: usize, s: &mut [u32]) -> (usize, u32) {
-            for x in s.iter_mut() {
-                *x = x.wrapping_mul(3) ^ i as u32;
-            }
-            (i, s.iter().sum::<u32>())
-        }
-        for threads in [1usize, 3, 4, 8] {
-            let mut a: Vec<u32> = (0..57).collect();
-            let mut b = a.clone();
-            let fast = map_values(&mut a, threads, mutate_and_sum);
-            let (pristine, _) = shard_map(
-                &mut b,
-                threads,
-                Recovery::Pristine { retries: DEFAULT_SHARD_RETRIES },
-                mutate_and_sum,
-            )
-            .unwrap();
-            assert_eq!(fast, pristine, "threads={threads}");
-            assert_eq!(a, b, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn retry_unrestored_retries_read_only_shards() {
-        let fired = AtomicU32::new(0);
-        let mut items: Vec<u32> = (0..20).collect();
-        let (sums, _) = shard_map(
-            &mut items,
-            4,
-            Recovery::RetryUnrestored { retries: 1 },
-            |i, s| {
-                if i == 2 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient read-only panic");
-                }
-                s.iter().sum::<u32>()
-            },
-        )
-        .unwrap();
-        assert_eq!(sums.iter().sum::<u32>(), (0..20).sum::<u32>());
-        // Shard 2 entered the closure twice: the panicking attempt plus
-        // the successful unrestored retry.
-        assert_eq!(fired.load(Ordering::SeqCst), 2, "one panic, one retry");
     }
 
     // ----------------------------------------------------- pool contract ---
@@ -971,35 +660,6 @@ mod tests {
                 assert_eq!(pooled, scoped, "threads={threads} n={n}");
                 assert_eq!(a, b, "threads={threads} n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn pool_matches_scoped_reference_supervised() {
-        for threads in [2usize, 4] {
-            let fired_pool = AtomicU32::new(0);
-            let fired_scope = AtomicU32::new(0);
-            let mut a: Vec<u64> = (0..50).collect();
-            let mut b = a.clone();
-            fn run(fired: &AtomicU32) -> impl Fn(usize, &mut [u64]) -> u64 + Sync + '_ {
-                move |i: usize, s: &mut [u64]| {
-                    for x in s.iter_mut() {
-                        *x += 7;
-                    }
-                    if i == 1 && fired.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("one-shot");
-                    }
-                    s.iter().sum::<u64>()
-                }
-            }
-            let (pooled, _) =
-                shard_map(&mut a, threads, Recovery::Pristine { retries: 2 }, run(&fired_pool))
-                    .unwrap();
-            let scoped =
-                reference::shard_map_supervised_scoped(&mut b, threads, 2, run(&fired_scope))
-                    .unwrap();
-            assert_eq!(pooled, scoped, "threads={threads}");
-            assert_eq!(a, b, "threads={threads}");
         }
     }
 

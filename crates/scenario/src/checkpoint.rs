@@ -66,7 +66,8 @@ pub enum CampaignError {
     /// cannot be serialized. The campaign hot path never creates overlay
     /// names, so this indicates a bug rather than an operational state.
     UncheckpointableCache,
-    /// A shard kept panicking past its deterministic retry budget.
+    /// A shard panicked. Shards are not retried: a shard is a
+    /// deterministic function of its inputs, so a rerun would panic again.
     Shard(ShardFailure),
 }
 

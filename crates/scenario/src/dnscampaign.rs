@@ -440,66 +440,12 @@ impl RoundMerge {
 /// sees — and the warm arenas stop being rebuilt every round.
 ///
 /// Keeping it across rounds is observationally safe: the memo is cleared
-/// at the top of every round closure (also what makes a pristine-restore
-/// retry replay the panicked attempt's exact inputs), `intern_in` is
-/// idempotent, and memo counts are exported under shard-independent
-/// `SharedName` keys.
+/// at the top of every round closure, `intern_in` is idempotent, and memo
+/// counts are exported under shard-independent `SharedName` keys.
 #[derive(Default)]
 struct ShardState {
     scratch: ResolveScratch,
     memo: IRoundMemo,
-}
-
-/// The recovery policy of one campaign round. Pristine-restore clones are
-/// paid only when a test hook has armed a shard panic; every production
-/// round takes the zero-copy fail-fast path, since no fault family
-/// unwinds a shard, and still reports a typed [`mcdn_exec::ShardFailure`]
-/// if a genuine bug panics one.
-fn round_recovery() -> mcdn_exec::Recovery {
-    if testhooks::is_armed() {
-        mcdn_exec::Recovery::Pristine { retries: mcdn_exec::DEFAULT_SHARD_RETRIES }
-    } else {
-        mcdn_exec::Recovery::FailFast
-    }
-}
-
-/// Test-only chaos hooks for the crash-recovery suite.
-///
-/// Hidden but always compiled (integration tests cannot see `#[cfg(test)]`
-/// items): arming a shard index plants exactly one panic mid-shard — after
-/// some probes have already mutated their caches — in the next round that
-/// processes that shard. The supervised engine must quarantine, restore,
-/// and retry it with bit-identical output.
-#[doc(hidden)]
-pub mod testhooks {
-    use std::sync::atomic::{AtomicI64, Ordering};
-
-    static ARMED_SHARD: AtomicI64 = AtomicI64::new(-1);
-
-    /// Arms a one-shot mid-shard panic in shard `shard`.
-    pub fn arm_shard_panic(shard: usize) {
-        ARMED_SHARD.store(shard as i64, Ordering::SeqCst);
-    }
-
-    /// Disarms any armed panic (idempotent).
-    pub fn disarm() {
-        ARMED_SHARD.store(-1, Ordering::SeqCst);
-    }
-
-    /// Whether a panic is currently armed, without consuming it. The
-    /// engine checks this per round to decide whether the supervised
-    /// shards need pristine-restore recovery (armed) or can take the
-    /// zero-copy fail-fast path (the production default).
-    pub fn is_armed() -> bool {
-        ARMED_SHARD.load(Ordering::SeqCst) >= 0
-    }
-
-    /// True exactly once after arming: firing disarms.
-    pub(crate) fn shard_panic_fires(shard: usize) -> bool {
-        ARMED_SHARD
-            .compare_exchange(shard as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
 }
 
 /// The flat knobs of one campaign, bundled so the plain and journaled
@@ -565,11 +511,11 @@ impl CampaignParams<'_> {
 ///   checkpoint).
 ///
 /// Rounds dispatch onto the persistent worker pool
-/// ([`mcdn_exec::shard_map`]), with the recovery policy picked per round:
-/// zero-copy fail-fast when nothing can panic (the production default),
-/// pristine-restore with deterministic retry when a test hook arms a
-/// mid-shard panic. Every round's shard walls are kept and returned
-/// beside the metrics snapshot.
+/// ([`mcdn_exec::shard_map`]). A panicking shard is not retried (a rerun
+/// over the same probes would panic again): the round fails, and the
+/// campaign returns [`CampaignError::Shard`] for the lowest panicking
+/// shard. Every round's shard walls are kept and returned beside the
+/// metrics snapshot.
 fn drive_campaign(
     p: &CampaignParams<'_>,
     journal_path: Option<&Path>,
@@ -706,23 +652,20 @@ fn drive_campaign(
         let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut fleet,
             p.threads,
-            round_recovery(),
             |shard_idx, shard| {
                 let _guard = metacdn::install_snapshot(Arc::clone(&snap));
-                // A panicking attempt poisons the mutex with the guard
-                // held mid-round; the state is re-cleared on entry anyway,
-                // so the poison flag carries no information here.
-                let mut state =
-                    shard_states[shard_idx].lock().unwrap_or_else(|e| e.into_inner());
+                // Each shard index runs once per round, so the lock is
+                // never contended; a shard that panics fails the campaign,
+                // so no later round takes a poisoned lock.
+                let mut state = shard_states[shard_idx].lock().expect("shard state");
                 let ShardState { scratch, memo } = &mut *state;
                 // Reset the per-round memo before anything else: round
-                // N+1 must never see round N's answers, and a pristine-
-                // restore retry must replay the panicked attempt's exact
-                // inputs.
+                // N+1 must never see round N's answers.
                 memo.clear();
                 // Same hygiene for the thread-local metrics sink: a shard
                 // closure must drain exactly what *this* execution
-                // recorded, including across pristine-restore retries.
+                // recorded, not what a panicked shard of an earlier,
+                // failed campaign left on this thread.
                 mcdn_obs::shard_reset();
                 let entry_id = cns.intern_in(scratch, &entry);
                 let mut partial = ShardPartial {
@@ -733,12 +676,7 @@ fn drive_campaign(
                     memo_counts: HashMap::default(),
                     obs: Default::default(),
                 };
-                for (i, probe) in shard.iter_mut().enumerate() {
-                    if i == 1 && testhooks::shard_panic_fires(shard_idx) {
-                        // Fires *after* probe 0 already mutated its cache:
-                        // proves the supervisor restores partial work.
-                        panic!("injected mid-shard panic (testhooks)");
-                    }
+                for probe in shard.iter_mut() {
                     if !p.availability.is_online(probe.id, t) {
                         continue; // probe offline this epoch
                     }
@@ -890,8 +828,7 @@ fn drive_campaign(
 
 /// Runs a campaign to completion without a journal, preserving the
 /// historical infallible contract of the plain runner: shards are still
-/// panic-isolated, but a shard that defeats its recovery budget aborts
-/// the process here.
+/// panic-isolated, but a shard that panics aborts the process here.
 fn run_to_completion(p: &CampaignParams<'_>) -> CampaignReport {
     match drive_campaign(p, None, 1, None) {
         Ok((CampaignRun::Complete(result), metrics, shard_walls)) => {
@@ -960,7 +897,7 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 ///
 /// # Panics
 ///
-/// With "campaign failed" if a shard panics past its recovery budget.
+/// With "campaign failed" if a shard panics.
 pub fn run_dns(
     world: &World,
     cfg: &ScenarioConfig,

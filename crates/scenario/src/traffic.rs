@@ -77,9 +77,7 @@ fn spread(pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) -> Vec<
 /// A flow with its link placement decided — the input to the
 /// embarrassingly-parallel phase. Carries its tick (`t`) so flows from
 /// several ticks can ride one pool dispatch. `landed` indexes the batch's
-/// landed-link arena. `Clone` because [`mcdn_exec::shard_map`] requires
-/// it (the read-only phase-B closure never actually triggers a restore).
-#[derive(Clone)]
+/// landed-link arena.
 struct RoutedFlow {
     src: Ipv4Addr,
     src_as: AsId,
@@ -315,12 +313,10 @@ pub fn run_traffic(
         // depend only on that flow and its own tick — shard the whole
         // batch and concatenate the per-shard outputs, which preserves
         // tick-major flow order, so the record stream is bit-identical to
-        // a per-tick (or serial) sweep. The closure never mutates its
-        // shard, so a panicking shard retries without a restore.
+        // a per-tick (or serial) sweep.
         let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut batch,
             threads,
-            mcdn_exec::Recovery::RetryUnrestored { retries: mcdn_exec::DEFAULT_SHARD_RETRIES },
             |_shard_idx, shard| {
                 let mut shard_flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
                 let mut shard_losses = 0u64;
