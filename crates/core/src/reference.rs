@@ -467,7 +467,12 @@ mod props {
                         let of_a = op == 7;
                         let (state, model) =
                             if of_a { (&a, &mut model_a) } else { (&b, &mut model_b) };
-                        guards.push((of_a, install_snapshot(Arc::new(state.capture()))));
+                        // Captured at one of the read instants, so reads
+                        // there take the snapshot's precomputed shares and
+                        // reads at the others compute from its signals.
+                        let hour = READ_HOURS[v as usize % READ_HOURS.len()];
+                        let at = t0() + Duration::hours(hour);
+                        guards.push((of_a, install_snapshot(Arc::new(state.capture(at)))));
                         let frozen = model.live.clone();
                         model.installed.push(frozen);
                     }

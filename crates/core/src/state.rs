@@ -107,7 +107,8 @@ static NEXT_STATE_ID: AtomicU64 = AtomicU64::new(1);
 /// An immutable point-in-time copy of the controller's mutable mapping
 /// inputs (loads, health verdicts, capacity factors, a1015 activation,
 /// down sites), captured once per campaign round with
-/// [`MetaCdnState::capture`].
+/// [`MetaCdnState::capture`], together with every region's effective
+/// selection share at the round's instant.
 ///
 /// While a snapshot is [installed](install_snapshot) on a thread, every
 /// read of the originating state on that thread is served lock-free from
@@ -116,10 +117,20 @@ static NEXT_STATE_ID: AtomicU64 = AtomicU64::new(1);
 /// construction. Writes (`set_*`) always go to the live state and become
 /// visible only to the *next* captured snapshot, so a round's mapping
 /// inputs are frozen no matter how its shards interleave.
+///
+/// The share depends only on the region, the instant and the signals, so
+/// the snapshot computes it once per region at capture;
+/// [`MetaCdnState::effective_share`] serves a read at that instant from
+/// it, and computes a read at any other instant (a retry's backoff) from
+/// the copied signals, as a live read would.
 #[derive(Debug, Clone)]
 pub struct MappingSnapshot {
     state_id: u64,
     inner: Inner,
+    /// The instant `shares` hold.
+    at: SimTime,
+    /// Each region's effective share at `at`, indexed by `Region as usize`.
+    shares: [SelectionShare; REGIONS],
 }
 
 thread_local! {
@@ -201,12 +212,12 @@ impl MetaCdnState {
 
     /// Captures the mutable mapping inputs as an immutable
     /// [`MappingSnapshot`] (one read-lock acquisition for a whole round's
-    /// worth of queries).
-    pub fn capture(&self) -> MappingSnapshot {
-        MappingSnapshot {
-            state_id: self.state_id,
-            inner: self.inner.read().expect("state lock").clone(),
-        }
+    /// worth of queries), with every region's effective share at `now`,
+    /// the instant the round's queries are asked at.
+    pub fn capture(&self, now: SimTime) -> MappingSnapshot {
+        let inner = self.inner.read().expect("state lock").clone();
+        let shares = Region::ALL.map(|region| self.share_in(&inner, region, now).0);
+        MappingSnapshot { state_id: self.state_id, inner, at: now, shares }
     }
 
     /// Exports every mutable controller signal, sorted, for
@@ -275,12 +286,6 @@ impl MetaCdnState {
             drop(installed);
             f(&self.inner.read().expect("state lock"))
         })
-    }
-
-    /// Whether a snapshot of this state is installed on the current thread
-    /// (the engine's frozen-round mode).
-    fn snapshot_installed(&self) -> bool {
-        INSTALLED.with(|s| s.borrow().iter().any(|m| m.state_id == self.state_id))
     }
 
     /// The schedule's (pre-overflow) share for `region` at `now`.
@@ -376,25 +381,42 @@ impl MetaCdnState {
     /// with Apple's overflow spilled onto the available third parties,
     /// then degraded by the health/capacity signals of the chaos layer
     /// (no-op while no degradation signal is set). Both steps read one
-    /// view of the signals.
+    /// view of the signals; under an installed snapshot, a read at the
+    /// snapshot's instant returns the share computed at capture.
     pub fn effective_share(&self, region: Region, now: SimTime) -> SelectionShare {
-        let scheduled = self.schedule.share_at(region, now).normalized_in(region);
-        let (probs, outcome) = self.with_inner(|inner| {
-            let probs = overflow_in(inner, region, scheduled);
-            (probs, degrade_in(inner, region, &probs))
+        let frozen = INSTALLED.with(|s| {
+            let installed = s.borrow();
+            let snap = installed.iter().rev().find(|m| m.state_id == self.state_id)?;
+            Some(if snap.at == now {
+                snap.shares[region as usize]
+            } else {
+                self.share_in(&snap.inner, region, now).0
+            })
         });
-        match outcome {
-            DegradeOutcome::Untouched => probs,
-            DegradeOutcome::Frozen(last_good) => last_good.unwrap_or(probs),
-            DegradeOutcome::Shed(out) => {
-                // Snapshot mode is read-only: the frozen round must not
-                // mutate the live state, and the live `last_good` keeps
-                // being maintained by the driver's between-round calls.
-                if !self.snapshot_installed() {
-                    self.inner.write().expect("state lock").last_good[region as usize] = Some(out);
-                }
-                out
-            }
+        if let Some(share) = frozen {
+            return share;
+        }
+        let (share, shed) = self.share_in(&self.inner.read().expect("state lock"), region, now);
+        // Only a live read records the last-known-good mapping: snapshot
+        // mode is read-only, so a frozen round never mutates the live
+        // state, and the driver's between-round calls keep it maintained.
+        if shed {
+            self.inner.write().expect("state lock").last_good[region as usize] = Some(share);
+        }
+        share
+    }
+
+    /// [`effective_share`](Self::effective_share) against one view of the
+    /// signals, without writing: the share, and whether it was shed over
+    /// surviving CDNs (a live read records such a share as the
+    /// last-known-good mapping).
+    fn share_in(&self, inner: &Inner, region: Region, now: SimTime) -> (SelectionShare, bool) {
+        let scheduled = self.schedule.share_at(region, now).normalized_in(region);
+        let probs = overflow_in(inner, region, scheduled);
+        match degrade_in(inner, region, &probs) {
+            DegradeOutcome::Untouched => (probs, false),
+            DegradeOutcome::Frozen(last_good) => (last_good.unwrap_or(probs), false),
+            DegradeOutcome::Shed(out) => (out, true),
         }
     }
 
@@ -758,7 +780,7 @@ mod tests {
         s.set_apple_utilization(Region::Eu, 2.0);
         s.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, t0());
         let frozen_share = s.effective_share(Region::Eu, t0());
-        let snap = Arc::new(s.capture());
+        let snap = Arc::new(s.capture(t0()));
         {
             let _g = install_snapshot(snap.clone());
             // Live writes after capture are invisible through the snapshot…
@@ -781,7 +803,7 @@ mod tests {
         let b = state_with(0.5, 0.25, 0.25);
         a.set_apple_utilization(Region::Eu, 1.5);
         b.set_apple_utilization(Region::Eu, 0.5);
-        let _g = install_snapshot(Arc::new(a.capture()));
+        let _g = install_snapshot(Arc::new(a.capture(t0())));
         assert_eq!(a.apple_utilization(Region::Eu), 1.5);
         assert_eq!(b.apple_utilization(Region::Eu), 0.5, "b reads live data");
     }

@@ -47,7 +47,6 @@ use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope, ZoneAnswe
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::{display_fnv, FnvBuildHasher, NameId, NameTable};
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -627,24 +626,55 @@ struct IEntry {
     evicted: bool,
 }
 
+/// The cache key of `(name id, qtype)`, packed as `id << 16 | qtype`, so
+/// key order is `(id, qtype)` order.
+fn cache_key(id: u32, qtype: u16) -> u64 {
+    u64::from(id) << 16 | u64::from(qtype)
+}
+
 /// The per-probe TTL cache, keyed by `(name id, qtype)`: absolute expiry,
 /// remaining-TTL clamp on hit, min-TTL/negative-TTL expiry on store (the
 /// rules of [`crate::cache`]). Entry buffers are reused on re-store — an
 /// expired entry is evicted in place rather than removed — so a warm
 /// cache neither allocates nor frees.
+///
+/// A probe's cache only ever holds the names its chains visit (about a
+/// dozen in a campaign), so the keys live in a short vector, scanned
+/// linearly: a handful of integer compares over one or two cache lines,
+/// where a hash map hashes the key and probes a table on every lookup and
+/// store.
 #[derive(Debug, Clone, Default)]
 pub struct ICache {
-    entries: HashMap<(u32, u16), IEntry, FnvBuildHasher>,
+    /// `keys[i]` is the packed [`cache_key`] of `entries[i]`; no key
+    /// appears twice.
+    keys: Vec<u64>,
+    entries: Vec<IEntry>,
     hits: u64,
     misses: u64,
 }
 
 impl ICache {
+    /// The index of `key`'s entry, if the cache holds one (evicted or not).
+    fn slot(&self, key: u64) -> Option<usize> {
+        self.keys.iter().position(|&k| k == key)
+    }
+
+    /// The entry of `key`, appended empty and evicted if the cache holds
+    /// none: every store goes through here, so no key is held twice.
+    fn slot_mut(&mut self, key: u64) -> &mut IEntry {
+        let i = self.slot(key).unwrap_or_else(|| {
+            self.keys.push(key);
+            self.entries.push(IEntry { records: Vec::new(), expires: SimTime(0), evicted: true });
+            self.entries.len() - 1
+        });
+        &mut self.entries[i]
+    }
+
     /// Looks up `id`/`qtype` at `now`, writing the records (TTLs clamped
     /// to the remaining lifetime) into `out` on a hit. Returns whether it
     /// hit.
     fn get_into(&mut self, id: NameId, qtype: u16, now: SimTime, out: &mut Vec<IRecord>) -> bool {
-        match self.entries.get_mut(&(id.0, qtype)) {
+        match self.slot(cache_key(id.0, qtype)).map(|i| &mut self.entries[i]) {
             Some(e) if !e.evicted && now < e.expires => {
                 self.hits += 1;
                 mcdn_obs::record(mcdn_obs::id::CACHE_HITS, 1);
@@ -675,34 +705,24 @@ impl ICache {
         // cannot pin entries past the ceiling.
         let ttl =
             records.iter().map(|r| r.ttl.min(MAX_CACHE_TTL)).min().unwrap_or(NEGATIVE_TTL);
-        let expires = now + Duration::secs(ttl as u64);
-        match self.entries.entry((id.0, qtype)) {
-            MapEntry::Occupied(mut o) => {
-                let e = o.get_mut();
-                e.records.clear();
-                e.records
-                    .extend(records.iter().map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r }));
-                e.expires = expires;
-                e.evicted = false;
-            }
-            MapEntry::Vacant(v) => {
-                v.insert(IEntry {
-                    records: records
-                        .iter()
-                        .map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r })
-                        .collect(),
-                    expires,
-                    evicted: false,
-                });
-            }
-        }
+        let e = self.slot_mut(cache_key(id.0, qtype));
+        e.records.clear();
+        e.records.extend(records.iter().map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r }));
+        e.expires = now + Duration::secs(ttl as u64);
+        e.evicted = false;
         ttl
     }
 
     /// The entries a lookup could still find (live or expired), i.e. all
-    /// but the evicted ones.
-    fn held(&self) -> impl Iterator<Item = (&(u32, u16), &IEntry)> {
-        self.entries.iter().filter(|(_, e)| !e.evicted)
+    /// but the evicted ones, with their packed keys.
+    fn held(&self) -> impl Iterator<Item = (u64, &IEntry)> {
+        self.keys.iter().copied().zip(&self.entries).filter(|(_, e)| !e.evicted)
+    }
+
+    /// Drops every entry (counters survive).
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.entries.clear();
     }
 
     /// `(hits, misses)` counters: one per lookup.
@@ -1133,7 +1153,7 @@ impl InternedResolver {
 
     /// Drops all cached entries (counters survive).
     pub fn flush(&mut self) {
-        self.cache.entries.clear();
+        self.cache.clear();
     }
 
     /// Exports the cache for checkpointing: every entry (live or expired)
@@ -1141,12 +1161,12 @@ impl InternedResolver {
     /// Record [`NameId`]s refer to the campaign's compiled table; the
     /// caller validates them against that table when re-encoding.
     pub fn cache_export(&self) -> (Vec<ICacheExportEntry>, u64, u64) {
-        let mut entries: Vec<ICacheExportEntry> = self
-            .cache
-            .held()
-            .map(|(&(id, qtype), e)| (id, qtype, e.expires, e.records.clone()))
+        let mut held: Vec<(u64, &IEntry)> = self.cache.held().collect();
+        held.sort_unstable_by_key(|&(key, _)| key);
+        let entries = held
+            .into_iter()
+            .map(|(key, e)| ((key >> 16) as u32, key as u16, e.expires, e.records.clone()))
             .collect();
-        entries.sort_by_key(|&(id, qtype, _, _)| (id, qtype));
         let (hits, misses) = self.cache.stats();
         (entries, hits, misses)
     }
@@ -1161,11 +1181,12 @@ impl InternedResolver {
     /// Restores state previously captured by
     /// [`cache_export`](Self::cache_export) — the exact inverse, counters
     /// included, so a resumed campaign's cache behaviour *and* its
-    /// reported statistics are bit-identical to an uninterrupted run.
+    /// reported statistics are bit-identical to an uninterrupted run. A
+    /// key given twice keeps its last entry.
     pub fn cache_restore(&mut self, entries: Vec<ICacheExportEntry>, hits: u64, misses: u64) {
-        self.cache.entries.clear();
+        self.cache.clear();
         for (id, qtype, expires, records) in entries {
-            self.cache.entries.insert((id, qtype), IEntry { records, expires, evicted: false });
+            *self.cache.slot_mut(cache_key(id, qtype)) = IEntry { records, expires, evicted: false };
         }
         self.cache.hits = hits;
         self.cache.misses = misses;
@@ -1332,6 +1353,134 @@ mod tests {
         r.flush();
         assert!(r.cache_export().0.is_empty());
         assert_eq!(r.cache_stats(), (2, 3));
+    }
+
+    mod cache_props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A model entry: clamped records, absolute expiry, evicted.
+        type ModelEntry = (Vec<IRecord>, SimTime, bool);
+
+        /// The map-backed cache [`ICache`]'s vector replaced, kept as its
+        /// model: the same rules over a `HashMap`, with the expiry counter
+        /// the cache records through `mcdn_obs`.
+        #[derive(Default)]
+        struct Model {
+            entries: HashMap<(u32, u16), ModelEntry>,
+            hits: u64,
+            misses: u64,
+            expired: u64,
+        }
+
+        impl Model {
+            fn get(&mut self, key: (u32, u16), now: SimTime) -> Option<Vec<IRecord>> {
+                match self.entries.get_mut(&key) {
+                    Some((records, expires, false)) if now < *expires => {
+                        self.hits += 1;
+                        let remaining = expires.since(now).as_secs() as u32;
+                        let clamp = |r: &IRecord| IRecord { ttl: r.ttl.min(remaining), ..*r };
+                        Some(records.iter().map(clamp).collect())
+                    }
+                    entry => {
+                        self.misses += 1;
+                        if let Some((_, _, evicted @ false)) = entry {
+                            *evicted = true;
+                            self.expired += 1;
+                        }
+                        None
+                    }
+                }
+            }
+
+            fn put(&mut self, key: (u32, u16), records: &[IRecord], now: SimTime) -> u32 {
+                let capped: Vec<IRecord> = records
+                    .iter()
+                    .map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r })
+                    .collect();
+                let ttl = capped.iter().map(|r| r.ttl).min().unwrap_or(NEGATIVE_TTL);
+                self.entries.insert(key, (capped, now + Duration::secs(ttl as u64), false));
+                ttl
+            }
+
+            fn export(&self) -> Vec<ICacheExportEntry> {
+                let mut out: Vec<ICacheExportEntry> = self
+                    .entries
+                    .iter()
+                    .filter(|(_, (_, _, evicted))| !evicted)
+                    .map(|(&(id, qtype), (records, expires, _))| {
+                        (id, qtype, *expires, records.clone())
+                    })
+                    .collect();
+                out.sort_by_key(|&(id, qtype, _, _)| (id, qtype));
+                out
+            }
+        }
+
+        /// One cache operation: `(kind, name, second qtype?, seconds
+        /// elapsed before it, record TTLs)`. Kinds 0–3 look up, 4–6
+        /// store (no TTLs: a negative entry; a TTL of 400 is raised past
+        /// the 7-day cap), 7 flushes, 8 exports and restores into a fresh
+        /// resolver.
+        fn op() -> impl Strategy<Value = (u8, u32, bool, u64, Vec<u32>)> {
+            (0u8..9, 0u32..4, any::<bool>(), 0u64..40, vec(1u32..401, 0..3))
+        }
+
+        proptest! {
+            /// Any sequence of lookups, stores, flushes and export/restore
+            /// round trips leaves the vector cache answering like the
+            /// map-backed model: the same hit or miss, the same clamped
+            /// records, the same stored TTL, the same export, and the
+            /// same hit, miss and expired counts.
+            #[test]
+            fn vector_cache_matches_the_map_model(ops in vec(op(), 1..80)) {
+                let mut obs = mcdn_obs::CampaignObs::begin();
+                let (mut real, mut model) = (InternedResolver::new(), Model::default());
+                let mut now = T0;
+                let mut out = Vec::new();
+                for (kind, name, second, dt, ttls) in ops {
+                    now += Duration::secs(dt);
+                    let qtype = if second { RecordType::Aaaa } else { RecordType::A }.to_u16();
+                    let key = (name, qtype);
+                    match kind {
+                        0..=3 => {
+                            let hit = real.cache.get_into(NameId(name), qtype, now, &mut out);
+                            let want = model.get(key, now);
+                            prop_assert_eq!(hit, want.is_some());
+                            if let Some(records) = want {
+                                prop_assert_eq!(&out, &records);
+                            }
+                        }
+                        4..=6 => {
+                            let records: Vec<IRecord> = ttls
+                                .iter()
+                                .map(|&ttl| a(name, if ttl == 400 { u32::MAX } else { ttl }))
+                                .collect();
+                            let got = real.cache.put(NameId(name), qtype, &records, now);
+                            prop_assert_eq!(got, model.put(key, &records, now));
+                        }
+                        7 => {
+                            real.flush();
+                            model.entries.clear();
+                        }
+                        _ => {
+                            let (entries, hits, misses) = real.cache_export();
+                            real = InternedResolver::new();
+                            real.cache_restore(entries, hits, misses);
+                            model.entries.retain(|_, (_, _, evicted)| !*evicted);
+                        }
+                    }
+                    let want = (model.export(), model.hits, model.misses);
+                    prop_assert_eq!(real.cache_export(), want);
+                }
+                obs.absorb(mcdn_obs::shard_take());
+                let counters = obs.det_counters();
+                prop_assert_eq!(counters[mcdn_obs::id::CACHE_HITS as usize], model.hits);
+                prop_assert_eq!(counters[mcdn_obs::id::CACHE_MISSES as usize], model.misses);
+                prop_assert_eq!(counters[mcdn_obs::id::CACHE_EXPIRED as usize], model.expired);
+            }
+        }
     }
 
     fn memo_key(name: u32, scope: MemoScope) -> IMemoKey {

@@ -119,17 +119,47 @@ pub fn display_fnv(name: &Name) -> u64 {
 /// needlessly slow for the 6–16-byte keys the resolution loop hashes
 /// millions of times. This is FNV-1a over the written bytes with an
 /// avalanche finalizer, so the low bits `HashMap` selects buckets from are
-/// well mixed even for dense integer keys.
+/// well mixed even for dense integer keys. Integers (ids, packed keys,
+/// length prefixes) are folded in as one word with one multiply rather
+/// than byte by byte; the finalizer spreads the word's bits either way.
 #[derive(Debug, Clone, Copy)]
 pub struct FnvHasher(u64);
+
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+impl FnvHasher {
+    fn write_word(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
+    }
+}
 
 impl std::hash::Hasher for FnvHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut h = self.0;
         for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
         self.0 = h;
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.write_word(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write_word(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_word(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write_word(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_word(i as u64);
     }
 
     fn finish(&self) -> u64 {

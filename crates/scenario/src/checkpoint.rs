@@ -62,6 +62,12 @@ pub enum CampaignError {
     },
     /// The journal's first record is not a fingerprint record.
     UnknownRecord(u8),
+    /// A checkpoint decoded, but holds a state this campaign's engine
+    /// cannot have written: a round cursor outside the window or off its
+    /// round grid, a round count or controller cursor that disagrees with
+    /// it, or a ledger entry or unique-IP cell dated outside the completed
+    /// rounds. Names the refused field.
+    InvalidCheckpoint(&'static str),
     /// A probe cache held an overlay (non-compiled-table) name id and
     /// cannot be serialized. The campaign hot path never creates overlay
     /// names, so this indicates a bug rather than an operational state.
@@ -85,6 +91,9 @@ impl core::fmt::Display for CampaignError {
                 f,
                 "checkpoint fleet size {found} does not match the built fleet ({expected})"
             ),
+            CampaignError::InvalidCheckpoint(field) => {
+                write!(f, "checkpoint {field} cannot belong to this campaign's window")
+            }
             CampaignError::UnknownRecord(tag) => {
                 write!(f, "journal starts with unknown record tag {tag}")
             }
@@ -375,13 +384,19 @@ impl Checkpoint {
             let hits = r.u64()?;
             let misses = r.u64()?;
             let n_entries = r.u32()? as usize;
-            let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
+            let mut entries: Vec<ICacheExportEntry> = Vec::with_capacity(n_entries.min(1 << 20));
             for _ in 0..n_entries {
                 let id = r.u32()?;
                 if id as usize >= table_len {
                     return Err(CodecError::Invalid("cache name id"));
                 }
                 let qtype = r.u16()?;
+                // The export is sorted by (id, qtype) and holds each key
+                // once; a cache restored from anything else could hold a
+                // key twice.
+                if entries.last().is_some_and(|&(pid, pq, _, _)| (pid, pq) >= (id, qtype)) {
+                    return Err(CodecError::Invalid("cache key order"));
+                }
                 let expires = SimTime(r.u64()?);
                 let n_records = r.u16()? as usize;
                 let mut records = Vec::with_capacity(n_records);
@@ -720,6 +735,29 @@ mod tests {
                 other => panic!("{n} counters: expected Invalid(counter count), got {other:?}"),
             }
         }
+    }
+
+    /// Probe-cache keys must be strictly increasing in (id, qtype), as
+    /// the export writes them: a repeated or descending key is refused.
+    #[test]
+    fn unsorted_or_repeated_cache_keys_are_rejected_at_decode_time() {
+        for (id, qtype) in [(3, 1), (3, 0), (2, 28)] {
+            let mut ckpt = sample_checkpoint();
+            let mut second = ckpt.probes[0].entries[0].clone();
+            (second.0, second.1) = (id, qtype);
+            ckpt.probes[0].entries.push(second);
+            let bytes = ckpt.encode(64).expect("encode");
+            match Checkpoint::decode(&bytes, 64) {
+                Err(CodecError::Invalid("cache key order")) => {}
+                other => panic!("key ({id}, {qtype}) after (3, 1): expected Invalid: {other:?}"),
+            }
+        }
+        let mut ckpt = sample_checkpoint();
+        let mut second = ckpt.probes[0].entries[0].clone();
+        second.1 = 28;
+        ckpt.probes[0].entries.push(second);
+        let bytes = ckpt.encode(64).expect("encode");
+        assert_eq!(Checkpoint::decode(&bytes, 64).expect("increasing keys decode"), ckpt);
     }
 
     #[test]

@@ -82,6 +82,16 @@ pub enum DnsAttribution {
     Other,
 }
 
+impl DnsAttribution {
+    /// All attributions in declaration order.
+    pub const ALL: [DnsAttribution; 4] = [
+        DnsAttribution::Apple,
+        DnsAttribution::Akamai,
+        DnsAttribution::Limelight,
+        DnsAttribution::Other,
+    ];
+}
+
 /// The CDN family a name itself names, judged from its display form:
 /// `gslb.applimg.com` is Apple's GSLB, `akamai.net` an Akamai map,
 /// `llnwi.net` / `llnwd.net` a Limelight handover.

@@ -11,7 +11,9 @@
 use crate::checkpoint::{
     CampaignError, CampaignJournal, CampaignRun, Checkpoint, ProbeCache, ResumeOptions,
 };
-use crate::classes::{attribute_interned, classify_ip_from_origin, AttributionTable, CdnClass};
+use crate::classes::{
+    attribute_interned, classify_ip_from_origin, AttributionTable, CdnClass, DnsAttribution,
+};
 use crate::config::ScenarioConfig;
 use crate::loads::update_loads;
 use crate::params;
@@ -26,8 +28,9 @@ use mcdn_dnswire::{Name, RecordType};
 use mcdn_faults::{AnswerMutation, FaultProfile, Fnv64, QueryFault, RetryPolicy};
 use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
+use mcdn_netsim::{AsId, FlatLpm};
 use metacdn::CdnKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::Arc;
@@ -359,11 +362,12 @@ impl InternedMutationModel for InternedCampaignMutations {
 /// time (memo counts), so the merged round is bit-identical to a serial
 /// sweep of the same probes.
 struct ShardPartial {
-    /// Every classified address the shard's probes observed, as
-    /// `(probe continent, class, address)`. The merge records them into
-    /// the campaign's unique-IP sets and class ledger — a union and a
-    /// max, so the order shards contribute in cannot matter.
-    observations: Vec<(Continent, CdnClass, Ipv4Addr)>,
+    /// Every address the shard's probes observed, as packed
+    /// [`RoundMerge::key`]s of `(probe continent, DNS attribution,
+    /// address)`. The merge classifies them and records them into the
+    /// campaign's unique-IP sets and class ledger — a union and a max, so
+    /// the order shards contribute in cannot matter.
+    observations: Vec<u64>,
     resolutions: u64,
     attempts: u64,
     retry_exhausted: u64,
@@ -377,43 +381,68 @@ struct ShardPartial {
 /// The round merge's buffers, kept (capacity and all) across rounds.
 ///
 /// Every observation of a round shares the round's instant, so a repeat
-/// adds nothing to the unique-IP sets or the class ledger (a round repeats
-/// each observation about ten times). [`finish`] therefore sorts and
-/// de-duplicates the round's observations, records each (continent,
-/// class) run into its aggregator cell with one lookup, and observes each
-/// distinct (address, class) once. Set union and the ledger's max are
-/// order-independent, so this equals `record` plus `observe` for every
-/// observation in partial order.
+/// adds nothing to the unique-IP sets or the class ledger (at paper scale,
+/// 72% of a global round's observations are repeats). [`finish`] therefore
+/// drops repeated `(continent, attribution, address)` observations first,
+/// classifies each distinct one (one RIB lookup), sorts and de-duplicates
+/// the classified keys, records each (continent, class) run into its
+/// aggregator cell with one lookup, and observes each distinct (address,
+/// class) once. Classification is a function of the attribution and the
+/// address, and set union and the ledger's max are order-independent, so
+/// this equals classifying, `record` and `observe` for every observation
+/// in partial order.
 ///
-/// Observations are held as packed `u64` keys, `continent << 40 | class
-/// << 32 | address`: one integer compare per sort step, and key order is
-/// (continent, class, address) order, since both enums' discriminants
-/// follow their declaration order (the order of `ALL`).
+/// Observations are held as packed `u64` keys, `continent << 40 | label
+/// << 32 | address`, where the label is the DNS attribution on the way in
+/// and the class once classified: one integer compare per sort step, and
+/// key order is (continent, class, address) order, since both enums'
+/// discriminants follow their declaration order (the order of `ALL`).
 ///
 /// [`finish`]: RoundMerge::finish
 #[derive(Default)]
 struct RoundMerge {
     keys: Vec<u64>,
+    /// The keys already kept this round (cleared per round).
+    seen: HashSet<u64, FnvBuildHasher>,
     /// The round's distinct (address, class) pairs as `address << 8 |
     /// class`.
     classes: Vec<u64>,
 }
 
 impl RoundMerge {
-    /// Adds one partial's observations to the round buffer.
-    fn add(&mut self, observations: &[(Continent, CdnClass, Ipv4Addr)]) {
-        self.keys.extend(observations.iter().map(|&(continent, class, ip)| {
-            (continent as u64) << 40 | (class as u64) << 32 | u64::from(u32::from(ip))
-        }));
+    /// The packed key of one observation.
+    fn key(continent: Continent, attribution: DnsAttribution, ip: Ipv4Addr) -> u64 {
+        (continent as u64) << 40 | (attribution as u64) << 32 | u64::from(u32::from(ip))
     }
 
-    /// Records the round's observations at `t` and empties the buffers.
+    /// Adds one partial's observations to the round buffer.
+    fn add(&mut self, observations: &[u64]) {
+        self.keys.extend_from_slice(observations);
+    }
+
+    /// Classifies and records the round's observations at `t` and empties
+    /// the buffers.
     fn finish(
         &mut self,
         t: SimTime,
+        rib: &FlatLpm<AsId>,
         agg: &mut UniqueIpAggregator<Continent, CdnClass>,
         ledger: &mut IpClassLedger,
     ) {
+        let seen = &mut self.seen;
+        self.keys.retain(|&k| seen.insert(k));
+        seen.clear();
+        for k in &mut self.keys {
+            let ip = Ipv4Addr::from(*k as u32);
+            let class = classify_ip_from_origin(
+                DnsAttribution::ALL[(*k >> 32 & 0xff) as usize],
+                rib.lookup(ip).map(|(_, asn)| asn),
+                params::AKAMAI_AS,
+                params::LIMELIGHT_AS,
+                params::APPLE_AS,
+            );
+            *k = *k >> 40 << 40 | (class as u64) << 32 | u64::from(u32::from(ip));
+        }
         let class_of = |k: u64| CdnClass::ALL[(k & 0xff) as usize];
         self.keys.sort_unstable();
         self.keys.dedup();
@@ -465,6 +494,46 @@ struct CampaignParams<'a> {
 }
 
 impl CampaignParams<'_> {
+    /// The controller walks on a fine grid between measurement rounds, so
+    /// load history (and the a1015 activation lag) is independent of
+    /// cadence: every 30 minutes, or every round if rounds are closer.
+    fn ctrl_step(&self) -> Duration {
+        Duration::mins(30).min(self.interval)
+    }
+
+    /// Refuses a checkpoint this campaign's engine cannot have written. A
+    /// checkpoint is taken after the round at `t − interval` completes, so
+    /// `t` lies inside the window (after `start`, before `end`) on the
+    /// round grid; `rounds_done` counts the rounds before `t`; `ctrl_t`
+    /// is where the controller walk stops after that last round (the
+    /// first `ctrl_step` grid point at or after it); and every ledger
+    /// entry and unique-IP cell is dated within the completed rounds. A
+    /// future-dated ledger entry would win every later
+    /// [`IpClassLedger::observe`] of its address.
+    fn check_resume(&self, ckpt: &Checkpoint) -> Result<(), CampaignError> {
+        let refuse = |field| Err(CampaignError::InvalidCheckpoint(field));
+        let (start, t, step) = (self.start.as_secs(), ckpt.t.as_secs(), self.interval.as_secs());
+        if t <= start || ckpt.t >= self.end || (t - start) % step != 0 {
+            return refuse("round instant");
+        }
+        if ckpt.rounds_done != (t - start) / step {
+            return refuse("rounds done");
+        }
+        let last_round = t - step;
+        let ctrl_step = self.ctrl_step().as_secs();
+        if ckpt.ctrl_t.as_secs() != start + (last_round - start).div_ceil(ctrl_step) * ctrl_step {
+            return refuse("controller instant");
+        }
+        let last_round = SimTime(last_round);
+        if ckpt.ledger.iter().any(|&(_, at, _)| at < self.start || at > last_round) {
+            return refuse("ledger entry instant");
+        }
+        if ckpt.cells.iter().any(|&((bin, _, _), _)| bin > last_round) {
+            return refuse("unique-IP cell bin");
+        }
+        Ok(())
+    }
+
     /// Rounds the campaign window spans.
     fn total_rounds(&self) -> u64 {
         let mut n = 0u64;
@@ -560,9 +629,8 @@ fn drive_campaign(
     let mut round_merge = RoundMerge::default();
     let mut walls = Vec::new();
     // The controller evolves in real time regardless of how often probes
-    // measure: walk it on a fine grid between measurement rounds so load
-    // history (and the a1015 activation lag) is independent of cadence.
-    let ctrl_step = Duration::mins(30).min(p.interval);
+    // measure (see `CampaignParams::ctrl_step`).
+    let ctrl_step = p.ctrl_step();
     let mut ctrl_t = p.start;
     let mut t = p.start;
     let mut rounds_done = 0u64;
@@ -590,6 +658,7 @@ fn drive_campaign(
                         found: ckpt.probes.len(),
                     });
                 }
+                p.check_resume(&ckpt)?;
                 rounds_done = ckpt.rounds_done;
                 t = ckpt.t;
                 ctrl_t = ckpt.ctrl_t;
@@ -648,7 +717,7 @@ fn drive_campaign(
         // reads the same immutable snapshot instead of contending on the
         // live state's lock, and a probe's answer cannot depend on which
         // shard ran first.
-        let snap = Arc::new(world.state.capture());
+        let snap = Arc::new(world.state.capture(t));
         let (partials, shard_walls) = mcdn_exec::shard_map(
             &mut fleet,
             p.threads,
@@ -700,17 +769,13 @@ fn drive_campaign(
                         mcdn_obs::trace(mcdn_obs::event::RETRY_EXHAUSTED, t.as_secs(), probe.id, 0);
                     }
                     let attribution = attribute_interned(scratch.trace(), &attr, &cns, scratch);
-                    for ip in scratch.trace().addresses() {
-                        let origin = rib.lookup(ip).map(|(_, asn)| asn);
-                        let class = classify_ip_from_origin(
-                            attribution,
-                            origin,
-                            params::AKAMAI_AS,
-                            params::LIMELIGHT_AS,
-                            params::APPLE_AS,
-                        );
-                        partial.observations.push((probe.spec.city.continent, class, ip));
-                    }
+                    let continent = probe.spec.city.continent;
+                    partial.observations.extend(
+                        scratch
+                            .trace()
+                            .addresses()
+                            .map(|ip| RoundMerge::key(continent, attribution, ip)),
+                    );
                     partial.resolutions += 1;
                     mcdn_obs::record(mcdn_obs::id::RESOLUTIONS, 1);
                 }
@@ -740,7 +805,7 @@ fn drive_campaign(
                 *round_counts.entry(key).or_default() += count;
             }
         }
-        round_merge.finish(t, &mut agg, &mut classes);
+        round_merge.finish(t, &rib, &mut agg, &mut classes);
         let round_lookups: u64 = round_counts.values().sum();
         memo_lookups += round_lookups;
         memo_hits += round_lookups - round_counts.len() as u64;
@@ -1063,15 +1128,24 @@ mod tests {
     }
 
     /// The per-observation round merge [`RoundMerge`] replaced, kept as its
-    /// reference: `record` plus `observe` for each observation, in partial
-    /// order.
+    /// reference: for each observation in partial order, a RIB lookup and
+    /// [`classify_ip_from_origin`], then `record` plus `observe`.
     fn reference_merge(
-        partials: &[Vec<(Continent, CdnClass, Ipv4Addr)>],
+        partials: &[Vec<(Continent, DnsAttribution, Ipv4Addr)>],
         t: SimTime,
+        rib: &FlatLpm<AsId>,
         agg: &mut UniqueIpAggregator<Continent, CdnClass>,
         ledger: &mut IpClassLedger,
     ) {
-        for &(continent, class, ip) in partials.iter().flatten() {
+        for &(continent, attribution, ip) in partials.iter().flatten() {
+            let origin = rib.lookup(ip).map(|(_, asn)| asn);
+            let class = classify_ip_from_origin(
+                attribution,
+                origin,
+                params::AKAMAI_AS,
+                params::LIMELIGHT_AS,
+                params::APPLE_AS,
+            );
             agg.record(t, continent, class, ip);
             ledger.observe(ip, t, class);
         }
@@ -1079,30 +1153,54 @@ mod tests {
 
     mod merge_props {
         use super::*;
+        use mcdn_netsim::Ipv4Net;
         use proptest::collection::vec;
         use proptest::prelude::*;
 
-        /// One observation over all six continents and all six classes,
-        /// with its address drawn from a pool of 24: repeats within and
-        /// across partials, reclassifications across rounds and
-        /// same-instant class conflicts are all common.
-        fn observation() -> impl Strategy<Value = (Continent, CdnClass, Ipv4Addr)> {
-            (0usize..6, 0usize..6, 0u32..24).prop_map(|(c, l, n)| {
-                (Continent::ALL[c], CdnClass::ALL[l], Ipv4Addr::from(0x1700_0000 + n))
+        /// The address pool's first address; the pool holds 24.
+        const POOL: u32 = 0x1700_0000;
+
+        /// A RIB over the pool in which an address's class depends on its
+        /// attribution: addresses originate, in turn, in Akamai's,
+        /// Limelight's and Apple's AS, in the off-net AS D, or in no
+        /// route at all.
+        fn rib() -> FlatLpm<AsId> {
+            let origins = [
+                Some(params::AKAMAI_AS),
+                Some(params::LIMELIGHT_AS),
+                Some(params::APPLE_AS),
+                Some(params::LL_SURGE_D_AS),
+                None,
+            ];
+            FlatLpm::from_entries((0..24u32).filter_map(|n| {
+                let asn = origins[n as usize % origins.len()]?;
+                Some((Ipv4Net::new(Ipv4Addr::from(POOL + n), 32), asn))
+            }))
+        }
+
+        /// One observation over all six continents and all four
+        /// attributions, with its address drawn from the pool: repeats
+        /// within and across partials, one address under several
+        /// attributions (and so several classes), reclassifications
+        /// across rounds and same-instant class conflicts are all common.
+        fn observation() -> impl Strategy<Value = (Continent, DnsAttribution, Ipv4Addr)> {
+            (0usize..6, 0usize..4, 0u32..24).prop_map(|(c, a, n)| {
+                (Continent::ALL[c], DnsAttribution::ALL[a], Ipv4Addr::from(POOL + n))
             })
         }
 
         proptest! {
-            /// Rounds of partials merged by sorting and de-duplicating one
-            /// round buffer equal the per-observation reference: the same
-            /// aggregator (by `==` and by its cells) and the same ledger.
-            /// Rounds advance 0, 25 or 50 minutes, so rounds share
-            /// instants and cross hour bins.
+            /// Rounds of partials merged by de-duplicating, classifying,
+            /// then sorting one round buffer equal the per-observation
+            /// reference: the same aggregator (by `==` and by its cells)
+            /// and the same ledger. Rounds advance 0, 25 or 50 minutes, so
+            /// rounds share instants and cross hour bins.
             #[test]
             fn round_merge_matches_the_per_observation_reference(
                 rounds in vec((0u64..3, vec(vec(observation(), 0..30), 1..4)), 1..6),
             ) {
                 let bin = Duration::hours(1);
+                let rib = rib();
                 let (mut agg, mut ledger) = (UniqueIpAggregator::new(bin), IpClassLedger::new());
                 let (mut ref_agg, mut ref_ledger) =
                     (UniqueIpAggregator::new(bin), IpClassLedger::new());
@@ -1111,10 +1209,12 @@ mod tests {
                 for (step, partials) in rounds {
                     t += Duration::mins(25 * step);
                     for partial in &partials {
-                        merge.add(partial);
+                        let keys: Vec<u64> =
+                            partial.iter().map(|&(c, a, ip)| RoundMerge::key(c, a, ip)).collect();
+                        merge.add(&keys);
                     }
-                    merge.finish(t, &mut agg, &mut ledger);
-                    reference_merge(&partials, t, &mut ref_agg, &mut ref_ledger);
+                    merge.finish(t, &rib, &mut agg, &mut ledger);
+                    reference_merge(&partials, t, &rib, &mut ref_agg, &mut ref_ledger);
                 }
                 prop_assert_eq!(&agg, &ref_agg);
                 prop_assert_eq!(agg.cells(), ref_agg.cells());

@@ -104,8 +104,11 @@ mod tests {
     /// selections of a fixed client set — read under an installed
     /// snapshot and from the live state, before and after the chaos
     /// signals (health verdicts, capacity factors, down sites) are set
-    /// partway through. A mismatch is a behaviour change of the
-    /// controller.
+    /// partway through. The walk is digested twice, with the snapshot
+    /// captured at the read instant (reads take its precomputed shares)
+    /// and a first retry's backoff later (reads compute from its
+    /// signals); both digests equal the pin. A mismatch is a behaviour
+    /// change of the controller.
     #[test]
     fn controller_reads_are_pinned_through_an_update_walk() {
         use metacdn::{install_snapshot, MetaCdnState};
@@ -162,7 +165,8 @@ mod tests {
 
         let w = World::build(&ScenarioConfig::fast());
         let sites: Vec<u64> = w.apple.sites().iter().map(|s| s.site_key()).collect();
-        let mut h = mcdn_faults::Fnv64::new();
+        let retry = mcdn_faults::RetryPolicy::standard().backoff_before(1);
+        let mut digests = [mcdn_faults::Fnv64::new(), mcdn_faults::Fnv64::new()];
         let mut t = SimTime::from_ymd(2017, 9, 18);
         while t < SimTime::from_ymd(2017, 9, 22) {
             if t == SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0) {
@@ -183,15 +187,19 @@ mod tests {
                 w.state.set_site_down(sites[0], false);
             }
             update_loads(&w, t);
-            {
-                let _g = install_snapshot(Arc::new(w.state.capture()));
-                reads_into(&mut h, &w.state, t);
+            for (h, at) in digests.iter_mut().zip([t, t + retry]) {
+                let _g = install_snapshot(Arc::new(w.state.capture(at)));
+                reads_into(h, &w.state, t);
             }
-            reads_into(&mut h, &w.state, t);
-            signals_into(&mut h, &w.state);
+            for h in &mut digests {
+                reads_into(h, &w.state, t);
+                signals_into(h, &w.state);
+            }
             t += Duration::mins(30);
         }
-        assert_eq!(h.finish(), 0xd5cc_26b6_fc53_105e, "controller reads moved");
+        for (h, captured) in digests.iter().zip(["at the read instant", "a retry later"]) {
+            assert_eq!(h.finish(), 0xd5cc_26b6_fc53_105e, "controller reads moved ({captured})");
+        }
     }
 
     #[test]

@@ -289,13 +289,7 @@ fn checksum_valid_mutated_checkpoint_never_panics_on_resume() {
     let _ = std::fs::remove_file(&path);
     run_partial(Campaign::Global, &cfg, &path, 1, 2);
     let journal = std::fs::read(&path).unwrap();
-    // Frames follow the 8-byte magic: len:u32 | fnv64:u64 | payload.
-    let (mut frame, mut next) = (8, 8);
-    while next < journal.len() {
-        frame = next;
-        let len = u32::from_le_bytes(journal[next..next + 4].try_into().unwrap()) as usize;
-        next += 12 + len;
-    }
+    let frame = last_frame(&journal);
     let payload = frame + 12;
     let payload_len = journal.len() - payload;
     assert!(payload_len > 400, "checkpoint payload of {payload_len} bytes");
@@ -317,8 +311,7 @@ fn checksum_valid_mutated_checkpoint_never_panics_on_resume() {
     for (offset, mask) in mutations {
         let mut bytes = journal.clone();
         bytes[payload + offset] ^= mask;
-        let sum = metacdn_suite::faults::fnv64(&bytes[payload..]);
-        bytes[frame + 4..payload].copy_from_slice(&sum.to_le_bytes());
+        reframe_last(&mut bytes, frame);
         std::fs::write(&path, &bytes).unwrap();
         let resumed = catch_unwind(AssertUnwindSafe(|| {
             run_dns_journaled(&world, &cfg, Campaign::Global, &path, opts(1, None))
@@ -335,4 +328,176 @@ fn checksum_valid_mutated_checkpoint_never_panics_on_resume() {
     let _ = std::fs::remove_file(&path);
     assert!(panicked.is_empty(), "mutated checkpoints panicked: {panicked:#?}");
     assert!(completed > 0 && refused > 0, "{completed} completed, {refused} refused");
+}
+
+/// The offset of a journal's last frame. Frames follow the 8-byte magic:
+/// `len:u32 | fnv64:u64 | payload`.
+fn last_frame(journal: &[u8]) -> usize {
+    let (mut frame, mut next) = (8, 8);
+    while next < journal.len() {
+        frame = next;
+        let len = u32::from_le_bytes(journal[next..next + 4].try_into().unwrap()) as usize;
+        next += 12 + len;
+    }
+    frame
+}
+
+/// Rewrites the checksum of the last frame (at `frame`) over its payload,
+/// so the journal layer accepts an edited checkpoint.
+fn reframe_last(journal: &mut [u8], frame: usize) {
+    let sum = metacdn_suite::faults::fnv64(&journal[frame + 12..]);
+    journal[frame + 4..frame + 12].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Where the checkpoint encoding puts the fields the resume checks read,
+/// as offsets into a checkpoint payload: the tag byte, then `rounds_done`,
+/// `t` and `ctrl_t` as little-endian `u64`s, five more `u64` counters, the
+/// deterministic counters and trace events, the unique-IP cells (bin
+/// start `u64`, continent, class, member count `u32`, members) and the
+/// ledger (address, instant `u64`, class).
+struct CheckpointLayout {
+    rounds_done: usize,
+    t: usize,
+    ctrl_t: usize,
+    first_cell_bin: usize,
+    first_ledger_t: usize,
+}
+
+fn checkpoint_layout(payload: &[u8]) -> CheckpointLayout {
+    let u32_at = |o: usize| u32::from_le_bytes(payload[o..o + 4].try_into().unwrap()) as usize;
+    let mut o = 1 + 8 * 8;
+    o += 4 + 8 * u32_at(o); // deterministic counters
+    o += 4 + 22 * u32_at(o); // trace events: kind u16, t u64, key u32, value u64
+    let n_cells = u32_at(o);
+    o += 4;
+    let first_cell_bin = o;
+    for _ in 0..n_cells {
+        o += 14 + 4 * u32_at(o + 10);
+    }
+    assert!(n_cells > 0 && u32_at(o) > 0, "the checkpoint holds cells and ledger entries");
+    CheckpointLayout { rounds_done: 1, t: 9, ctrl_t: 17, first_cell_bin, first_ledger_t: o + 4 + 4 }
+}
+
+/// Suspends the tiny global campaign after round 2 (its checkpoint has
+/// `t` = start + 2 rounds), applies `edit` to the last checkpoint's
+/// payload behind a valid checksum, and resumes it.
+fn resume_edited(
+    tag: &str,
+    edit: impl FnOnce(&mut [u8], &CheckpointLayout),
+) -> Result<(CampaignRun, MetricsSnapshot), CampaignError> {
+    let cfg = tiny_cfg(FaultProfile::none());
+    let path = journal_path(tag);
+    let _ = std::fs::remove_file(&path);
+    run_partial(Campaign::Global, &cfg, &path, 1, 2);
+    let mut journal = std::fs::read(&path).unwrap();
+    let frame = last_frame(&journal);
+    let layout = checkpoint_layout(&journal[frame + 12..]);
+    edit(&mut journal[frame + 12..], &layout);
+    reframe_last(&mut journal, frame);
+    std::fs::write(&path, &journal).unwrap();
+    let resumed = run_journal(Campaign::Global, &cfg, &path, opts(1, None));
+    let _ = std::fs::remove_file(&path);
+    resumed
+}
+
+fn put_u64(payload: &mut [u8], offset: usize, v: u64) {
+    payload[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u64(payload: &[u8], offset: usize) -> u64 {
+    u64::from_le_bytes(payload[offset..offset + 8].try_into().unwrap())
+}
+
+/// Asserts that a resume was refused for `field`.
+fn assert_refused(
+    resumed: Result<(CampaignRun, MetricsSnapshot), CampaignError>,
+    field: &str,
+    case: &str,
+) {
+    match resumed {
+        Err(CampaignError::InvalidCheckpoint(f)) if f == field => {}
+        Err(e) => panic!("{case}: expected InvalidCheckpoint({field}), got error {e}"),
+        Ok((run, _)) => panic!("{case}: expected InvalidCheckpoint({field}), resumed to {run:?}"),
+    }
+}
+
+/// The tiny campaigns' window and round length, in seconds.
+fn tiny_window() -> (u64, u64, u64) {
+    let cfg = tiny_cfg(FaultProfile::none());
+    (cfg.global_start.as_secs(), cfg.global_end.as_secs(), cfg.global_dns_interval.as_secs())
+}
+
+/// A round instant at or before the window start, at or after its end, or
+/// off the round grid is refused. Moving it 30 days before the start used
+/// to resume and run 180 extra rounds.
+#[test]
+fn resume_refuses_a_round_instant_outside_the_window_or_off_its_grid() {
+    let (start, end, round) = tiny_window();
+    let cases = [
+        ("30 days before the start", start - 30 * 86_400),
+        ("at the start", start),
+        ("at the end", end),
+        ("a round past the end", end + round),
+        ("one second off the grid", start + 2 * round + 1),
+        ("half a round off the grid", start + round + round / 2),
+    ];
+    for (case, t) in cases {
+        let resumed = resume_edited(&format!("cursor-t-{t}"), |p, at| put_u64(p, at.t, t));
+        assert_refused(resumed, "round instant", case);
+    }
+}
+
+/// A round count other than the rounds before the round instant is
+/// refused.
+#[test]
+fn resume_refuses_a_round_count_that_disagrees_with_the_round_instant() {
+    for rounds_done in [0, 1, 3, 6, u64::MAX] {
+        let resumed = resume_edited(&format!("cursor-rounds-{rounds_done}"), |p, at| {
+            put_u64(p, at.rounds_done, rounds_done)
+        });
+        assert_refused(resumed, "rounds done", &format!("rounds_done = {rounds_done}"));
+    }
+}
+
+/// A controller instant other than where the 30-minute controller walk
+/// stops after the last completed round is refused.
+#[test]
+fn resume_refuses_a_controller_instant_the_walk_cannot_leave() {
+    for shift in [-1800i64, -1, 1, 1800, 4 * 3600] {
+        let resumed = resume_edited(&format!("cursor-ctrl-{shift}"), |p, at| {
+            let ctrl_t = get_u64(p, at.ctrl_t);
+            put_u64(p, at.ctrl_t, ctrl_t.checked_add_signed(shift).unwrap())
+        });
+        assert_refused(resumed, "controller instant", &format!("ctrl_t shifted by {shift} s"));
+    }
+}
+
+/// A ledger entry dated after the last completed round, or before the
+/// window, is refused: a future-dated entry would win every later
+/// observation of its address.
+#[test]
+fn resume_refuses_ledger_entries_outside_the_completed_rounds() {
+    let (start, _, round) = tiny_window();
+    let cases = [
+        ("at the checkpoint's round instant", start + 2 * round),
+        ("a day ahead", start + 86_400),
+        ("before the window", start - 1),
+    ];
+    for (case, at) in cases {
+        let resumed =
+            resume_edited(&format!("ledger-{at}"), |p, l| put_u64(p, l.first_ledger_t, at));
+        assert_refused(resumed, "ledger entry instant", case);
+    }
+}
+
+/// A unique-IP cell whose bin starts after the last completed round is
+/// refused.
+#[test]
+fn resume_refuses_unique_ip_cells_after_the_last_round() {
+    let (start, _, round) = tiny_window();
+    for at in [start + 2 * round, start + 30 * 86_400] {
+        let resumed =
+            resume_edited(&format!("cell-{at}"), |p, l| put_u64(p, l.first_cell_bin, at));
+        assert_refused(resumed, "unique-IP cell bin", &format!("cell bin {at}"));
+    }
 }
