@@ -33,11 +33,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Appends a row of displayable values.
-    pub fn push_display(&mut self, cells: &[&dyn fmt::Display]) {
-        self.push(cells.iter().map(|c| c.to_string()).collect());
-    }
-
     /// A cell value, if present.
     pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
         self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)

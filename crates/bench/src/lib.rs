@@ -1,10 +1,10 @@
-//! Shared setup for the benchmark harnesses.
+//! Shared setup for the `micro` Criterion benches, which time the hot
+//! substrate operations (DNS codec, resolver, LPM, routing, NetFlow,
+//! cache-site serving) against one micro-scale world.
 //!
-//! Each paper figure/table has a Criterion bench that regenerates it at a
-//! micro scale (so `cargo bench` finishes in minutes); the `repro` binary
-//! in `mcdn-analysis` produces the full-scale versions. The helpers here
-//! centralize the micro-scale configuration so every bench exercises the
-//! same world.
+//! Each job has one timing harness: the `bench_campaigns` binary times the
+//! campaign engine at 1, 2 and 4 threads, and the `benchmark/` crate times
+//! the paper pipeline stage by stage.
 
 use mcdn_geo::{Duration, SimTime};
 use mcdn_scenario::{ScenarioConfig, World};

@@ -265,11 +265,6 @@ impl GslbDirectory {
         out.extend((0..k).map(|j| vips[(rot + j) % vips.len()]));
     }
 
-    /// Every vip address in the directory.
-    pub fn all_vips(&self) -> Vec<Ipv4Addr> {
-        self.sites.iter().flat_map(|(_, _, v)| v.iter().copied()).collect()
-    }
-
     /// Keys of every site in the directory, in site order.
     pub fn site_keys(&self) -> Vec<u64> {
         self.sites.iter().map(|(k, _, _)| *k).collect()

@@ -129,16 +129,6 @@ impl ThirdPartyCdn {
         self.exposed_parts(region, load).flatten().copied().collect()
     }
 
-    /// Off-net pools configured for `region` (for topology wiring).
-    pub fn offnet_pools(&self, region: Region) -> &[OffNetPool] {
-        &self.pools(region).offnet
-    }
-
-    /// All off-net pools across regions, in [`Region::ALL`] order.
-    pub fn all_offnet_pools(&self) -> impl Iterator<Item = &OffNetPool> {
-        self.pools.iter().flat_map(|p| &p.offnet)
-    }
-
     /// Every address the CDN could ever expose in `region`.
     pub fn full_pool(&self, region: Region) -> Vec<Ipv4Addr> {
         self.exposed(region, 1.0)

@@ -22,7 +22,8 @@
 //!   no heap allocation, policy answers included: policies write
 //!   addresses into the scratch address buffer, and an expired cache
 //!   entry keeps its buffer for the store that follows the miss.
-//!   `bench_campaigns` gates the average over a real campaign window.
+//!   `bench_campaigns` gates the average over a real campaign window
+//!   below one allocation per resolution.
 //! * [`IRoundMemo`] shares scope-stable answers within one round (see
 //!   [`crate::memo`]): per-shard, cleared per round, its per-key counts
 //!   exported under [`SharedName`]s (table ids, which every shard shares)

@@ -306,11 +306,6 @@ impl Namespace {
         self.zones.push(zone);
     }
 
-    /// Mutable access to the zone with exactly this origin.
-    pub fn zone_mut(&mut self, origin: &Name) -> Option<&mut Zone> {
-        self.zones.iter_mut().find(|z| z.origin() == origin)
-    }
-
     /// The most specific zone containing `name`, mirroring DNS delegation.
     pub fn authority_for(&self, name: &Name) -> Option<&Zone> {
         self.zones
@@ -330,11 +325,6 @@ impl Namespace {
             Some(zone) => (zone.answer(qname, qtype, ctx), Some(zone.origin())),
             None => (ZoneAnswer::NxDomain, None),
         }
-    }
-
-    /// Number of installed zones.
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
     }
 
     /// The installed zones, in installation order (the order

@@ -22,7 +22,7 @@ use mcdn_atlas::{build_fleet, Availability, UniqueIpAggregator};
 use mcdn_dnssim::{
     attacker_ns, attacker_owner, BailiwickPolicy, CompiledNamespace, IRoundMemo, ITamper,
     InternedFaultModel, InternedMutationModel, QueryContext, ResolveScratch, SharedMemoKey,
-    UpstreamFault,
+    UpstreamFault, MAX_CACHE_TTL,
 };
 use mcdn_dnswire::{Name, RecordType};
 use mcdn_faults::{AnswerMutation, FaultProfile, Fnv64, QueryFault, RetryPolicy};
@@ -509,7 +509,9 @@ impl CampaignParams<'_> {
     /// first `ctrl_step` grid point at or after it); and every ledger
     /// entry and unique-IP cell is dated within the completed rounds. A
     /// future-dated ledger entry would win every later
-    /// [`IpClassLedger::observe`] of its address.
+    /// [`IpClassLedger::observe`] of its address. The probe caches store
+    /// at most the retry backoff after a round's instant and cap every
+    /// record TTL, and so every entry's lifetime, at [`MAX_CACHE_TTL`].
     fn check_resume(&self, ckpt: &Checkpoint) -> Result<(), CampaignError> {
         let refuse = |field| Err(CampaignError::InvalidCheckpoint(field));
         let (start, t, step) = (self.start.as_secs(), ckpt.t.as_secs(), self.interval.as_secs());
@@ -530,6 +532,16 @@ impl CampaignParams<'_> {
         }
         if ckpt.cells.iter().any(|&((bin, _, _), _)| bin > last_round) {
             return refuse("unique-IP cell bin");
+        }
+        let backoff: u64 =
+            (1..self.retry.max_attempts).map(|a| self.retry.backoff_before(a).as_secs()).sum();
+        let latest_expiry = last_round + Duration::secs(backoff + u64::from(MAX_CACHE_TTL));
+        let entries = || ckpt.probes.iter().flat_map(|cache| &cache.entries);
+        if entries().any(|&(_, _, expires, _)| expires > latest_expiry) {
+            return refuse("probe-cache entry expiry");
+        }
+        if entries().flat_map(|(.., records)| records).any(|r| r.ttl > MAX_CACHE_TTL) {
+            return refuse("probe-cache record TTL");
         }
         Ok(())
     }
@@ -566,6 +578,41 @@ impl CampaignParams<'_> {
         h.update(&(table_len as u64).to_le_bytes());
         h.finish()
     }
+}
+
+/// The share of cumulative round compute that cumulative checkpoint cost
+/// may take.
+const CHECKPOINT_OVERHEAD_BUDGET: f64 = 0.02;
+
+/// The engine's checkpoint-overhead throttle: whether a cadence-due
+/// checkpoint after `rounds_done` rounds fits the budget.
+///
+/// A checkpoint serializes *all* accumulated campaign state, so its cost
+/// grows with the run while a round's cost stays flat — any fixed cadence
+/// eventually spends more time journaling than measuring. The engine
+/// therefore keeps a budget pool: the checkpoint cost `spent` so far may
+/// not exceed [`CHECKPOINT_OVERHEAD_BUDGET`] of the round `compute` so
+/// far, and a checkpoint is written only if its predicted cost still fits
+/// the pool. The prediction is the last checkpoint's cost (`last_cost`,
+/// written after `rounds_at_last` rounds), scaled by state growth since;
+/// state grows at most linearly in rounds. Whatever a checkpoint really
+/// costs, `spent` thus stays within the budget plus one checkpoint.
+/// Suspension always forces a checkpoint (durability beats budget at the
+/// moment that matters), and skipping checkpoints never changes results —
+/// only how far back a crash rewinds.
+fn checkpoint_fits_budget(
+    spent: std::time::Duration,
+    last_cost: std::time::Duration,
+    rounds_at_last: u64,
+    rounds_done: u64,
+    compute: std::time::Duration,
+) -> bool {
+    let predicted = if rounds_at_last > 0 {
+        last_cost.as_secs_f64() * rounds_done as f64 / rounds_at_last as f64
+    } else {
+        last_cost.as_secs_f64()
+    };
+    spent.as_secs_f64() + predicted <= CHECKPOINT_OVERHEAD_BUDGET * compute.as_secs_f64()
 }
 
 /// The campaign engine. One code path serves both runners, [`run_dns`]
@@ -687,20 +734,8 @@ fn drive_campaign(
         None => None,
     };
 
-    // Checkpoint-overhead throttle. A checkpoint serializes *all*
-    // accumulated campaign state, so its cost grows with the run while a
-    // round's cost stays flat — any fixed cadence eventually spends more
-    // time journaling than measuring. The engine therefore keeps a budget
-    // pool: cumulative checkpoint cost may never exceed
-    // CHECKPOINT_OVERHEAD_BUDGET of cumulative compute, and a cadence-due
-    // checkpoint is written only if its predicted cost (the last one's,
-    // scaled by state growth since — state grows at most linearly in
-    // rounds, so this cannot underestimate) still fits the pool. That
-    // bounds realized overhead by the budget outright, instead of merely
-    // in expectation. Suspension always forces a checkpoint (durability
-    // beats budget at the moment that matters), and skipping checkpoints
-    // never changes results — only how far back a crash rewinds.
-    const CHECKPOINT_OVERHEAD_BUDGET: f64 = 0.02;
+    // The inputs of the checkpoint-overhead throttle
+    // ([`checkpoint_fits_budget`]).
     let mut compute_total = std::time::Duration::ZERO;
     let mut ckpt_cost_total = std::time::Duration::ZERO;
     let mut last_ckpt_cost = std::time::Duration::ZERO;
@@ -827,13 +862,13 @@ fn drive_campaign(
         let suspending = !finished && stop_after.is_some_and(|n| rounds_done >= n);
         if let Some(j) = journal.as_mut() {
             let cadence_due = rounds_done.is_multiple_of(checkpoint_every);
-            let predicted_cost = if rounds_at_last_ckpt > 0 {
-                last_ckpt_cost.as_secs_f64() * rounds_done as f64 / rounds_at_last_ckpt as f64
-            } else {
-                last_ckpt_cost.as_secs_f64()
-            };
-            let in_budget = ckpt_cost_total.as_secs_f64() + predicted_cost
-                <= CHECKPOINT_OVERHEAD_BUDGET * compute_total.as_secs_f64();
+            let in_budget = checkpoint_fits_budget(
+                ckpt_cost_total,
+                last_ckpt_cost,
+                rounds_at_last_ckpt,
+                rounds_done,
+                compute_total,
+            );
             if suspending || (cadence_due && in_budget && !finished) {
                 let ckpt_started = std::time::Instant::now();
                 let ckpt = Checkpoint {
@@ -1088,6 +1123,45 @@ mod tests {
             r.resolutions, r.attempts, r.retry_exhausted, r.memo_lookups, r.memo_hits
         );
         h.finish()
+    }
+
+    /// The throttle keeps the checkpoint cost of a campaign within the 2%
+    /// budget plus one checkpoint, whatever checkpoints cost, and still
+    /// checkpoints: driven with 10-ms rounds and synthetic checkpoint walls
+    /// that stay flat at 1% of a round, grow linearly or quadratically with
+    /// the rounds serialized, or alternate between the linear prediction
+    /// and four times it.
+    #[test]
+    fn checkpoint_throttle_holds_the_budget_plus_one_checkpoint() {
+        use std::time::Duration as Wall;
+        let round = Wall::from_millis(10);
+        // A checkpoint's wall after `n` rounds.
+        type Cost = fn(u64) -> Wall;
+        let models: [(&str, Cost); 4] = [
+            ("flat", |_| Wall::from_micros(100)),
+            ("linear", |n| Wall::from_micros(50 * n)),
+            ("quadratic", |n| Wall::from_micros(n * n)),
+            ("erratic", |n| Wall::from_micros(25 * n * if n % 2 == 0 { 4 } else { 1 })),
+        ];
+        for (label, cost) in models {
+            let (mut compute, mut spent, mut last) = (Wall::ZERO, Wall::ZERO, Wall::ZERO);
+            let (mut at_last, mut written) = (0, 0);
+            for rounds_done in 1..=2_000u64 {
+                compute += round;
+                if checkpoint_fits_budget(spent, last, at_last, rounds_done, compute) {
+                    last = cost(rounds_done);
+                    spent += last;
+                    at_last = rounds_done;
+                    written += 1;
+                }
+                let bound = CHECKPOINT_OVERHEAD_BUDGET * compute.as_secs_f64() + last.as_secs_f64();
+                assert!(
+                    spent.as_secs_f64() <= bound,
+                    "{label}: {spent:?} of checkpoints after {rounds_done} rounds, bound {bound} s"
+                );
+            }
+            assert!(written >= 10, "{label}: only {written} checkpoints in 2,000 rounds");
+        }
     }
 
     #[test]

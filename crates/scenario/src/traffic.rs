@@ -399,11 +399,6 @@ fn ll_a_side_pool() -> Vec<Ipv4Addr> {
     )
 }
 
-/// Handover AS of a link from the ISP's viewpoint.
-pub fn handover_of_link(world: &World, link: LinkId) -> AsId {
-    world.topo.link(link).other(params::EYEBALL_AS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -185,16 +185,14 @@ echo "    in-ISP resumed output and $(wc -l < "$tmpdir/isp_metrics.det") determi
 echo "==> pool-vs-scope equivalence: persistent pool vs retired scoped engine"
 cargo test --release -q -p mcdn-exec pool_matches
 
-echo "==> bench smoke: BENCH_campaigns.json schema + speedup gate"
-# bench_campaigns enforces the speedup/dispatch-cost gates through its
-# exit code. Smoke campaigns finish in ~10ms where one bad scheduler
-# window can sink a perf ratio even under best-of-REPS, so a gate failure
-# earns exactly one retry; two consecutive failures are a real regression.
-if ! scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null; then
-  echo "    gate failed once; retrying (single-core scheduler jitter tolerance)"
-  scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null
-fi
-grep -q '"schema": "mcdn-bench-campaigns-v9"' "$tmpdir/BENCH_campaigns.json"
+echo "==> bench smoke: BENCH_campaigns.json schema + count gates"
+# bench_campaigns exits nonzero when a gate fails. Its gates are exact
+# counts, the same on any host: pool dispatches and worker spawns at the
+# top thread count, allocations per resolution, and allocations with
+# metrics recording on against off. Walls, speedups and overheads are
+# reported, not gated.
+cargo run --release -q -p mcdn-bench --bin bench_campaigns -- --smoke "$tmpdir/BENCH_campaigns.json"
+grep -q '"schema": "mcdn-bench-campaigns-v10"' "$tmpdir/BENCH_campaigns.json"
 grep -q '"identical_across_threads": true' "$tmpdir/BENCH_campaigns.json"
 if grep -q '"identical_across_threads": false' "$tmpdir/BENCH_campaigns.json"; then
   echo "    FAIL: some campaign diverged across thread counts"; exit 1
@@ -202,28 +200,14 @@ fi
 for field in thread_counts memo_hit_rate wall_ms shard_walls p50_ms p90_ms max_ms \
              dispatch_overhead_ms speedup_vs_serial speedup_gate dispatch_microbench \
              scoped_over_pool traffic_batch_ticks available_parallelism \
-             checkpoint_overhead_pct raw_overhead_pct noise_floor \
-             serial_gate ratio_vs_v5 \
-             observability obs_overhead_pct budget_pct metrics trace_events \
-             alloc_audit allocs_per_resolution bytes_per_resolution; do
+             steps expected_dispatches dispatches spawned \
+             checkpoint_overhead_pct observability obs_overhead_pct metrics trace_events \
+             alloc_audit disabled_allocs disabled_bytes \
+             allocs_per_resolution bytes_per_resolution; do
   grep -q "\"$field\"" "$tmpdir/BENCH_campaigns.json" || {
     echo "    FAIL: missing field $field"; exit 1; }
 done
-echo "    schema OK, speedup gate enforced"
-
-echo "==> checkpoint overhead: journaled campaign within 5% of plain"
-# bench_campaigns exits nonzero itself when the overhead gate fails; echo
-# the measured figure here for the CI log.
-overhead="$(grep -m1 '"checkpoint_overhead_pct"' "$tmpdir/BENCH_campaigns.json" \
-  | sed 's/.*"checkpoint_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/')"
-echo "    checkpoint_overhead_pct = ${overhead}%"
-
-echo "==> observability overhead: metrics recording within 2% of disabled"
-# Same contract: bench_campaigns already failed the run if the gate
-# tripped; surface the measured number.
-obs_overhead="$(grep -m1 '"obs_overhead_pct"' "$tmpdir/BENCH_campaigns.json" \
-  | sed 's/.*"obs_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/')"
-echo "    obs_overhead_pct = ${obs_overhead}%"
+echo "    schema OK, count gates passed"
 
 echo "==> alloc gate: a real campaign window averages under one allocation per resolution"
 # The audit counts every allocation of the serial global campaign (setup,
@@ -234,27 +218,6 @@ allocs="$(grep -m1 '"allocs_per_resolution"' "$tmpdir/BENCH_campaigns.json" \
 awk -v a="$allocs" 'BEGIN {
   if (a == "" || a + 0 >= 1.0) { printf "    FAIL: allocs_per_resolution = %s (gate < 1.0)\n", a; exit 1 }
   printf "    allocs_per_resolution = %s (< 1.0)\n", a
-}' || { grep -A8 '"alloc_audit"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
-
-echo "==> bench regression: smoke throughput vs committed baseline"
-# The committed BENCH_campaigns.json was produced by the full (non-smoke)
-# workload; the smoke run resolves the same hot path, so its serial
-# resolutions/sec must stay within 2x of the committed number. A machine
-# slower than that points at a real regression, not noise.
-if [ -f BENCH_campaigns.json ]; then
-  base_rps="$(grep -m1 '"resolutions_per_sec"' BENCH_campaigns.json \
-    | sed 's/.*"resolutions_per_sec": \([0-9.]*\).*/\1/')"
-  smoke_rps="$(grep -m1 '"resolutions_per_sec"' "$tmpdir/BENCH_campaigns.json" \
-    | sed 's/.*"resolutions_per_sec": \([0-9.]*\).*/\1/')"
-  awk -v base="$base_rps" -v got="$smoke_rps" 'BEGIN {
-    if (base > 0 && got * 2 < base) {
-      printf "    FAIL: serial global_dns %.1f res/s, baseline %.1f (>2x slower)\n", got, base
-      exit 1
-    }
-    printf "    serial global_dns %.1f res/s vs baseline %.1f: OK\n", got, base
-  }'
-else
-  echo "    no committed BENCH_campaigns.json; skipping"
-fi
+}' || { grep -A10 '"alloc_audit"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
 
 echo "CI OK"

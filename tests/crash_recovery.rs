@@ -10,6 +10,7 @@
 //! refused; it never panics.
 
 use metacdn_suite::build_world_or_exit;
+use metacdn_suite::dnssim::MAX_CACHE_TTL;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::obs::MetricsSnapshot;
@@ -353,14 +354,19 @@ fn reframe_last(journal: &mut [u8], frame: usize) {
 /// as offsets into a checkpoint payload: the tag byte, then `rounds_done`,
 /// `t` and `ctrl_t` as little-endian `u64`s, five more `u64` counters, the
 /// deterministic counters and trace events, the unique-IP cells (bin
-/// start `u64`, continent, class, member count `u32`, members) and the
-/// ledger (address, instant `u64`, class).
+/// start `u64`, continent, class, member count `u32`, members), the
+/// ledger (address, instant `u64`, class), the controller signals, and the
+/// probe caches (hits and misses `u64`, entry count `u32`, entries: name
+/// `u32`, type `u16`, expiry `u64`, record count `u16`, records: name
+/// `u32`, TTL `u32`, data).
 struct CheckpointLayout {
     rounds_done: usize,
     t: usize,
     ctrl_t: usize,
     first_cell_bin: usize,
     first_ledger_t: usize,
+    first_cache_expiry: usize,
+    first_record_ttl: usize,
 }
 
 fn checkpoint_layout(payload: &[u8]) -> CheckpointLayout {
@@ -375,7 +381,40 @@ fn checkpoint_layout(payload: &[u8]) -> CheckpointLayout {
         o += 14 + 4 * u32_at(o + 10);
     }
     assert!(n_cells > 0 && u32_at(o) > 0, "the checkpoint holds cells and ledger entries");
-    CheckpointLayout { rounds_done: 1, t: 9, ctrl_t: 17, first_cell_bin, first_ledger_t: o + 4 + 4 }
+    let first_ledger_t = o + 4 + 4;
+    o += 4 + 13 * u32_at(o);
+    // Signals: Apple utilization, CDN load, overload onsets, CDN health
+    // and capacity factors, each a count and fixed-width entries; then the
+    // per-region last-good shares and the down sites.
+    for width in [9, 10, 9, 3, 10] {
+        o += 4 + width * u32_at(o);
+    }
+    let n_regions = u32_at(o);
+    o += 4;
+    for _ in 0..n_regions {
+        o += 5 + 9 * u32_at(o + 1);
+    }
+    o += 4 + 8 * u32_at(o);
+    // The first probe cache that holds an entry.
+    let n_probes = u32_at(o);
+    o += 4;
+    for _ in 0..n_probes {
+        if u32_at(o + 16) > 0 {
+            break;
+        }
+        o += 20;
+    }
+    let first_entry = o + 20;
+    assert!(u16::from_le_bytes([payload[first_entry + 14], payload[first_entry + 15]]) > 0);
+    CheckpointLayout {
+        rounds_done: 1,
+        t: 9,
+        ctrl_t: 17,
+        first_cell_bin,
+        first_ledger_t,
+        first_cache_expiry: first_entry + 6,
+        first_record_ttl: first_entry + 16 + 4,
+    }
 }
 
 /// Suspends the tiny global campaign after round 2 (its checkpoint has
@@ -402,6 +441,10 @@ fn resume_edited(
 
 fn put_u64(payload: &mut [u8], offset: usize, v: u64) {
     payload[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn put_u32(payload: &mut [u8], offset: usize, v: u32) {
+    payload[offset..offset + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 fn get_u64(payload: &[u8], offset: usize) -> u64 {
@@ -499,5 +542,34 @@ fn resume_refuses_unique_ip_cells_after_the_last_round() {
         let resumed =
             resume_edited(&format!("cell-{at}"), |p, l| put_u64(p, l.first_cell_bin, at));
         assert_refused(resumed, "unique-IP cell bin", &format!("cell bin {at}"));
+    }
+}
+
+/// A probe-cache entry that expires after the last completed round plus
+/// the retry backoff plus the 7-day TTL cap, or that holds a record TTL
+/// above the cap, is refused: the cache caps both on the way in. An
+/// expiry at the bound still resumes.
+#[test]
+fn resume_refuses_probe_cache_entries_the_cache_cannot_hold() {
+    let (start, _, round) = tiny_window();
+    let retry = tiny_cfg(FaultProfile::none()).retry;
+    let backoff: u64 = (1..retry.max_attempts).map(|a| retry.backoff_before(a).as_secs()).sum();
+    let bound = start + round + backoff + u64::from(MAX_CACHE_TTL);
+    let resumed =
+        resume_edited("cache-expiry-bound", |p, l| put_u64(p, l.first_cache_expiry, bound));
+    assert!(
+        matches!(resumed, Ok((CampaignRun::Complete(_), _))),
+        "expiry at the bound: {resumed:?}"
+    );
+    for expiry in [bound + 1, u64::MAX] {
+        let resumed = resume_edited(&format!("cache-expiry-{expiry}"), |p, l| {
+            put_u64(p, l.first_cache_expiry, expiry)
+        });
+        assert_refused(resumed, "probe-cache entry expiry", &format!("expiry {expiry}"));
+    }
+    for ttl in [MAX_CACHE_TTL + 1, u32::MAX] {
+        let resumed =
+            resume_edited(&format!("cache-ttl-{ttl}"), |p, l| put_u32(p, l.first_record_ttl, ttl));
+        assert_refused(resumed, "probe-cache record TTL", &format!("record TTL {ttl}"));
     }
 }
