@@ -11,7 +11,6 @@
 use crate::table::Table;
 use mcdn_faults::coverage::interpolate_gaps;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::CellTable;
 use mcdn_netsim::LinkId;
 use mcdn_scenario::{DnsCampaignResult, TrafficResult};
 
@@ -36,8 +35,8 @@ pub fn dns_campaign_coverage(result: &DnsCampaignResult) -> Table {
 /// Coverage summary of the border telemetry: NetFlow export losses, SNMP
 /// poll gaps, and how many scaling cells had real SNMP backing.
 pub fn telemetry_coverage(traffic: &TrafficResult) -> Table {
-    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
-    let scaling = cells.coverage();
+    let scaled = traffic.flows.scale(&traffic.snmp, traffic.sampling);
+    let scaling = scaled.coverage();
     let mut t = Table::new(
         "Border telemetry coverage",
         &[
@@ -101,21 +100,34 @@ pub fn link_series_with_gaps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_isp::SnmpCounters;
+    use mcdn_isp::{FlowRecord, FlowTable, SnmpCounters};
     use mcdn_scenario::{run_dns, Campaign, ScenarioConfig, World};
+    use std::net::Ipv4Addr;
 
+    /// Three 5-minute polls of link 1, the middle one missed, with one
+    /// sampled record in each bin and a zero-byte record on link 2.
     fn traffic_with_gap() -> TrafficResult {
         let t0 = SimTime::from_ymd(2017, 9, 19);
         let step = Duration::mins(5);
         let mut snmp = SnmpCounters::new();
-        snmp.account(LinkId(1), 100);
-        snmp.poll(t0);
-        snmp.account(LinkId(1), 100);
-        snmp.poll_filtered(t0 + step, |_| false); // the missed cycle
-        snmp.account(LinkId(1), 100);
-        snmp.poll(t0 + step + step);
+        let mut flows = FlowTable::new();
+        let record = |bytes| FlowRecord {
+            src: Ipv4Addr::new(23, 0, 0, 1),
+            dst: Ipv4Addr::new(84, 17, 0, 1),
+            input_if: 1,
+            packets: 1,
+            bytes,
+            src_as: 20940,
+            dst_as: 3320,
+        };
+        flows.push(t0, LinkId(2), record(0));
+        for (bin, polled) in [(t0, true), (t0 + step, false), (t0 + step + step, true)] {
+            flows.push(bin, LinkId(1), record(1));
+            snmp.account(LinkId(1), 100);
+            snmp.poll_filtered(bin, |_| polled);
+        }
         TrafficResult {
-            flows: Vec::new(),
+            flows,
             snmp,
             dropped_bytes: 0,
             sampling: 1000,
@@ -127,10 +139,11 @@ mod tests {
     #[test]
     fn telemetry_table_reports_losses_and_gaps() {
         let t = telemetry_coverage(&traffic_with_gap());
-        assert_eq!(t.rows[0][1], "3");
-        assert_eq!(t.rows[0][2], "1");
+        assert_eq!(t.rows[0][..5], ["4", "3", "1", "2", "1"]);
+        assert_eq!(t.rows[0][5], "66.7");
         // No flows → no scaling cells → full coverage by convention.
-        assert_eq!(t.rows[0][5], "100.0");
+        let empty = TrafficResult { flows: FlowTable::new(), ..traffic_with_gap() };
+        assert_eq!(telemetry_coverage(&empty).rows[0][3..], ["0", "0", "100.0"]);
     }
 
     #[test]

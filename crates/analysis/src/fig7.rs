@@ -8,7 +8,7 @@
 use crate::sums::OrderedSums;
 use crate::table::Table;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::CellTable;
+use mcdn_intern::FnvBuildHasher;
 use mcdn_scenario::{CdnClass, TrafficResult};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -23,15 +23,19 @@ pub fn hourly_by_cdn(
     traffic: &TrafficResult,
     ip_classes: &HashMap<Ipv4Addr, CdnClass>,
 ) -> BTreeMap<(SimTime, CdnClass), f64> {
-    // The cell table degrades gracefully when SNMP polls were missed
+    // The scaling degrades gracefully when SNMP polls were missed
     // (gapped cells fall back to sampling-rate inversion instead of
     // silently reading zero). Volumes are added in flow order: summing
     // per cell or per source first would change the f64 totals.
-    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let scaled = traffic.flows.scale(&traffic.snmp, traffic.sampling);
+    // The CDN of each source address, `None` when DNS never saw it: one
+    // class lookup per address instead of per record.
+    let mut cdn_of: HashMap<Ipv4Addr, Option<CdnClass>, FnvBuildHasher> = HashMap::default();
     let mut out = OrderedSums::new();
-    for v in cells.volumes() {
-        let Some(class) = ip_classes.get(&v.src) else { continue };
-        out.add((v.bin.floor_to(Duration::HOUR), class.cdn()), v.bytes);
+    for v in scaled.volumes() {
+        let cdn = *cdn_of.entry(v.src).or_insert_with(|| ip_classes.get(&v.src).map(|c| c.cdn()));
+        let Some(cdn) = cdn else { continue };
+        out.add((v.bin.floor_to(Duration::HOUR), cdn), v.bytes);
     }
     out.into_map()
 }
@@ -152,42 +156,63 @@ pub fn fig7_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_isp::{FlowRecord, SnmpCounters};
+    use mcdn_isp::{FlowRecord, FlowTable, SnmpCounters};
     use mcdn_netsim::LinkId;
     use mcdn_scenario::TrafficResult;
 
-    /// Builds a synthetic telemetry window: two quiet pre-days at 1000
-    /// bytes/hour for one Limelight IP, then a release day at 5000.
+    const LL_IP: Ipv4Addr = Ipv4Addr::new(68, 232, 0, 1);
+
+    /// Builds a synthetic telemetry window: three quiet pre-days at 1000
+    /// bytes/hour for one Limelight IP, then a release day at 5000. Each
+    /// hour the same link also carries 2000 bytes from an address DNS
+    /// never saw.
     fn synthetic() -> (TrafficResult, HashMap<Ipv4Addr, CdnClass>, SimTime) {
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
-        let ll_ip: Ipv4Addr = "68.232.0.1".parse().unwrap();
+        let unseen = Ipv4Addr::new(23, 0, 0, 7);
         let link = LinkId(3);
         let mut snmp = SnmpCounters::new();
-        let mut flows = Vec::new();
+        let mut flows = FlowTable::new();
         let mut t = release.floor_day() - Duration::days(3);
         while t < release.floor_day() + Duration::days(1) {
-            let bytes: u32 = if t >= release { 5000 } else { 1000 };
-            snmp.account(link, bytes as u64);
-            snmp.poll(t);
-            flows.push((
-                t,
-                link,
-                FlowRecord {
-                    src: ll_ip,
-                    dst: "84.17.0.1".parse().unwrap(),
+            let ll_bytes: u32 = if t >= release { 5000 } else { 1000 };
+            for (src, bytes) in [(LL_IP, ll_bytes), (unseen, 2000)] {
+                snmp.account(link, bytes as u64);
+                let record = FlowRecord {
+                    src,
+                    dst: Ipv4Addr::new(84, 17, 0, 1),
                     input_if: 3,
                     packets: 1,
                     bytes,
                     src_as: 22822,
                     dst_as: 3320,
-                },
-            ));
+                };
+                flows.push(t, link, record);
+            }
+            snmp.poll(t);
             t += Duration::HOUR;
         }
         let mut ip_classes = HashMap::new();
-        ip_classes.insert(ll_ip, CdnClass::Limelight);
-        let traffic = TrafficResult { flows, snmp, dropped_bytes: 0, sampling: 1, export_losses: 0, polls_missed: 0 };
+        ip_classes.insert(LL_IP, CdnClass::Limelight);
+        let traffic = TrafficResult {
+            flows,
+            snmp,
+            dropped_bytes: 0,
+            sampling: 1,
+            export_losses: 0,
+            polls_missed: 0,
+        };
         (traffic, ip_classes, release)
+    }
+
+    #[test]
+    fn only_observed_sources_fill_the_hours() {
+        let (traffic, ip_classes, release) = synthetic();
+        let hourly = hourly_by_cdn(&traffic, &ip_classes);
+        assert_eq!(hourly.len(), 4 * 24);
+        for ((hour, cdn), bytes) in hourly {
+            assert_eq!(cdn, CdnClass::Limelight);
+            assert_eq!(bytes, if hour >= release { 5000.0 } else { 1000.0 }, "{hour}");
+        }
     }
 
     #[test]

@@ -7,24 +7,21 @@
 use crate::sums::OrderedSums;
 use crate::table::Table;
 use mcdn_geo::{Duration, SimTime};
-use mcdn_isp::CellTable;
+use mcdn_intern::FnvBuildHasher;
 use mcdn_netsim::AsId;
 use mcdn_scenario::{params, CdnClass, TrafficResult, World};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 /// Handover group labels of the figure.
-fn handover_label(world: &World, handover: mcdn_netsim::AsId) -> &'static str {
+fn handover_label(handover: AsId) -> &'static str {
     match handover {
         x if x == params::TRANSIT_A => "A",
         x if x == params::TRANSIT_B => "B",
         x if x == params::TRANSIT_C => "C",
         x if x == params::TRANSIT_D => "D",
-        _ => {
-            // ~40 smaller handover ASes are grouped as "other".
-            let _ = world;
-            "other"
-        }
+        // ~40 smaller handover ASes are grouped as "other".
+        _ => "other",
     }
 }
 
@@ -34,17 +31,18 @@ pub fn overflow_by_handover(
     ip_classes: &HashMap<Ipv4Addr, CdnClass>,
     world: &World,
 ) -> BTreeMap<(SimTime, &'static str), f64> {
-    // The cell table degrades gracefully when SNMP polls were missed
+    // The scaling degrades gracefully when SNMP polls were missed
     // (gapped cells fall back to sampling-rate inversion instead of
     // silently reading zero). Volumes are added in flow order: summing
     // per cell or per source first would change the f64 totals.
-    let cells = CellTable::build(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let scaled = traffic.flows.scale(&traffic.snmp, traffic.sampling);
     // The source AS of each Limelight-attributed address, `None` for any
     // other address: one class lookup and trie walk per source address
     // instead of per flow.
-    let mut limelight_origin: HashMap<Ipv4Addr, Option<AsId>> = HashMap::new();
+    let mut limelight_origin: HashMap<Ipv4Addr, Option<AsId>, FnvBuildHasher> =
+        HashMap::default();
     let mut out = OrderedSums::new();
-    for v in cells.volumes() {
+    for v in scaled.volumes() {
         let origin = *limelight_origin.entry(v.src).or_insert_with(|| {
             let class = ip_classes.get(&v.src)?;
             if class.cdn() != CdnClass::Limelight {
@@ -57,7 +55,7 @@ pub fn overflow_by_handover(
         if source_as == handover {
             continue; // direct traffic, not overflow
         }
-        out.add((v.bin.floor_day(), handover_label(world, handover)), v.bytes);
+        out.add((v.bin.floor_day(), handover_label(handover)), v.bytes);
     }
     out.into_map()
 }
@@ -149,17 +147,19 @@ pub fn d_peak_share(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_isp::FlowRecord;
+    use mcdn_isp::{FlowRecord, FlowTable};
     use mcdn_scenario::ScenarioConfig;
     use std::collections::HashMap;
 
-    /// Hand-crafted flows over the real topology: one direct Limelight flow
-    /// (not overflow), one via a regional cache behind AS A, one via the
-    /// surge host behind AS D.
+    /// Hand-crafted flows over the real topology, all in one day: one
+    /// direct Limelight flow (not overflow), one via a regional cache
+    /// behind AS A, one via the surge host behind AS D, a direct Akamai
+    /// flow, an Akamai flow handed over by AS B, and a flow behind AS D
+    /// from an address DNS never saw.
     fn synthetic(world: &World) -> (TrafficResult, HashMap<Ipv4Addr, CdnClass>) {
         let day = SimTime::from_ymd(2017, 9, 20);
         let mut snmp = mcdn_isp::SnmpCounters::new();
-        let mut flows = Vec::new();
+        let mut flows = FlowTable::new();
         let mut ip_classes = HashMap::new();
         let link_to = |asn| {
             world
@@ -170,31 +170,40 @@ mod tests {
                 .expect("link")
         };
         for (ip, class, handover, bytes) in [
-            ("68.232.0.9", CdnClass::Limelight, params::LIMELIGHT_AS, 10_000u32),
-            ("69.28.0.2", CdnClass::LimelightOtherAs, params::TRANSIT_A, 3_000),
-            ("69.28.64.2", CdnClass::LimelightOtherAs, params::TRANSIT_D, 7_000),
-            ("23.0.0.9", CdnClass::Akamai, params::AKAMAI_AS, 50_000),
+            ("68.232.0.9", Some(CdnClass::Limelight), params::LIMELIGHT_AS, 10_000u32),
+            ("69.28.0.2", Some(CdnClass::LimelightOtherAs), params::TRANSIT_A, 3_000),
+            ("69.28.64.2", Some(CdnClass::LimelightOtherAs), params::TRANSIT_D, 7_000),
+            ("69.28.64.3", None, params::TRANSIT_D, 4_000),
+            ("23.0.0.9", Some(CdnClass::Akamai), params::AKAMAI_AS, 50_000),
+            ("23.0.0.10", Some(CdnClass::Akamai), params::TRANSIT_B, 20_000),
         ] {
             let src: Ipv4Addr = ip.parse().unwrap();
             let link = link_to(handover);
             snmp.account(link, bytes as u64);
-            ip_classes.insert(src, class);
-            flows.push((
-                day,
-                link,
-                FlowRecord {
-                    src,
-                    dst: "84.17.0.1".parse().unwrap(),
-                    input_if: (link.0 & 0xFFFF) as u16,
-                    packets: 1,
-                    bytes,
-                    src_as: 0,
-                    dst_as: 3320,
-                },
-            ));
+            if let Some(class) = class {
+                ip_classes.insert(src, class);
+            }
+            let record = FlowRecord {
+                src,
+                dst: "84.17.0.1".parse().unwrap(),
+                input_if: (link.0 & 0xFFFF) as u16,
+                packets: 1,
+                bytes,
+                src_as: 0,
+                dst_as: 3320,
+            };
+            flows.push(day, link, record);
         }
         snmp.poll(day);
-        (TrafficResult { flows, snmp, dropped_bytes: 0, sampling: 1, export_losses: 0, polls_missed: 0 }, ip_classes)
+        let traffic = TrafficResult {
+            flows,
+            snmp,
+            dropped_bytes: 0,
+            sampling: 1,
+            export_losses: 0,
+            polls_missed: 0,
+        };
+        (traffic, ip_classes)
     }
 
     #[test]
@@ -203,8 +212,8 @@ mod tests {
         let (traffic, ip_classes) = synthetic(&world);
         let data = overflow_by_handover(&traffic, &ip_classes, &world);
         let day = SimTime::from_ymd(2017, 9, 20);
-        // Direct LL flow and the Akamai flow are excluded; A gets 3000,
-        // D gets 7000.
+        // The direct LL flow, both Akamai flows and the unseen address
+        // are excluded; A gets 3000, D gets 7000.
         assert_eq!(data.get(&(day, "A")).copied(), Some(3_000.0));
         assert_eq!(data.get(&(day, "D")).copied(), Some(7_000.0));
         assert_eq!(data.len(), 2);

@@ -53,65 +53,93 @@ impl ScalingCoverage {
     }
 }
 
-/// The (bin, link) cell table of one SNMP-scaling pass over a flow table.
+/// The sampled NetFlow records of one collection window, in flow order,
+/// each filed under the (time bin, ingress link) cell it was exported in.
 ///
-/// Built in one pass over the flows: every flow gets the id of its cell,
-/// every cell its sampled byte total, and every cell with sampled bytes
-/// one SNMP lookup and one scale factor. [`CellTable::volumes`] then hands
-/// the scaled volumes out in flow order without materializing them.
-///
-/// For a cell with a real poll sample ([`SnmpCounters::has_poll`]), the
-/// factor scales the cell's sampled bytes to the exact SNMP delta. For a
-/// cell whose poll was missed, the sampled bytes are instead multiplied
-/// by the packet `sampling` rate — the estimate the collector would
-/// publish with only Netflow in hand — and the cell is reported in
-/// [`CellTable::coverage`] so figure builders can annotate it. Cells
-/// whose records sampled zero bytes contribute nothing. Flows may come in
-/// any order; consecutive flows of one cell, as the traffic simulation
-/// emits them, cost no table lookup.
-#[derive(Debug)]
-pub struct CellTable<'a> {
-    flows: &'a [(SimTime, LinkId, FlowRecord)],
-    /// The cell id of each flow, in flow order.
+/// [`FlowTable::push`] gives every record the `u32` id of its cell and adds
+/// its sampled bytes to the cell's total, so the cell table the SNMP
+/// scaling needs is built once, where the records are made, and not again
+/// by every consumer. Records may come in any order; consecutive records
+/// of one cell, as the traffic simulation emits them, cost no map lookup.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FlowTable {
+    records: Vec<FlowRecord>,
+    /// The cell id of each record, in flow order.
     cell_of: Vec<u32>,
-    /// Per cell id: the factor its flows' sampled bytes are multiplied by,
-    /// `None` when the cell sampled zero bytes.
-    factor: Vec<Option<f64>>,
-    coverage: ScalingCoverage,
+    /// Per cell id: its (bin, link) and sampled byte total.
+    cells: Vec<Cell>,
+    /// The id of each (bin, link) cell.
+    ids: HashMap<(SimTime, LinkId), u32>,
 }
 
-impl<'a> CellTable<'a> {
-    /// Builds the cell table of `flows`, which pair each record with its
-    /// bin and ingress link (bins must match the SNMP poll bins).
-    pub fn build(
-        flows: &'a [(SimTime, LinkId, FlowRecord)],
-        snmp: &SnmpCounters,
-        sampling: u32,
-    ) -> CellTable<'a> {
-        let mut ids: HashMap<(SimTime, LinkId), u32> = HashMap::new();
-        let mut cells: Vec<((SimTime, LinkId), u64)> = Vec::new();
-        let mut cell_of = Vec::with_capacity(flows.len());
-        let mut last: Option<((SimTime, LinkId), u32)> = None;
-        for (bin, link, rec) in flows {
-            let key = (*bin, *link);
-            let id = match last {
-                Some((k, id)) if k == key => id,
-                _ => {
-                    let id = *ids.entry(key).or_insert_with(|| {
-                        cells.push((key, 0));
-                        u32::try_from(cells.len() - 1).expect("fewer than 2^32 cells")
-                    });
-                    last = Some((key, id));
-                    id
-                }
-            };
-            cells[id as usize].1 += rec.bytes as u64;
-            cell_of.push(id);
-        }
+/// One (bin, link) cell of a [`FlowTable`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cell {
+    bin: SimTime,
+    link: LinkId,
+    sampled: u64,
+}
+
+impl FlowTable {
+    /// An empty table.
+    pub fn new() -> FlowTable {
+        FlowTable::default()
+    }
+
+    /// Appends `record`, exported on `link` in `bin` (bins must match the
+    /// SNMP poll bins).
+    pub fn push(&mut self, bin: SimTime, link: LinkId, record: FlowRecord) {
+        let last = self.cell_of.last().map(|&id| (id, &self.cells[id as usize]));
+        let id = match last {
+            Some((id, cell)) if cell.bin == bin && cell.link == link => id,
+            _ => {
+                let cells = &mut self.cells;
+                *self.ids.entry((bin, link)).or_insert_with(|| {
+                    cells.push(Cell { bin, link, sampled: 0 });
+                    u32::try_from(cells.len() - 1).expect("fewer than 2^32 cells")
+                })
+            }
+        };
+        self.cells[id as usize].sampled += record.bytes as u64;
+        self.cell_of.push(id);
+        self.records.push(record);
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the table holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The records with their bin and link, in flow order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, LinkId, &FlowRecord)> + '_ {
+        self.records.iter().zip(&self.cell_of).map(|(record, &id)| {
+            let cell = &self.cells[id as usize];
+            (cell.bin, cell.link, record)
+        })
+    }
+
+    /// Scales the sampled bytes of every cell by SNMP: one `has_poll` and
+    /// `delta` lookup and one factor per cell.
+    ///
+    /// For a cell with a real poll sample ([`SnmpCounters::has_poll`]), the
+    /// factor scales the cell's sampled bytes to the exact SNMP delta. For
+    /// a cell whose poll was missed, the sampled bytes are instead
+    /// multiplied by the packet `sampling` rate — the estimate the
+    /// collector would publish with only Netflow in hand — and the cell is
+    /// reported in [`ScaledFlows::coverage`] so figure builders can
+    /// annotate it. Cells whose records sampled zero bytes contribute
+    /// nothing.
+    pub fn scale(&self, snmp: &SnmpCounters, sampling: u32) -> ScaledFlows<'_> {
         let mut coverage = ScalingCoverage::default();
-        let factor = cells
+        let factor = self
+            .cells
             .iter()
-            .map(|&((bin, link), sampled)| {
+            .map(|&Cell { bin, link, sampled }| {
                 if sampled == 0 {
                     None
                 } else if snmp.has_poll(bin, link) {
@@ -125,40 +153,42 @@ impl<'a> CellTable<'a> {
             .collect();
         coverage.gapped.sort_unstable();
         coverage.gapped_cells = coverage.gapped.len();
-        CellTable { flows, cell_of, factor, coverage }
+        ScaledFlows { flows: self, factor, coverage }
     }
+}
 
+/// One SNMP-scaling pass over a [`FlowTable`] ([`FlowTable::scale`]).
+#[derive(Debug)]
+pub struct ScaledFlows<'a> {
+    flows: &'a FlowTable,
+    /// Per cell id: the factor its records' sampled bytes are multiplied
+    /// by, `None` when the cell sampled zero bytes.
+    factor: Vec<Option<f64>>,
+    coverage: ScalingCoverage,
+}
+
+impl ScaledFlows<'_> {
     /// How many cells were scaled against SNMP and which fell back.
     pub fn coverage(&self) -> &ScalingCoverage {
         &self.coverage
     }
 
-    /// The scaled volumes, one per flow in a cell with sampled bytes, in
+    /// The scaled volumes, one per record in a cell with sampled bytes, in
     /// flow order.
     pub fn volumes(&self) -> impl Iterator<Item = ScaledVolume> + '_ {
-        self.flows.iter().zip(&self.cell_of).filter_map(|((bin, link, rec), &id)| {
+        let flows = self.flows;
+        flows.records.iter().zip(&flows.cell_of).filter_map(|(record, &id)| {
             let factor = self.factor[id as usize]?;
+            let cell = &flows.cells[id as usize];
             Some(ScaledVolume {
-                bin: *bin,
-                link: *link,
-                src: rec.src,
-                src_as: rec.src_as,
-                bytes: rec.bytes as f64 * factor,
+                bin: cell.bin,
+                link: cell.link,
+                src: record.src,
+                src_as: record.src_as,
+                bytes: record.bytes as f64 * factor,
             })
         })
     }
-}
-
-/// Scales sampled flow records by SNMP deltas, degrading gracefully when
-/// SNMP polls were missed: the volumes of [`CellTable::volumes`] collected
-/// in flow order, with the table's coverage.
-pub fn scale_by_snmp_with_coverage(
-    flows: &[(SimTime, LinkId, FlowRecord)],
-    snmp: &SnmpCounters,
-    sampling: u32,
-) -> (Vec<ScaledVolume>, ScalingCoverage) {
-    let table = CellTable::build(flows, snmp, sampling);
-    (table.volumes().collect(), table.coverage)
 }
 
 /// Aggregates scaled volumes into bytes per (bin, source AS).
@@ -173,7 +203,6 @@ pub fn by_source_as(volumes: &[ScaledVolume]) -> BTreeMap<(SimTime, u16), f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn rec(src_last: u8, bytes: u32, src_as: u16) -> FlowRecord {
         FlowRecord {
@@ -187,113 +216,16 @@ mod tests {
         }
     }
 
-    /// The per-flow `BTreeMap` scaler the cell table replaced, kept as the
-    /// reference the property test below compares against.
-    fn reference_scale(
-        flows: &[(SimTime, LinkId, FlowRecord)],
-        snmp: &SnmpCounters,
-        sampling: u32,
-    ) -> (Vec<ScaledVolume>, ScalingCoverage) {
-        let mut cell_sampled: BTreeMap<(SimTime, LinkId), u64> = BTreeMap::new();
-        for (bin, link, rec) in flows {
-            *cell_sampled.entry((*bin, *link)).or_insert(0) += rec.bytes as u64;
+    fn table(flows: &[(SimTime, LinkId, FlowRecord)]) -> FlowTable {
+        let mut table = FlowTable::new();
+        for &(bin, link, record) in flows {
+            table.push(bin, link, record);
         }
-        let mut coverage = ScalingCoverage::default();
-        for (&(bin, link), &sampled) in &cell_sampled {
-            if sampled == 0 {
-                continue;
-            }
-            if snmp.has_poll(bin, link) {
-                coverage.covered_cells += 1;
-            } else {
-                coverage.gapped_cells += 1;
-                coverage.gapped.push((bin, link));
-            }
-        }
-        let mut out = Vec::with_capacity(flows.len());
-        for (bin, link, rec) in flows {
-            let sampled_total = cell_sampled[&(*bin, *link)];
-            if sampled_total == 0 {
-                continue;
-            }
-            let factor = if snmp.has_poll(*bin, *link) {
-                snmp.delta(*bin, *link) as f64 / sampled_total as f64
-            } else {
-                sampling.max(1) as f64
-            };
-            out.push(ScaledVolume {
-                bin: *bin,
-                link: *link,
-                src: rec.src,
-                src_as: rec.src_as,
-                bytes: rec.bytes as f64 * factor,
-            });
-        }
-        (out, coverage)
+        table
     }
 
-    proptest! {
-        /// The cell table scales any flow table exactly as the reference
-        /// does — bins out of order, repeated and interleaved cells,
-        /// zero-byte records, missed polls, 1-minute bins off the 5-minute
-        /// poll grid, any sampling rate: the same volumes in flow order,
-        /// bit for bit, and the same coverage with `gapped` time-ordered.
-        /// The traffic simulation emits bin-sorted flows; this is what
-        /// shows the table does not depend on it.
-        #[test]
-        fn cell_table_matches_the_reference_scaler(
-            records in proptest::collection::vec(
-                (0u64..10, 0u32..4, 0u8..5, any::<u32>(), 0u8..6),
-                0..160,
-            ),
-            polls in proptest::collection::vec((0u8..3, any::<u32>(), 0u8..8), 40),
-            // Rates 0 and 1 (both meaning "no sampling") a quarter of
-            // the time each, else any rate up to 1000.
-            sampling in (0u8..4, 0u32..=1000).prop_map(|(k, rate)| match k {
-                0 => 0,
-                1 => 1,
-                _ => rate,
-            }),
-        ) {
-            let base = SimTime::from_ymd(2017, 9, 19);
-            let minute = |m: u64| base + mcdn_geo::Duration::mins(m);
-            let flows: Vec<(SimTime, LinkId, FlowRecord)> = records
-                .iter()
-                .map(|&(m, link, kind, raw, src)| {
-                    let bytes = match kind {
-                        0 | 1 => 0,
-                        2 => raw % 5_000,
-                        3 => raw,
-                        _ => u32::MAX,
-                    };
-                    (minute(m), LinkId(link), rec(src, bytes, 700 + src as u16))
-                })
-                .collect();
-            // One poll a minute over four links, as with 1-minute ticks;
-            // each link misses a poll with probability 1/8.
-            let mut snmp = SnmpCounters::new();
-            for (m, minute_polls) in polls.chunks(4).enumerate() {
-                for (l, &(kind, raw, _)) in minute_polls.iter().enumerate() {
-                    snmp.account(LinkId(l as u32), if kind == 0 { 0 } else { raw as u64 });
-                }
-                snmp.poll_filtered(minute(m as u64), |l| minute_polls[l.0 as usize].2 != 0);
-            }
-
-            let (want, want_coverage) = reference_scale(&flows, &snmp, sampling);
-            let table = CellTable::build(&flows, &snmp, sampling);
-            let got: Vec<ScaledVolume> = table.volumes().collect();
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(
-                    (g.bin, g.link, g.src, g.src_as, g.bytes.to_bits()),
-                    (w.bin, w.link, w.src, w.src_as, w.bytes.to_bits())
-                );
-            }
-            prop_assert_eq!(table.coverage(), &want_coverage);
-            prop_assert!(want_coverage.gapped.windows(2).all(|w| w[0] < w[1]));
-            let collected = scale_by_snmp_with_coverage(&flows, &snmp, sampling);
-            prop_assert_eq!(collected, (got, want_coverage));
-        }
+    fn scaled(flows: &FlowTable, snmp: &SnmpCounters, sampling: u32) -> Vec<ScaledVolume> {
+        flows.scale(snmp, sampling).volumes().collect()
     }
 
     #[test]
@@ -304,9 +236,8 @@ mod tests {
         snmp.account(link, 1_000_000); // exact truth
         snmp.poll(bin);
         // Sampled records only saw 1000 bytes total.
-        let flows =
-            vec![(bin, link, rec(1, 600, 20940)), (bin, link, rec(2, 400, 22822))];
-        let (scaled, _) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
+        let flows = table(&[(bin, link, rec(1, 600, 20940)), (bin, link, rec(2, 400, 22822))]);
+        let scaled = scaled(&flows, &snmp, 1000);
         let total: f64 = scaled.iter().map(|v| v.bytes).sum();
         assert!((total - 1_000_000.0).abs() < 1e-6);
         // Proportions preserved: 60/40.
@@ -321,11 +252,9 @@ mod tests {
         snmp.account(LinkId(1), 1000);
         snmp.account(LinkId(2), 9000);
         snmp.poll(bin);
-        let flows = vec![
-            (bin, LinkId(1), rec(1, 100, 714)),
-            (bin, LinkId(2), rec(2, 100, 714)),
-        ];
-        let (scaled, _) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
+        let flows =
+            table(&[(bin, LinkId(1), rec(1, 100, 714)), (bin, LinkId(2), rec(2, 100, 714))]);
+        let scaled = scaled(&flows, &snmp, 1000);
         assert!((scaled[0].bytes - 1000.0).abs() < 1e-9);
         assert!((scaled[1].bytes - 9000.0).abs() < 1e-9);
     }
@@ -334,9 +263,10 @@ mod tests {
     fn empty_cells_are_skipped() {
         let bin = SimTime::from_ymd(2017, 9, 19);
         let snmp = SnmpCounters::new();
-        let flows = vec![(bin, LinkId(1), rec(1, 0, 714))];
-        let (scaled, cov) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
-        assert!(scaled.is_empty());
+        let flows = table(&[(bin, LinkId(1), rec(1, 0, 714))]);
+        let scaled = flows.scale(&snmp, 1000);
+        assert_eq!(scaled.volumes().count(), 0);
+        let cov = scaled.coverage();
         assert_eq!((cov.covered_cells, cov.gapped_cells), (0, 0));
     }
 
@@ -347,16 +277,17 @@ mod tests {
         snmp.account(LinkId(1), 1_000_000);
         snmp.account(LinkId(2), 5_000);
         snmp.poll(bin);
-        let flows = vec![
+        let flows = table(&[
             (bin, LinkId(1), rec(1, 600, 20940)),
             (bin, LinkId(1), rec(2, 400, 22822)),
             (bin, LinkId(2), rec(3, 50, 714)),
-        ];
+        ]);
         // With every cell polled, the sampling rate plays no part.
-        let (scaled, cov) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
-        let bytes: Vec<f64> = scaled.iter().map(|v| v.bytes).collect();
+        let scaled_at = |sampling| scaled(&flows, &snmp, sampling);
+        let bytes: Vec<f64> = scaled_at(1000).iter().map(|v| v.bytes).collect();
         assert_eq!(bytes, vec![600_000.0, 400_000.0, 5_000.0]);
-        assert_eq!(scaled, scale_by_snmp_with_coverage(&flows, &snmp, 1).0);
+        assert_eq!(scaled_at(1000), scaled_at(1));
+        let cov = flows.scale(&snmp, 1000).coverage().clone();
         assert_eq!(cov.covered_cells, 2);
         assert_eq!(cov.gapped_cells, 0);
         assert_eq!(cov.fraction(), 1.0);
@@ -366,12 +297,13 @@ mod tests {
     fn gapped_cell_falls_back_to_sampling_inversion() {
         let bin = SimTime::from_ymd(2017, 9, 19);
         let snmp = SnmpCounters::new(); // never polled: every cell is a gap
-        let flows = vec![(bin, LinkId(1), rec(1, 600, 20940))];
+        let flows = table(&[(bin, LinkId(1), rec(1, 600, 20940))]);
         // The estimate comes from the sampling rate, and the gap is flagged.
-        let (scaled, cov) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
-        assert!((scaled[0].bytes - 600_000.0).abs() < 1e-9);
-        assert_eq!(cov.gapped, vec![(bin, LinkId(1))]);
-        assert_eq!(cov.fraction(), 0.0);
+        let scaled = flows.scale(&snmp, 1000);
+        let volumes: Vec<ScaledVolume> = scaled.volumes().collect();
+        assert!((volumes[0].bytes - 600_000.0).abs() < 1e-9);
+        assert_eq!(scaled.coverage().gapped, vec![(bin, LinkId(1))]);
+        assert_eq!(scaled.coverage().fraction(), 0.0);
     }
 
     #[test]
@@ -381,12 +313,12 @@ mod tests {
         let mut snmp = SnmpCounters::new();
         snmp.account(link, 1000);
         snmp.poll(bin);
-        let flows = vec![
+        let flows = table(&[
             (bin, link, rec(1, 30, 20940)),
             (bin, link, rec(2, 50, 20940)),
             (bin, link, rec(3, 20, 22822)),
-        ];
-        let agg = by_source_as(&scale_by_snmp_with_coverage(&flows, &snmp, 1000).0);
+        ]);
+        let agg = by_source_as(&scaled(&flows, &snmp, 1000));
         assert!((agg[&(bin, 20940)] - 800.0).abs() < 1e-9);
         assert!((agg[&(bin, 22822)] - 200.0).abs() < 1e-9);
     }

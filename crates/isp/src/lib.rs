@@ -15,7 +15,9 @@
 //!   but blind to *who* sent the bytes.
 //! * [`classify`] — the §5.1 definitions of **offload** (source AS is a
 //!   third-party CDN) and **overflow** (source AS ≠ handover AS).
-//! * [`estimate`] — the Netflow×SNMP scaling estimator.
+//! * [`estimate`] — the flow table ([`FlowTable`]), which files each
+//!   sampled record under its (time bin, ingress link) cell as the record
+//!   is collected, and the Netflow×SNMP scaling estimator over its cells.
 //! * [`billing`] — 95/5 percentile billing, used to reason about the
 //!   AS-D cost impact of the overflow spike (§5.4).
 
@@ -32,6 +34,6 @@ pub mod snmp;
 pub use billing::percentile_95_5;
 pub use collector::{Collector, Exporter};
 pub use classify::{classify_flow, FlowClass, TrafficKind};
-pub use estimate::{scale_by_snmp_with_coverage, CellTable, ScaledVolume, ScalingCoverage};
+pub use estimate::{FlowTable, ScaledFlows, ScaledVolume, ScalingCoverage};
 pub use netflow::{ExportPacket, FlowRecord, Sampler};
 pub use snmp::SnmpCounters;

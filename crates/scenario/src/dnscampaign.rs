@@ -585,34 +585,22 @@ impl CampaignParams<'_> {
 const CHECKPOINT_OVERHEAD_BUDGET: f64 = 0.02;
 
 /// The engine's checkpoint-overhead throttle: whether a cadence-due
-/// checkpoint after `rounds_done` rounds fits the budget.
+/// checkpoint fits the budget.
 ///
 /// A checkpoint serializes *all* accumulated campaign state, so its cost
 /// grows with the run while a round's cost stays flat — any fixed cadence
 /// eventually spends more time journaling than measuring. The engine
-/// therefore keeps a budget pool: the checkpoint cost `spent` so far may
-/// not exceed [`CHECKPOINT_OVERHEAD_BUDGET`] of the round `compute` so
-/// far, and a checkpoint is written only if its predicted cost still fits
-/// the pool. The prediction is the last checkpoint's cost (`last_cost`,
-/// written after `rounds_at_last` rounds), scaled by state growth since;
-/// state grows at most linearly in rounds. Whatever a checkpoint really
-/// costs, `spent` thus stays within the budget plus one checkpoint.
-/// Suspension always forces a checkpoint (durability beats budget at the
-/// moment that matters), and skipping checkpoints never changes results —
-/// only how far back a crash rewinds.
-fn checkpoint_fits_budget(
-    spent: std::time::Duration,
-    last_cost: std::time::Duration,
-    rounds_at_last: u64,
-    rounds_done: u64,
-    compute: std::time::Duration,
-) -> bool {
-    let predicted = if rounds_at_last > 0 {
-        last_cost.as_secs_f64() * rounds_done as f64 / rounds_at_last as f64
-    } else {
-        last_cost.as_secs_f64()
-    };
-    spent.as_secs_f64() + predicted <= CHECKPOINT_OVERHEAD_BUDGET * compute.as_secs_f64()
+/// therefore keeps a budget pool: a checkpoint is written only while the
+/// checkpoint cost `spent` so far is within [`CHECKPOINT_OVERHEAD_BUDGET`]
+/// of the round `compute` so far. Whatever a checkpoint really costs,
+/// `spent` thus stays within the budget plus one checkpoint, and since the
+/// budget grows with every round, a checkpoint is written again as soon
+/// as the budget has caught up with the last one: the throttle thins the
+/// cadence but never stops it. Suspension always forces a checkpoint
+/// (durability beats budget at the moment that matters), and skipping
+/// checkpoints never changes results — only how far back a crash rewinds.
+fn checkpoint_fits_budget(spent: std::time::Duration, compute: std::time::Duration) -> bool {
+    spent.as_secs_f64() <= CHECKPOINT_OVERHEAD_BUDGET * compute.as_secs_f64()
 }
 
 /// The campaign engine. One code path serves both runners, [`run_dns`]
@@ -738,8 +726,6 @@ fn drive_campaign(
     // ([`checkpoint_fits_budget`]).
     let mut compute_total = std::time::Duration::ZERO;
     let mut ckpt_cost_total = std::time::Duration::ZERO;
-    let mut last_ckpt_cost = std::time::Duration::ZERO;
-    let mut rounds_at_last_ckpt = rounds_done;
 
     while t < p.end {
         let round_started = std::time::Instant::now();
@@ -862,13 +848,7 @@ fn drive_campaign(
         let suspending = !finished && stop_after.is_some_and(|n| rounds_done >= n);
         if let Some(j) = journal.as_mut() {
             let cadence_due = rounds_done.is_multiple_of(checkpoint_every);
-            let in_budget = checkpoint_fits_budget(
-                ckpt_cost_total,
-                last_ckpt_cost,
-                rounds_at_last_ckpt,
-                rounds_done,
-                compute_total,
-            );
+            let in_budget = checkpoint_fits_budget(ckpt_cost_total, compute_total);
             if suspending || (cadence_due && in_budget && !finished) {
                 let ckpt_started = std::time::Instant::now();
                 let ckpt = Checkpoint {
@@ -894,13 +874,12 @@ fn drive_campaign(
                         .collect(),
                 };
                 j.append(&ckpt, table_len)?;
-                last_ckpt_cost = ckpt_started.elapsed();
-                ckpt_cost_total += last_ckpt_cost;
-                rounds_at_last_ckpt = rounds_done;
+                let ckpt_cost = ckpt_started.elapsed();
+                ckpt_cost_total += ckpt_cost;
                 mcdn_obs::global_add(mcdn_obs::global::CHECKPOINT_WRITES, 1);
                 mcdn_obs::global_hist(
                     mcdn_obs::ghist::CHECKPOINT_WALL_US,
-                    last_ckpt_cost.as_micros() as u64,
+                    ckpt_cost.as_micros() as u64,
                 );
             }
             if suspending {
@@ -1126,32 +1105,32 @@ mod tests {
     }
 
     /// The throttle keeps the checkpoint cost of a campaign within the 2%
-    /// budget plus one checkpoint, whatever checkpoints cost, and still
-    /// checkpoints: driven with 10-ms rounds and synthetic checkpoint walls
-    /// that stay flat at 1% of a round, grow linearly or quadratically with
-    /// the rounds serialized, or alternate between the linear prediction
-    /// and four times it.
+    /// budget plus one checkpoint, whatever checkpoints cost, and keeps
+    /// checkpointing: driven with 10-ms rounds and synthetic checkpoint
+    /// walls that stay flat at 1% or 5% of a round, grow linearly or
+    /// quadratically with the rounds serialized, or alternate between a
+    /// linear cost and four times it.
     #[test]
     fn checkpoint_throttle_holds_the_budget_plus_one_checkpoint() {
         use std::time::Duration as Wall;
         let round = Wall::from_millis(10);
         // A checkpoint's wall after `n` rounds.
         type Cost = fn(u64) -> Wall;
-        let models: [(&str, Cost); 4] = [
+        let models: [(&str, Cost); 5] = [
             ("flat", |_| Wall::from_micros(100)),
+            ("flat at 5% of a round", |_| Wall::from_micros(500)),
             ("linear", |n| Wall::from_micros(50 * n)),
             ("quadratic", |n| Wall::from_micros(n * n)),
             ("erratic", |n| Wall::from_micros(25 * n * if n % 2 == 0 { 4 } else { 1 })),
         ];
         for (label, cost) in models {
             let (mut compute, mut spent, mut last) = (Wall::ZERO, Wall::ZERO, Wall::ZERO);
-            let (mut at_last, mut written) = (0, 0);
+            let mut written = 0;
             for rounds_done in 1..=2_000u64 {
                 compute += round;
-                if checkpoint_fits_budget(spent, last, at_last, rounds_done, compute) {
+                if checkpoint_fits_budget(spent, compute) {
                     last = cost(rounds_done);
                     spent += last;
-                    at_last = rounds_done;
                     written += 1;
                 }
                 let bound = CHECKPOINT_OVERHEAD_BUDGET * compute.as_secs_f64() + last.as_secs_f64();

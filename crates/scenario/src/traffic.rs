@@ -26,11 +26,13 @@ use crate::params;
 use crate::world::World;
 use mcdn_cdn::site::fnv64;
 use mcdn_geo::{Continent, Duration, Region, SimTime};
+use mcdn_intern::FnvBuildHasher;
 use mcdn_isp::netflow::make_record;
-use mcdn_isp::{FlowRecord, Sampler, SnmpCounters};
+use mcdn_isp::{FlowTable, Sampler, SnmpCounters};
 use mcdn_netsim::{AsId, LinkId, Router};
 use mcdn_workload::diurnal;
 use metacdn::CdnKind;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -39,7 +41,7 @@ use std::ops::Range;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficResult {
     /// Sampled NetFlow records with their bin and ingress link.
-    pub flows: Vec<(SimTime, LinkId, FlowRecord)>,
+    pub flows: FlowTable,
     /// Exact SNMP octet counters per link and poll.
     pub snmp: SnmpCounters,
     /// Bytes that exceeded total capacity of a handover's links (dropped).
@@ -61,17 +63,16 @@ struct Offered {
     bytes: f64,
 }
 
-/// Spread `total_bytes` across up to `n` addresses of `pool`, rotating the
-/// window by tick so the whole pool carries traffic over time.
-fn spread(pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) -> Vec<Offered> {
+/// Spread `total_bytes` across up to `n` addresses of `pool` into `out`,
+/// rotating the window by tick so the whole pool carries traffic over time.
+fn spread(out: &mut Vec<Offered>, pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) {
     if pool.is_empty() || total_bytes <= 0.0 {
-        return Vec::new();
+        return;
     }
     let n = n.min(pool.len());
     let start = (fnv64(&tick_salt.to_be_bytes()) as usize) % pool.len();
-    (0..n)
-        .map(|j| Offered { src: pool[(start + j) % pool.len()], bytes: total_bytes / n as f64 })
-        .collect()
+    let bytes = total_bytes / n as f64;
+    out.extend((0..n).map(|j| Offered { src: pool[(start + j) % pool.len()], bytes }));
 }
 
 /// A flow with its link placement decided — the input to the
@@ -95,12 +96,12 @@ struct HandoverRoutes<'w> {
     /// Per resolved source AS: its handover links sorted by id, each with
     /// its capacity in bytes per tick; `None` when the AS has no
     /// valley-free path to the ISP.
-    of_as: HashMap<AsId, Option<Vec<(LinkId, u64)>>>,
+    of_as: HashMap<AsId, Option<Vec<(LinkId, u64)>>, FnvBuildHasher>,
 }
 
 impl<'w> HandoverRoutes<'w> {
     fn new(world: &'w World, tick: Duration) -> HandoverRoutes<'w> {
-        HandoverRoutes { world, tick, router: Router::new(), of_as: HashMap::new() }
+        HandoverRoutes { world, tick, router: Router::new(), of_as: HashMap::default() }
     }
 
     /// The handover links of `src_as`, or `None` when it cannot reach
@@ -151,7 +152,7 @@ pub fn run_traffic(
     let threads = crate::dnscampaign::resolve_threads(threads);
     let mut snmp = SnmpCounters::new();
     let sampler = Sampler::new(cfg.netflow_sampling);
-    let mut flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
+    let mut flows = FlowTable::new();
     let mut dropped = 0u64;
     let mut export_losses = 0u64;
     let mut polls_missed = 0u64;
@@ -164,8 +165,9 @@ pub fn run_traffic(
     let mut routes = HandoverRoutes::new(world, tick);
     let release = params::release();
     // The topology is frozen for the whole run: compile the RIB into its
-    // flat binary-search form once instead of walking the trie per flow.
+    // flat binary-search form once, and look each source address up once.
     let rib = world.topo.compiled_rib();
+    let mut origin_of: HashMap<Ipv4Addr, Option<AsId>, FnvBuildHasher> = HashMap::default();
     // Routed flows accumulate here across ticks until a batch is big
     // enough to amortize a pool dispatch (see [`TRAFFIC_BATCH_TICKS`]);
     // their landed (link, bytes) pairs share one arena.
@@ -177,6 +179,8 @@ pub fn run_traffic(
     // links placed on so far this tick.
     let mut link_used: Vec<u64> = vec![0; world.topo.links().len()];
     let mut touched: Vec<LinkId> = Vec::new();
+    let mut offered: Vec<Offered> = Vec::new();
+    let prefill_pool = ll_a_side_pool();
 
     let mut t = cfg.traffic_start;
     while t < cfg.traffic_end {
@@ -188,7 +192,7 @@ pub fn run_traffic(
         let day_factor = diurnal(Continent::Europe, t, 0.45);
         let tick_bytes = |bps: f64| bps * tick.as_secs() as f64 / 8.0;
 
-        let mut offered: Vec<Offered> = Vec::new();
+        offered.clear();
         for (kind, class) in [
             (CdnKind::Apple, CdnClass::Apple),
             (CdnKind::Akamai, CdnClass::Akamai),
@@ -200,8 +204,11 @@ pub fn run_traffic(
             // serving footprint; only the flash-crowd update traffic is
             // spread over the load-widened pool — surge caches are brought
             // up for the event, not for everyday content.
-            let (stable_pool, update_pool): (Vec<Ipv4Addr>, Vec<Ipv4Addr>) = match kind {
-                CdnKind::Apple => (world.apple_isp_vips.clone(), world.apple_isp_vips.clone()),
+            let (stable_pool, update_pool): (Cow<[Ipv4Addr]>, Cow<[Ipv4Addr]>) = match kind {
+                CdnKind::Apple => {
+                    let vips = &world.apple_isp_vips[..];
+                    (Cow::Borrowed(vips), Cow::Borrowed(vips))
+                }
                 CdnKind::Akamai => {
                     // Akamai's widened pool (surge + off-net) serves only
                     // once the a1015 event map is live — before that its
@@ -215,44 +222,46 @@ pub fn run_traffic(
                         load.min(0.5)
                     };
                     (
-                        world.akamai.exposed(Region::Eu, 0.0),
-                        world.akamai.exposed(Region::Eu, serving_load),
+                        world.akamai.exposed(Region::Eu, 0.0).into(),
+                        world.akamai.exposed(Region::Eu, serving_load).into(),
                     )
                 }
                 CdnKind::Limelight => {
                     let load = world.state.cdn_load(CdnKind::Limelight, Region::Eu);
                     (
-                        world.limelight.exposed(Region::Eu, 0.0),
-                        world.limelight.exposed(Region::Eu, load),
+                        world.limelight.exposed(Region::Eu, 0.0).into(),
+                        world.limelight.exposed(Region::Eu, load).into(),
                     )
                 }
-                CdnKind::Level3 => (Vec::new(), Vec::new()),
+                CdnKind::Level3 => (Cow::default(), Cow::default()),
             };
-            offered.extend(spread(
+            spread(
+                &mut offered,
                 &stable_pool,
                 cfg.flows_per_cdn,
                 tick_bytes(base_bps),
                 t.as_secs() ^ kind as u64,
-            ));
-            offered.extend(spread(
+            );
+            spread(
+                &mut offered,
                 &update_pool,
                 cfg.flows_per_cdn,
                 tick_bytes(update_bps),
                 t.as_secs() ^ kind as u64 ^ 0x5EED,
-            ));
+            );
         }
 
         // Limelight pre-fill (the AS-A spike of Sep 19): cache-fill traffic
         // from the A-side caches during the first hours after release.
         let prefill_end = release + mcdn_geo::Duration::hours(params::PREFILL_HOURS);
         if t >= release && t < prefill_end {
-            let pool: Vec<Ipv4Addr> = ll_a_side_pool();
-            offered.extend(spread(
-                &pool,
-                pool.len(),
+            spread(
+                &mut offered,
+                &prefill_pool,
+                prefill_pool.len(),
                 tick_bytes(params::PREFILL_FRACTION * d_isp),
                 t.as_secs() ^ 0xF111,
-            ));
+            );
         }
 
         // Phase A (serial): route every offered flow onto a concrete
@@ -261,7 +270,9 @@ pub fn run_traffic(
         // cannot shard. SNMP octets are exact per-link sums, accounted
         // once per link from the tick's fill.
         for flow in &offered {
-            let Some((_, src_as)) = rib.lookup(flow.src) else { continue };
+            let origin =
+                *origin_of.entry(flow.src).or_insert_with(|| rib.lookup(flow.src).map(|(_, a)| a));
+            let Some(src_as) = origin else { continue };
             let Some(links) = routes.links(src_as) else { continue };
             let mut remaining = flow.bytes as u64;
             // Under ECMP this flow's hash picks its primary link; the
@@ -318,7 +329,7 @@ pub fn run_traffic(
             &mut batch,
             threads,
             |_shard_idx, shard| {
-                let mut shard_flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
+                let mut shard_flows = Vec::new();
                 let mut shard_losses = 0u64;
                 for flow in shard.iter() {
                     // NetFlow v5 byte counters are 32-bit; routers split
@@ -371,7 +382,9 @@ pub fn run_traffic(
         .unwrap_or_else(|e| panic!("traffic phase B failed: {e}"));
         walls.extend(shard_walls);
         for (shard_flows, shard_losses) in partials {
-            flows.extend(shard_flows);
+            for (t, link_id, rec) in shard_flows {
+                flows.push(t, link_id, rec);
+            }
             export_losses += shard_losses;
         }
         batch.clear();
@@ -421,7 +434,7 @@ mod tests {
         assert!(r.snmp.samples().count() > 0);
         // Every flow's link actually touches the eyeball AS.
         for (_, link, _) in r.flows.iter().take(500) {
-            assert!(world.topo.link(*link).touches(params::EYEBALL_AS));
+            assert!(world.topo.link(link).touches(params::EYEBALL_AS));
         }
     }
 

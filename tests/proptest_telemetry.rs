@@ -1,13 +1,18 @@
 //! Property tests for the telemetry substrate: NetFlow v5 round trips over
-//! arbitrary records, sampler aggregate unbiasedness, 95/5 billing bounds,
-//! BGP UPDATE round trips, and ECS option round trips.
+//! arbitrary records, sampler aggregate unbiasedness, the flow table's
+//! SNMP scaling against a per-record reference, 95/5 billing bounds, BGP
+//! UPDATE round trips, and ECS option round trips.
 
 use metacdn_suite::dnswire::ClientSubnet;
+use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::isp::billing::percentile_95_5;
-use metacdn_suite::isp::{ExportPacket, FlowRecord, Sampler};
+use metacdn_suite::isp::{
+    ExportPacket, FlowRecord, FlowTable, Sampler, ScaledVolume, ScalingCoverage, SnmpCounters,
+};
 use metacdn_suite::netsim::bgp_wire::Update;
-use metacdn_suite::netsim::{AsId, Ipv4Net};
+use metacdn_suite::netsim::{AsId, Ipv4Net, LinkId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 fn arb_record() -> impl Strategy<Value = FlowRecord> {
@@ -31,7 +36,131 @@ fn arb_record() -> impl Strategy<Value = FlowRecord> {
         })
 }
 
+/// The per-record `BTreeMap` scaler the flow table's cell table replaced,
+/// kept as the reference the flow-table property compares against.
+fn reference_scale(
+    flows: &[(SimTime, LinkId, FlowRecord)],
+    snmp: &SnmpCounters,
+    sampling: u32,
+) -> (Vec<ScaledVolume>, ScalingCoverage) {
+    let mut cell_sampled: BTreeMap<(SimTime, LinkId), u64> = BTreeMap::new();
+    for (bin, link, rec) in flows {
+        *cell_sampled.entry((*bin, *link)).or_insert(0) += rec.bytes as u64;
+    }
+    let mut coverage = ScalingCoverage::default();
+    for (&(bin, link), &sampled) in &cell_sampled {
+        if sampled == 0 {
+            continue;
+        }
+        if snmp.has_poll(bin, link) {
+            coverage.covered_cells += 1;
+        } else {
+            coverage.gapped_cells += 1;
+            coverage.gapped.push((bin, link));
+        }
+    }
+    let mut out = Vec::with_capacity(flows.len());
+    for (bin, link, rec) in flows {
+        let sampled_total = cell_sampled[&(*bin, *link)];
+        if sampled_total == 0 {
+            continue;
+        }
+        let factor = if snmp.has_poll(*bin, *link) {
+            snmp.delta(*bin, *link) as f64 / sampled_total as f64
+        } else {
+            sampling.max(1) as f64
+        };
+        out.push(ScaledVolume {
+            bin: *bin,
+            link: *link,
+            src: rec.src,
+            src_as: rec.src_as,
+            bytes: rec.bytes as f64 * factor,
+        });
+    }
+    (out, coverage)
+}
+
 proptest! {
+    /// A flow table scales any push order exactly as the reference does —
+    /// bins out of order, repeated and interleaved cells, zero-byte
+    /// records, missed polls, 1-minute bins off the 5-minute poll grid,
+    /// any sampling rate: `iter` returns the pushed triples in push order,
+    /// `scale` gives the same volumes in flow order, bit for bit, and the
+    /// same coverage with `gapped` time-ordered. The traffic simulation
+    /// pushes bin-sorted records; this is what shows the table does not
+    /// depend on it.
+    #[test]
+    fn flow_table_matches_the_reference_scaler(
+        records in proptest::collection::vec(
+            (0u64..10, 0u32..4, 0u8..5, any::<u32>(), 0u8..6),
+            0..160,
+        ),
+        polls in proptest::collection::vec((0u8..3, any::<u32>(), 0u8..8), 40),
+        // Rates 0 and 1 (both meaning "no sampling") a quarter of the
+        // time each, else any rate up to 1000.
+        sampling in (0u8..4, 0u32..=1000).prop_map(|(k, rate)| match k {
+            0 => 0,
+            1 => 1,
+            _ => rate,
+        }),
+    ) {
+        let base = SimTime::from_ymd(2017, 9, 19);
+        let minute = |m: u64| base + Duration::mins(m);
+        let flows: Vec<(SimTime, LinkId, FlowRecord)> = records
+            .iter()
+            .map(|&(m, link, kind, raw, src)| {
+                let bytes = match kind {
+                    0 | 1 => 0,
+                    2 => raw % 5_000,
+                    3 => raw,
+                    _ => u32::MAX,
+                };
+                let rec = FlowRecord {
+                    src: Ipv4Addr::new(23, 0, 0, src),
+                    dst: Ipv4Addr::new(84, 17, 0, 1),
+                    input_if: 1,
+                    packets: bytes / 1400,
+                    bytes,
+                    src_as: 700 + src as u16,
+                    dst_as: 3320,
+                };
+                (minute(m), LinkId(link), rec)
+            })
+            .collect();
+        // One poll a minute over four links, as with 1-minute ticks; each
+        // link misses a poll with probability 1/8.
+        let mut snmp = SnmpCounters::new();
+        for (m, minute_polls) in polls.chunks(4).enumerate() {
+            for (l, &(kind, raw, _)) in minute_polls.iter().enumerate() {
+                snmp.account(LinkId(l as u32), if kind == 0 { 0 } else { raw as u64 });
+            }
+            snmp.poll_filtered(minute(m as u64), |l| minute_polls[l.0 as usize].2 != 0);
+        }
+
+        let mut table = FlowTable::new();
+        for &(bin, link, rec) in &flows {
+            table.push(bin, link, rec);
+        }
+        prop_assert_eq!(table.len(), flows.len());
+        let pushed: Vec<(SimTime, LinkId, FlowRecord)> =
+            table.iter().map(|(bin, link, rec)| (bin, link, *rec)).collect();
+        prop_assert_eq!(pushed, flows.clone());
+
+        let (want, want_coverage) = reference_scale(&flows, &snmp, sampling);
+        let scaled = table.scale(&snmp, sampling);
+        let got: Vec<ScaledVolume> = scaled.volumes().collect();
+        prop_assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(
+                (g.bin, g.link, g.src, g.src_as, g.bytes.to_bits()),
+                (w.bin, w.link, w.src, w.src_as, w.bytes.to_bits())
+            );
+        }
+        prop_assert_eq!(scaled.coverage(), &want_coverage);
+        prop_assert!(want_coverage.gapped.windows(2).all(|w| w[0] < w[1]));
+    }
+
     #[test]
     fn netflow_v5_roundtrip(records in proptest::collection::vec(arb_record(), 0..30),
                             unix_secs in any::<u32>(),

@@ -6,8 +6,8 @@ use metacdn_suite::analysis::coverage::telemetry_coverage;
 use metacdn_suite::analysis::{fig7, fig8};
 use metacdn_suite::faults::{FaultProfile, Fnv64};
 use metacdn_suite::geo::{Duration, SimTime};
-use metacdn_suite::isp::estimate::{by_source_as, scale_by_snmp_with_coverage};
-use metacdn_suite::isp::{ExportPacket, FlowRecord, Sampler, SnmpCounters};
+use metacdn_suite::isp::estimate::by_source_as;
+use metacdn_suite::isp::{ExportPacket, FlowRecord, FlowTable, Sampler, SnmpCounters};
 use metacdn_suite::netsim::LinkId;
 use metacdn_suite::scenario::{
     params, run_dns, run_traffic, Campaign, LinkSelection, ScenarioConfig,
@@ -30,7 +30,7 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
     let link = LinkId(0);
     let sampler = Sampler::new(1000);
     let mut snmp = SnmpCounters::new();
-    let mut flows = Vec::new();
+    let mut flows = FlowTable::new();
     let mut truth_per_as: std::collections::HashMap<u16, f64> = Default::default();
     for i in 0..200u32 {
         let src = Ipv4Addr::from(0x1700_0000 + i);
@@ -39,7 +39,7 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
         snmp.account(link, bytes);
         *truth_per_as.entry(src_as).or_default() += bytes as f64;
         if let Some(sampled) = sampler.sample(bytes, (src, Ipv4Addr::new(84, 17, 0, 1), bin)) {
-            flows.push((
+            flows.push(
                 bin,
                 link,
                 FlowRecord {
@@ -51,13 +51,13 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
                     src_as,
                     dst_as: 3320,
                 },
-            ));
+            );
         }
     }
     snmp.poll(bin);
-    let (scaled, coverage) = scale_by_snmp_with_coverage(&flows, &snmp, 1000);
-    assert_eq!(coverage.gapped_cells, 0, "the bin was polled");
-    let estimated = by_source_as(&scaled);
+    let scaled = flows.scale(&snmp, 1000);
+    assert_eq!(scaled.coverage().gapped_cells, 0, "the bin was polled");
+    let estimated = by_source_as(&scaled.volumes().collect::<Vec<_>>());
     for (asn, truth) in truth_per_as {
         let est = estimated.get(&(bin, asn)).copied().unwrap_or(0.0);
         let err = (est - truth).abs() / truth;
@@ -184,7 +184,7 @@ fn pinned_cfg(selection: LinkSelection) -> ScenarioConfig {
 /// SNMP sample, and the drop, sampling, export-loss and missed-poll counts.
 fn traffic_digest(r: &TrafficResult) -> u64 {
     let mut h = Fnv64::new();
-    for (t, link, rec) in &r.flows {
+    for (t, link, rec) in r.flows.iter() {
         h.update(&t.0.to_be_bytes());
         h.update(&link.0.to_be_bytes());
         h.update(&rec.src.octets());
