@@ -32,7 +32,7 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- campaign global > "$tmpdir
 diff -u "$tmpdir/run1.txt" "$tmpdir/run2.txt"
 echo "    identical ($(wc -l < "$tmpdir/run1.txt") lines)"
 
-echo "==> goldens: campaign, crawl, traffic, chaos and poison output match tests/goldens/"
+echo "==> goldens: campaign, crawl, traffic, resolve, zones, chaos and poison output match tests/goldens/"
 # The committed goldens pin the stdout of each command byte for byte, so
 # an engine refactor cannot shift a table silently. The chaos and poison
 # runs below are diffed against their goldens as well. Both campaigns'
@@ -51,7 +51,13 @@ cargo run --release -q -p mcdn-analysis --bin mcdn -- crawl > "$tmpdir/crawl.txt
 diff -u tests/goldens/crawl.txt "$tmpdir/crawl.txt"
 cargo run --release -q -p mcdn-analysis --bin mcdn -- traffic > "$tmpdir/traffic.txt"
 diff -u tests/goldens/traffic.txt "$tmpdir/traffic.txt"
-echo "    campaign global and isp (stdout and deterministic metrics), crawl and traffic match"
+# `mcdn resolve` and `mcdn zones` read the string-keyed zones (the wire
+# server and the zone-file listing), which no campaign output passes through.
+cargo run --release -q -p mcdn-analysis --bin mcdn -- resolve defra > "$tmpdir/resolve.txt"
+diff -u tests/goldens/resolve.txt "$tmpdir/resolve.txt"
+cargo run --release -q -p mcdn-analysis --bin mcdn -- zones > "$tmpdir/zones.txt"
+diff -u tests/goldens/zones.txt "$tmpdir/zones.txt"
+echo "    campaign global and isp (stdout and deterministic metrics), crawl, traffic, resolve and zones match"
 
 echo "==> chaos sweep: invariants hold, faulted runs replay bit-identically"
 cargo run --release -q --example chaos_sweep > "$tmpdir/chaos1.txt"
