@@ -264,7 +264,7 @@ mod tests {
         faults: &dyn InternedFaultModel,
     ) -> (Result<(), IResolutionError>, u32, Vec<Ipv4Addr>) {
         let mut scratch = ResolveScratch::new();
-        let id = ns.intern_in(&mut scratch, &Name::parse(name).unwrap());
+        let id = ns.table().get(&Name::parse(name).unwrap()).expect("name in the compiled table");
         let retry = RetryPolicy::standard();
         let (res, attempts) =
             p.measure_interned(ns, &mut scratch, id, RecordType::A, now, faults, &retry, None);
@@ -307,7 +307,7 @@ mod tests {
         let mut p = probe();
         let name = Name::parse("appldnld.apple.com").unwrap();
         let mut scratch = ResolveScratch::new();
-        let id = cns.intern_in(&mut scratch, &name);
+        let id = cns.table().get(&name).unwrap();
         let retry = RetryPolicy::standard();
         let (res, attempts) = p.measure_interned(
             &cns,
@@ -328,7 +328,8 @@ mod tests {
     #[test]
     fn permanent_failures_are_not_retried() {
         let ns = tiny_ns();
-        let cns = CompiledNamespace::compile(&ns);
+        let unknown = Name::parse("no.such.name.example").unwrap();
+        let cns = CompiledNamespace::compile_with_extra(&ns, &[unknown]);
         let mut p = probe();
         let t0 = SimTime::from_ymd(2017, 9, 12);
         let (res, attempts, _) =

@@ -44,6 +44,7 @@ impl VantageVm {
     /// collecting the union of CNAME edges `(owner, target, ttl)` and of
     /// terminal addresses. Repetition is what surfaces the probabilistic
     /// branches (selector → Apple vs third party; a/b GSLB heads).
+    /// `qname` must be in `ns`'s name table, as [`resolve_cold`] requires.
     pub fn crawl_mapping(
         &self,
         ns: &CompiledNamespace<'_>,

@@ -637,7 +637,7 @@ mod tests {
         for zone in ns.zones() {
             for owner in zone.policy_names() {
                 policies += 1;
-                let id = cns.intern_in(&mut scratch, owner);
+                let id = cns.table().get(owner).expect("policy owners are compiled");
                 for (city, continent) in cities {
                     for client in 0..6u32 {
                         for hours in [0, 3, 7, 30] {
@@ -660,7 +660,7 @@ mod tests {
                                         None,
                                     )
                                     .expect("policy names resolve");
-                                let got = cns.materialize_trace(&scratch, scratch.trace());
+                                let got = cns.materialize_trace(scratch.trace());
                                 assert_eq!(
                                     got.steps[0].records, want,
                                     "{owner} {qtype:?} from {city} client {client} at +{hours}h"

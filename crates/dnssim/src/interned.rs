@@ -26,17 +26,16 @@
 //!   below one allocation per resolution.
 //! * [`IRoundMemo`] shares scope-stable answers within one round (see
 //!   [`crate::memo`]): per-shard, cleared per round, its per-key counts
-//!   exported under [`SharedName`]s (table ids, which every shard shares)
+//!   exported under [`IMemoKey`]s (table ids, which every shard shares)
 //!   so the cross-shard merge is independent of the thread count.
 //! * [`CompiledNamespace::materialize_trace`] spells an [`ITrace`] out as
 //!   a [`ResolutionTrace`] for readers that want names, and
 //!   [`resolve_cold`] is the one-shot form of a whole resolution.
 //!
-//! Names that are *not* in the compiled table (a caller querying a name
-//! the namespace never mentions) spill into a per-scratch overlay
-//! interner and are answered through [`Zone::answer`](crate::Zone::answer);
-//! the workspace namespaces intern everything at compile time, so the
-//! overlay stays empty on the hot path.
+//! The table is closed: every id the resolver sees is a table id. A
+//! caller that queries a name the namespace never mentions passes it to
+//! [`CompiledNamespace::compile_with_extra`] and takes its id from
+//! [`CompiledNamespace::table`].
 
 use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
 use crate::context::QueryContext;
@@ -44,10 +43,10 @@ use crate::faults::UpstreamFault;
 use crate::memo::MemoScope;
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
 use crate::resolver::{ResolutionTrace, TraceStep, MAX_CHAIN};
-use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope, ZoneAnswer};
+use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
-use mcdn_intern::{display_fnv, FnvBuildHasher, NameId, NameTable};
+use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -93,9 +92,9 @@ impl IRecord {
     }
 }
 
-/// Per-name facts precomputed at compile time (and lazily for overlay
-/// names): which zone answers for it, how its answers scope, and whether
-/// it exists there (NXDOMAIN vs NODATA).
+/// Per-name facts precomputed at compile time: which zone answers for
+/// it, how its answers scope, and whether it exists there (NXDOMAIN vs
+/// NODATA).
 #[derive(Debug, Clone, Copy)]
 struct CompiledMeta {
     /// Index into [`CompiledNamespace::zones`] of the authoritative zone.
@@ -168,31 +167,10 @@ fn meta_for(ns: &Namespace, name: &Name) -> CompiledMeta {
     CompiledMeta { authority, scope, exists }
 }
 
-/// Overflow interner for names outside the compiled table, owned by a
-/// [`ResolveScratch`]. Ids continue past the table (`table.len() + i`).
-/// The workspace namespaces intern everything at compile time, so this
-/// stays empty in the campaign engine; it exists so arbitrary queries
-/// (tests, ad-hoc probes) remain correct rather than panicking.
-#[derive(Debug, Default)]
-pub struct Overlay {
-    ids: HashMap<Name, u32, FnvBuildHasher>,
-    names: Vec<Name>,
-    fnvs: Vec<u64>,
-    meta: Vec<CompiledMeta>,
-}
-
-impl Overlay {
-    /// Names interned past the shared table, in id order.
-    pub fn names(&self) -> &[Name] {
-        &self.names
-    }
-}
-
 /// A namespace compiled for the interned hot path. Borrows the
 /// [`Namespace`] (policies stay where they live); build one per campaign
 /// and share it read-only across shards.
 pub struct CompiledNamespace<'a> {
-    ns: &'a Namespace,
     table: NameTable,
     meta: Vec<CompiledMeta>,
     zones: Vec<CompiledZone<'a>>,
@@ -229,8 +207,9 @@ impl<'a> CompiledNamespace<'a> {
     /// [`CompiledNamespace::compile`] with extra names interned into the
     /// shared table after the namespace's own (deterministic ids, so
     /// cache export/restore stays valid). Adversarial campaigns intern
-    /// the attacker owner names here so injected records never touch the
-    /// per-scratch overlay on the hot path.
+    /// the attacker owner names here, so injected records carry table
+    /// ids; a caller that queries a name the namespace never mentions
+    /// interns it here too.
     pub fn compile_with_extra(ns: &'a Namespace, extra: &[Name]) -> CompiledNamespace<'a> {
         let mut table = NameTable::new();
         // Pass 1: intern, in a deterministic order (zone installation
@@ -305,7 +284,7 @@ impl<'a> CompiledNamespace<'a> {
             .collect();
         // Pass 3: per-name metadata.
         let meta = table.iter().map(|(_, name)| meta_for(ns, name)).collect();
-        CompiledNamespace { ns, table, meta, zones }
+        CompiledNamespace { table, meta, zones }
     }
 
     /// The shared name table (read-only after compile).
@@ -313,97 +292,10 @@ impl<'a> CompiledNamespace<'a> {
         &self.table
     }
 
-    /// Whether some zone is authoritative for the table name `id`
-    /// ([`Namespace::authority_for`] answered at compile time). False for
-    /// an id past the table: an overlay name's metadata lives in a
-    /// [`ResolveScratch`].
+    /// Whether some zone is authoritative for the name `id`
+    /// ([`Namespace::authority_for`] answered at compile time).
     pub fn table_has_authority(&self, id: NameId) -> bool {
-        self.meta.get(id.index()).is_some_and(|m| m.authority.is_some())
-    }
-
-    /// The namespace this was compiled from.
-    pub fn namespace(&self) -> &'a Namespace {
-        self.ns
-    }
-
-    /// The id for `name`, interning into the scratch overlay if the
-    /// compiled table does not know it.
-    pub fn intern_in(&self, scratch: &mut ResolveScratch, name: &Name) -> NameId {
-        self.id_of(&mut scratch.overlay, name)
-    }
-
-    fn id_of(&self, overlay: &mut Overlay, name: &Name) -> NameId {
-        if let Some(id) = self.table.get(name) {
-            return id;
-        }
-        let base = self.table.len() as u32;
-        if let Some(&off) = overlay.ids.get(name) {
-            return NameId(base + off);
-        }
-        let off = overlay.names.len() as u32;
-        overlay.ids.insert(name.clone(), off);
-        overlay.names.push(name.clone());
-        overlay.fnvs.push(display_fnv(name));
-        overlay.meta.push(meta_for(self.ns, name));
-        NameId(base + off)
-    }
-
-    fn meta_of(&self, overlay: &Overlay, id: NameId) -> CompiledMeta {
-        let idx = id.index();
-        if idx < self.table.len() {
-            self.meta[idx]
-        } else {
-            overlay.meta[idx - self.table.len()]
-        }
-    }
-
-    /// The FNV-1a digest of the name's display form (the fault-key
-    /// prefix), precomputed at intern time.
-    pub fn fnv_in(&self, scratch: &ResolveScratch, id: NameId) -> u64 {
-        let idx = id.index();
-        if idx < self.table.len() {
-            self.table.fnv(id)
-        } else {
-            scratch.overlay.fnvs[idx - self.table.len()]
-        }
-    }
-
-    /// The name behind `id`, whether table or overlay.
-    pub fn name_in<'s>(&'s self, scratch: &'s ResolveScratch, id: NameId) -> &'s Name {
-        self.name_of(&scratch.overlay, id)
-    }
-
-    /// `id` in the form every shard agrees on: table ids as they are,
-    /// overlay names spelled out.
-    pub fn shared_name(&self, scratch: &ResolveScratch, id: NameId) -> SharedName {
-        if id.index() < self.table.len() {
-            SharedName::Table(id)
-        } else {
-            SharedName::Overlay(self.name_in(scratch, id).clone())
-        }
-    }
-
-    /// [`CompiledNamespace::name_in`] against a bare overlay — lets the
-    /// resolver borrow the overlay and the answer buffer of one scratch
-    /// disjointly (bailiwick filtering reads names while retaining).
-    fn name_of<'s>(&'s self, overlay: &'s Overlay, id: NameId) -> &'s Name {
-        let idx = id.index();
-        if idx < self.table.len() {
-            self.table.name(id)
-        } else {
-            &overlay.names[idx - self.table.len()]
-        }
-    }
-
-    fn runtime_rr(&self, overlay: &mut Overlay, rr: &ResourceRecord) -> IRecord {
-        let name = self.id_of(overlay, &rr.name);
-        let rdata = match &rr.rdata {
-            RData::A(a) => IRData::A(*a),
-            RData::Cname(t) => IRData::Cname(self.id_of(overlay, t)),
-            RData::Ns(t) => IRData::Ns(self.id_of(overlay, t)),
-            other => IRData::Opaque(other.rtype().to_u16()),
-        };
-        IRecord { name, ttl: rr.ttl, rdata }
+        self.meta[id.index()].authority.is_some()
     }
 
     /// Answers one question like [`Namespace::query`], against the
@@ -415,64 +307,47 @@ impl<'a> CompiledNamespace<'a> {
         qtype: RecordType,
         ctx: &QueryContext,
     ) -> (IAnswer, Option<NameId>) {
-        let ResolveScratch { overlay, answer: out, addrs, .. } = scratch;
+        let ResolveScratch { answer: out, addrs, .. } = scratch;
         out.clear();
-        let meta = self.meta_of(overlay, current);
+        let meta = self.meta[current.index()];
         let Some(zi) = meta.authority else {
             return (IAnswer::NxDomain, None);
         };
         let zone = &self.zones[zi as usize];
         let origin = zone.origin;
-        let idx = current.index();
-        if idx < self.table.len() {
-            if let Some(p) = zone.policies.get(&current.0) {
-                // The policy decides; its records, owned by the queried
-                // name, are written here straight into the answer buffer.
-                addrs.clear();
-                match p.policy.respond(qtype, ctx, addrs) {
-                    PolicyAnswer::Empty => {}
-                    PolicyAnswer::Cname { target, ttl } => {
-                        let targets = &zone.targets[p.targets.0 as usize..p.targets.1 as usize];
-                        let rdata = IRData::Cname(targets[usize::from(target)]);
-                        out.push(IRecord { name: current, ttl, rdata });
-                    }
-                    PolicyAnswer::A { ttl } => out.extend(addrs.iter().map(|&a| IRecord {
-                        name: current,
-                        ttl,
-                        rdata: IRData::A(a),
-                    })),
+        if let Some(p) = zone.policies.get(&current.0) {
+            // The policy decides; its records, owned by the queried name,
+            // are written here straight into the answer buffer.
+            addrs.clear();
+            match p.policy.respond(qtype, ctx, addrs) {
+                PolicyAnswer::Empty => {}
+                PolicyAnswer::Cname { target, ttl } => {
+                    let targets = &zone.targets[p.targets.0 as usize..p.targets.1 as usize];
+                    let rdata = IRData::Cname(targets[usize::from(target)]);
+                    out.push(IRecord { name: current, ttl, rdata });
                 }
-                return (IAnswer::Records, Some(origin));
+                PolicyAnswer::A { ttl } => out.extend(addrs.iter().map(|&a| IRecord {
+                    name: current,
+                    ttl,
+                    rdata: IRData::A(a),
+                })),
             }
-            if let Some(&(s, e)) = zone.statics.get(&(current.0, qtype.to_u16())) {
+            return (IAnswer::Records, Some(origin));
+        }
+        if let Some(&(s, e)) = zone.statics.get(&(current.0, qtype.to_u16())) {
+            out.extend_from_slice(&zone.arena[s as usize..e as usize]);
+            return (IAnswer::Records, Some(origin));
+        }
+        if qtype != RecordType::Cname {
+            if let Some(&(s, e)) = zone.statics.get(&(current.0, RecordType::Cname.to_u16())) {
                 out.extend_from_slice(&zone.arena[s as usize..e as usize]);
                 return (IAnswer::Records, Some(origin));
             }
-            if qtype != RecordType::Cname {
-                if let Some(&(s, e)) = zone.statics.get(&(current.0, RecordType::Cname.to_u16())) {
-                    out.extend_from_slice(&zone.arena[s as usize..e as usize]);
-                    return (IAnswer::Records, Some(origin));
-                }
-            }
-            if meta.exists {
-                (IAnswer::NoData, Some(origin))
-            } else {
-                (IAnswer::NxDomain, Some(origin))
-            }
+        }
+        if meta.exists {
+            (IAnswer::NoData, Some(origin))
         } else {
-            // Overlay name: cold path through the string-keyed zone.
-            let name = overlay.names[idx - self.table.len()].clone();
-            match self.ns.zones()[zi as usize].answer(&name, qtype, ctx) {
-                ZoneAnswer::Records(rrs) => {
-                    for rr in &rrs {
-                        let ir = self.runtime_rr(overlay, rr);
-                        out.push(ir);
-                    }
-                    (IAnswer::Records, Some(origin))
-                }
-                ZoneAnswer::NoData => (IAnswer::NoData, Some(origin)),
-                ZoneAnswer::NxDomain => (IAnswer::NxDomain, Some(origin)),
-            }
+            (IAnswer::NxDomain, Some(origin))
         }
     }
 
@@ -480,12 +355,13 @@ impl<'a> CompiledNamespace<'a> {
     /// exports, tests — allocates freely). Lossy only for rdata other than
     /// A, CNAME and NS, which materializes as an empty `RData::Other` of
     /// the same wire type.
-    pub fn materialize_trace(&self, scratch: &ResolveScratch, trace: &ITrace) -> ResolutionTrace {
+    pub fn materialize_trace(&self, trace: &ITrace) -> ResolutionTrace {
+        let name = |id: NameId| self.table.name(id).clone();
         let steps = trace
             .steps()
             .iter()
             .map(|step| TraceStep {
-                qname: self.name_in(scratch, step.qname).clone(),
+                qname: name(step.qname),
                 qtype: step.qtype,
                 records: trace
                     .records_of(step)
@@ -493,15 +369,15 @@ impl<'a> CompiledNamespace<'a> {
                     .map(|r| {
                         let rdata = match r.rdata {
                             IRData::A(a) => RData::A(a),
-                            IRData::Cname(t) => RData::Cname(self.name_in(scratch, t).clone()),
-                            IRData::Ns(t) => RData::Ns(self.name_in(scratch, t).clone()),
+                            IRData::Cname(t) => RData::Cname(name(t)),
+                            IRData::Ns(t) => RData::Ns(name(t)),
                             IRData::Opaque(t) => RData::Other(t, Vec::new()),
                         };
-                        ResourceRecord::new(self.name_in(scratch, r.name).clone(), r.ttl, rdata)
+                        ResourceRecord::new(name(r.name), r.ttl, rdata)
                     })
                     .collect(),
                 from_cache: step.from_cache,
-                zone: step.zone.map(|z| self.name_in(scratch, z).clone()),
+                zone: step.zone.map(name),
             })
             .collect();
         ResolutionTrace { steps }
@@ -588,12 +464,11 @@ impl ITrace {
 }
 
 /// Caller-owned scratch state for interned resolution: the answer
-/// buffer, the trace arena, and the overlay interner. One per shard,
+/// buffer, the policy address buffer and the trace arena. One per shard,
 /// reused across every probe and round — this is what makes the
 /// steady-state loop allocation-free.
 #[derive(Debug, Default)]
 pub struct ResolveScratch {
-    overlay: Overlay,
     answer: Vec<IRecord>,
     /// Where A-answering policies write their addresses.
     addrs: Vec<Ipv4Addr>,
@@ -609,11 +484,6 @@ impl ResolveScratch {
     /// The trace of the most recent resolution.
     pub fn trace(&self) -> &ITrace {
         &self.trace
-    }
-
-    /// The overlay interner (names outside the compiled table).
-    pub fn overlay(&self) -> &Overlay {
-        &self.overlay
     }
 }
 
@@ -747,8 +617,7 @@ struct IMemoEntry {
 /// One round's scope-stable answers, id-keyed, with a shared record
 /// arena. [`IRoundMemo::clear`] resets it for the next round while
 /// keeping capacity, and [`IRoundMemo::counts_into`] exports the per-key
-/// lookup counts under [`SharedMemoKey`]s for the engine's canonical
-/// cross-shard merge.
+/// lookup counts for the engine's canonical cross-shard merge.
 #[derive(Debug, Default)]
 pub struct IRoundMemo {
     entries: HashMap<IMemoKey, IMemoEntry, FnvBuildHasher>,
@@ -805,39 +674,18 @@ impl IRoundMemo {
         self.lookups() - self.entries.len() as u64
     }
 
-    /// Adds this memo's per-key lookup counts to `out` under
-    /// [`SharedMemoKey`]s, which mean the same in every shard, so the
-    /// engine can sum them across shards. Once per shard-round; allocates
-    /// only for overlay names.
-    pub fn counts_into(
-        &self,
-        ns: &CompiledNamespace<'_>,
-        scratch: &ResolveScratch,
-        out: &mut HashMap<SharedMemoKey, u64, FnvBuildHasher>,
-    ) {
-        for (&(id, qtype, scope, t), e) in &self.entries {
-            *out.entry((ns.shared_name(scratch, id), qtype, scope, t)).or_insert(0) += e.lookups;
+    /// Adds this memo's per-key lookup counts to `out`. Its keys hold
+    /// table ids, which mean the same in every shard, so the engine can
+    /// sum them across shards. Once per shard-round.
+    pub fn counts_into(&self, out: &mut HashMap<IMemoKey, u64, FnvBuildHasher>) {
+        for (key, e) in &self.entries {
+            *out.entry(*key).or_insert(0) += e.lookups;
         }
     }
 }
 
-/// A name as every shard of a campaign spells it: a compiled-table
-/// [`NameId`] (the table is shared), or — for a name outside the table,
-/// whose overlay id is shard-local — the name itself. A name is never
-/// both, so equal names give equal `SharedName`s across shards.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum SharedName {
-    /// An id of the shared compiled table.
-    Table(NameId),
-    /// A name some shard interned into its overlay.
-    Overlay(Name),
-}
-
-/// The cross-shard form of an [`IMemoKey`].
-pub type SharedMemoKey = (SharedName, RecordType, MemoScope, SimTime);
-
 /// Why a resolution failed; names are ids of the resolving
-/// [`CompiledNamespace`] (and its scratch overlay).
+/// [`CompiledNamespace`]'s table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IResolutionError {
     /// A name in the chain does not exist.
@@ -1011,12 +859,12 @@ impl InternedResolver {
             let from_cache =
                 self.cache.get_into(current, qtype.to_u16(), ctx.now, &mut scratch.answer);
             if !from_cache {
-                let meta = ns.meta_of(&scratch.overlay, current);
+                let meta = ns.meta[current.index()];
                 let mut tamper = None;
                 if let Some(zi) = meta.authority {
                     let zorigin = ns.zones[zi as usize].origin;
-                    let zone_fnv = ns.fnv_in(scratch, zorigin);
-                    let qname_fnv = ns.fnv_in(scratch, current);
+                    let zone_fnv = ns.table.fnv(zorigin);
+                    let qname_fnv = ns.table.fnv(current);
                     if let Some(fault) =
                         faults.upstream_fault(zorigin, zone_fnv, current, qname_fnv, ctx, attempt)
                     {
@@ -1082,17 +930,15 @@ impl InternedResolver {
                                 // Bailiwick enforcement: drop out-of-zone
                                 // owners before the cache, memo, or trace
                                 // see them — a no-op for every well-formed
-                                // answer. Name reads go through the overlay
-                                // borrow so the retain stays in place,
+                                // answer. The retain stays in place,
                                 // allocation-free.
                                 if bailiwick == BailiwickPolicy::Enforce {
                                     if let Some(zo) = z {
-                                        let ov = &scratch.overlay;
-                                        let origin_name = ns.name_of(ov, zo);
+                                        let origin_name = ns.table.name(zo);
                                         let before = scratch.answer.len();
-                                        scratch
-                                            .answer
-                                            .retain(|r| ns.name_of(ov, r.name).is_within(origin_name));
+                                        scratch.answer.retain(|r| {
+                                            ns.table.name(r.name).is_within(origin_name)
+                                        });
                                         let dropped = before - scratch.answer.len();
                                         if dropped > 0 {
                                             mcdn_obs::record(
@@ -1159,8 +1005,8 @@ impl InternedResolver {
 
     /// Exports the cache for checkpointing: every entry (live or expired)
     /// sorted by `(name id, qtype)`, plus the `(hits, misses)` counters.
-    /// Record [`NameId`]s refer to the campaign's compiled table; the
-    /// caller validates them against that table when re-encoding.
+    /// Record [`NameId`]s refer to the campaign's compiled table; a resume
+    /// validates them against that table when it decodes the checkpoint.
     pub fn cache_export(&self) -> (Vec<ICacheExportEntry>, u64, u64) {
         let mut held: Vec<(u64, &IEntry)> = self.cache.held().collect();
         held.sort_unstable_by_key(|&(key, _)| key);
@@ -1199,6 +1045,12 @@ impl InternedResolver {
 /// one-shot form of [`InternedResolver::resolve`] for tests and ad-hoc
 /// lookups. Anything that resolves repeatedly (a probe, a crawl, a
 /// campaign) keeps its own [`InternedResolver`] and [`ResolveScratch`].
+///
+/// # Panics
+///
+/// If `qname` is not in the compiled table: it must be a name the
+/// namespace mentions, or one passed to
+/// [`CompiledNamespace::compile_with_extra`].
 pub fn resolve_cold(
     ns: &CompiledNamespace<'_>,
     qname: &Name,
@@ -1206,7 +1058,7 @@ pub fn resolve_cold(
     ctx: &QueryContext,
 ) -> (ResolutionTrace, Result<(), IResolutionError>) {
     let mut scratch = ResolveScratch::new();
-    let id = ns.intern_in(&mut scratch, qname);
+    let id = ns.table.get(qname).expect("resolve_cold: the name is not in the compiled table");
     let result = InternedResolver::new().resolve(
         ns,
         &mut scratch,
@@ -1217,69 +1069,13 @@ pub fn resolve_cold(
         0,
         None,
     );
-    (ns.materialize_trace(&scratch, scratch.trace()), result)
+    (ns.materialize_trace(scratch.trace()), result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zone::Zone;
-    use mcdn_geo::{Continent, Locode};
-    use std::sync::Arc;
-
-    fn n(s: &str) -> Name {
-        Name::parse(s).unwrap()
-    }
-
-    /// A miniature Meta-CDN chain: static entry CNAME → City-scoped geo
-    /// split → Client-scoped GSLB → static A records.
-    fn build_ns() -> Namespace {
-        let mut ns = Namespace::new();
-
-        let mut apple = Zone::new(n("apple.com"));
-        apple.add_cname("appldnld.apple.com", "appldnld.apple.com.akadns.net", 21600);
-        apple.add_a("static.apple.com", Ipv4Addr::new(17, 1, 1, 1), 300);
-        ns.add_zone(apple);
-
-        let mut akadns = Zone::new(n("apple.com.akadns.net"));
-        akadns.set_policy_scoped(
-            n("appldnld.apple.com.akadns.net"),
-            vec![n("eu.g.applimg.com"), n("us.g.applimg.com")],
-            Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
-                if qtype != RecordType::A {
-                    return PolicyAnswer::Empty; // IPv4-only mapping
-                }
-                let target = match ctx.continent {
-                    Continent::Europe => 0,
-                    _ => 1,
-                };
-                PolicyAnswer::Cname { target, ttl: 120 }
-            }),
-            PolicyScope::City,
-        );
-        ns.add_zone(akadns);
-
-        let mut applimg = Zone::new(n("applimg.com"));
-        for region in ["eu", "us"] {
-            applimg.set_policy(
-                n(&format!("{region}.g.applimg.com")),
-                vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
-                Arc::new(|qtype: RecordType, ctx: &QueryContext, _: &mut Vec<Ipv4Addr>| {
-                    if qtype != RecordType::A {
-                        return PolicyAnswer::Empty;
-                    }
-                    let target = if ctx.client_ip.octets()[3].is_multiple_of(2) { 0 } else { 1 };
-                    PolicyAnswer::Cname { target, ttl: 15 }
-                }),
-            );
-        }
-        applimg.add_a("a.gslb.applimg.com", Ipv4Addr::new(17, 253, 1, 1), 20);
-        applimg.add_a("a.gslb.applimg.com", Ipv4Addr::new(17, 253, 1, 2), 20);
-        applimg.add_a("b.gslb.applimg.com", Ipv4Addr::new(17, 253, 9, 9), 20);
-        ns.add_zone(applimg);
-
-        ns
-    }
+    use mcdn_geo::Locode;
 
     fn a(name: u32, ttl: u32) -> IRecord {
         IRecord { name: NameId(name), ttl, rdata: IRData::A(Ipv4Addr::new(17, 1, 1, 1)) }
@@ -1518,9 +1314,6 @@ mod tests {
         // Two "shards" each memoize the same key: shard-local hits differ
         // from what one shard would have seen, but the merged counts give
         // the canonical figures.
-        let ns = build_ns();
-        let cns = CompiledNamespace::compile(&ns);
-        let scratch = ResolveScratch::new();
         let k = memo_key(1, MemoScope::Global);
         let mut out = Vec::new();
         let mut a = IRoundMemo::new();
@@ -1529,8 +1322,8 @@ mod tests {
         let mut b = IRoundMemo::new();
         b.store(k, &[], None);
         let mut merged = HashMap::default();
-        a.counts_into(&cns, &scratch, &mut merged);
-        b.counts_into(&cns, &scratch, &mut merged);
+        a.counts_into(&mut merged);
+        b.counts_into(&mut merged);
         let lookups: u64 = merged.values().sum();
         let hits = lookups - merged.len() as u64;
         assert_eq!((lookups, hits), (3, 2), "one true miss, two canonical hits");
@@ -1551,22 +1344,5 @@ mod tests {
         assert_eq!(m.len(), 0);
         assert_eq!(m.lookups(), 0);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn overlay_interning_is_idempotent_and_past_table() {
-        let ns = build_ns();
-        let cns = CompiledNamespace::compile(&ns);
-        let mut scratch = ResolveScratch::new();
-        let stranger = n("stranger.example.net");
-        let a = cns.intern_in(&mut scratch, &stranger);
-        let b = cns.intern_in(&mut scratch, &stranger);
-        assert_eq!(a, b);
-        assert!(a.index() >= cns.table().len());
-        assert_eq!(cns.name_in(&scratch, a), &stranger);
-        assert_eq!(cns.fnv_in(&scratch, a), display_fnv(&stranger));
-        // Table names keep their table ids.
-        let origin = cns.intern_in(&mut scratch, &n("apple.com"));
-        assert!(origin.index() < cns.table().len());
     }
 }

@@ -134,8 +134,8 @@ mod tests {
             Probe { ns, scratch: ResolveScratch::new(), resolver: InternedResolver::new() }
         }
 
-        fn id(&mut self, name: &str) -> NameId {
-            self.ns.intern_in(&mut self.scratch, &n(name))
+        fn id(&self, name: &str) -> NameId {
+            self.ns.table().get(&n(name)).expect("name in the compiled table")
         }
 
         fn resolve(
@@ -179,7 +179,7 @@ mod tests {
                 0,
                 memo,
             );
-            (self.ns.materialize_trace(&self.scratch, self.scratch.trace()), result)
+            (self.ns.materialize_trace(self.scratch.trace()), result)
         }
     }
 
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn nxdomain_reported_with_trace() {
         let ns = namespace();
-        let cns = CompiledNamespace::compile(&ns);
+        let cns = CompiledNamespace::compile_with_extra(&ns, &[n("missing.apple.com")]);
         let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         let (trace, res) = p.resolve("missing.apple.com", RecordType::A, &ctx_at(t0));
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn timeouts_are_transient_and_nxdomain_is_not() {
         let ns = namespace();
-        let cns = CompiledNamespace::compile(&ns);
+        let cns = CompiledNamespace::compile_with_extra(&ns, &[n("x.y")]);
         let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         let down = ZoneDown { origin: p.id("apple.com"), fault: UpstreamFault::Timeout };

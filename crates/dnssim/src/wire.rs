@@ -1,11 +1,13 @@
 //! Wire-level serving: the authoritative side answers real DNS packets.
 //!
-//! The structured [`Namespace::query`](crate::Namespace::query) API is what
-//! the simulation drivers use for speed; this module is the byte-accurate
-//! boundary a real deployment would expose. A query arrives as RFC 1035
-//! bytes, is decoded, answered from the same zones/policies, and re-encoded
-//! — so measurement tooling built against the wire format (or captured
-//! packets) can be tested against the simulated Meta-CDN directly.
+//! The simulation drivers resolve through the compiled namespace
+//! ([`InternedResolver`](crate::InternedResolver)); this module is the
+//! byte-accurate boundary a real deployment would expose, and the one
+//! reader of the string-keyed zones' [`Namespace::query`]. A query arrives
+//! as RFC 1035 bytes, is decoded, answered from the same zones/policies
+//! with full-fidelity records and no cache, and re-encoded — so
+//! measurement tooling built against the wire format (or captured packets)
+//! can be tested against the simulated Meta-CDN directly.
 
 use crate::context::QueryContext;
 use crate::zone::{Namespace, ZoneAnswer};

@@ -8,9 +8,9 @@ use std::sync::Arc;
 
 /// What a [`MappingPolicy`] decided for one query — a `Copy` value, not
 /// records. Every record it stands for is owned by the queried name; the
-/// zone ([`Zone::answer`]: the wire server, the iterative walk, overlay
-/// names) and the compiled namespace (the resolver's hot path) each build
-/// their own record form from it, so one policy logic serves every reader.
+/// zone ([`Zone::answer`], read by the wire server) and the compiled
+/// namespace (the resolver) each build their own record form from it, so
+/// one policy logic serves both readers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyAnswer {
     /// No records: a NODATA answer (the observed behaviour of Apple's

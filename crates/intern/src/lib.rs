@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 /// A dense identifier for an interned [`Name`]. Ids are assigned in
 /// insertion order starting at 0 and are only meaningful relative to the
-/// [`NameTable`] (or table-plus-overlay) that issued them.
+/// [`NameTable`] that issued them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameId(pub u32);
 
@@ -105,7 +105,7 @@ impl NameTable {
 
 /// The FNV-1a digest of a name's `Display` form — the hash the fault
 /// layer derives zone/query keys from.
-pub fn display_fnv(name: &Name) -> u64 {
+fn display_fnv(name: &Name) -> u64 {
     let mut h = Fnv64::new();
     let _ = write!(h, "{name}");
     h.finish()

@@ -312,7 +312,8 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
     let cns = CompiledNamespace::compile(&world.ns);
     let campaign_faults = InternedCampaignFaults::new(*faults, &world, cns.table());
     let mut scratch = ResolveScratch::new();
-    let entry = cns.intern_in(&mut scratch, &metacdn::names::entry());
+    let entry =
+        cns.table().get(&metacdn::names::entry()).expect("the entry name is in the namespace");
     let mut dns_probes: Vec<(Region, Probe)> = Region::ALL
         .into_iter()
         .filter_map(|region| {

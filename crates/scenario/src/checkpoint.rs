@@ -68,10 +68,6 @@ pub enum CampaignError {
     /// it, or a ledger entry or unique-IP cell dated outside the completed
     /// rounds. Names the refused field.
     InvalidCheckpoint(&'static str),
-    /// A probe cache held an overlay (non-compiled-table) name id and
-    /// cannot be serialized. The campaign hot path never creates overlay
-    /// names, so this indicates a bug rather than an operational state.
-    UncheckpointableCache,
     /// A shard panicked. Shards are not retried: a shard is a
     /// deterministic function of its inputs, so a rerun would panic again.
     Shard(ShardFailure),
@@ -96,9 +92,6 @@ impl core::fmt::Display for CampaignError {
             }
             CampaignError::UnknownRecord(tag) => {
                 write!(f, "journal starts with unknown record tag {tag}")
-            }
-            CampaignError::UncheckpointableCache => {
-                f.write_str("probe cache holds an overlay name id and cannot be checkpointed")
             }
             CampaignError::Shard(e) => write!(f, "campaign shard failed: {e}"),
         }
@@ -219,11 +212,10 @@ fn from_code<T: Copy>(all: &[T], code: u8, what: &'static str) -> Result<T, Code
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint. `table_len` is the compiled name-table
-    /// size; any cached record referring past it would be unreadable on
-    /// resume, so it is rejected here (see
-    /// [`CampaignError::UncheckpointableCache`]).
-    pub(crate) fn encode(&self, table_len: usize) -> Result<Vec<u8>, CampaignError> {
+    /// Serializes the checkpoint. Every name id a probe cache holds is a
+    /// compiled-table id; [`Checkpoint::decode`] checks them against the
+    /// table, since a journal is untrusted input.
+    pub(crate) fn encode(&self) -> Result<Vec<u8>, CampaignError> {
         let mut w = ByteWriter::new();
         w.put_u8(TAG_CHECKPOINT);
         w.put_u64(self.rounds_done);
@@ -273,17 +265,11 @@ impl Checkpoint {
             w.put_u64(probe.misses);
             w.put_u32(probe.entries.len() as u32);
             for (id, qtype, expires, records) in &probe.entries {
-                if *id as usize >= table_len {
-                    return Err(CampaignError::UncheckpointableCache);
-                }
                 w.put_u32(*id);
                 w.put_u16(*qtype);
                 w.put_u64(expires.as_secs());
                 w.put_u16(records.len() as u16);
                 for r in records {
-                    if r.name.index() >= table_len {
-                        return Err(CampaignError::UncheckpointableCache);
-                    }
                     w.put_u32(r.name.0);
                     w.put_u32(r.ttl);
                     match r.rdata {
@@ -292,9 +278,6 @@ impl Checkpoint {
                             w.put_ipv4(ip);
                         }
                         IRData::Cname(target) => {
-                            if target.index() >= table_len {
-                                return Err(CampaignError::UncheckpointableCache);
-                            }
                             w.put_u8(1);
                             w.put_u32(target.0);
                         }
@@ -303,9 +286,6 @@ impl Checkpoint {
                             w.put_u16(v);
                         }
                         IRData::Ns(target) => {
-                            if target.index() >= table_len {
-                                return Err(CampaignError::UncheckpointableCache);
-                            }
                             w.put_u8(3);
                             w.put_u32(target.0);
                         }
@@ -597,8 +577,8 @@ impl CampaignJournal {
     }
 
     /// Appends one checkpoint record.
-    pub(crate) fn append(&mut self, ckpt: &Checkpoint, table_len: usize) -> Result<(), CampaignError> {
-        self.journal.append(&ckpt.encode(table_len)?)?;
+    pub(crate) fn append(&mut self, ckpt: &Checkpoint) -> Result<(), CampaignError> {
+        self.journal.append(&ckpt.encode()?)?;
         Ok(())
     }
 
@@ -682,25 +662,15 @@ mod tests {
     #[test]
     fn checkpoint_roundtrips_bit_exactly() {
         let ckpt = sample_checkpoint();
-        let bytes = ckpt.encode(64).expect("encode");
+        let bytes = ckpt.encode().expect("encode");
         let back = Checkpoint::decode(&bytes, 64).expect("decode");
         assert_eq!(ckpt, back);
     }
 
     #[test]
-    fn overlay_ids_are_rejected_at_encode_time() {
-        let mut ckpt = sample_checkpoint();
-        ckpt.probes[0].entries[0].0 = 64; // id == table_len: out of table
-        match ckpt.encode(64) {
-            Err(CampaignError::UncheckpointableCache) => {}
-            other => panic!("expected UncheckpointableCache, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn out_of_table_ids_are_rejected_at_decode_time() {
         let ckpt = sample_checkpoint();
-        let bytes = ckpt.encode(64).expect("encode");
+        let bytes = ckpt.encode().expect("encode");
         // Same bytes, smaller table: the ids no longer resolve.
         match Checkpoint::decode(&bytes, 4) {
             Err(CodecError::Invalid(_)) => {}
@@ -715,7 +685,7 @@ mod tests {
     fn unknown_trace_event_kind_is_rejected_at_decode_time() {
         let mut ckpt = sample_checkpoint();
         ckpt.obs_events[1].kind = mcdn_obs::EVENT_NAMES.len() as u16;
-        let bytes = ckpt.encode(64).expect("encode");
+        let bytes = ckpt.encode().expect("encode");
         match Checkpoint::decode(&bytes, 64) {
             Err(CodecError::Invalid("trace event kind")) => {}
             other => panic!("expected Invalid(trace event kind), got {other:?}"),
@@ -729,7 +699,7 @@ mod tests {
         for n in [0, mcdn_obs::N_DET - 1, mcdn_obs::N_DET + 1] {
             let mut ckpt = sample_checkpoint();
             ckpt.obs_counters.resize(n, 0);
-            let bytes = ckpt.encode(64).expect("encode");
+            let bytes = ckpt.encode().expect("encode");
             match Checkpoint::decode(&bytes, 64) {
                 Err(CodecError::Invalid("deterministic counter count")) => {}
                 other => panic!("{n} counters: expected Invalid(counter count), got {other:?}"),
@@ -746,7 +716,7 @@ mod tests {
             let mut second = ckpt.probes[0].entries[0].clone();
             (second.0, second.1) = (id, qtype);
             ckpt.probes[0].entries.push(second);
-            let bytes = ckpt.encode(64).expect("encode");
+            let bytes = ckpt.encode().expect("encode");
             match Checkpoint::decode(&bytes, 64) {
                 Err(CodecError::Invalid("cache key order")) => {}
                 other => panic!("key ({id}, {qtype}) after (3, 1): expected Invalid: {other:?}"),
@@ -756,14 +726,14 @@ mod tests {
         let mut second = ckpt.probes[0].entries[0].clone();
         second.1 = 28;
         ckpt.probes[0].entries.push(second);
-        let bytes = ckpt.encode(64).expect("encode");
+        let bytes = ckpt.encode().expect("encode");
         assert_eq!(Checkpoint::decode(&bytes, 64).expect("increasing keys decode"), ckpt);
     }
 
     #[test]
     fn truncated_payload_is_a_typed_error() {
         let ckpt = sample_checkpoint();
-        let bytes = ckpt.encode(64).expect("encode");
+        let bytes = ckpt.encode().expect("encode");
         for cut in [1usize, 9, bytes.len() / 2, bytes.len() - 1] {
             match Checkpoint::decode(&bytes[..cut], 64) {
                 Err(_) => {}
@@ -802,8 +772,8 @@ mod tests {
         second.rounds_done = 2;
         {
             let (mut j, _) = CampaignJournal::open(&path, 7, 64).expect("fresh open");
-            j.append(&first, 64).expect("append 1");
-            j.append(&second, 64).expect("append 2");
+            j.append(&first).expect("append 1");
+            j.append(&second).expect("append 2");
         }
         let (_j, resume) = CampaignJournal::open(&path, 7, 64).expect("reopen");
         assert_eq!(resume, Some(second));

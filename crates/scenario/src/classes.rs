@@ -7,7 +7,7 @@
 //! or Limelight but not located within their respective autonomous systems
 //! are denoted as 'other AS'."
 
-use mcdn_dnssim::{CompiledNamespace, IRData, ITrace, ResolveScratch};
+use mcdn_dnssim::{IRData, ITrace};
 use mcdn_intern::{NameId, NameTable};
 use mcdn_netsim::{AsId, Topology};
 use std::net::Ipv4Addr;
@@ -121,18 +121,8 @@ impl AttributionTable {
         AttributionTable { families: table.iter().map(|(_, name)| family_of(name)).collect() }
     }
 
-    fn family(
-        &self,
-        ns: &CompiledNamespace<'_>,
-        scratch: &ResolveScratch,
-        id: NameId,
-    ) -> Option<DnsAttribution> {
-        match self.families.get(id.index()) {
-            Some(&family) => family,
-            // Overlay name (never on the campaign hot path): judge its
-            // display form directly.
-            None => family_of(ns.name_in(scratch, id)),
-        }
+    fn family(&self, id: NameId) -> Option<DnsAttribution> {
+        self.families[id.index()]
     }
 }
 
@@ -140,26 +130,21 @@ impl AttributionTable {
 /// family named in the sequence of step qnames followed by CNAME
 /// targets, scanned from its end. Consults precomputed families instead
 /// of rendered strings.
-pub fn attribute_interned(
-    trace: &ITrace,
-    attr: &AttributionTable,
-    ns: &CompiledNamespace<'_>,
-    scratch: &ResolveScratch,
-) -> DnsAttribution {
+pub fn attribute_interned(trace: &ITrace, attr: &AttributionTable) -> DnsAttribution {
     // The combined list is [qnames..., cname targets...]; reversed, the
     // targets come first (last step's last record first), then the
     // qnames (last step first).
     for step in trace.steps().iter().rev() {
         for record in trace.records_of(step).iter().rev() {
             if let IRData::Cname(target) = record.rdata {
-                if let Some(found) = attr.family(ns, scratch, target) {
+                if let Some(found) = attr.family(target) {
                     return found;
                 }
             }
         }
     }
     for step in trace.steps().iter().rev() {
-        if let Some(found) = attr.family(ns, scratch, step.qname) {
+        if let Some(found) = attr.family(step.qname) {
             return found;
         }
     }
@@ -218,7 +203,10 @@ pub fn classify_ip_from_origin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcdn_dnssim::{InternedResolver, Namespace, NoInternedFaults, QueryContext, Zone};
+    use mcdn_dnssim::{
+        CompiledNamespace, InternedResolver, Namespace, NoInternedFaults, QueryContext,
+        ResolveScratch, Zone,
+    };
     use mcdn_dnswire::{Name, RecordType};
     use mcdn_geo::{Continent, Coord, Locode, SimTime};
 
@@ -237,7 +225,7 @@ mod tests {
         let cns = CompiledNamespace::compile(&ns);
         let attr = AttributionTable::build(cns.table());
         let mut scratch = ResolveScratch::new();
-        let entry = cns.intern_in(&mut scratch, &Name::parse(chain[0].0).unwrap());
+        let entry = cns.table().get(&Name::parse(chain[0].0).unwrap()).unwrap();
         let ctx = QueryContext {
             client_ip: Ipv4Addr::new(198, 51, 100, 1),
             locode: Locode::parse("defra").unwrap(),
@@ -257,7 +245,7 @@ mod tests {
             0,
             None,
         );
-        attribute_interned(scratch.trace(), &attr, &cns, &scratch)
+        attribute_interned(scratch.trace(), &attr)
     }
 
     #[test]

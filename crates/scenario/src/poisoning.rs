@@ -254,7 +254,6 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
     };
     let bailiwick = bailiwick_policy(&profile);
     let retry = RetryPolicy::standard();
-    let entry = metacdn::names::entry();
 
     let mut probes: Vec<Probe> = world
         .global_probe_specs
@@ -264,7 +263,8 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
         .map(|(i, s)| Probe::new(17_000 + i as u32, *s))
         .collect();
     let mut scratch = ResolveScratch::new();
-    let entry_id = cns.intern_in(&mut scratch, &entry);
+    let entry_id =
+        cns.table().get(&metacdn::names::entry()).expect("the entry name is in the namespace");
 
     let mut result = PoisonRunResult {
         scenario: scenario.name,
@@ -354,7 +354,7 @@ fn audit_wire(
     t: SimTime,
     result: &mut PoisonRunResult,
 ) {
-    let trace = cns.materialize_trace(scratch, scratch.trace());
+    let trace = cns.materialize_trace(scratch.trace());
     let mut mangled = Vec::new();
     for step in trace.steps {
         if step.records.is_empty() {

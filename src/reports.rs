@@ -42,12 +42,12 @@ pub fn quickstart_report() -> String {
     // Resolve appldnld.apple.com through the full mapping chain.
     let ns = CompiledNamespace::compile(&world.ns);
     let mut scratch = ResolveScratch::new();
-    let entry = ns.intern_in(&mut scratch, &names::entry());
+    let entry = ns.table().get(&names::entry()).expect("the entry name is compiled");
     let mut resolver = InternedResolver::new();
     resolver
         .resolve(&ns, &mut scratch, entry, RecordType::A, &ctx, &NoInternedFaults, 0, None)
         .expect("the entry point always resolves");
-    let trace = ns.materialize_trace(&scratch, scratch.trace());
+    let trace = ns.materialize_trace(scratch.trace());
 
     let _ = writeln!(out, "CNAME chain for {} (client: Berlin, {now}):", names::entry());
     for (from, to, ttl) in trace.cname_edges() {
@@ -79,7 +79,7 @@ pub fn quickstart_report() -> String {
         0,
         None,
     );
-    let trace2 = ns.materialize_trace(&scratch, scratch.trace());
+    let trace2 = ns.materialize_trace(scratch.trace());
     let cached = trace2.steps.iter().filter(|s| s.from_cache).count();
     let _ = writeln!(
         out,

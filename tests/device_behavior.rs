@@ -34,7 +34,7 @@ fn hourly_polls_hit_mesu_and_cache_between() {
     loads::update_loads(&world, t0);
     let ns = CompiledNamespace::compile(&world.ns);
     let mut scratch = ResolveScratch::new();
-    let mesu = ns.intern_in(&mut scratch, &names::mesu());
+    let mesu = ns.table().get(&names::mesu()).unwrap();
     let mut resolver = InternedResolver::new();
 
     // First poll resolves mesu.apple.com fresh…
@@ -49,7 +49,7 @@ fn hourly_polls_hit_mesu_and_cache_between() {
     let ctx = device_ctx(t0 + Duration::HOUR);
     let _ =
         resolver.resolve(&ns, &mut scratch, mesu, RecordType::A, &ctx, &NoInternedFaults, 0, None);
-    let trace2 = ns.materialize_trace(&scratch, scratch.trace());
+    let trace2 = ns.materialize_trace(scratch.trace());
     assert!(!trace2.steps[0].from_cache, "300 s TTL cannot survive an hour");
     assert_eq!(trace2.addresses(), vec![mesu_ip], "stable manifest host");
 }

@@ -93,7 +93,7 @@ fn ttl_hierarchy_controls_re_resolution() {
     loads::update_loads(&world, t0);
     let ns = CompiledNamespace::compile(&world.ns);
     let mut scratch = ResolveScratch::new();
-    let entry = ns.intern_in(&mut scratch, &names::entry());
+    let entry = ns.table().get(&names::entry()).unwrap();
     let mut r = InternedResolver::new();
     let mut ctx = ctx_for("defra", 0x0A50_0001, t0);
     r.resolve(&ns, &mut scratch, entry, RecordType::A, &ctx, &NoInternedFaults, 0, None).unwrap();
@@ -104,7 +104,7 @@ fn ttl_hierarchy_controls_re_resolution() {
     // selector and the short A records must be re-resolved.
     ctx.now = t0 + Duration::secs(60);
     r.resolve(&ns, &mut scratch, entry, RecordType::A, &ctx, &NoInternedFaults, 0, None).unwrap();
-    let trace = ns.materialize_trace(&scratch, scratch.trace());
+    let trace = ns.materialize_trace(scratch.trace());
     let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
     assert!(cached[0] && cached[1], "long-TTL head stays cached: {cached:?}");
     assert!(!cached[2], "the 15 s selector re-decides: {cached:?}");
@@ -112,7 +112,7 @@ fn ttl_hierarchy_controls_re_resolution() {
     // 3 minutes later the 120 s geo split has also expired.
     ctx.now = t0 + Duration::mins(3);
     let _ = r.resolve(&ns, &mut scratch, entry, RecordType::A, &ctx, &NoInternedFaults, 0, None);
-    let trace = ns.materialize_trace(&scratch, scratch.trace());
+    let trace = ns.materialize_trace(scratch.trace());
     let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
     assert!(cached[0] && !cached[1], "geo split expired: {cached:?}");
 }
@@ -142,7 +142,7 @@ fn coverage_rule_shapes_south_america() {
     let ns = CompiledNamespace::compile(&world.ns);
     let attr = AttributionTable::build(ns.table());
     let mut scratch = ResolveScratch::new();
-    let entry = ns.intern_in(&mut scratch, &names::entry());
+    let entry = ns.table().get(&names::entry()).unwrap();
     let mut apple_sa = 0;
     let mut apple_na = 0;
     for i in 0..300u32 {
@@ -158,7 +158,7 @@ fn coverage_rule_shapes_south_america() {
                 0,
                 None,
             );
-            let attribution = attribute_interned(scratch.trace(), &attr, &ns, &scratch);
+            let attribution = attribute_interned(scratch.trace(), &attr);
             let apple = scratch
                 .trace()
                 .addresses()
@@ -196,4 +196,48 @@ fn traceroutes_reach_resolved_caches() {
         assert!(tr.hops.len() >= 2, "path should cross at least one AS border");
         assert!(tr.hops.last().unwrap().rtt_ms < 400.0, "absurd RTT");
     }
+}
+
+/// The answering zone of each step of a cold resolution of the entry
+/// name: the chain crosses Apple's, Akamai's DNS and the Meta-CDN's zones
+/// before it reaches a CDN's own (§3.2, Fig. 2). The Frankfurt client is
+/// the one `mcdn resolve defra` serves over the wire; the fleet of
+/// clients below reaches each of the three CDNs.
+#[test]
+fn cold_resolution_records_the_answering_zones() {
+    let world = World::build(&ScenarioConfig::fast());
+    let now = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
+    loads::update_loads(&world, now);
+    let ns = CompiledNamespace::compile(&world.ns);
+    let zones_of = |code: &str, ip: u32| -> Vec<String> {
+        let ctx = ctx_for(code, ip, now);
+        let (trace, res) = resolve_cold(&ns, &names::entry(), RecordType::A, &ctx);
+        res.unwrap_or_else(|e| panic!("{code} {ip:#x}: {e:?}"));
+        trace
+            .steps
+            .iter()
+            .map(|step| {
+                assert!(!step.from_cache, "a cold resolution asks every zone");
+                let zone = step.zone.as_ref().expect("every step has an answering zone");
+                assert!(step.qname.is_within(zone), "{} answered by {zone}", step.qname);
+                zone.to_string()
+            })
+            .collect()
+    };
+    assert_eq!(
+        zones_of("defra", u32::from(Ipv4Addr::new(100, 64, 0, 99))),
+        ["apple.com", "akadns.net", "applimg.com", "applimg.com"]
+    );
+    let seen: std::collections::BTreeSet<Vec<String>> = (0..200u32)
+        .map(|i| zones_of(if i % 2 == 0 { "defra" } else { "usnyc" }, 0x6440_0063 + i * 7919))
+        .collect();
+    let apple = ["apple.com", "akadns.net", "applimg.com", "applimg.com"];
+    let akamai =
+        ["apple.com", "akadns.net", "applimg.com", "akadns.net", "edgesuite.net", "akamai.net"];
+    let limelight = ["apple.com", "akadns.net", "applimg.com", "akadns.net", "llnwi.net"];
+    let want: std::collections::BTreeSet<Vec<String>> = [&apple[..], &akamai[..], &limelight[..]]
+        .iter()
+        .map(|zones| zones.iter().map(|z| z.to_string()).collect())
+        .collect();
+    assert_eq!(seen, want);
 }

@@ -61,7 +61,7 @@ proptest! {
         ns.add_zone(zone);
         let ns = CompiledNamespace::compile(&ns);
         let mut scratch = ResolveScratch::new();
-        let name = ns.intern_in(&mut scratch, &Name::parse("x.apple.com").unwrap());
+        let name = ns.table().get(&Name::parse("x.apple.com").unwrap()).unwrap();
         let t0 = SimTime::from_ymd(2017, 9, 1);
         let locode = Locode::parse("deber").unwrap();
         let mut ctx = QueryContext {
