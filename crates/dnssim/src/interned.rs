@@ -968,7 +968,7 @@ impl InternedResolver {
                             }
                             IAnswer::NxDomain => {
                                 scratch.answer.clear();
-                                scratch.trace.push(current, qtype, &[], false, None);
+                                scratch.trace.push(current, qtype, &[], false, z);
                                 return Err(IResolutionError::NxDomain(current));
                             }
                         }

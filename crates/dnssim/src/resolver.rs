@@ -220,12 +220,21 @@ mod tests {
     #[test]
     fn nxdomain_reported_with_trace() {
         let ns = namespace();
-        let cns = CompiledNamespace::compile_with_extra(&ns, &[n("missing.apple.com")]);
+        let extra = [n("missing.apple.com"), n("www.example.org")];
+        let cns = CompiledNamespace::compile_with_extra(&ns, &extra);
         let mut p = Probe::new(&cns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
+        // The zone authoritative for the name answers NXDOMAIN, and the
+        // step records it.
         let (trace, res) = p.resolve("missing.apple.com", RecordType::A, &ctx_at(t0));
         assert_eq!(res, Err(IResolutionError::NxDomain(p.id("missing.apple.com"))));
         assert_eq!(trace.steps.len(), 1);
+        assert_eq!(trace.steps[0].zone, Some(n("apple.com")));
+        // No zone is authoritative for the name: NXDOMAIN at the root.
+        let (trace, res) = p.resolve("www.example.org", RecordType::A, &ctx_at(t0));
+        assert_eq!(res, Err(IResolutionError::NxDomain(p.id("www.example.org"))));
+        assert_eq!(trace.steps.len(), 1);
+        assert_eq!(trace.steps[0].zone, None);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
 use mcdn_netsim::{AsId, FlatLpm};
 use metacdn::CdnKind;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::Arc;
@@ -377,19 +377,30 @@ struct ShardPartial {
     obs: mcdn_obs::ShardObs,
 }
 
-/// The round merge's buffers, kept (capacity and all) across rounds.
+/// The campaign's observation merge: one pending table for the current
+/// aggregator bin, its buffers kept (capacity and all) across rounds and
+/// bins.
 ///
-/// Every observation of a round shares the round's instant, so a repeat
-/// adds nothing to the unique-IP sets or the class ledger (at paper scale,
-/// 72% of a global round's observations are repeats). [`finish`] therefore
-/// drops repeated `(continent, attribution, address)` observations first,
-/// classifies each distinct one (one RIB lookup), sorts and de-duplicates
-/// the classified keys, records each (continent, class) run into its
-/// aggregator cell with one lookup, and observes each distinct (address,
-/// class) once. Classification is a function of the attribution and the
-/// address, and set union and the ledger's max are order-independent, so
-/// this equals classifying, `record` and `observe` for every observation
-/// in partial order.
+/// A unique-IP cell is the union of its bin's rounds (12 global rounds per
+/// hour at the paper's cadence), and most of a round's observations repeat
+/// within the round or the bin. [`finish`] therefore only upserts each
+/// `(continent, attribution, address)` observation into the pending table
+/// with the round's instant, keeping the latest, and [`flush`] — when a
+/// round's instant leaves the bin, before a checkpoint is built, and once
+/// at the end of the campaign — classifies each pending key once (one RIB
+/// lookup), sorts the classified keys, records each (continent, class) run
+/// into its aggregator cell with one lookup, and observes each key's
+/// (address, class) in the ledger at the key's latest instant.
+///
+/// This equals classifying, `record` and `observe` for every observation
+/// in round and partial order. Classification is a function of the
+/// attribution and the address, so all observations of a key share one
+/// class, and the one at its latest instant dominates the ledger's
+/// `max((t, class))` over them; every pending key lies in one bin, so
+/// recording it at the bin start is recording it at each of its instants;
+/// and set union and the ledger's max are order-independent and
+/// idempotent, so flushing a bin in several parts (a checkpoint mid-bin,
+/// then the bin edge) equals flushing it once.
 ///
 /// Observations are held as packed `u64` keys, `continent << 40 | label
 /// << 32 | address`, where the label is the DNS attribution on the way in
@@ -398,14 +409,18 @@ struct ShardPartial {
 /// discriminants follow their declaration order (the order of `ALL`).
 ///
 /// [`finish`]: RoundMerge::finish
+/// [`flush`]: RoundMerge::flush
 #[derive(Default)]
 struct RoundMerge {
+    /// The current round's observations, in partial order.
     keys: Vec<u64>,
-    /// The keys already kept this round (cleared per round).
-    seen: HashSet<u64, FnvBuildHasher>,
-    /// The round's distinct (address, class) pairs as `address << 8 |
-    /// class`.
-    classes: Vec<u64>,
+    /// The start of the bin the pending keys lie in.
+    bin: SimTime,
+    /// Every distinct key observed in the bin since the last flush, with
+    /// its latest instant.
+    pending: HashMap<u64, SimTime, FnvBuildHasher>,
+    /// The flush's classified keys with their instants.
+    classified: Vec<(u64, SimTime)>,
 }
 
 impl RoundMerge {
@@ -419,8 +434,9 @@ impl RoundMerge {
         self.keys.extend_from_slice(observations);
     }
 
-    /// Classifies and records the round's observations at `t` and empties
-    /// the buffers.
+    /// Folds the round's observations at `t` into the pending table,
+    /// flushing the table first if `t` leaves its bin, and empties the
+    /// round buffer.
     fn finish(
         &mut self,
         t: SimTime,
@@ -428,36 +444,47 @@ impl RoundMerge {
         agg: &mut UniqueIpAggregator<Continent, CdnClass>,
         ledger: &mut IpClassLedger,
     ) {
-        let seen = &mut self.seen;
-        self.keys.retain(|&k| seen.insert(k));
-        seen.clear();
-        for k in &mut self.keys {
-            let ip = Ipv4Addr::from(*k as u32);
+        let bin = t.floor_to(agg.bin());
+        if bin != self.bin {
+            self.flush(rib, agg, ledger);
+            self.bin = bin;
+        }
+        for &k in &self.keys {
+            let latest = self.pending.entry(k).or_insert(t);
+            *latest = (*latest).max(t);
+        }
+        self.keys.clear();
+    }
+
+    /// Classifies and records every pending key and empties the table.
+    fn flush(
+        &mut self,
+        rib: &FlatLpm<AsId>,
+        agg: &mut UniqueIpAggregator<Continent, CdnClass>,
+        ledger: &mut IpClassLedger,
+    ) {
+        self.classified.extend(self.pending.drain().map(|(k, at)| {
+            let ip = Ipv4Addr::from(k as u32);
             let class = classify_ip_from_origin(
-                DnsAttribution::ALL[(*k >> 32 & 0xff) as usize],
+                DnsAttribution::ALL[(k >> 32 & 0xff) as usize],
                 rib.lookup(ip).map(|(_, asn)| asn),
                 params::AKAMAI_AS,
                 params::LIMELIGHT_AS,
                 params::APPLE_AS,
             );
-            *k = *k >> 40 << 40 | (class as u64) << 32 | u64::from(u32::from(ip));
+            (k >> 40 << 40 | (class as u64) << 32 | u64::from(u32::from(ip)), at)
+        }));
+        let class_of = |k: u64| CdnClass::ALL[(k >> 32 & 0xff) as usize];
+        self.classified.sort_unstable();
+        for cell in self.classified.chunk_by(|a, b| a.0 >> 32 == b.0 >> 32) {
+            let continent = Continent::ALL[(cell[0].0 >> 40) as usize];
+            let ips = cell.iter().map(|&(k, _)| Ipv4Addr::from(k as u32));
+            agg.record_all(self.bin, continent, class_of(cell[0].0), ips);
         }
-        let class_of = |k: u64| CdnClass::ALL[(k & 0xff) as usize];
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        for cell in self.keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let continent = Continent::ALL[(cell[0] >> 40) as usize];
-            let ips = cell.iter().map(|&k| Ipv4Addr::from(k as u32));
-            agg.record_all(t, continent, class_of(cell[0] >> 32), ips);
+        for &(k, at) in &self.classified {
+            ledger.observe(Ipv4Addr::from(k as u32), at, class_of(k));
         }
-        self.classes.extend(self.keys.iter().map(|&k| (k & 0xffff_ffff) << 8 | (k >> 32 & 0xff)));
-        self.classes.sort_unstable();
-        self.classes.dedup();
-        for &k in &self.classes {
-            ledger.observe(Ipv4Addr::from((k >> 8) as u32), t, class_of(k));
-        }
-        self.keys.clear();
-        self.classes.clear();
+        self.classified.clear();
     }
 }
 
@@ -657,8 +684,9 @@ fn drive_campaign(
     let shard_count = mcdn_exec::shard_bounds(fleet.len(), p.threads).len().max(1);
     let shard_states: Vec<std::sync::Mutex<ShardState>> =
         (0..shard_count).map(|_| std::sync::Mutex::new(ShardState::default())).collect();
-    // The cross-shard memo-count and observation merges, cleared
-    // (capacity kept) per round.
+    // The cross-shard memo-count merge, cleared (capacity kept) per
+    // round, and the observation merge, flushed per bin and before every
+    // checkpoint.
     let mut round_counts: HashMap<IMemoKey, u64, FnvBuildHasher> = HashMap::default();
     let mut round_merge = RoundMerge::default();
     let mut walls = Vec::new();
@@ -848,6 +876,9 @@ fn drive_campaign(
             let cadence_due = rounds_done.is_multiple_of(checkpoint_every);
             let in_budget = checkpoint_fits_budget(ckpt_cost_total, compute_total);
             if suspending || (cadence_due && in_budget && !finished) {
+                // The checkpoint exports the aggregator and the ledger, so
+                // they take in the pending bin first.
+                round_merge.flush(&rib, &mut agg, &mut classes);
                 let ckpt_started = std::time::Instant::now();
                 let ckpt = Checkpoint {
                     rounds_done,
@@ -888,6 +919,7 @@ fn drive_campaign(
             return Ok((CampaignRun::Suspended { rounds_done, total_rounds }, obs.finish(), walls));
         }
     }
+    round_merge.flush(&rib, &mut agg, &mut classes);
     Ok((
         CampaignRun::Complete(DnsCampaignResult {
             unique_ips: agg,
@@ -1241,14 +1273,18 @@ mod tests {
         }
 
         proptest! {
-            /// Rounds of partials merged by de-duplicating, classifying,
-            /// then sorting one round buffer equal the per-observation
-            /// reference: the same aggregator (by `==` and by its cells)
-            /// and the same ledger. Rounds advance 0, 25 or 50 minutes, so
-            /// rounds share instants and cross hour bins.
+            /// Rounds of partials folded into the per-bin pending table
+            /// and flushed equal the per-observation reference: the same
+            /// aggregator (by `==` and by its cells) and the same ledger.
+            /// Rounds advance 0, 25 or 50 minutes, so rounds share
+            /// instants, several distinct instants share an hour bin, and
+            /// rounds cross bins. After a round, a checkpoint may flush
+            /// the table (and the state must then equal the reference's,
+            /// since the checkpoint exports it), or a resume may also
+            /// restart from an empty merge; every run ends with a flush.
             #[test]
             fn round_merge_matches_the_per_observation_reference(
-                rounds in vec((0u64..3, vec(vec(observation(), 0..30), 1..4)), 1..6),
+                rounds in vec((0u64..3, vec(vec(observation(), 0..30), 1..4), 0u8..3), 1..8),
             ) {
                 let bin = Duration::hours(1);
                 let rib = rib();
@@ -1257,7 +1293,7 @@ mod tests {
                     (UniqueIpAggregator::new(bin), IpClassLedger::new());
                 let mut merge = RoundMerge::default();
                 let mut t = SimTime::from_ymd_hms(2017, 9, 19, 16, 40, 0);
-                for (step, partials) in rounds {
+                for (step, partials, after) in rounds {
                     t += Duration::mins(25 * step);
                     for partial in &partials {
                         let keys: Vec<u64> =
@@ -1266,7 +1302,16 @@ mod tests {
                     }
                     merge.finish(t, &rib, &mut agg, &mut ledger);
                     reference_merge(&partials, t, &rib, &mut ref_agg, &mut ref_ledger);
+                    if after > 0 {
+                        merge.flush(&rib, &mut agg, &mut ledger);
+                        prop_assert_eq!(agg.cells(), ref_agg.cells());
+                        prop_assert_eq!(ledger.entries(), ref_ledger.entries());
+                    }
+                    if after == 2 {
+                        merge = RoundMerge::default();
+                    }
                 }
+                merge.flush(&rib, &mut agg, &mut ledger);
                 prop_assert_eq!(&agg, &ref_agg);
                 prop_assert_eq!(agg.cells(), ref_agg.cells());
                 prop_assert_eq!(ledger.entries(), ref_ledger.entries());

@@ -36,6 +36,16 @@ fn tiny_cfg(faults: FaultProfile) -> ScenarioConfig {
     cfg
 }
 
+/// [`tiny_cfg`] with the global campaign at 20-minute rounds over two
+/// hours: six rounds, three per hourly bin, so a suspend after round 1,
+/// 2, 4 or 5 lands inside a global bin (at 4-hour rounds none does).
+fn sub_hour_cfg(faults: FaultProfile) -> ScenarioConfig {
+    let mut cfg = tiny_cfg(faults);
+    cfg.global_dns_interval = Duration::mins(20);
+    cfg.global_end = cfg.global_start + Duration::hours(2);
+    cfg
+}
+
 /// The plain (unjournaled) run of `campaign` over a fresh world.
 fn run_plain(campaign: Campaign, cfg: &ScenarioConfig, threads: usize) -> DnsCampaignResult {
     run_dns(&build_world_or_exit(cfg), cfg, campaign, threads).result
@@ -105,12 +115,17 @@ fn run_partial(
 
 #[test]
 fn kill_at_every_round_resume_is_bit_identical() {
-    for campaign in [Campaign::Global, Campaign::Isp] {
+    let cases = [
+        ("4h", Campaign::Global, tiny_cfg as fn(_) -> _),
+        ("20min", Campaign::Global, sub_hour_cfg),
+        ("4h", Campaign::Isp, tiny_cfg),
+    ];
+    for (cadence, campaign, cfg_of) in cases {
         for (label, faults) in profiles() {
-            let cfg = tiny_cfg(faults);
+            let cfg = cfg_of(faults);
             for threads in [1usize, 4] {
                 let baseline = run_plain(campaign, &cfg, threads);
-                let tag = format!("{campaign:?}-{label}-{threads}");
+                let tag = format!("{campaign:?}-{cadence}-{label}-{threads}");
                 assert!(baseline.resolutions > 0, "[{tag}] the campaign resolved nothing");
 
                 // Uninterrupted journaled run: journaling itself must not
