@@ -7,7 +7,6 @@
 //! cache's location as the city of the minimum-RTT probe, then compare
 //! against the naming-scheme ground truth.
 
-use crate::table::Table;
 use mcdn_atlas::ProbeSpec;
 use mcdn_geo::Registry;
 use mcdn_scenario::tracecampaign::run_traceroutes;
@@ -63,84 +62,38 @@ pub fn locate_caches(
         .collect()
 }
 
-/// How often the RTT inference agrees with the naming scheme, over one
-/// Apple vip per site, probed from one probe per distinct probe city.
-pub fn naming_vs_rtt_agreement(world: &World, probes: &[ProbeSpec]) -> (usize, usize) {
-    // One representative probe per city.
-    let mut by_city: HashMap<&str, ProbeSpec> = HashMap::new();
-    for p in probes {
-        by_city.entry(p.city.name).or_insert(*p);
-    }
-    let probe_set: Vec<ProbeSpec> = by_city.into_values().collect();
-    let probe_cities: std::collections::HashSet<&str> =
-        probe_set.iter().map(|p| p.city.name).collect();
-
-    // One vip per site whose city hosts a probe (the inference can only
-    // name cities it has a vantage point in).
-    let targets: Vec<Ipv4Addr> = world
-        .apple
-        .sites()
-        .iter()
-        .filter(|s| {
-            Registry::by_locode(Registry::canonicalize(s.locode))
-                .map(|c| probe_cities.contains(c.name))
-                .unwrap_or(false)
-        })
-        .filter_map(|s| s.vip_addrs().first().copied())
-        .collect();
-
-    let located = locate_caches(world, &probe_set, &targets);
-    let agree = located
-        .iter()
-        .filter(|l| l.named_city.as_deref() == Some(l.inferred_city.as_str()))
-        .count();
-    (agree, located.len())
-}
-
-/// The cross-check as a table.
-pub fn location_table(world: &World, probes: &[ProbeSpec], targets: &[Ipv4Addr]) -> Table {
-    let mut t = Table::new(
-        "Cache location: naming scheme vs minimum-RTT inference",
-        &["cache", "named city", "RTT-inferred city", "min RTT (ms)", "agree"],
-    );
-    for l in locate_caches(world, probes, targets) {
-        let named = l.named_city.clone().unwrap_or_else(|| "—".into());
-        let agree = l.named_city.as_deref() == Some(l.inferred_city.as_str());
-        t.push(vec![
-            l.ip.to_string(),
-            named,
-            l.inferred_city.clone(),
-            format!("{:.1}", l.min_rtt_ms),
-            agree.to_string(),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcdn_scenario::ScenarioConfig;
 
+    /// Locates one Apple vip per site from one probe per distinct probe
+    /// city, over the sites whose city hosts a probe (the inference can
+    /// only name cities it has a vantage point in).
     #[test]
     fn rtt_inference_agrees_with_naming_scheme() {
         let world = World::build(&ScenarioConfig::fast());
-        let (agree, total) = naming_vs_rtt_agreement(&world, &world.global_probe_specs);
+        let mut by_city: HashMap<&str, ProbeSpec> = HashMap::new();
+        for p in &world.global_probe_specs {
+            by_city.entry(p.city.name).or_insert(*p);
+        }
+        let probes: Vec<ProbeSpec> = by_city.into_values().collect();
+        let targets: Vec<Ipv4Addr> = world
+            .apple
+            .sites()
+            .iter()
+            .filter(|s| {
+                Registry::by_locode(Registry::canonicalize(s.locode))
+                    .is_some_and(|c| probes.iter().any(|p| p.city.name == c.name))
+            })
+            .filter_map(|s| s.vip_addrs().first().copied())
+            .collect();
+        let located = locate_caches(&world, &probes, &targets);
+        let total = located.len();
+        let agree =
+            located.iter().filter(|l| l.named_city.as_deref() == Some(l.inferred_city.as_str())).count();
         assert!(total >= 10, "enough co-located sites to test ({total})");
-        assert!(
-            agree * 10 >= total * 8,
-            "≥80% agreement expected, got {agree}/{total}"
-        );
-    }
-
-    #[test]
-    fn table_renders_with_rtts() {
-        let world = World::build(&ScenarioConfig::fast());
-        let probes: Vec<_> = world.global_probe_specs.iter().take(20).cloned().collect();
-        let targets = vec![world.apple_isp_vips[0]];
-        let t = location_table(&world, &probes, &targets);
-        assert_eq!(t.rows.len(), 1);
-        let rtt: f64 = t.rows[0][3].parse().unwrap();
-        assert!(rtt > 0.0 && rtt < 500.0);
+        assert!(agree * 10 >= total * 8, "≥80% agreement expected, got {agree}/{total}");
+        assert!(located.iter().all(|l| l.min_rtt_ms > 0.0 && l.min_rtt_ms < 500.0));
     }
 }

@@ -9,9 +9,6 @@
 //! paragraph.
 
 use crate::table::Table;
-use mcdn_faults::coverage::interpolate_gaps;
-use mcdn_geo::{Duration, SimTime};
-use mcdn_netsim::LinkId;
 use mcdn_scenario::{DnsCampaignResult, TrafficResult};
 
 /// Coverage summary of one DNS campaign: measurements, retries, and the
@@ -59,48 +56,12 @@ pub fn telemetry_coverage(traffic: &TrafficResult) -> Table {
     t
 }
 
-/// One link's SNMP byte series on the regular poll grid over `[from, to)`,
-/// with missed bins linearly interpolated and flagged — the gap-tolerant
-/// input for utilization plots. Bins are `step`-spaced (pass the traffic
-/// tick).
-pub fn link_series_with_gaps(
-    traffic: &TrafficResult,
-    link: LinkId,
-    from: SimTime,
-    to: SimTime,
-    step: Duration,
-) -> Table {
-    let observed: Vec<(SimTime, f64)> = traffic
-        .snmp
-        .samples()
-        .filter(|(_, l, _)| *l == link)
-        .filter(|(t, _, _)| *t >= from && *t < to)
-        .map(|(t, _, b)| (t, b as f64))
-        .collect();
-    let (bins, cov) = interpolate_gaps(&observed, from, to, step);
-    let mut t = Table::new(
-        format!(
-            "Link {} SNMP series ({} of {} bins observed)",
-            link.0,
-            cov.observed,
-            cov.observed + cov.missing
-        ),
-        &["bin", "bytes", "interpolated"],
-    );
-    for b in bins {
-        t.push(vec![
-            b.t.to_string(),
-            format!("{:.0}", b.value),
-            if b.interpolated { "yes".into() } else { "no".into() },
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcdn_geo::{Duration, SimTime};
     use mcdn_isp::{FlowRecord, FlowTable, SnmpCounters};
+    use mcdn_netsim::LinkId;
     use mcdn_scenario::{run_dns, Campaign, ScenarioConfig, World};
     use std::net::Ipv4Addr;
 
@@ -144,25 +105,6 @@ mod tests {
         // No flows → no scaling cells → full coverage by convention.
         let empty = TrafficResult { flows: FlowTable::new(), ..traffic_with_gap() };
         assert_eq!(telemetry_coverage(&empty).rows[0][3..], ["0", "0", "100.0"]);
-    }
-
-    #[test]
-    fn link_series_flags_the_missed_bin() {
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        let step = Duration::mins(5);
-        let table = link_series_with_gaps(
-            &traffic_with_gap(),
-            LinkId(1),
-            t0,
-            t0 + Duration::mins(15),
-            step,
-        );
-        assert_eq!(table.rows.len(), 3);
-        let flags: Vec<&str> = table.rows.iter().map(|r| r[2].as_str()).collect();
-        assert_eq!(flags, vec!["no", "yes", "no"]);
-        // The gap bin interpolates between 100 and 200 bytes of delta.
-        let mid: f64 = table.rows[1][1].parse().unwrap();
-        assert!((mid - 150.0).abs() < 1e-9, "got {mid}");
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// A cell value, if present.
-    pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
-        self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)
-    }
-
     /// Finds the first row whose `col`-th cell equals `value`.
     pub fn find_row(&self, col: usize, value: &str) -> Option<&Vec<String>> {
         self.rows.iter().find(|r| r.get(col).map(String::as_str) == Some(value))
@@ -86,6 +81,14 @@ impl fmt::Display for Table {
             line(f, row)?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// A cell value, if present (the crate's tests read tables with it).
+    pub(crate) fn cell(&self, row: usize, col: usize) -> Option<&str> {
+        self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)
     }
 }
 

@@ -70,17 +70,6 @@ where
         self.sets.iter().map(|((t, g, l), set)| (*t, *g, *l, set.len()))
     }
 
-    /// Total unique addresses for a (group, label) across *all* bins.
-    pub fn total_unique(&self, group: G, label: L) -> usize {
-        let mut all: HashSet<Ipv4Addr> = HashSet::new();
-        for ((_, g, l), set) in &self.sets {
-            if *g == group && *l == label {
-                all.extend(set);
-            }
-        }
-        all.len()
-    }
-
     /// Every cell with its full membership: `((bin start, group, label),
     /// sorted addresses)` in key order — the checkpoint export of the
     /// aggregator. Set *sizes* alone cannot reconstruct the dedup state,
@@ -177,17 +166,6 @@ mod tests {
         sorted.sort();
         assert_eq!(times, sorted);
         assert_eq!(times.len(), 3);
-    }
-
-    #[test]
-    fn total_unique_across_bins() {
-        let mut agg: UniqueIpAggregator<u8, u8> = UniqueIpAggregator::new(Duration::hours(1));
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        agg.record(t0, 0, 0, ip(1));
-        agg.record(t0 + Duration::hours(1), 0, 0, ip(1));
-        agg.record(t0 + Duration::hours(2), 0, 0, ip(2));
-        assert_eq!(agg.total_unique(0, 0), 2);
-        assert_eq!(agg.total_unique(0, 1), 0);
     }
 
     #[test]

@@ -31,11 +31,6 @@ pub struct Availability {
 }
 
 impl Availability {
-    /// A fleet that is always online (the idealized default).
-    pub fn perfect() -> Availability {
-        Availability { rate: 1.0, seed: 0 }
-    }
-
     /// A fleet online `rate` of the time.
     pub fn with_rate(rate: f64, seed: u64) -> Availability {
         assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
@@ -57,15 +52,6 @@ impl Availability {
         key[12..20].copy_from_slice(&self.seed.to_be_bytes());
         (fnv64(&key) % 1_000_000) as f64 / 1_000_000.0 < self.rate
     }
-
-    /// Fraction of `fleet_size` probes online at `t`.
-    pub fn online_fraction(&self, fleet_size: u32, t: SimTime) -> f64 {
-        if fleet_size == 0 {
-            return 0.0;
-        }
-        let online = (0..fleet_size).filter(|id| self.is_online(*id, t)).count();
-        online as f64 / fleet_size as f64
-    }
 }
 
 #[cfg(test)]
@@ -74,18 +60,10 @@ mod tests {
     use mcdn_geo::Duration;
 
     #[test]
-    fn perfect_fleet_never_fails() {
-        let a = Availability::perfect();
-        for id in 0..100 {
-            assert!(a.is_online(id, SimTime(123_456)));
-        }
-    }
-
-    #[test]
     fn rate_is_met_in_aggregate() {
         let a = Availability::with_rate(0.9, 42);
         let t = SimTime::from_ymd(2017, 9, 19);
-        let frac = a.online_fraction(2000, t);
+        let frac = (0..2000u32).filter(|id| a.is_online(*id, t)).count() as f64 / 2000.0;
         assert!((frac - 0.9).abs() < 0.03, "got {frac}");
     }
 
@@ -125,7 +103,6 @@ mod tests {
                 assert!(!a.is_online(id, SimTime::from_ymd(2017, 9, 12) + Duration::hours(h)));
             }
         }
-        assert_eq!(a.online_fraction(100, SimTime(0)), 0.0);
     }
 
     #[test]
@@ -136,12 +113,6 @@ mod tests {
                 assert!(a.is_online(id, SimTime::from_ymd(2017, 9, 12) + Duration::hours(h)));
             }
         }
-        assert_eq!(a.online_fraction(100, SimTime(0)), 1.0);
-    }
-
-    #[test]
-    fn empty_fleet_fraction_is_zero() {
-        assert_eq!(Availability::perfect().online_fraction(0, SimTime(0)), 0.0);
     }
 
     #[test]

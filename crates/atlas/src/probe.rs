@@ -133,11 +133,6 @@ impl Probe {
         unreachable!("loop always returns on the last attempt")
     }
 
-    /// Resolver cache statistics `(hits, misses)`.
-    pub fn interned_cache_stats(&self) -> (u64, u64) {
-        self.resolver.cache_stats()
-    }
-
     /// Exports the resolver cache for checkpointing: sorted
     /// entries plus `(hits, misses)` counters. See
     /// [`InternedResolver::cache_export`].
@@ -284,7 +279,7 @@ mod tests {
         let t1 = t0 + Duration::secs(5);
         let (res, _, _) = measure(&mut p, &cns, "appldnld.apple.com", t1, &NoInternedFaults);
         res.unwrap();
-        assert_eq!(p.interned_cache_stats().0, 1);
+        assert_eq!(p.resolver.cache_stats().0, 1);
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub struct CrawlResult {
 mod tests {
     use super::*;
     use mcdn_dnssim::{Namespace, Zone};
+    use mcdn_dnswire::{RData, ResourceRecord};
     use mcdn_geo::{Locode, Registry};
 
     fn city(code: &str) -> &'static City {
@@ -91,7 +92,8 @@ mod tests {
     fn chain_ns() -> Namespace {
         let mut ns = Namespace::new();
         let mut z = Zone::new(Name::parse("apple.com").unwrap());
-        z.add_cname("appldnld.apple.com", "lb.apple.com", 21600);
+        let target = RData::Cname(Name::parse("lb.apple.com").unwrap());
+        z.add(ResourceRecord::new(Name::parse("appldnld.apple.com").unwrap(), 21600, target));
         z.add_a("lb.apple.com", Ipv4Addr::new(17, 253, 1, 1), 20);
         z.add_a("lb.apple.com", Ipv4Addr::new(17, 253, 1, 2), 20);
         ns.add_zone(z);

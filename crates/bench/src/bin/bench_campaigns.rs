@@ -3,13 +3,15 @@
 //! are bit-identical, and writes `BENCH_campaigns.json` with wall times,
 //! resolution throughput, memo hit rates, and per-thread-count speedups.
 //!
-//! The simulation is deterministic, so the engine properties the bench
-//! defends are exact counts, and those are what it gates: at the top
-//! thread count a warm pool spawns no worker, every DNS round makes one
-//! pool dispatch and traffic one per batch of ticks; a campaign window
-//! averages under one heap allocation per resolution, and recording
-//! metrics allocates nothing. Walls, speedups and overheads are reported;
-//! only the full run on a host with ≥4 cores gates speedup.
+//! The simulation is deterministic, so the engine properties that matter
+//! are exact counts: at the top thread count a warm pool spawns no
+//! worker, every DNS round makes one pool dispatch and traffic one per
+//! batch of ticks; a campaign window averages under one heap allocation
+//! per resolution, and recording metrics allocates nothing. The bench
+//! reports those counts, and `tests/work_counts.rs` holds them under
+//! `cargo test`. Walls, speedups and overheads are reported too; the
+//! bench fails only when an output differs across thread counts, or when
+//! the full run on a host with ≥4 cores misses a speedup gate.
 //!
 //! Usage: `bench_campaigns [--smoke] [OUT.json]`. `--smoke` shrinks the
 //! workload for CI; the default output path is `BENCH_campaigns.json` in
@@ -152,7 +154,7 @@ struct Bench {
     steps: u64,
     step_units: &'static str,
     /// Pool dispatches a run on more than one worker makes: one per DNS
-    /// round, one per [`TICKS_PER_TRAFFIC_DISPATCH`] traffic ticks.
+    /// round, one per [`TRAFFIC_BATCH_TICKS`] traffic ticks.
     expected_dispatches: u64,
     memo_lookups: u64,
     memo_hits: u64,
@@ -186,12 +188,6 @@ fn bench_cfg(smoke: bool) -> ScenarioConfig {
     cfg.traffic_tick = if smoke { Duration::hours(1) } else { Duration::mins(30) };
     cfg
 }
-
-/// Traffic ticks one pool dispatch covers: the batch that lifts a
-/// dispatch's work above the cost of waking the pool (see
-/// [`TRAFFIC_BATCH_TICKS`]). Pinned apart from the engine's constant, so
-/// that dispatching each tick fails the count.
-const TICKS_PER_TRAFFIC_DISPATCH: u64 = 8;
 
 /// The steps of length `step` from `start` up to `end`: a campaign's
 /// rounds or the traffic window's ticks.
@@ -279,10 +275,6 @@ impl AllocAudit {
         self.enabled.bytes as f64 / self.resolutions.max(1) as f64
     }
 }
-
-/// The allocation gate: heap allocations per resolution, averaged over
-/// the audited campaign window, must stay below this.
-const ALLOC_GATE_PER_RESOLUTION: f64 = 1.0;
 
 /// Counts the heap allocations of a real campaign window: the serial
 /// global campaign of the full bench workload (150 probes, 30-minute
@@ -451,7 +443,7 @@ fn write_json(
     metrics: &mcdn_obs::MetricsSnapshot,
 ) {
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v10\",");
+    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v11\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let counts_s: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
     let _ = writeln!(out, "  \"thread_counts\": [{}],", counts_s.join(", "));
@@ -507,11 +499,7 @@ fn write_json(
     let _ = writeln!(out, "    \"disabled_allocs\": {},", audit.disabled.allocs);
     let _ = writeln!(out, "    \"disabled_bytes\": {},", audit.disabled.bytes);
     let _ = writeln!(out, "    \"allocs_per_resolution\": {:.4},", audit.allocs_per_resolution());
-    let _ = writeln!(out, "    \"bytes_per_resolution\": {:.1},", audit.bytes_per_resolution());
-    let _ = writeln!(
-        out,
-        "    \"gate_max_allocs_per_resolution\": {ALLOC_GATE_PER_RESOLUTION:.1}"
-    );
+    let _ = writeln!(out, "    \"bytes_per_resolution\": {:.1}", audit.bytes_per_resolution());
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"campaigns\": [");
     for (i, b) in benches.iter().enumerate() {
@@ -605,7 +593,7 @@ fn main() {
         work: serial.flows.len() as u64,
         steps: ticks,
         step_units: "ticks",
-        expected_dispatches: ticks.div_ceil(TICKS_PER_TRAFFIC_DISPATCH),
+        expected_dispatches: ticks.div_ceil(TRAFFIC_BATCH_TICKS as u64),
         memo_lookups: 0,
         memo_hits: 0,
         runs,
@@ -680,22 +668,6 @@ fn main() {
         if !b.identical {
             failures.push(format!("{} output differs across thread counts", b.name));
         }
-        // The pool's contract, exact on any host: a warm pool spawns no
-        // worker, and each round (or traffic batch) wakes it once. Scoped
-        // threads per shard or unbatched traffic ticks break the count.
-        if top.dispatches != b.expected_dispatches || top.spawned != 0 {
-            failures.push(format!(
-                "{} at {} threads made {} pool dispatches for {} {} (expected {}) and spawned \
-                 {} workers on a warm pool (expected 0)",
-                b.name,
-                top.threads,
-                top.dispatches,
-                b.steps,
-                b.step_units,
-                b.expected_dispatches,
-                top.spawned,
-            ));
-        }
         let gate = SPEEDUP_GATES.iter().find(|g| g.name == b.name);
         if let Some(gate) = gate.filter(|_| speedup_gate_armed(smoke)) {
             let speedup = b.speedup(top);
@@ -707,23 +679,6 @@ fn main() {
                 ));
             }
         }
-    }
-    if audit.allocs_per_resolution() >= ALLOC_GATE_PER_RESOLUTION {
-        failures.push(format!(
-            "the campaign window allocated {:.3} times per resolution ({} allocs / {} bytes \
-             over {} resolutions; gate < {ALLOC_GATE_PER_RESOLUTION:.1})",
-            audit.allocs_per_resolution(),
-            audit.enabled.allocs,
-            audit.enabled.bytes,
-            audit.resolutions
-        ));
-    }
-    if audit.enabled != audit.disabled {
-        failures.push(format!(
-            "metrics recording allocates: the campaign window made {} allocations of {} bytes \
-             with recording on and {} of {} bytes with it off",
-            audit.enabled.allocs, audit.enabled.bytes, audit.disabled.allocs, audit.disabled.bytes
-        ));
     }
     for failure in &failures {
         eprintln!("bench_campaigns: FAIL — {failure}");

@@ -147,11 +147,6 @@ impl AppleCdn {
             })
             .sum()
     }
-
-    /// Aggregate worldwide capacity in bps.
-    pub fn capacity_bps_total(&self) -> f64 {
-        self.total_bx() as f64 * self.per_server_bps
-    }
 }
 
 /// Immutable GSLB answer data: per-site keys, coordinates, and vip
@@ -253,11 +248,6 @@ impl GslbDirectory {
         let k = 2.min(vips.len());
         out.extend((0..k).map(|j| vips[(rot + j) % vips.len()]));
     }
-
-    /// Keys of every site in the directory, in site order.
-    pub fn site_keys(&self) -> Vec<u64> {
-        self.sites.iter().map(|(k, _, _)| *k).collect()
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +270,6 @@ mod tests {
         let cdn = small();
         assert_eq!(cdn.sites().len(), 4);
         assert_eq!(cdn.total_bx(), 32 + 32 + 16 + 8);
-        assert_eq!(cdn.capacity_bps_total(), 88.0 * 10e9);
     }
 
     #[test]
@@ -378,8 +367,6 @@ mod tests {
     #[test]
     fn factored_capacity_prices_in_site_outages() {
         let cdn = small();
-        let keys = cdn.gslb_directory().site_keys();
-        assert_eq!(keys.len(), 4);
         // All-ones factor is exactly the unfactored capacity.
         assert_eq!(
             cdn.capacity_bps_on_where(Continent::Europe, |_| 1.0),

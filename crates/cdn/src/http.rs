@@ -35,15 +35,6 @@ impl Verdict {
             Verdict::HitOrigin => "Hit from cloudfront",
         }
     }
-
-    fn parse(s: &str) -> Option<Verdict> {
-        match s.trim() {
-            "miss" => Some(Verdict::Miss),
-            "hit-fresh" => Some(Verdict::HitFresh),
-            "Hit from cloudfront" => Some(Verdict::HitOrigin),
-            _ => None,
-        }
-    }
 }
 
 /// One `Via` hop: protocol, host, and the serving agent.
@@ -128,11 +119,6 @@ impl HttpResponse {
         self.via.iter().map(ViaEntry::render).collect::<Vec<_>>().join(",")
     }
 
-    /// Parses an `X-Cache` header value.
-    pub fn parse_x_cache(s: &str) -> Option<Vec<Verdict>> {
-        s.split(',').map(Verdict::parse).collect()
-    }
-
     /// Parses a `Via` header value.
     pub fn parse_via(s: &str) -> Option<Vec<ViaEntry>> {
         s.split(',').map(ViaEntry::parse).collect()
@@ -186,16 +172,8 @@ http/1.1 defra1-edge-bx-033.ts.apple.com (ApacheTrafficServer/7.0.0)"
     }
 
     #[test]
-    fn x_cache_roundtrip() {
-        let r = paper_response();
-        let parsed = HttpResponse::parse_x_cache(&r.x_cache_header()).unwrap();
-        assert_eq!(parsed, r.x_cache);
-    }
-
-    #[test]
     fn parse_rejects_garbage() {
         assert!(HttpResponse::parse_via("nonsense").is_none());
-        assert!(HttpResponse::parse_x_cache("hit-stale").is_none());
     }
 
     #[test]

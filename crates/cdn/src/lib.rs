@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod apple;
-pub mod capacity;
 pub mod http;
 pub mod lru;
 pub mod naming;
@@ -34,7 +33,6 @@ pub mod site;
 pub mod thirdparty;
 
 pub use apple::{AppleCdn, GslbDirectory, SiteSpec};
-pub use capacity::CapacityTracker;
 pub use http::{HttpRequest, HttpResponse, Verdict, ViaEntry};
 pub use lru::LruSet;
 pub use naming::{Function, ServerName, SubFunction};

@@ -115,23 +115,10 @@ impl ThirdPartyCdn {
         self
     }
 
-    /// Sets the surge-exposure exponent (`<1` exposes aggressively early,
-    /// `>1` lazily).
-    pub fn with_surge_exponent(mut self, e: f64) -> Self {
-        assert!(e > 0.0);
-        self.surge_exponent = e;
-        self
-    }
-
     /// The set of addresses the CDN exposes in `region` at `load ∈ [0,1]`.
     /// Deterministic and monotone in `load`.
     pub fn exposed(&self, region: Region, load: f64) -> Vec<Ipv4Addr> {
         self.exposed_parts(region, load).flatten().copied().collect()
-    }
-
-    /// Every address the CDN could ever expose in `region`.
-    pub fn full_pool(&self, region: Region) -> Vec<Ipv4Addr> {
-        self.exposed(region, 1.0)
     }
 
     /// Total number of addresses configured for `region` across all pool
@@ -234,7 +221,6 @@ mod tests {
                 },
             )
             .with_base(Region::Apac, ThirdPartyCdn::ips_from_prefix(apac, 0, 3))
-            .with_surge_exponent(1.7)
     }
 
     proptest! {

@@ -41,18 +41,6 @@ impl CdnShare {
         }
     }
 
-    /// A copy with `kind`'s weight replaced.
-    pub fn with_weight(mut self, kind: CdnKind, w: f64) -> CdnShare {
-        assert!(w >= 0.0, "weights are non-negative");
-        match kind {
-            CdnKind::Apple => self.apple = w,
-            CdnKind::Akamai => self.akamai = w,
-            CdnKind::Limelight => self.limelight = w,
-            CdnKind::Level3 => self.level3 = w,
-        }
-        self
-    }
-
     /// Sum of all weights.
     pub fn total(&self) -> f64 {
         self.apple + self.akamai + self.limelight + self.level3
@@ -277,21 +265,21 @@ mod tests {
     #[test]
     fn ever_uses_in_sees_default_and_breakpoints() {
         let quiet = CdnShare { apple: 1.0, akamai: 0.0, limelight: 0.0, level3: 0.0 };
-        let event = quiet.with_weight(CdnKind::Limelight, 0.4);
+        let event = CdnShare { limelight: 0.4, ..quiet };
         let s = Schedule::constant(quiet).with(Region::Eu, t(19, 17), event);
         assert!(s.ever_uses_in(Region::Eu, CdnKind::Apple));
         assert!(s.ever_uses_in(Region::Eu, CdnKind::Limelight), "breakpoint weight counts");
         assert!(!s.ever_uses_in(Region::Us, CdnKind::Limelight), "other regions unaffected");
         assert!(!s.ever_uses_in(Region::Eu, CdnKind::Akamai));
         // A scheduled-but-unavailable CDN is never used.
-        let l3 = Schedule::constant(quiet.with_weight(CdnKind::Level3, 0.2));
+        let l3 = Schedule::constant(CdnShare { level3: 0.2, ..quiet });
         assert!(l3.ever_uses_in(Region::Eu, CdnKind::Level3));
         assert!(!l3.ever_uses_in(Region::Apac, CdnKind::Level3), "no Level3 in APAC");
     }
 
     #[test]
-    fn with_weight_builder() {
-        let s = CdnShare::apple_only().with_weight(CdnKind::Limelight, 0.5);
+    fn weight_and_total_read_every_cdn() {
+        let s = CdnShare { limelight: 0.5, ..CdnShare::apple_only() };
         assert_eq!(s.weight(CdnKind::Limelight), 0.5);
         assert_eq!(s.total(), 1.5);
     }

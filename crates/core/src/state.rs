@@ -372,11 +372,6 @@ impl MetaCdnState {
         self.with_inner(|inner| inner.down_sites.contains(&site_key))
     }
 
-    /// Number of Apple sites currently marked down.
-    pub fn down_site_count(&self) -> usize {
-        self.with_inner(|inner| inner.down_sites.len())
-    }
-
     /// The selection probabilities actually in force: the scheduled share
     /// with Apple's overflow spilled onto the available third parties,
     /// then degraded by the health/capacity signals of the chaos layer
@@ -766,10 +761,8 @@ mod tests {
     fn down_site_registry_round_trips() {
         let s = state_with(1.0, 0.0, 0.0);
         assert!(!s.site_is_down(99));
-        assert_eq!(s.down_site_count(), 0);
         s.set_site_down(99, true);
         assert!(s.site_is_down(99));
-        assert_eq!(s.down_site_count(), 1);
         s.set_site_down(99, false);
         assert!(!s.site_is_down(99));
     }

@@ -389,14 +389,18 @@ mod tests {
     use mcdn_geo::{Continent, Locode, SimTime};
     use mcdn_netsim::{AsId, Ipv4Net};
 
-    fn config(apple_w: f64) -> MetaCdnConfig {
-        let apple = AppleCdn::build(
+    fn apple() -> AppleCdn {
+        AppleCdn::build(
             &[
                 SiteSpec { locode: "defra", sites: 1, bx_per_site: 32 },
                 SiteSpec { locode: "usnyc", sites: 1, bx_per_site: 32 },
             ],
             10e9,
-        );
+        )
+    }
+
+    fn config(apple_w: f64) -> MetaCdnConfig {
+        let apple = apple();
         let ak_net = Ipv4Net::parse("23.0.0.0/16").unwrap();
         let ll_net = Ipv4Net::parse("68.232.0.0/16").unwrap();
         let akamai = ThirdPartyCdn::new("Akamai", AsId(20940))
@@ -453,7 +457,7 @@ mod tests {
         assert_eq!(edges[0].2, names::TTL_ENTRY);
         assert_eq!(edges[1].2, names::TTL_GEO);
         assert_eq!(edges[2].2, names::TTL_SELECTOR);
-        let terminal = trace.terminal_name().unwrap().to_string();
+        let terminal = trace.steps.last().unwrap().qname.to_string();
         assert!(terminal == "a.gslb.applimg.com" || terminal == "b.gslb.applimg.com");
     }
 
@@ -620,7 +624,7 @@ mod tests {
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
         cfg.state.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, release);
         cfg.state.set_cdn_load(CdnKind::Limelight, Region::Eu, 0.6, release);
-        cfg.state.set_site_down(cfg.gslb.site_keys()[0], true);
+        cfg.state.set_site_down(apple().sites()[0].site_key(), true);
         let ns = build_namespace(&cfg);
         let cns = CompiledNamespace::compile(&ns);
         let mut scratch = ResolveScratch::new();

@@ -67,10 +67,6 @@ impl ResolutionTrace {
         out
     }
 
-    /// The final name that produced the terminal records (last qname).
-    pub fn terminal_name(&self) -> Option<&Name> {
-        self.steps.last().map(|s| &s.qname)
-    }
 }
 
 
@@ -197,7 +193,7 @@ mod tests {
         assert_eq!(edges[0].2, 21600);
         assert_eq!(edges[1].2, 120);
         assert_eq!(edges[2].2, 15);
-        assert_eq!(trace.terminal_name(), Some(&n("a.gslb.applimg.com")));
+        assert_eq!(trace.steps.last().map(|s| &s.qname), Some(&n("a.gslb.applimg.com")));
         assert!(trace.steps.iter().all(|s| !s.from_cache));
     }
 

@@ -136,13 +136,6 @@ impl Zone {
         self.records.entry((rr.name.clone(), rr.rtype().to_u16())).or_default().push(rr);
     }
 
-    /// Convenience: adds a static CNAME.
-    pub fn add_cname(&mut self, owner: &str, target: &str, ttl: u32) {
-        let owner = Name::parse(owner).expect("valid owner name");
-        let target = Name::parse(target).expect("valid target name");
-        self.add(ResourceRecord::new(owner, ttl, RData::Cname(target)));
-    }
-
     /// Convenience: adds a static A record.
     pub fn add_a(&mut self, owner: &str, addr: std::net::Ipv4Addr, ttl: u32) {
         let owner = Name::parse(owner).expect("valid owner name");
@@ -331,6 +324,16 @@ impl Namespace {
     /// [`Namespace::authority_for`] breaks label-count ties in).
     pub fn zones(&self) -> &[Zone] {
         &self.zones
+    }
+}
+
+#[cfg(test)]
+impl Zone {
+    /// Adds a static CNAME (the crate's tests build their chains with it).
+    pub(crate) fn add_cname(&mut self, owner: &str, target: &str, ttl: u32) {
+        let owner = Name::parse(owner).expect("valid owner name");
+        let target = Name::parse(target).expect("valid target name");
+        self.add(ResourceRecord::new(owner, ttl, RData::Cname(target)));
     }
 }
 

@@ -1,21 +1,15 @@
-//! EDNS(0) and the Client-Subnet option (RFC 6891, RFC 7871).
+//! The EDNS Client-Subnet option (RFC 7871).
 //!
 //! Location-based mapping like Apple's GSLB needs a location signal. In the
 //! wild that signal is the recursive resolver's address, optionally refined
 //! by the **EDNS Client Subnet** (ECS) option carrying a truncated client
 //! prefix. The simulation passes client location explicitly (see
-//! `mcdn-dnssim`), but the wire format implements ECS fully so captured or
-//! generated packets carry the same bytes a production mapper would see —
-//! and so the simplification is a measured choice, not a missing feature.
+//! `mcdn-dnssim`); this module encodes and decodes the option itself, with
+//! the RFC's truncation and host-bit rules.
 
 use crate::error::WireError;
-use crate::message::Message;
-use crate::name::Name;
-use crate::rr::{Class, RData, RecordType, ResourceRecord};
 use std::net::Ipv4Addr;
 
-/// The OPT pseudo-RR type code.
-pub const OPT_TYPE: u16 = 41;
 /// The ECS option code.
 pub const ECS_OPTION_CODE: u16 = 8;
 /// ECS address family for IPv4.
@@ -92,42 +86,6 @@ fn mask(addr: Ipv4Addr, len: u8) -> Ipv4Addr {
     Ipv4Addr::from(bits & mask)
 }
 
-/// Attaches an OPT pseudo-RR with an ECS option to `msg`'s additional
-/// section (replacing any existing OPT), advertising `udp_payload` size.
-pub fn attach_ecs(msg: &mut Message, ecs: ClientSubnet, udp_payload: u16) {
-    msg.additionals.retain(|rr| rr.rtype() != RecordType::Other(OPT_TYPE));
-    msg.additionals.push(ResourceRecord {
-        name: Name::root(),
-        // The OPT "class" field carries the advertised UDP payload size.
-        class: Class::Other(udp_payload),
-        ttl: 0, // flags/extended-rcode, all zero here
-        rdata: RData::Other(OPT_TYPE, ecs.encode_option()),
-    });
-}
-
-/// Extracts the ECS option from a message's OPT pseudo-RR, if present.
-pub fn extract_ecs(msg: &Message) -> Option<Result<ClientSubnet, WireError>> {
-    let opt = msg
-        .additionals
-        .iter()
-        .find(|rr| rr.rtype() == RecordType::Other(OPT_TYPE) && rr.name.is_root())?;
-    let RData::Other(_, rdata) = &opt.rdata else { return None };
-    // Walk the options TLV list looking for ECS.
-    let mut pos = 0usize;
-    while pos + 4 <= rdata.len() {
-        let code = u16::from_be_bytes([rdata[pos], rdata[pos + 1]]);
-        let len = u16::from_be_bytes([rdata[pos + 2], rdata[pos + 3]]) as usize;
-        let Some(body) = rdata.get(pos + 4..pos + 4 + len) else {
-            return Some(Err(WireError::Truncated));
-        };
-        if code == ECS_OPTION_CODE {
-            return Some(ClientSubnet::decode_option(body));
-        }
-        pos += 4 + len;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,39 +125,5 @@ mod tests {
         assert_eq!(ClientSubnet::decode_option(&[0, 1]).unwrap_err(), WireError::Truncated);
         // Length/body mismatch.
         assert_eq!(ClientSubnet::decode_option(&[0, 1, 24, 0, 1, 2]).unwrap_err(), WireError::BadRdata);
-    }
-
-    #[test]
-    fn message_roundtrip_with_ecs() {
-        let mut msg = Message::query(
-            0xECE5,
-            Name::parse("appldnld.apple.com").unwrap(),
-            RecordType::A,
-        );
-        let ecs = ClientSubnet::query(Ipv4Addr::new(84, 17, 133, 201), 24);
-        attach_ecs(&mut msg, ecs, 4096);
-        let bytes = msg.encode().unwrap();
-        let back = Message::decode(&bytes).unwrap();
-        let got = extract_ecs(&back).expect("OPT present").expect("ECS parses");
-        assert_eq!(got, ecs);
-        // Advertised payload size survives in the OPT class field.
-        let opt = back.additionals.iter().find(|r| r.rtype() == RecordType::Other(OPT_TYPE)).unwrap();
-        assert_eq!(opt.class, Class::Other(4096));
-    }
-
-    #[test]
-    fn attach_replaces_existing_opt() {
-        let mut msg = Message::query(1, Name::parse("x.com").unwrap(), RecordType::A);
-        attach_ecs(&mut msg, ClientSubnet::query(Ipv4Addr::new(10, 0, 0, 0), 8), 512);
-        attach_ecs(&mut msg, ClientSubnet::query(Ipv4Addr::new(84, 17, 0, 0), 16), 1232);
-        assert_eq!(msg.additionals.len(), 1);
-        let got = extract_ecs(&msg).unwrap().unwrap();
-        assert_eq!(got.source_prefix_len, 16);
-    }
-
-    #[test]
-    fn messages_without_opt_have_no_ecs() {
-        let msg = Message::query(1, Name::parse("x.com").unwrap(), RecordType::A);
-        assert!(extract_ecs(&msg).is_none());
     }
 }

@@ -31,7 +31,7 @@ mod reference;
 pub mod rr;
 
 pub use display::dig_format;
-pub use edns::{attach_ecs, extract_ecs, ClientSubnet};
+pub use edns::ClientSubnet;
 pub use error::WireError;
 pub use message::{Flags, Header, Message, Opcode, Question, Rcode};
 pub use name::Name;

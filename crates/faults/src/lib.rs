@@ -17,8 +17,6 @@
 //! * [`QueryFault`] — the transient outcomes an upstream DNS query can
 //!   suffer (SERVFAIL or timeout).
 //! * [`RetryPolicy`] — capped exponential backoff for probe-side retries.
-//! * [`coverage`] — helpers to quantify and repair gaps in telemetry
-//!   series (interpolation with explicit "this bin was filled" flags).
 //!
 //! The crate is deliberately free of simulator dependencies (only
 //! `mcdn-geo` for the time axis): callers adapt a profile to their own
@@ -31,8 +29,6 @@
 use std::net::Ipv4Addr;
 
 use mcdn_geo::time::{Duration, SimTime};
-
-pub mod coverage;
 
 /// FNV-1a over a byte slice — the workspace-standard pure hash for
 /// deterministic decisions (same construction as probe availability).

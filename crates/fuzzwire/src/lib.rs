@@ -57,11 +57,6 @@ impl SplitMix64 {
         assert!(n > 0, "below(0)");
         (self.next_u64() % n as u64) as usize
     }
-
-    /// A random byte.
-    pub fn byte(&mut self) -> u8 {
-        (self.next_u64() & 0xFF) as u8
-    }
 }
 
 fn n(s: &str) -> Name {

@@ -23,11 +23,6 @@ pub fn percentile_95_5(samples_bytes_per_5min: &[u64]) -> f64 {
     sorted[idx] as f64 * 8.0 / 300.0
 }
 
-/// How many 5-minute samples fit in `days` days.
-pub fn samples_per_days(days: u64) -> usize {
-    (days * 24 * 12) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,8 +60,9 @@ mod tests {
         // The paper's AS-D case: a month of quiet traffic with a 3-day
         // overflow spike. 3 days of 30 = 10% of samples — well beyond the
         // free 5%, so the bill jumps to the spike level.
-        let month = samples_per_days(30);
-        let spike = samples_per_days(3);
+        // 5-minute samples: 288 a day.
+        let month = 30 * 288;
+        let spike = 3 * 288;
         let mut samples = vec![1_000_000u64; month - spike];
         samples.extend(vec![50_000_000u64; spike]);
         let billed = percentile_95_5(&samples);

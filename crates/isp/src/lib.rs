@@ -25,14 +25,12 @@
 #![forbid(unsafe_code)]
 
 pub mod billing;
-pub mod collector;
 pub mod classify;
 pub mod estimate;
 pub mod netflow;
 pub mod snmp;
 
 pub use billing::percentile_95_5;
-pub use collector::{Collector, Exporter};
 pub use classify::{classify_flow, FlowClass, TrafficKind};
 pub use estimate::{FlowTable, ScaledFlows, ScaledVolume, ScalingCoverage};
 pub use netflow::{ExportPacket, FlowRecord, Sampler};

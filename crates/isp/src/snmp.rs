@@ -73,53 +73,11 @@ impl SnmpCounters {
         self.series.contains_key(&(bin, link))
     }
 
-    /// Sum of polled deltas for `link` over `[from, to)`.
-    pub fn sum_range(&self, link: LinkId, from: SimTime, to: SimTime) -> u64 {
-        self.series
-            .range((from, LinkId(0))..(to, LinkId(0)))
-            .filter(|((_, l), _)| *l == link)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// All polled samples, time-ordered.
     pub fn samples(&self) -> impl Iterator<Item = (SimTime, LinkId, u64)> + '_ {
         self.series.iter().map(|((t, l), v)| (*t, *l, *v))
     }
 
-    /// The current raw counter value for `link`.
-    pub fn raw(&self, link: LinkId) -> u64 {
-        self.counters.get(&link).copied().unwrap_or(0)
-    }
-
-    /// Peak polled delta for `link` converted to bits per second.
-    pub fn peak_bps(&self, link: LinkId) -> f64 {
-        self.series
-            .iter()
-            .filter(|((_, l), _)| *l == link)
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0) as f64
-            * 8.0
-            / POLL_INTERVAL.as_secs() as f64
-    }
-}
-
-/// Wrap-aware delta between two readings of a 32-bit `ifInOctets` counter.
-///
-/// Legacy interfaces expose 32-bit octet counters, which wrap every ~34 GB —
-/// under a minute on a saturated 10 Gbps link. Collectors must compute
-/// deltas modulo 2³² or traffic graphs show impossible negative spikes; the
-/// paper-era SNMP tooling did exactly this (and polled fast enough that at
-/// most one wrap could occur between polls).
-pub fn delta32(previous: u32, current: u32) -> u64 {
-    current.wrapping_sub(previous) as u64
-}
-
-/// Wrap-aware delta for 64-bit `ifHCInOctets` counters (RFC 2863), which in
-/// practice never wrap.
-pub fn delta64(previous: u64, current: u64) -> u64 {
-    current.wrapping_sub(previous)
 }
 
 #[cfg(test)]
@@ -136,35 +94,14 @@ mod tests {
         s.poll(t0 + POLL_INTERVAL);
         assert_eq!(s.delta(t0, LinkId(1)), 1000);
         assert_eq!(s.delta(t0 + POLL_INTERVAL, LinkId(1)), 250);
-        assert_eq!(s.raw(LinkId(1)), 1250);
+        assert_eq!(s.counters[&LinkId(1)], 1250);
     }
 
     #[test]
     fn unpolled_link_reads_zero() {
         let s = SnmpCounters::new();
         assert_eq!(s.delta(SimTime(0), LinkId(9)), 0);
-        assert_eq!(s.raw(LinkId(9)), 0);
-    }
-
-    #[test]
-    fn sum_range_is_inclusive_exclusive() {
-        let mut s = SnmpCounters::new();
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        for i in 0..4u64 {
-            s.account(LinkId(2), 100);
-            s.poll(t0 + Duration::secs(i * 300));
-        }
-        let sum = s.sum_range(LinkId(2), t0, t0 + Duration::secs(900));
-        assert_eq!(sum, 300, "three polls in [t0, t0+900)");
-    }
-
-    #[test]
-    fn peak_bps_converts_units() {
-        let mut s = SnmpCounters::new();
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        s.account(LinkId(3), 300_000_000); // 300 MB in 5 min = 8 Mbps
-        s.poll(t0);
-        assert!((s.peak_bps(LinkId(3)) - 8_000_000.0).abs() < 1.0);
+        assert!(!s.counters.contains_key(&LinkId(9)));
     }
 
     #[test]
@@ -181,7 +118,7 @@ mod tests {
         s.account(LinkId(1), 60);
         s.poll(t0 + POLL_INTERVAL + POLL_INTERVAL);
         assert_eq!(s.delta(t0 + POLL_INTERVAL + POLL_INTERVAL, LinkId(1)), 100);
-        assert_eq!(s.raw(LinkId(1)), 200);
+        assert_eq!(s.counters[&LinkId(1)], 200);
     }
 
     #[test]
@@ -219,32 +156,5 @@ mod tests {
         s.poll(t0);
         assert_eq!(s.delta(t0, LinkId(1)), 10);
         assert_eq!(s.delta(t0, LinkId(2)), 20);
-    }
-}
-
-#[cfg(test)]
-mod wrap_tests {
-    use super::*;
-
-    #[test]
-    fn delta32_handles_wrap() {
-        assert_eq!(delta32(100, 200), 100);
-        // Counter wrapped: 4294967000 → 96 means 392 octets flowed.
-        assert_eq!(delta32(4_294_967_000, 96), 392);
-        assert_eq!(delta32(u32::MAX, 0), 1);
-        assert_eq!(delta32(0, 0), 0);
-    }
-
-    #[test]
-    fn delta64_is_plain_subtraction_in_practice() {
-        assert_eq!(delta64(1_000_000, 5_000_000), 4_000_000);
-        assert_eq!(delta64(u64::MAX, 0), 1);
-    }
-
-    #[test]
-    fn saturated_10g_link_wraps_within_a_poll() {
-        // Sanity for the doc claim: 10 Gbps for 300 s = 375 GB ≫ 4 GiB.
-        let bytes_per_poll = 10e9 / 8.0 * POLL_INTERVAL.as_secs() as f64;
-        assert!(bytes_per_poll > u32::MAX as f64, "32-bit counters are useless here");
     }
 }

@@ -1,14 +1,12 @@
-//! BGP-4 UPDATE wire format (RFC 4271 subset) and a RIB fed from updates.
+//! BGP-4 UPDATE wire format (RFC 4271 subset).
 //!
 //! The third data source of the paper's ISP pipeline is BGP: the collectors
 //! "actively keep track of ~60 million BGP routes in ~300 active sessions".
 //! This module implements the part of BGP a route collector needs — parsing
 //! and emitting UPDATE messages (withdrawn routes, ORIGIN/AS_PATH/NEXT_HOP
-//! path attributes, NLRI prefixes) — plus [`RibBuilder`], which consumes a
-//! stream of updates and maintains the prefix→origin-AS table that the
-//! traffic analysis queries.
+//! path attributes, NLRI prefixes).
 
-use crate::ip::{Ipv4Net, PrefixTrie};
+use crate::ip::Ipv4Net;
 use crate::topology::AsId;
 use std::net::Ipv4Addr;
 
@@ -218,54 +216,6 @@ fn decode_prefix(body: &[u8], pos: &mut usize, end: usize) -> Result<Ipv4Net, Bg
     Ok(Ipv4Net::new(Ipv4Addr::from(octets), len))
 }
 
-/// Builds a routing table from a stream of UPDATE messages, as the paper's
-/// collectors did from their 300 sessions.
-#[derive(Debug, Default)]
-pub struct RibBuilder {
-    rib: PrefixTrie<AsId>,
-    announcements: u64,
-    withdrawals: u64,
-}
-
-impl RibBuilder {
-    /// An empty RIB.
-    pub fn new() -> RibBuilder {
-        RibBuilder::default()
-    }
-
-    /// Applies one update.
-    pub fn apply(&mut self, update: &Update) {
-        for p in &update.withdrawn {
-            // The trie has no remove; a withdrawn route maps to no origin.
-            // Insert a tombstone by overwriting with the same prefix and a
-            // sentinel is wrong — instead model withdrawal as ownerless by
-            // tracking it in the same trie with AS0 (reserved, never a real
-            // origin) and filtering on lookup.
-            self.rib.insert(*p, AsId(0));
-            self.withdrawals += 1;
-        }
-        if let Some(origin) = update.origin() {
-            for p in &update.announced {
-                self.rib.insert(*p, origin);
-                self.announcements += 1;
-            }
-        }
-    }
-
-    /// Longest-prefix-match origin lookup (withdrawn routes excluded).
-    pub fn origin_of(&self, ip: Ipv4Addr) -> Option<AsId> {
-        match self.rib.lookup(ip) {
-            Some((_, asn)) if asn.0 != 0 => Some(*asn),
-            _ => None,
-        }
-    }
-
-    /// `(announcements, withdrawals)` processed.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.announcements, self.withdrawals)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,52 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn rib_builder_tracks_announce_and_withdraw() {
-        let mut rib = RibBuilder::new();
-        rib.apply(&Update {
-            withdrawn: vec![],
-            as_path: vec![AsId(6453), AsId(64630)],
-            next_hop: Some("10.0.0.1".parse().unwrap()),
-            announced: vec![net("69.28.64.0/22")],
-        });
-        assert_eq!(rib.origin_of("69.28.65.9".parse().unwrap()), Some(AsId(64630)));
-        // Withdraw it: lookups stop resolving.
-        rib.apply(&Update {
-            withdrawn: vec![net("69.28.64.0/22")],
-            as_path: vec![],
-            next_hop: None,
-            announced: vec![],
-        });
-        assert_eq!(rib.origin_of("69.28.65.9".parse().unwrap()), None);
-        assert_eq!(rib.stats(), (1, 1));
-    }
-
-    #[test]
-    fn more_specific_announcement_overrides() {
-        let mut rib = RibBuilder::new();
-        for (path, prefix) in [
-            (vec![AsId(714)], "17.0.0.0/8"),
-            (vec![AsId(1299), AsId(65001)], "17.200.0.0/16"),
-        ] {
-            rib.apply(&Update {
-                withdrawn: vec![],
-                as_path: path,
-                next_hop: Some("10.0.0.1".parse().unwrap()),
-                announced: vec![net(prefix)],
-            });
-        }
-        assert_eq!(rib.origin_of("17.200.1.1".parse().unwrap()), Some(AsId(65001)));
-        assert_eq!(rib.origin_of("17.1.1.1".parse().unwrap()), Some(AsId(714)));
-    }
-
-    #[test]
-    fn empty_update_is_a_keepalive_shaped_noop() {
+    fn empty_update_roundtrips() {
         let u = Update::default();
         let bytes = u.encode().unwrap();
         let back = Update::decode(&bytes).unwrap();
         assert_eq!(back, u);
-        let mut rib = RibBuilder::new();
-        rib.apply(&back);
-        assert_eq!(rib.stats(), (0, 0));
     }
 }

@@ -54,11 +54,6 @@ impl Ipv4Net {
         u32::from(ip) & Self::mask(self.prefix_len) == u32::from(self.addr)
     }
 
-    /// Whether `other` is fully contained in (or equal to) this prefix.
-    pub fn covers(&self, other: &Ipv4Net) -> bool {
-        other.prefix_len >= self.prefix_len && self.contains(other.addr)
-    }
-
     /// Number of addresses in the prefix (2^(32-len), saturating for /0).
     pub fn size(&self) -> u64 {
         1u64 << (32 - self.prefix_len as u32)
@@ -135,12 +130,6 @@ impl<T> PrefixTrie<T> {
         self.nodes.shrink_to_fit();
     }
 
-    /// Number of allocated trie nodes (capacity diagnostics; exceeds
-    /// [`PrefixTrie::len`] because interior nodes carry no value).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn bit(addr: u32, depth: u8) -> usize {
         ((addr >> (31 - depth as u32)) & 1) as usize
     }
@@ -165,16 +154,6 @@ impl<T> PrefixTrie<T> {
         self.nodes[node].value.replace(value)
     }
 
-    /// Exact-match lookup.
-    pub fn get(&self, prefix: &Ipv4Net) -> Option<&T> {
-        let addr = u32::from(prefix.network());
-        let mut node = 0usize;
-        for depth in 0..prefix.prefix_len() {
-            node = self.nodes[node].children[Self::bit(addr, depth)]? as usize;
-        }
-        self.nodes[node].value.as_ref()
-    }
-
     /// Longest-prefix match: the most specific entry covering `ip`, with the
     /// matched prefix length.
     pub fn lookup(&self, ip: Ipv4Addr) -> Option<(u8, &T)> {
@@ -195,19 +174,6 @@ impl<T> PrefixTrie<T> {
         best
     }
 
-    /// Removes the exact entry at `prefix`, returning its value. The trie
-    /// nodes stay allocated (harmless; the RIB holds a few hundred routes),
-    /// but lookups immediately stop matching — this is the mechanism behind
-    /// anycast/BGP route withdrawal in the chaos layer.
-    pub fn remove(&mut self, prefix: &Ipv4Net) -> Option<T> {
-        let addr = u32::from(prefix.network());
-        let mut node = 0usize;
-        for depth in 0..prefix.prefix_len() {
-            node = self.nodes[node].children[Self::bit(addr, depth)]? as usize;
-        }
-        self.nodes[node].value.take()
-    }
-
     /// Number of stored prefixes.
     pub fn len(&self) -> usize {
         self.nodes.iter().filter(|n| n.value.is_some()).count()
@@ -219,8 +185,7 @@ impl<T> PrefixTrie<T> {
     }
 
     /// Every stored `(prefix, value)` pair, in ascending `(addr, len)`
-    /// order. Withdrawn entries (value taken by [`PrefixTrie::remove`])
-    /// do not appear.
+    /// order.
     pub fn entries(&self) -> Vec<(Ipv4Net, &T)> {
         let mut out = Vec::with_capacity(self.len());
         self.collect_entries(0, 0, 0, &mut out);
@@ -252,8 +217,7 @@ impl<T> PrefixTrie<T> {
 impl<T: Copy> PrefixTrie<T> {
     /// Compiles the trie's current contents into a [`FlatLpm`] — the
     /// immutable binary-search form the hot lookup paths use. The trie
-    /// stays the mutable build/withdraw structure; recompile after any
-    /// insert or remove.
+    /// stays the mutable build structure; recompile after any insert.
     pub fn compile(&self) -> FlatLpm<T> {
         FlatLpm::from_entries(self.entries().into_iter().map(|(net, v)| (net, *v)))
     }
@@ -267,7 +231,7 @@ impl<T: Copy> PrefixTrie<T> {
 /// through `Vec`-indexed nodes), a lookup here touches a handful of
 /// contiguous arrays — the classic RIB "compile" step. The table is a
 /// frozen snapshot: build it from the trie via [`PrefixTrie::compile`]
-/// once per round/run, after all announcements and withdrawals.
+/// once per round/run, after all announcements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatLpm<T> {
     /// `(prefix_len, sorted [(masked_addr, value)])`, longest length first.
@@ -356,9 +320,6 @@ mod tests {
         let apple8 = net("17.0.0.0/8");
         assert!(apple8.contains(ip("17.253.37.16")));
         assert!(!apple8.contains(ip("23.0.0.1")));
-        assert!(apple8.covers(&net("17.253.0.0/16")));
-        assert!(!net("17.253.0.0/16").covers(&apple8));
-        assert!(apple8.covers(&apple8));
     }
 
     #[test]
@@ -395,34 +356,7 @@ mod tests {
         let mut trie = PrefixTrie::new();
         assert_eq!(trie.insert(net("10.0.0.0/8"), 1), None);
         assert_eq!(trie.insert(net("10.0.0.0/8"), 2), Some(1));
-        assert_eq!(trie.get(&net("10.0.0.0/8")), Some(&2));
-    }
-
-    #[test]
-    fn trie_exact_get_distinguishes_lengths() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("10.0.0.0/8"), 8);
-        trie.insert(net("10.0.0.0/16"), 16);
-        assert_eq!(trie.get(&net("10.0.0.0/8")), Some(&8));
-        assert_eq!(trie.get(&net("10.0.0.0/16")), Some(&16));
-        assert_eq!(trie.get(&net("10.0.0.0/24")), None);
-    }
-
-    #[test]
-    fn trie_remove_withdraws_only_the_exact_prefix() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("17.0.0.0/8"), "agg");
-        trie.insert(net("17.253.0.0/16"), "cdn");
-        assert_eq!(trie.remove(&net("17.253.0.0/16")), Some("cdn"));
-        // The covering /8 still matches — withdrawal falls back, not black-holes.
-        assert_eq!(trie.lookup(ip("17.253.1.1")), Some((8, &"agg")));
-        assert_eq!(trie.len(), 1);
-        // Removing an absent or already-removed prefix is a no-op.
-        assert_eq!(trie.remove(&net("17.253.0.0/16")), None);
-        assert_eq!(trie.remove(&net("99.0.0.0/8")), None);
-        // Re-announce restores the specific route.
-        trie.insert(net("17.253.0.0/16"), "cdn");
-        assert_eq!(trie.lookup(ip("17.253.1.1")), Some((16, &"cdn")));
+        assert_eq!(trie.lookup(ip("10.1.2.3")), Some((8, &2)));
     }
 
     #[test]
@@ -436,27 +370,33 @@ mod tests {
     #[test]
     fn with_capacity_presizes_and_shrink_releases() {
         let mut trie: PrefixTrie<u32> = PrefixTrie::with_capacity(10);
-        let before = trie.node_count();
+        let before = trie.nodes.len();
         for i in 0..10u32 {
             trie.insert(Ipv4Net::new(Ipv4Addr::from(i << 24), 8), i);
         }
         // All nodes fit in the reservation: one allocation up front.
         assert_eq!(before, 1);
-        assert!(trie.node_count() <= 1 + 10 * 32);
+        assert!(trie.nodes.len() <= 1 + 10 * 32);
         trie.shrink_to_fit();
         assert_eq!(trie.len(), 10);
         assert_eq!(trie.lookup(ip("3.1.2.3")), Some((8, &3)));
     }
 
     #[test]
-    fn entries_lists_live_prefixes_sorted() {
+    fn entries_lists_prefixes_sorted() {
         let mut trie = PrefixTrie::new();
         trie.insert(net("17.0.0.0/8"), "agg");
         trie.insert(net("17.253.0.0/16"), "cdn");
         trie.insert(net("10.0.0.0/8"), "ten");
-        trie.remove(&net("17.253.0.0/16"));
         let entries: Vec<_> = trie.entries().into_iter().map(|(n, v)| (n, *v)).collect();
-        assert_eq!(entries, vec![(net("10.0.0.0/8"), "ten"), (net("17.0.0.0/8"), "agg")]);
+        assert_eq!(
+            entries,
+            vec![
+                (net("10.0.0.0/8"), "ten"),
+                (net("17.0.0.0/8"), "agg"),
+                (net("17.253.0.0/16"), "cdn")
+            ]
+        );
     }
 
     #[test]
@@ -479,18 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_lpm_reflects_withdrawals_at_compile_time() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(net("17.0.0.0/8"), "agg");
-        trie.insert(net("17.253.0.0/16"), "cdn");
-        trie.remove(&net("17.253.0.0/16"));
-        let flat = trie.compile();
-        // Withdrawal falls back to the covering aggregate, as in the trie.
-        assert_eq!(flat.lookup(ip("17.253.1.1")), Some((8, "agg")));
-        assert_eq!(flat.len(), 1);
-    }
-
-    #[test]
     fn flat_lpm_duplicate_prefix_keeps_last() {
         let flat = FlatLpm::from_entries([(net("10.0.0.0/8"), 1), (net("10.0.0.0/8"), 2)]);
         assert_eq!(flat.lookup(ip("10.1.2.3")), Some((8, 2)));
@@ -510,15 +438,14 @@ mod lpm_equivalence {
 
     proptest! {
         /// For ANY prefix set — including duplicates, nested prefixes,
-        /// host routes, and a default route — and ANY subset of
-        /// withdrawals, the compiled flat table answers every longest-
-        /// prefix query exactly like the trie it was built from. Probe
+        /// host routes, and a default route — the compiled flat table
+        /// answers every longest-prefix query exactly like the trie it
+        /// was built from. Probe
         /// addresses cover each prefix's network address, its last
         /// address, just-outside neighbours, and unrelated addresses.
         #[test]
         fn compiled_table_equals_trie(
             routes in proptest::collection::vec(arb_route(), 0..24),
-            withdraw_mask in any::<u32>(),
             extra_probes in proptest::collection::vec(any::<u32>(), 0..16),
         ) {
             let mut trie = PrefixTrie::with_capacity(routes.len());
@@ -528,12 +455,6 @@ mod lpm_equivalence {
                 .collect();
             for (net, &(_, _, value)) in nets.iter().zip(&routes) {
                 trie.insert(*net, value);
-            }
-            // Withdraw an arbitrary subset post-build (chaos-layer moves).
-            for (i, net) in nets.iter().enumerate() {
-                if withdraw_mask & (1 << (i % 32)) != 0 {
-                    trie.remove(net);
-                }
             }
             let flat = trie.compile();
             prop_assert_eq!(flat.len(), trie.len());

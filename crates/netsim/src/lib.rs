@@ -26,7 +26,7 @@ pub mod routing;
 pub mod topology;
 pub mod traceroute;
 
-pub use bgp_wire::{RibBuilder, Update as BgpUpdate};
+pub use bgp_wire::Update as BgpUpdate;
 pub use ip::{FlatLpm, Ipv4Net, PrefixTrie};
 pub use routing::Router;
 pub use topology::{AsId, AsInfo, AsKind, DirectedRel, Link, LinkId, Relationship, Topology};

@@ -110,11 +110,6 @@ impl Router {
             None
         }
     }
-
-    /// Number of cached (src, dst) entries.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +227,7 @@ mod tests {
         let a = r.path(&t, AsId(4), AsId(1));
         let b = r.path(&t, AsId(4), AsId(1));
         assert_eq!(a, b);
-        assert_eq!(r.cache_len(), 1);
+        assert_eq!(r.cache.len(), 1);
     }
 
     #[test]

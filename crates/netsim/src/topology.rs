@@ -142,7 +142,7 @@ impl Topology {
     /// Compiles the current RIB into an immutable [`FlatLpm`] for
     /// binary-search longest-prefix lookups on hot paths (per-flow
     /// routing, per-address classification). The table is a snapshot:
-    /// recompile after any announce/withdraw.
+    /// recompile after any announce.
     pub fn compiled_rib(&self) -> FlatLpm<AsId> {
         self.rib.compile()
     }
@@ -152,21 +152,6 @@ impl Topology {
         assert!(self.ases.contains_key(&origin), "unknown AS");
         self.rib.insert(prefix, origin);
         self.prefixes.entry(origin).or_default().push(prefix);
-    }
-
-    /// Withdraws `prefix` if it is currently originated by `origin`,
-    /// returning whether a route was removed. Traffic to the prefix then
-    /// falls back to any covering announcement (or becomes unroutable) —
-    /// the BGP-withdrawal half of an anycast failure.
-    pub fn withdraw(&mut self, origin: AsId, prefix: Ipv4Net) -> bool {
-        if self.rib.get(&prefix) != Some(&origin) {
-            return false;
-        }
-        self.rib.remove(&prefix);
-        if let Some(v) = self.prefixes.get_mut(&origin) {
-            v.retain(|p| *p != prefix);
-        }
-        true
     }
 
     /// The origin AS of `ip` per longest-prefix match, if any.
@@ -215,11 +200,6 @@ impl Topology {
     /// Prefixes originated by `asn`.
     pub fn prefixes_of(&self, asn: AsId) -> &[Ipv4Net] {
         self.prefixes.get(&asn).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total number of RIB entries.
-    pub fn rib_size(&self) -> usize {
-        self.rib.len()
     }
 }
 
@@ -278,7 +258,7 @@ mod tests {
         assert_eq!(t.origin_of("23.1.2.3".parse().unwrap()), Some(AsId(2)));
         assert_eq!(t.origin_of("23.2.2.3".parse().unwrap()), Some(AsId(3)));
         assert_eq!(t.origin_of("9.9.9.9".parse().unwrap()), None);
-        assert_eq!(t.rib_size(), 2);
+        assert_eq!(t.compiled_rib().len(), 2);
     }
 
     #[test]
@@ -322,46 +302,15 @@ mod tests {
     }
 
     #[test]
-    fn withdraw_removes_route_and_falls_back() {
-        let mut t = base();
-        let agg = Ipv4Net::parse("23.0.0.0/12").unwrap();
-        let specific = Ipv4Net::parse("23.1.0.0/16").unwrap();
-        t.announce(AsId(3), agg);
-        t.announce(AsId(3), specific);
-        let ip: Ipv4Addr = "23.1.2.3".parse().unwrap();
-        assert_eq!(t.origin_of(ip), Some(AsId(3)));
-        // Wrong origin cannot withdraw someone else's route.
-        assert!(!t.withdraw(AsId(2), specific));
-        assert!(t.withdraw(AsId(3), specific));
-        // Falls back to the covering aggregate; prefix list is updated.
-        assert_eq!(t.origin_of(ip), Some(AsId(3)));
-        assert_eq!(t.prefixes_of(AsId(3)), &[agg]);
-        assert_eq!(t.rib_size(), 1);
-        // Withdrawing the aggregate makes the space unroutable.
-        assert!(t.withdraw(AsId(3), agg));
-        assert_eq!(t.origin_of(ip), None);
-        // Second withdrawal of a gone route is a no-op.
-        assert!(!t.withdraw(AsId(3), agg));
-    }
-
-    #[test]
-    fn compiled_rib_matches_live_rib_through_withdrawals() {
+    fn compiled_rib_matches_live_rib() {
         let mut t = base();
         t.reserve_routes(3);
         t.announce(AsId(3), Ipv4Net::parse("23.0.0.0/12").unwrap());
         t.announce(AsId(2), Ipv4Net::parse("23.1.0.0/16").unwrap());
         t.announce(AsId(1), Ipv4Net::parse("84.17.0.0/16").unwrap());
         t.compact_rib();
-        let probes = ["23.1.2.3", "23.2.2.3", "84.17.9.9", "9.9.9.9"];
         let flat = t.compiled_rib();
-        for p in probes {
-            let ip: Ipv4Addr = p.parse().unwrap();
-            assert_eq!(flat.lookup(ip).map(|(_, a)| a), t.origin_of(ip), "{p}");
-        }
-        // A withdrawal shows up in the next compile, not the old snapshot.
-        assert!(t.withdraw(AsId(2), Ipv4Net::parse("23.1.0.0/16").unwrap()));
-        let flat = t.compiled_rib();
-        for p in probes {
+        for p in ["23.1.2.3", "23.2.2.3", "84.17.9.9", "9.9.9.9"] {
             let ip: Ipv4Addr = p.parse().unwrap();
             assert_eq!(flat.lookup(ip).map(|(_, a)| a), t.origin_of(ip), "{p}");
         }

@@ -418,18 +418,9 @@ pub fn trace(kind: u16, t: u64, key: u32, value: u64) {
     }
 }
 
-/// Records one cache-insertion TTL (seconds) into this thread's
-/// histogram.
-#[inline]
-pub fn ttl_observe(secs: u64) {
-    if enabled() {
-        SINK.with(|s| s.observe_ttl(secs));
-    }
-}
-
 /// Records one cache insertion: bumps [`id::CACHE_PUTS`] and observes
-/// the effective TTL, in a single sink access — the fused form of
-/// `record(CACHE_PUTS, 1)` + [`ttl_observe`] for the put hot path.
+/// the effective TTL (seconds) in this thread's histogram, in a single
+/// sink access.
 #[inline]
 pub fn record_put(ttl_secs: u64) {
     if enabled() {
@@ -832,7 +823,7 @@ mod tests {
         set_enabled(false);
         record(id::CACHE_HITS, 7);
         trace(event::RETRY_EXHAUSTED, 1, 2, 3);
-        ttl_observe(60);
+        record_put(60);
         global_add(global::DISPATCHES, 1);
         set_enabled(true);
         let taken = shard_take();

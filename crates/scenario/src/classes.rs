@@ -207,7 +207,7 @@ mod tests {
         CompiledNamespace, InternedResolver, Namespace, NoInternedFaults, QueryContext,
         ResolveScratch, Zone,
     };
-    use mcdn_dnswire::{Name, RecordType};
+    use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
     use mcdn_geo::{Continent, Coord, Locode, SimTime};
 
     /// Resolves a namespace holding exactly the CNAME hops `chain` from
@@ -217,7 +217,8 @@ mod tests {
         let mut net = Zone::new(Name::parse("net").unwrap());
         for (from, to) in chain {
             let zone = if from.ends_with(".com") { &mut com } else { &mut net };
-            zone.add_cname(from, to, 60);
+            let target = RData::Cname(Name::parse(to).unwrap());
+            zone.add(ResourceRecord::new(Name::parse(from).unwrap(), 60, target));
         }
         let mut ns = Namespace::new();
         ns.add_zone(com);

@@ -39,7 +39,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bgpfeed;
 pub mod chaos;
 pub mod checkpoint;
 pub mod classes;

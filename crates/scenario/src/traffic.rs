@@ -500,8 +500,16 @@ mod tests {
                 .map(|l| l.id)
                 .expect("direct link")
         };
-        let ak = r.snmp.sum_range(link_to(params::AKAMAI_AS), day, next);
-        let ll = r.snmp.sum_range(link_to(params::LIMELIGHT_AS), day, next);
+        let day_bytes = |asn| -> u64 {
+            let link = link_to(asn);
+            r.snmp
+                .samples()
+                .filter(|(t, l, _)| *l == link && *t >= day && *t < next)
+                .map(|(.., b)| b)
+                .sum()
+        };
+        let ak = day_bytes(params::AKAMAI_AS);
+        let ll = day_bytes(params::LIMELIGHT_AS);
         assert!(ak > 3 * ll, "Akamai {ak} vs Limelight {ll}");
     }
 }

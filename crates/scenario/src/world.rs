@@ -509,7 +509,7 @@ mod tests {
         let w = world();
         // 34 locations, six of which host two sites → 40 site instances.
         assert_eq!(w.apple.sites().len(), 40);
-        assert!(w.topo.rib_size() >= 18, "RIB has every announced prefix");
+        assert!(w.topo.compiled_rib().len() >= 18, "RIB has every announced prefix");
         assert_eq!(w.isp_d_links.len(), 4);
         assert_eq!(w.vms.len(), 9);
     }
@@ -615,7 +615,7 @@ mod tests {
         let s = Schedule::constant(quiet).with(
             Region::Eu,
             params::release(),
-            quiet.with_weight(CdnKind::Limelight, 0.4),
+            CdnShare { limelight: 0.4, ..quiet },
         );
         let err = validate_cdn_pools(&s, sizes).unwrap_err();
         assert_eq!(err, WorldBuildError::EmptyCdnPool { kind: CdnKind::Limelight, region: Region::Eu });

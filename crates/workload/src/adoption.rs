@@ -169,14 +169,6 @@ impl AdoptionModel {
         }
         rate * diurnal(continent, t, self.diurnal_amplitude)
     }
-
-    /// The pre-release rate (background only) at `t`.
-    pub fn background_rate(&self, continent: Continent, t: SimTime) -> f64 {
-        let pop = self.population.on(continent) as f64;
-        let tau = self.event.surge_tau.as_secs() as f64;
-        let peak = pop * self.event.week_one_adoption / (tau * 2.1);
-        peak * self.background_level * diurnal(continent, t, self.diurnal_amplitude)
-    }
 }
 
 #[cfg(test)]
@@ -235,15 +227,14 @@ mod tests {
 
     #[test]
     fn week_one_integral_matches_adoption_roughly() {
-        let m = model();
+        // No background, so only event-driven starts are counted.
+        let m = AdoptionModel { background_level: 0.0, ..model() };
         let mut total = 0.0;
         let step = Duration::mins(30);
         let mut t = m.event.release;
         let end = m.event.release + Duration::days(7);
         while t < end {
-            // Subtract background so only event-driven starts are counted.
-            total += (m.start_rate(Continent::Europe, t) - m.background_rate(Continent::Europe, t))
-                * step.as_secs() as f64;
+            total += m.start_rate(Continent::Europe, t) * step.as_secs() as f64;
             t += step;
         }
         let expected = m.population.on(Continent::Europe) as f64 * m.event.week_one_adoption;
@@ -254,8 +245,9 @@ mod tests {
     #[test]
     fn background_is_positive_and_small() {
         let m = model();
+        // Before the release the start rate is the background alone.
         let t = SimTime::from_ymd(2017, 9, 10);
-        let bg = m.background_rate(Continent::Europe, t);
+        let bg = m.start_rate(Continent::Europe, t);
         assert!(bg > 0.0);
         let peak = m.start_rate(Continent::Europe, m.event.release + Duration::mins(10));
         assert!(bg < peak / 10.0);

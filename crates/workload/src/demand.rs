@@ -12,11 +12,6 @@ pub fn demand_bps(model: &AdoptionModel, continent: Continent, t: SimTime) -> f6
     model.start_rate(continent, t) * model.event.image_bytes as f64 * 8.0
 }
 
-/// Pre-release background load in bits per second.
-pub fn background_bps(model: &AdoptionModel, continent: Continent, t: SimTime) -> f64 {
-    model.background_rate(continent, t) * model.event.image_bytes as f64 * 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,8 +41,9 @@ mod tests {
     #[test]
     fn background_much_smaller_than_event_peak() {
         let m = AdoptionModel::new(UpdateEvent::ios_11(), Population::world_2017());
+        // Two days before the release the demand is the background alone.
         let t0 = m.event.release - Duration::days(2);
-        let bg = background_bps(&m, Continent::Europe, t0);
+        let bg = demand_bps(&m, Continent::Europe, t0);
         let peak = demand_bps(&m, Continent::Europe, m.event.release + Duration::mins(10));
         assert!(bg * 10.0 < peak);
     }

@@ -29,5 +29,5 @@ pub mod population;
 
 pub use adoption::{diurnal, AdoptionModel, UpdateEvent};
 pub use demand::demand_bps;
-pub use manifest::{Manifest, ManifestEntry, ManifestServer};
+pub use manifest::{Manifest, ManifestEntry};
 pub use population::Population;

@@ -86,23 +86,6 @@ impl Manifest {
         })
     }
 
-    /// Renders an XML plist-like document (shape only; enough for size
-    /// accounting and parsing tests).
-    pub fn to_xml(&self) -> String {
-        let mut out = String::from("<plist version=\"1.0\">\n<array>\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                " <dict><key>SUDocumentationID</key><string>{}</string>\
-<key>OSVersion</key><string>{}</string>\
-<key>Build</key><string>{}</string>\
-<key>__BaseURL</key><string>{}</string></dict>\n",
-                e.device, e.os_version, e.build, e.url
-            ));
-        }
-        out.push_str("</array>\n</plist>\n");
-        out
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -153,143 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn xml_contains_every_entry() {
-        let m = Manifest::update_brain();
-        let xml = m.to_xml();
-        assert_eq!(xml.matches("<dict>").count(), 6);
-        assert!(xml.starts_with("<plist"));
-    }
-
-    #[test]
     fn hourly_poll_rate() {
         // 1 B devices polling hourly ≈ 278 k qps on mesu.
         let qps = poll_rate_qps(1_000_000_000);
         assert!((qps - 277_777.8).abs() < 1.0);
-    }
-}
-
-/// Parses a document produced by [`Manifest::to_xml`] back into a manifest
-/// (a round-trip format for the canonical writer, not a general plist
-/// parser).
-impl Manifest {
-    /// Inverse of [`Manifest::to_xml`].
-    pub fn from_xml(xml: &str) -> Option<Manifest> {
-        fn field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
-            let pat = format!("<key>{key}</key><string>");
-            let start = chunk.find(&pat)? + pat.len();
-            let rest = &chunk[start..];
-            let end = rest.find("</string>")?;
-            Some(&rest[..end])
-        }
-        if !xml.trim_start().starts_with("<plist") {
-            return None;
-        }
-        let mut entries = Vec::new();
-        for chunk in xml.split("<dict>").skip(1) {
-            let chunk = chunk.split("</dict>").next()?;
-            entries.push(ManifestEntry {
-                device: field(chunk, "SUDocumentationID")?.to_string(),
-                os_version: field(chunk, "OSVersion")?.to_string(),
-                build: field(chunk, "Build")?.to_string(),
-                url: field(chunk, "__BaseURL")?.to_string(),
-            });
-        }
-        Some(Manifest { entries })
-    }
-}
-
-/// The `mesu.apple.com` origin: serves the manifest with conditional-GET
-/// semantics. Devices poll hourly with `If-None-Match`; between releases
-/// the manifest is unchanged and nearly every poll is a tiny 304 — which is
-/// why the polling fleet of a billion devices is cheap while the *download*
-/// flash crowd is not.
-#[derive(Debug, Clone)]
-pub struct ManifestServer {
-    body: String,
-    etag: String,
-}
-
-impl ManifestServer {
-    /// A server for the given manifest.
-    pub fn new(manifest: &Manifest) -> ManifestServer {
-        let body = manifest.to_xml();
-        // Content-addressed ETag (FNV-1a over the body).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in body.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        ManifestServer { body, etag: format!("\"{h:016x}\"") }
-    }
-
-    /// The current entity tag.
-    pub fn etag(&self) -> &str {
-        &self.etag
-    }
-
-    /// Handles one conditional GET: `(status, body_bytes)`. A matching
-    /// `If-None-Match` yields `304` with an empty body.
-    pub fn get(&self, if_none_match: Option<&str>) -> (u16, usize) {
-        if if_none_match == Some(self.etag.as_str()) {
-            (304, 0)
-        } else {
-            (200, self.body.len())
-        }
-    }
-
-    /// Publishes a new manifest (a release): the ETag changes and the next
-    /// poll of every device transfers the full body again.
-    pub fn publish(&mut self, manifest: &Manifest) {
-        *self = ManifestServer::new(manifest);
-    }
-}
-
-#[cfg(test)]
-mod server_tests {
-    use super::*;
-
-    #[test]
-    fn xml_roundtrip() {
-        let m = Manifest::update_brain();
-        let back = Manifest::from_xml(&m.to_xml()).unwrap();
-        assert_eq!(back, m);
-        let big = Manifest::software_update();
-        let back = Manifest::from_xml(&big.to_xml()).unwrap();
-        assert_eq!(back.len(), big.len());
-        assert_eq!(back.entries[7], big.entries[7]);
-    }
-
-    #[test]
-    fn from_xml_rejects_garbage() {
-        assert!(Manifest::from_xml("not xml").is_none());
-    }
-
-    #[test]
-    fn conditional_get_saves_bytes_between_releases() {
-        let server = ManifestServer::new(&Manifest::software_update());
-        let (status, bytes) = server.get(None);
-        assert_eq!(status, 200);
-        assert!(bytes > 100_000, "~1800 entries are a substantial body");
-        // Subsequent hourly polls: 304, no body.
-        let (status, bytes) = server.get(Some(server.etag()));
-        assert_eq!((status, bytes), (304, 0));
-    }
-
-    #[test]
-    fn publishing_a_release_invalidates_etags() {
-        let mut server = ManifestServer::new(&Manifest::software_update());
-        let old_etag = server.etag().to_string();
-        // The release adds an entry.
-        let mut updated = Manifest::software_update();
-        updated.entries.push(ManifestEntry {
-            device: "iPhone10,3".into(),
-            os_version: "11.0".into(),
-            build: "15A372".into(),
-            url: "http://appldnld.apple.com/ios11.0/iPhone10,3_Restore.ipsw".into(),
-        });
-        server.publish(&updated);
-        assert_ne!(server.etag(), old_etag);
-        let (status, _) = server.get(Some(&old_etag));
-        assert_eq!(status, 200, "stale ETag refetches the full manifest");
     }
 }

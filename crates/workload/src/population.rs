@@ -42,17 +42,6 @@ impl Population {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// A scaled copy (`factor` in (0, 1] shrinks the fleet for fast tests
-    /// and benches without changing any rate *ratios*).
-    pub fn scaled(&self, factor: f64) -> Population {
-        assert!(factor > 0.0);
-        let mut counts = self.counts;
-        for c in &mut counts {
-            *c = (*c as f64 * factor).round() as u64;
-        }
-        Population { counts }
-    }
 }
 
 #[cfg(test)]
@@ -70,15 +59,5 @@ mod tests {
         let p = Population::world_2017();
         assert_eq!(p.on(Continent::Europe), 240_000_000);
         assert!(p.on(Continent::NorthAmerica) > p.on(Continent::Africa));
-    }
-
-    #[test]
-    fn scaling_preserves_ratios() {
-        let p = Population::world_2017();
-        let s = p.scaled(0.001);
-        let ratio = p.on(Continent::Europe) as f64 / p.on(Continent::Asia) as f64;
-        let ratio_s = s.on(Continent::Europe) as f64 / s.on(Continent::Asia) as f64;
-        assert!((ratio - ratio_s).abs() < 0.01);
-        assert_eq!(s.total(), 1_000_000);
     }
 }

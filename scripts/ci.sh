@@ -17,7 +17,7 @@ echo "==> cargo test"
 # run only its integration suites and skip every member crate's units.
 cargo test -q --workspace
 
-echo "==> cargo clippy -D warnings (tests, examples and benches included)"
+echo "==> cargo clippy -D warnings (tests and examples included)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc: every intra-doc link resolves"
@@ -191,14 +191,15 @@ echo "    in-ISP resumed output and $(wc -l < "$tmpdir/isp_metrics.det") determi
 echo "==> pool-vs-scope equivalence: persistent pool vs retired scoped engine"
 cargo test --release -q -p mcdn-exec pool_matches
 
-echo "==> bench smoke: BENCH_campaigns.json schema + count gates"
-# bench_campaigns exits nonzero when a gate fails. Its gates are exact
-# counts, the same on any host: pool dispatches and worker spawns at the
-# top thread count, allocations per resolution, and allocations with
-# metrics recording on against off. Walls, speedups and overheads are
-# reported, not gated.
+echo "==> bench smoke: BENCH_campaigns.json schema"
+# bench_campaigns exits nonzero when an output differs across thread
+# counts. It reports the engine's exact counts (pool dispatches and worker
+# spawns at the top thread count, allocations per resolution, and
+# allocations with metrics recording on against off); the count gates run
+# under `cargo test`, in tests/work_counts.rs. Walls, speedups and
+# overheads are reported, not gated.
 cargo run --release -q -p mcdn-bench --bin bench_campaigns -- --smoke "$tmpdir/BENCH_campaigns.json"
-grep -q '"schema": "mcdn-bench-campaigns-v10"' "$tmpdir/BENCH_campaigns.json"
+grep -q '"schema": "mcdn-bench-campaigns-v11"' "$tmpdir/BENCH_campaigns.json"
 grep -q '"identical_across_threads": true' "$tmpdir/BENCH_campaigns.json"
 if grep -q '"identical_across_threads": false' "$tmpdir/BENCH_campaigns.json"; then
   echo "    FAIL: some campaign diverged across thread counts"; exit 1
@@ -213,17 +214,6 @@ for field in thread_counts memo_hit_rate wall_ms shard_walls p50_ms p90_ms max_m
   grep -q "\"$field\"" "$tmpdir/BENCH_campaigns.json" || {
     echo "    FAIL: missing field $field"; exit 1; }
 done
-echo "    schema OK, count gates passed"
-
-echo "==> alloc gate: a real campaign window averages under one allocation per resolution"
-# The audit counts every allocation of the serial global campaign (setup,
-# round bookkeeping and the resolve loop) over its resolutions;
-# bench_campaigns already exits nonzero past the gate.
-allocs="$(grep -m1 '"allocs_per_resolution"' "$tmpdir/BENCH_campaigns.json" \
-  | sed 's/.*"allocs_per_resolution": \([0-9.]*\).*/\1/')"
-awk -v a="$allocs" 'BEGIN {
-  if (a == "" || a + 0 >= 1.0) { printf "    FAIL: allocs_per_resolution = %s (gate < 1.0)\n", a; exit 1 }
-  printf "    allocs_per_resolution = %s (< 1.0)\n", a
-}' || { grep -A10 '"alloc_audit"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
+echo "    schema OK"
 
 echo "CI OK"
