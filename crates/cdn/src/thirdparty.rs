@@ -53,19 +53,12 @@ pub struct ThirdPartyCdn {
     pub as_id: AsId,
     /// Pools indexed by `Region as usize` (the order of [`Region::ALL`]).
     pools: [RegionPools; 3],
-    /// Exponent shaping how fast the surge pool is exposed with load.
-    surge_exponent: f64,
 }
 
 impl ThirdPartyCdn {
     /// A CDN with empty pools.
     pub fn new(name: &str, as_id: AsId) -> ThirdPartyCdn {
-        ThirdPartyCdn {
-            name: name.to_string(),
-            as_id,
-            pools: Default::default(),
-            surge_exponent: 1.0,
-        }
+        ThirdPartyCdn { name: name.to_string(), as_id, pools: Default::default() }
     }
 
     fn pools(&self, region: Region) -> &RegionPools {
@@ -82,7 +75,7 @@ impl ThirdPartyCdn {
     ) -> impl Iterator<Item = &[Ipv4Addr]> + Clone + '_ {
         let load = load.clamp(0.0, 1.0);
         let pools = self.pools(region);
-        let n = (pools.surge.len() as f64 * load.powf(self.surge_exponent)).round() as usize;
+        let n = (pools.surge.len() as f64 * load).round() as usize;
         let surge = &pools.surge[..n.min(pools.surge.len())];
         [pools.base.as_slice(), surge].into_iter().chain(
             pools.offnet.iter().filter(move |p| load >= p.engage_at).map(|p| p.ips.as_slice()),

@@ -44,7 +44,7 @@ use crate::memo::MemoScope;
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
 use crate::resolver::{ResolutionTrace, TraceStep, MAX_CHAIN};
 use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope};
-use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
+use mcdn_dnswire::{Name, RData, RDataRef, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
 use std::collections::HashMap;
@@ -351,10 +351,21 @@ impl<'a> CompiledNamespace<'a> {
         }
     }
 
+    /// The wire form of `rdata`, its names borrowed from the table. Lossy
+    /// only for rdata other than A, CNAME and NS, which becomes empty
+    /// opaque RDATA of the same wire type.
+    pub fn wire_rdata(&self, rdata: IRData) -> RDataRef<'_> {
+        match rdata {
+            IRData::A(a) => RDataRef::A(a),
+            IRData::Cname(t) => RDataRef::Cname(self.table.name(t)),
+            IRData::Ns(t) => RDataRef::Ns(self.table.name(t)),
+            IRData::Opaque(t) => RDataRef::Other(t, &[]),
+        }
+    }
+
     /// Spells an interned trace out as a [`ResolutionTrace`] (reports,
-    /// exports, tests — allocates freely). Lossy only for rdata other than
-    /// A, CNAME and NS, which materializes as an empty `RData::Other` of
-    /// the same wire type.
+    /// exports, tests — allocates freely), its rdata as
+    /// [`CompiledNamespace::wire_rdata`] gives it.
     pub fn materialize_trace(&self, trace: &ITrace) -> ResolutionTrace {
         let name = |id: NameId| self.table.name(id).clone();
         let steps = trace
@@ -367,13 +378,7 @@ impl<'a> CompiledNamespace<'a> {
                     .records_of(step)
                     .iter()
                     .map(|r| {
-                        let rdata = match r.rdata {
-                            IRData::A(a) => RData::A(a),
-                            IRData::Cname(t) => RData::Cname(name(t)),
-                            IRData::Ns(t) => RData::Ns(name(t)),
-                            IRData::Opaque(t) => RData::Other(t, Vec::new()),
-                        };
-                        ResourceRecord::new(name(r.name), r.ttl, rdata)
+                        ResourceRecord::new(name(r.name), r.ttl, self.wire_rdata(r.rdata).into())
                     })
                     .collect(),
                 from_cache: step.from_cache,

@@ -1,8 +1,9 @@
 //! DNS messages: header, question, and full encode/decode with compression.
 
+use crate::decode::{self, Check, Owned};
 use crate::error::WireError;
 use crate::name::Name;
-use crate::rr::{Class, RData, RecordType, ResourceRecord};
+use crate::rr::{Class, RDataRef, RecordType, ResourceRecord};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -22,7 +23,7 @@ impl Opcode {
             Opcode::Other(v) => v & 0x0F,
         }
     }
-    fn from_u8(v: u8) -> Opcode {
+    pub(crate) fn from_u8(v: u8) -> Opcode {
         if v == 0 {
             Opcode::Query
         } else {
@@ -62,7 +63,7 @@ impl Rcode {
             Rcode::Other(v) => v & 0x0F,
         }
     }
-    fn from_u8(v: u8) -> Rcode {
+    pub(crate) fn from_u8(v: u8) -> Rcode {
         match v {
             0 => Rcode::NoError,
             1 => Rcode::FormErr,
@@ -142,43 +143,118 @@ pub struct Message {
     pub additionals: Vec<ResourceRecord>,
 }
 
-/// RFC 1035 §4.1.4 name compression for one message.
+/// Writes one DNS message at a time into a buffer it keeps, from
+/// borrowed names: [`MessageWriter::start`] with the header and the four
+/// section counts, then exactly that many questions, then the records of
+/// the answer, authority and additional sections in turn.
+/// [`Message::encode`] is this writer over the message's own names. A
+/// caller that keeps its names elsewhere, such as a name table, writes
+/// from there, and a writer reused across messages allocates only while
+/// its buffers grow.
 ///
-/// Every owner name emitted so far has recorded the offset of each of its
-/// suffixes at their first occurrence, keyed by the suffix's wire bytes
-/// borrowed from the message's own names. A later name ends in a pointer
-/// at its longest recorded suffix. Offsets from 0x4000 on cannot be
-/// addressed, so they are never recorded.
-struct Compressor<'a> {
-    offsets: HashMap<&'a [u8], u16>,
+/// Owner names are compressed (RFC 1035 §4.1.4). Every owner name written
+/// so far has recorded the offset of each of its suffixes at their first
+/// occurrence, keyed by the suffix's wire bytes borrowed from the name
+/// itself. A later name ends in a pointer at its longest recorded suffix.
+/// Offsets from 0x4000 on cannot be addressed, so they are never
+/// recorded. Names inside RDATA are written uncompressed.
+#[derive(Debug)]
+pub struct MessageWriter<'n> {
+    out: Vec<u8>,
+    offsets: HashMap<&'n [u8], u16>,
 }
 
-impl<'a> Compressor<'a> {
-    fn new() -> Compressor<'a> {
-        Compressor { offsets: HashMap::new() }
+impl Default for MessageWriter<'_> {
+    fn default() -> Self {
+        MessageWriter::new()
+    }
+}
+
+impl<'n> MessageWriter<'n> {
+    /// A writer with no message.
+    pub fn new() -> MessageWriter<'n> {
+        MessageWriter { out: Vec::with_capacity(512), offsets: HashMap::new() }
     }
 
-    /// Emits `name` at the current end of `out`, reusing earlier occurrences
-    /// of any suffix via pointers and remembering new suffixes.
-    fn emit(&mut self, name: &'a Name, out: &mut Vec<u8>) {
+    /// Starts a message, discarding the previous one: writes `header` and
+    /// the counts of questions, answers, authorities and additionals. A
+    /// count above 65,535 is a [`WireError::CountMismatch`].
+    pub fn start(&mut self, header: &Header, counts: [usize; 4]) -> Result<(), WireError> {
+        self.out.clear();
+        self.offsets.clear();
+        self.out.extend_from_slice(&header.id.to_be_bytes());
+        let f = &header.flags;
+        let b2 = ((f.qr as u8) << 7)
+            | (header.opcode.to_u8() << 3)
+            | ((f.aa as u8) << 2)
+            | ((f.tc as u8) << 1)
+            | (f.rd as u8);
+        let b3 = ((f.ra as u8) << 7) | header.rcode.to_u8();
+        self.out.push(b2);
+        self.out.push(b3);
+        for count in counts {
+            let count = u16::try_from(count).map_err(|_| WireError::CountMismatch)?;
+            self.out.extend_from_slice(&count.to_be_bytes());
+        }
+        Ok(())
+    }
+
+    /// Writes a question.
+    pub fn question(&mut self, name: &'n Name, qtype: RecordType, qclass: Class) {
+        self.owner(name);
+        self.out.extend_from_slice(&qtype.to_u16().to_be_bytes());
+        self.out.extend_from_slice(&qclass.to_u16().to_be_bytes());
+    }
+
+    /// Writes a record. RDATA longer than 65,535 octets is a
+    /// [`WireError::BadRdata`], and a TXT string longer than 255 a
+    /// [`WireError::TxtTooLong`]; the message is then unusable.
+    pub fn record(
+        &mut self,
+        owner: &'n Name,
+        class: Class,
+        ttl: u32,
+        rdata: RDataRef<'_>,
+    ) -> Result<(), WireError> {
+        self.owner(owner);
+        let out = &mut self.out;
+        out.extend_from_slice(&rdata.rtype().to_u16().to_be_bytes());
+        out.extend_from_slice(&class.to_u16().to_be_bytes());
+        out.extend_from_slice(&ttl.to_be_bytes());
+        let rdlen_at = out.len();
+        out.extend_from_slice(&[0, 0]);
+        rdata.encode(out)?;
+        let rdlen = u16::try_from(out.len() - rdlen_at - 2).map_err(|_| WireError::BadRdata)?;
+        out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+        Ok(())
+    }
+
+    /// The message written so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.out
+    }
+
+    /// Writes `name` at the end of the message, ending in a pointer at its
+    /// longest recorded suffix and recording the suffixes it spells out.
+    fn owner(&mut self, name: &'n Name) {
         let mut rest = name.wire();
         while let Some(&len) = rest.first() {
             match self.offsets.entry(rest) {
                 Entry::Occupied(first) => {
-                    out.extend_from_slice(&(0xC000 | first.get()).to_be_bytes());
+                    self.out.extend_from_slice(&(0xC000 | first.get()).to_be_bytes());
                     return;
                 }
                 Entry::Vacant(slot) => {
-                    if let Ok(here @ 0..=0x3FFF) = u16::try_from(out.len()) {
+                    if let Ok(here @ 0..=0x3FFF) = u16::try_from(self.out.len()) {
                         slot.insert(here);
                     }
                 }
             }
             let (label, tail) = rest.split_at(1 + len as usize);
-            out.extend_from_slice(label);
+            self.out.extend_from_slice(label);
             rest = tail;
         }
-        out.push(0);
+        self.out.push(0);
     }
 }
 
@@ -213,117 +289,41 @@ impl Message {
 
     /// Encodes the message to bytes with name compression.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::with_capacity(512);
-        out.extend_from_slice(&self.header.id.to_be_bytes());
-        let f = &self.header.flags;
-        let b2 = ((f.qr as u8) << 7)
-            | (self.header.opcode.to_u8() << 3)
-            | ((f.aa as u8) << 2)
-            | ((f.tc as u8) << 1)
-            | (f.rd as u8);
-        let b3 = ((f.ra as u8) << 7) | self.header.rcode.to_u8();
-        out.push(b2);
-        out.push(b3);
-        for count in [
+        let mut w = MessageWriter::new();
+        let counts = [
             self.questions.len(),
             self.answers.len(),
             self.authorities.len(),
             self.additionals.len(),
-        ] {
-            let count = u16::try_from(count).map_err(|_| WireError::CountMismatch)?;
-            out.extend_from_slice(&count.to_be_bytes());
-        }
-        let mut comp = Compressor::new();
+        ];
+        w.start(&self.header, counts)?;
         for q in &self.questions {
-            comp.emit(&q.name, &mut out);
-            out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
-            out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
+            w.question(&q.name, q.qtype, q.qclass);
         }
         for rr in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
-            comp.emit(&rr.name, &mut out);
-            out.extend_from_slice(&rr.rtype().to_u16().to_be_bytes());
-            out.extend_from_slice(&rr.class.to_u16().to_be_bytes());
-            out.extend_from_slice(&rr.ttl.to_be_bytes());
-            let rdlen_at = out.len();
-            out.extend_from_slice(&[0, 0]);
-            let start = out.len();
-            rr.rdata.encode(&mut out)?;
-            let rdlen = u16::try_from(out.len() - start).map_err(|_| WireError::BadRdata)?;
-            out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+            w.record(&rr.name, rr.class, rr.ttl, rr.rdata.borrowed())?;
         }
-        Ok(out)
+        Ok(w.out)
     }
 
     /// Decodes a message from bytes.
     pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
-        if buf.len() < 12 {
-            return Err(WireError::Truncated);
-        }
-        let id = u16::from_be_bytes([buf[0], buf[1]]);
-        let (b2, b3) = (buf[2], buf[3]);
-        let header = Header {
-            id,
-            flags: Flags {
-                qr: b2 & 0x80 != 0,
-                aa: b2 & 0x04 != 0,
-                tc: b2 & 0x02 != 0,
-                rd: b2 & 0x01 != 0,
-                ra: b3 & 0x80 != 0,
-            },
-            opcode: Opcode::from_u8((b2 >> 3) & 0x0F),
-            rcode: Rcode::from_u8(b3 & 0x0F),
-        };
-        let count = |i: usize| u16::from_be_bytes([buf[4 + 2 * i], buf[5 + 2 * i]]) as usize;
-        let (qd, an, ns, ar) = (count(0), count(1), count(2), count(3));
+        let mut sink = Owned::new();
+        decode::message(buf, &mut sink)?;
+        Ok(sink.into_message())
+    }
 
-        // Count sanity: even maximally compressed, a question costs 5 bytes
-        // (pointer name + type/class) and a record 11 (pointer name + fixed
-        // part + empty RDATA). Headers claiming more entries than the
-        // remaining bytes could possibly hold are rejected up front, so a
-        // 12-byte flood with inflated counts costs O(1), not 4×65535
-        // aborted section parses.
-        let floor = qd * 5 + (an + ns + ar) * 11;
-        if floor > buf.len() - 12 {
-            return Err(WireError::Truncated);
-        }
-
-        let mut pos = 12;
-        let mut questions = Vec::with_capacity(qd.min(32));
-        for _ in 0..qd {
-            let (name, p) = Name::decode(buf, pos)?;
-            let fixed = buf.get(p..p + 4).ok_or(WireError::Truncated)?;
-            questions.push(Question {
-                name,
-                qtype: RecordType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]])),
-                qclass: Class::from_u16(u16::from_be_bytes([fixed[2], fixed[3]])),
-            });
-            pos = p + 4;
-        }
-        let decode_rrs = |n: usize, pos: &mut usize| -> Result<Vec<ResourceRecord>, WireError> {
-            let mut rrs = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let (name, p) = Name::decode(buf, *pos)?;
-                let fixed = buf.get(p..p + 10).ok_or(WireError::Truncated)?;
-                let rtype = RecordType::from_u16(u16::from_be_bytes([fixed[0], fixed[1]]));
-                let class = Class::from_u16(u16::from_be_bytes([fixed[2], fixed[3]]));
-                let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
-                let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
-                let rdata = RData::decode(rtype, buf, p + 10, rdlen)?;
-                rrs.push(ResourceRecord { name, class, ttl, rdata });
-                *pos = p + 10 + rdlen;
-            }
-            Ok(rrs)
-        };
-        let answers = decode_rrs(an, &mut pos)?;
-        let authorities = decode_rrs(ns, &mut pos)?;
-        let additionals = decode_rrs(ar, &mut pos)?;
-        Ok(Message { header, questions, answers, authorities, additionals })
+    /// Checks `buf` as [`Message::decode`] does, check for check, and
+    /// returns the same error, without building anything: no allocation.
+    pub fn validate(buf: &[u8]) -> Result<(), WireError> {
+        decode::message(buf, &mut Check)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rr::RData;
     use std::net::Ipv4Addr;
 
     fn n(s: &str) -> Name {

@@ -1,5 +1,6 @@
 //! Domain names: parsing, display, ordering, and wire representation.
 
+use crate::decode::{self, Owned};
 use crate::error::WireError;
 use core::cmp::Ordering;
 use core::fmt;
@@ -9,10 +10,6 @@ use std::hash::{Hash, Hasher};
 pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a whole name on the wire (RFC 1035 §2.3.4).
 pub const MAX_NAME_LEN: usize = 255;
-/// Maximum number of compression pointers we will chase before declaring a
-/// loop. A legal message can never need more than the number of labels, and
-/// 128 comfortably exceeds any legitimate chain.
-const MAX_POINTER_HOPS: usize = 128;
 
 /// A fully-qualified domain name in its uncompressed wire form.
 ///
@@ -154,58 +151,16 @@ impl Name {
         out.push(0);
     }
 
+    /// Wraps labels the decode walker checked against both caps.
+    pub(crate) fn from_walked(wire: &[u8]) -> Name {
+        Name { wire: wire.to_vec() }
+    }
+
     /// Decodes a name starting at `pos` in `buf`, following compression
     /// pointers. Returns the name and the position just past its *first*
     /// occurrence (i.e. past the pointer if one was used).
     pub fn decode(buf: &[u8], pos: usize) -> Result<(Name, usize), WireError> {
-        // The labels gather here and are copied out once, at their size.
-        let mut wire = [0u8; MAX_NAME_LEN];
-        let mut used = 0usize;
-        let mut cursor = pos;
-        let mut after: Option<usize> = None; // resume point after first pointer
-        let mut hops = 0usize;
-        loop {
-            let len = *buf.get(cursor).ok_or(WireError::Truncated)? as usize;
-            match len {
-                0 => {
-                    cursor += 1;
-                    break;
-                }
-                1..=MAX_LABEL_LEN => {
-                    let start = cursor + 1;
-                    let end = start + len;
-                    let label = buf.get(start..end).ok_or(WireError::Truncated)?;
-                    // `used + 1 + len` label bytes plus the terminating zero.
-                    if used + len + 2 > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong);
-                    }
-                    wire[used] = len as u8;
-                    let dst = &mut wire[used + 1..used + 1 + len];
-                    dst.copy_from_slice(label);
-                    dst.make_ascii_lowercase();
-                    used += 1 + len;
-                    cursor = end;
-                }
-                l if l & 0xC0 == 0xC0 => {
-                    let second = *buf.get(cursor + 1).ok_or(WireError::Truncated)? as usize;
-                    let target = ((len & 0x3F) << 8) | second;
-                    // Pointers must point strictly backwards to prevent loops.
-                    if target >= cursor {
-                        return Err(WireError::BadPointer);
-                    }
-                    hops += 1;
-                    if hops > MAX_POINTER_HOPS {
-                        return Err(WireError::BadPointer);
-                    }
-                    if after.is_none() {
-                        after = Some(cursor + 2);
-                    }
-                    cursor = target;
-                }
-                _ => return Err(WireError::BadLabelType),
-            }
-        }
-        Ok((Name { wire: wire[..used].to_vec() }, after.unwrap_or(cursor)))
+        decode::name(buf, pos, &mut Owned::new())
     }
 }
 

@@ -173,7 +173,7 @@ fn encode_body_reference(msg: &Message) -> Result<Vec<u8>, WireError> {
         let rdlen_at = out.len();
         out.extend_from_slice(&[0, 0]);
         let start = out.len();
-        rr.rdata.encode(&mut out)?;
+        rr.rdata.borrowed().encode(&mut out)?;
         let rdlen = u16::try_from(out.len() - start).map_err(|_| WireError::BadRdata)?;
         out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
     }

@@ -142,31 +142,75 @@ pub enum RData {
 impl RData {
     /// The record type this RDATA belongs with.
     pub fn rtype(&self) -> RecordType {
+        self.borrowed().rtype()
+    }
+
+    /// The RDATA with its names and bytes borrowed, as the writer takes it.
+    pub fn borrowed(&self) -> RDataRef<'_> {
         match self {
-            RData::A(_) => RecordType::A,
-            RData::Ns(_) => RecordType::Ns,
-            RData::Cname(_) => RecordType::Cname,
-            RData::Soa(_) => RecordType::Soa,
-            RData::Ptr(_) => RecordType::Ptr,
-            RData::Txt(_) => RecordType::Txt,
-            RData::Aaaa(_) => RecordType::Aaaa,
-            RData::Other(code, _) => RecordType::Other(*code),
+            RData::A(a) => RDataRef::A(*a),
+            RData::Ns(n) => RDataRef::Ns(n),
+            RData::Cname(n) => RDataRef::Cname(n),
+            RData::Soa(soa) => RDataRef::Soa(soa),
+            RData::Ptr(n) => RDataRef::Ptr(n),
+            RData::Txt(strings) => RDataRef::Txt(strings),
+            RData::Aaaa(a) => RDataRef::Aaaa(*a),
+            RData::Other(code, bytes) => RDataRef::Other(*code, bytes),
+        }
+    }
+}
+
+/// RDATA whose names and bytes are borrowed from wherever they live: a
+/// [`RData`] ([`RData::borrowed`]) or a table of names. This is what
+/// [`MessageWriter::record`](crate::MessageWriter::record) encodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RDataRef<'a> {
+    /// IPv4 address.
+    A(Ipv4Addr),
+    /// Name server.
+    Ns(&'a Name),
+    /// Canonical name.
+    Cname(&'a Name),
+    /// Start of authority.
+    Soa(&'a Soa),
+    /// Reverse pointer.
+    Ptr(&'a Name),
+    /// Text strings (each ≤255 octets).
+    Txt(&'a [Vec<u8>]),
+    /// IPv6 address.
+    Aaaa(Ipv6Addr),
+    /// Opaque bytes for unmodelled types, tagged with the wire type code.
+    Other(u16, &'a [u8]),
+}
+
+impl RDataRef<'_> {
+    /// The record type this RDATA belongs with.
+    pub fn rtype(self) -> RecordType {
+        match self {
+            RDataRef::A(_) => RecordType::A,
+            RDataRef::Ns(_) => RecordType::Ns,
+            RDataRef::Cname(_) => RecordType::Cname,
+            RDataRef::Soa(_) => RecordType::Soa,
+            RDataRef::Ptr(_) => RecordType::Ptr,
+            RDataRef::Txt(_) => RecordType::Txt,
+            RDataRef::Aaaa(_) => RecordType::Aaaa,
+            RDataRef::Other(code, _) => RecordType::Other(code),
         }
     }
 
     /// Encodes RDATA (uncompressed names, as modern encoders do) into `out`.
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
+    pub(crate) fn encode(self, out: &mut Vec<u8>) -> Result<(), WireError> {
         match self {
-            RData::A(a) => out.extend_from_slice(&a.octets()),
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => n.encode_uncompressed(out),
-            RData::Soa(soa) => {
+            RDataRef::A(a) => out.extend_from_slice(&a.octets()),
+            RDataRef::Ns(n) | RDataRef::Cname(n) | RDataRef::Ptr(n) => n.encode_uncompressed(out),
+            RDataRef::Soa(soa) => {
                 soa.mname.encode_uncompressed(out);
                 soa.rname.encode_uncompressed(out);
                 for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
                     out.extend_from_slice(&v.to_be_bytes());
                 }
             }
-            RData::Txt(strings) => {
+            RDataRef::Txt(strings) => {
                 for s in strings {
                     if s.len() > 255 {
                         return Err(WireError::TxtTooLong);
@@ -175,72 +219,24 @@ impl RData {
                     out.extend_from_slice(s);
                 }
             }
-            RData::Aaaa(a) => out.extend_from_slice(&a.octets()),
-            RData::Other(_, bytes) => out.extend_from_slice(bytes),
+            RDataRef::Aaaa(a) => out.extend_from_slice(&a.octets()),
+            RDataRef::Other(_, bytes) => out.extend_from_slice(bytes),
         }
         Ok(())
     }
+}
 
-    /// Decodes RDATA of type `rtype` from `buf[pos..pos+rdlen]`; `buf` is the
-    /// whole message so compressed names inside RDATA resolve correctly.
-    pub(crate) fn decode(
-        rtype: RecordType,
-        buf: &[u8],
-        pos: usize,
-        rdlen: usize,
-    ) -> Result<RData, WireError> {
-        let end = pos + rdlen;
-        let slice = buf.get(pos..end).ok_or(WireError::Truncated)?;
-        match rtype {
-            RecordType::A => {
-                let octets: [u8; 4] = slice.try_into().map_err(|_| WireError::BadRdata)?;
-                Ok(RData::A(Ipv4Addr::from(octets)))
-            }
-            RecordType::Aaaa => {
-                let octets: [u8; 16] = slice.try_into().map_err(|_| WireError::BadRdata)?;
-                Ok(RData::Aaaa(Ipv6Addr::from(octets)))
-            }
-            RecordType::Ns | RecordType::Cname | RecordType::Ptr => {
-                let (name, after) = Name::decode(buf, pos)?;
-                if after != end {
-                    return Err(WireError::BadRdata);
-                }
-                match rtype {
-                    RecordType::Ns => Ok(RData::Ns(name)),
-                    RecordType::Cname => Ok(RData::Cname(name)),
-                    _ => Ok(RData::Ptr(name)),
-                }
-            }
-            RecordType::Soa => {
-                let (mname, p) = Name::decode(buf, pos)?;
-                let (rname, p) = Name::decode(buf, p)?;
-                let tail = buf.get(p..p + 20).ok_or(WireError::BadRdata)?;
-                if p + 20 != end {
-                    return Err(WireError::BadRdata);
-                }
-                let word = |i: usize| u32::from_be_bytes(tail[i * 4..i * 4 + 4].try_into().unwrap());
-                Ok(RData::Soa(Box::new(Soa {
-                    mname,
-                    rname,
-                    serial: word(0),
-                    refresh: word(1),
-                    retry: word(2),
-                    expire: word(3),
-                    minimum: word(4),
-                })))
-            }
-            RecordType::Txt => {
-                let mut strings = Vec::new();
-                let mut p = 0;
-                while p < slice.len() {
-                    let len = slice[p] as usize;
-                    let s = slice.get(p + 1..p + 1 + len).ok_or(WireError::BadRdata)?;
-                    strings.push(s.to_vec());
-                    p += 1 + len;
-                }
-                Ok(RData::Txt(strings))
-            }
-            RecordType::Other(code) => Ok(RData::Other(code, slice.to_vec())),
+impl From<RDataRef<'_>> for RData {
+    fn from(rdata: RDataRef<'_>) -> RData {
+        match rdata {
+            RDataRef::A(a) => RData::A(a),
+            RDataRef::Ns(n) => RData::Ns(n.clone()),
+            RDataRef::Cname(n) => RData::Cname(n.clone()),
+            RDataRef::Soa(soa) => RData::Soa(Box::new(soa.clone())),
+            RDataRef::Ptr(n) => RData::Ptr(n.clone()),
+            RDataRef::Txt(strings) => RData::Txt(strings.to_vec()),
+            RDataRef::Aaaa(a) => RData::Aaaa(a),
+            RDataRef::Other(code, bytes) => RData::Other(code, bytes.to_vec()),
         }
     }
 }
@@ -293,6 +289,18 @@ impl fmt::Display for ResourceRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{self, Owned};
+
+    /// Decodes `buf` as the whole RDATA of a `rtype` record.
+    fn decode(rtype: RecordType, buf: &[u8]) -> Result<RData, WireError> {
+        decode::rdata(rtype, buf, 0, buf.len(), &mut Owned::new())
+    }
+
+    fn encode(rdata: &RData) -> Result<Vec<u8>, WireError> {
+        let mut buf = Vec::new();
+        rdata.borrowed().encode(&mut buf)?;
+        Ok(buf)
+    }
 
     #[test]
     fn record_type_wire_values() {
@@ -314,28 +322,21 @@ mod tests {
     #[test]
     fn a_record_roundtrip() {
         let rdata = RData::A(Ipv4Addr::new(17, 253, 1, 8));
-        let mut buf = Vec::new();
-        rdata.encode(&mut buf).unwrap();
+        let buf = encode(&rdata).unwrap();
         assert_eq!(buf, [17, 253, 1, 8]);
-        let back = RData::decode(RecordType::A, &buf, 0, 4).unwrap();
-        assert_eq!(back, rdata);
+        assert_eq!(decode(RecordType::A, &buf).unwrap(), rdata);
     }
 
     #[test]
     fn a_record_bad_length() {
-        assert_eq!(
-            RData::decode(RecordType::A, &[1, 2, 3], 0, 3).unwrap_err(),
-            WireError::BadRdata
-        );
+        assert_eq!(decode(RecordType::A, &[1, 2, 3]).unwrap_err(), WireError::BadRdata);
     }
 
     #[test]
     fn cname_roundtrip() {
         let target = Name::parse("appldnld.apple.com.akadns.net").unwrap();
         let rdata = RData::Cname(target.clone());
-        let mut buf = Vec::new();
-        rdata.encode(&mut buf).unwrap();
-        let back = RData::decode(RecordType::Cname, &buf, 0, buf.len()).unwrap();
+        let back = decode(RecordType::Cname, &encode(&rdata).unwrap()).unwrap();
         assert_eq!(back, RData::Cname(target));
     }
 
@@ -351,23 +352,16 @@ mod tests {
             minimum: 1800,
         };
         let rdata = RData::Soa(Box::new(soa));
-        let mut buf = Vec::new();
-        rdata.encode(&mut buf).unwrap();
-        let back = RData::decode(RecordType::Soa, &buf, 0, buf.len()).unwrap();
-        assert_eq!(back, rdata);
+        assert_eq!(decode(RecordType::Soa, &encode(&rdata).unwrap()).unwrap(), rdata);
     }
 
     #[test]
     fn txt_roundtrip_and_limits() {
         let rdata = RData::Txt(vec![b"hello".to_vec(), b"world".to_vec()]);
-        let mut buf = Vec::new();
-        rdata.encode(&mut buf).unwrap();
-        let back = RData::decode(RecordType::Txt, &buf, 0, buf.len()).unwrap();
-        assert_eq!(back, rdata);
+        assert_eq!(decode(RecordType::Txt, &encode(&rdata).unwrap()).unwrap(), rdata);
 
         let too_long = RData::Txt(vec![vec![b'x'; 256]]);
-        let mut buf = Vec::new();
-        assert_eq!(too_long.encode(&mut buf).unwrap_err(), WireError::TxtTooLong);
+        assert_eq!(encode(&too_long).unwrap_err(), WireError::TxtTooLong);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! [`SplitMix64`] stream drives structured mutations over a seed corpus of
 //! valid messages, and [`run_fuzz`] asserts that
 //!
-//! 1. `Message::decode` never panics on any input, and
-//! 2. any message that *does* decode re-encodes and re-decodes to the same
+//! 1. `Message::decode` never panics on any input,
+//! 2. `Message::validate`, the decoder's check-only sink, returns the same
+//!    verdict as `Message::decode` on every input, error included,
+//! 3. any message that *does* decode re-encodes and re-decodes to the same
 //!    value (canonical stability), and
-//! 3. the unmutated seeds survive an exact `decode(encode(m)) == m`
+//! 4. the unmutated seeds survive an exact `decode(encode(m)) == m`
 //!    round-trip.
 //!
 //! There is no randomness source beyond the caller-supplied seed, so a fuzz
@@ -250,8 +252,9 @@ pub fn mutate(rng: &mut SplitMix64, seeds: &[Vec<u8>]) -> Vec<u8> {
     bytes
 }
 
-/// Tallies from one fuzz run or corpus replay. `panics` and
-/// `roundtrip_failures` are hard failures; the ok/error split is data.
+/// Tallies from one fuzz run or corpus replay. `panics`,
+/// `roundtrip_failures` and `sink_disagreements` are hard failures; the
+/// ok/error split is data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FuzzReport {
     /// Messages fed to the decoder.
@@ -265,24 +268,35 @@ pub struct FuzzReport {
     /// Decoded messages whose re-encode ∘ re-decode changed the value.
     /// Must be zero.
     pub roundtrip_failures: u64,
+    /// Inputs on which `Message::validate` and `Message::decode` returned
+    /// different verdicts or errors. Must be zero.
+    pub sink_disagreements: u64,
 }
 
 impl FuzzReport {
-    /// True when the run saw neither panics nor round-trip violations.
+    /// True when the run saw no panic, round-trip violation or sink
+    /// disagreement.
     pub fn clean(&self) -> bool {
-        self.panics == 0 && self.roundtrip_failures == 0
+        self.panics == 0 && self.roundtrip_failures == 0 && self.sink_disagreements == 0
     }
 }
 
-/// Feeds one input through decode (and, on success, through the
-/// re-encode/re-decode stability check), updating `report`.
+/// Feeds one input through both decoder sinks (and, on success, through
+/// the re-encode/re-decode stability check), updating `report`.
 fn exercise(bytes: &[u8], report: &mut FuzzReport) {
     report.iterations += 1;
-    let decoded = catch_unwind(AssertUnwindSafe(|| Message::decode(bytes)));
+    let both =
+        catch_unwind(AssertUnwindSafe(|| (Message::decode(bytes), Message::validate(bytes))));
+    let Ok((decoded, validated)) = both else {
+        report.panics += 1;
+        return;
+    };
+    if decoded.as_ref().err() != validated.as_ref().err() {
+        report.sink_disagreements += 1;
+    }
     match decoded {
-        Err(_) => report.panics += 1,
-        Ok(Err(_)) => report.decode_errors += 1,
-        Ok(Ok(msg)) => {
+        Err(_) => report.decode_errors += 1,
+        Ok(msg) => {
             report.decoded_ok += 1;
             // Anything that decodes must re-encode into bytes that decode
             // back to the same message: the decoded form is canonical.

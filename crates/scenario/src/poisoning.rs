@@ -12,10 +12,12 @@
 //! * **routing**: did any resolution hand demand to the attacker prefix?
 //! * **caches**: does any probe cache hold a record whose owner no
 //!   installed zone is authoritative for, or a TTL above the cache cap?
-//! * **the wire**: every answer observed is re-encoded as a DNS message,
-//!   seeded byte mutations are applied, and the total decoder consumes
-//!   the mangled bytes — decode errors are counted as data, panics are
-//!   impossible by the `dnswire` hardening contract.
+//! * **the wire**: every answer observed is written as a DNS message
+//!   straight from the compiled name table, seeded byte mutations are
+//!   applied, and the total decoder's check-only sink checks the clean
+//!   and the mangled bytes — decode errors are counted as data, panics
+//!   are impossible by the `dnswire` hardening contract. The stage reuses
+//!   its buffers for the whole run and builds no message.
 //!
 //! [`check_poison_invariants`] turns the audit into hard guarantees: with
 //! enforcement on, no out-of-bailiwick record is ever cached and no
@@ -31,10 +33,10 @@ use crate::loads::update_loads;
 use crate::world::World;
 use mcdn_atlas::Probe;
 use mcdn_dnssim::{
-    attacker_ns, attacker_owner, BailiwickPolicy, CompiledNamespace, IRoundMemo, ITamper,
+    attacker_ns, attacker_owner, BailiwickPolicy, CompiledNamespace, IRoundMemo, ITamper, ITrace,
     InternedMutationModel, QueryContext, ResolveScratch, MAX_CACHE_TTL,
 };
-use mcdn_dnswire::{Message, Rcode, RecordType};
+use mcdn_dnswire::{Class, Flags, Header, Message, MessageWriter, Opcode, Rcode, RecordType};
 use mcdn_faults::{FaultProfile, Fnv64, RetryPolicy};
 use mcdn_geo::SimTime;
 use mcdn_intern::NameId;
@@ -286,6 +288,7 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
     };
 
     let mut memo = IRoundMemo::new();
+    let (mut writer, mut mangled) = (MessageWriter::new(), Vec::new());
     let mut t = cfg.traffic_start;
     while t < cfg.traffic_end {
         update_loads(&world, t);
@@ -315,7 +318,7 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
             {
                 result.attacker_routed += 1;
             }
-            audit_wire(&cns, &scratch, t, &mut result);
+            audit_wire(&cns, scratch.trace(), t, &mut writer, &mut mangled, &mut result);
         }
         for probe in probes.iter() {
             audit_cache(&cns, probe, &mut result);
@@ -344,40 +347,57 @@ fn audit_cache(cns: &CompiledNamespace<'_>, probe: &Probe, result: &mut PoisonRu
     }
 }
 
-/// The wire-level stage: re-encodes every answer of the trace as a DNS
-/// response, applies seeded byte mutations, and feeds both the clean and
-/// the mangled bytes to the total decoder. Decode failures are counted;
-/// a panic would abort the sweep — which is the point.
-fn audit_wire(
-    cns: &CompiledNamespace<'_>,
-    scratch: &ResolveScratch,
+/// The wire-level stage: writes each answered step of the trace as the
+/// DNS response to its query, straight from the table's names, applies
+/// seeded byte mutations, and checks both the clean and the mangled bytes
+/// with the total decoder's check-only sink, [`Message::validate`], whose
+/// verdict is [`Message::decode`]'s. Rejections are counted; a panic would
+/// abort the sweep — which is the point. `writer` and `mangled` serve the
+/// whole run, so once they have grown the stage allocates nothing.
+fn audit_wire<'n>(
+    cns: &'n CompiledNamespace<'_>,
+    trace: &ITrace,
     t: SimTime,
+    writer: &mut MessageWriter<'n>,
+    mangled: &mut Vec<u8>,
     result: &mut PoisonRunResult,
 ) {
-    let trace = cns.materialize_trace(scratch.trace());
-    let mut mangled = Vec::new();
-    for step in trace.steps {
-        if step.records.is_empty() {
+    // The header `Message::response_to` gives a recursive query's answer.
+    let header = Header {
+        id: (t.0 & 0xFFFF) as u16,
+        flags: Flags { qr: true, rd: true, ra: true, ..Flags::default() },
+        opcode: Opcode::Query,
+        rcode: Rcode::NoError,
+    };
+    let table = cns.table();
+    for step in trace.steps() {
+        let records = trace.records_of(step);
+        if records.is_empty() {
             continue;
         }
-        let query = Message::query((t.0 & 0xFFFF) as u16, step.qname, step.qtype);
-        let mut response = Message::response_to(&query, Rcode::NoError);
-        response.answers = step.records;
-        let Ok(bytes) = response.encode() else {
+        let written = writer.start(&header, [1, records.len(), 0, 0]).and_then(|()| {
+            writer.question(table.name(step.qname), step.qtype, Class::In);
+            records.iter().try_for_each(|r| {
+                writer.record(table.name(r.name), Class::In, r.ttl, cns.wire_rdata(r.rdata))
+            })
+        });
+        if written.is_err() {
             continue; // attacker-long chains can exceed wire limits; skip
-        };
+        }
+        let bytes = writer.bytes();
         result.wire_messages += 1;
-        if Message::decode(&bytes).is_err() {
+        if Message::validate(bytes).is_err() {
             result.wire_decode_errors += 1;
         }
         let mut seed = {
             let mut h = Fnv64::new();
             h.update(&t.0.to_le_bytes());
-            h.update(&bytes);
+            h.update(bytes);
             h.finish()
         };
         for _ in 0..WIRE_MUTATIONS_PER_MESSAGE {
-            mangled.clone_from(&bytes);
+            mangled.clear();
+            mangled.extend_from_slice(bytes);
             let r = splitmix(&mut seed);
             match r % 3 {
                 0 => {
@@ -396,7 +416,7 @@ fn audit_wire(
                 }
             }
             result.wire_messages += 1;
-            if Message::decode(&mangled).is_err() {
+            if Message::validate(mangled).is_err() {
                 result.wire_decode_errors += 1;
             }
         }

@@ -160,4 +160,19 @@ fn poisoning_sweep_holds_invariants_across_the_grid() {
     // The wire stage fed mangled messages to the total decoder on every
     // scenario; rejects are data, panics impossible.
     assert!(results.iter().all(|r| r.wire_messages > 0));
+    // Its verdicts, exactly: (messages checked, messages rejected).
+    let wire: Vec<_> =
+        results.iter().map(|r| (r.scenario, r.wire_messages, r.wire_decode_errors)).collect();
+    assert_eq!(
+        wire,
+        [
+            ("baseline-quiet", 7300, 4126),
+            ("spoof-a-enforced", 7300, 4126),
+            ("spoof-a-open", 6052, 3474),
+            ("ns-inject-enforced", 7300, 4126),
+            ("truncation-storm", 6108, 3480),
+            ("ttl-inflation-open", 7404, 4181),
+            ("kitchen-sink-open", 7304, 4127),
+        ]
+    );
 }

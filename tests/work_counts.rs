@@ -8,7 +8,10 @@
 //!   neither spawns a worker;
 //! * a real campaign window (the serial global campaign of
 //!   `bench_campaigns`' full workload) averages under one heap allocation
-//!   per resolution, and recording metrics allocates nothing.
+//!   per resolution, and recording metrics allocates nothing;
+//! * the poisoning sweep's wire audit writes, mangles and checks its
+//!   messages in reused buffers: the sweep, its world builds aside,
+//!   makes fewer than one allocation per ten wire messages.
 //!
 //! The counting allocator and the pool counters are process-wide, so this
 //! binary holds a single test: nothing else allocates or dispatches while
@@ -18,7 +21,9 @@ use alloc_counter::{AllocCounts, CountingAlloc};
 use metacdn_suite::exec;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::obs;
-use metacdn_suite::scenario::{run_dns, run_traffic, Campaign, ScenarioConfig, World};
+use metacdn_suite::scenario::{
+    params, poison_grid, run_dns, run_poison_sweep, run_traffic, Campaign, ScenarioConfig, World,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -89,4 +94,28 @@ fn campaign_engine_work_counts() {
         enabled.bytes
     );
     assert_eq!(enabled, disabled, "metrics recording must not allocate");
+
+    // The poisoning sweep over the window of its unit tests. Each of its
+    // scenarios builds a world, whose allocations are counted apart.
+    let mut sweep = ScenarioConfig::fast();
+    sweep.traffic_start = params::release() - Duration::hours(2);
+    sweep.traffic_end = params::release() + Duration::hours(6);
+    let grid = poison_grid(sweep.seed);
+    let before = ALLOC.snapshot();
+    for _ in &grid {
+        World::build(&sweep);
+    }
+    let builds = ALLOC.snapshot().since(before);
+    let before = ALLOC.snapshot();
+    let results = run_poison_sweep(&sweep, &grid).expect("poison sweep invariants");
+    let allocs = ALLOC.snapshot().since(before).allocs - builds.allocs;
+    let resolutions: u64 = results.iter().map(|r| r.resolutions).sum();
+    let wire_messages: u64 = results.iter().map(|r| r.wire_messages).sum();
+    assert_eq!((resolutions, wire_messages), (1_792, 31_924), "7 scenarios × 8 probes × 32 ticks");
+    assert!(
+        allocs * 10 < wire_messages,
+        "{allocs} allocations besides {} of the world builds for {wire_messages} wire messages: \
+         one or more per ten messages",
+        builds.allocs
+    );
 }
