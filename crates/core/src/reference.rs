@@ -369,7 +369,7 @@ mod props {
             }
         }
         for key in 0..4u64 {
-            prop_assert_eq!(real.site_is_down(key), model.site_is_down(key));
+            prop_assert_eq!(real.with_down_sites(|down| down(key)), model.site_is_down(key));
         }
         let (got, want) = (real.export_signals(), model.export_signals());
         prop_assert!(got == want, "{label}: exported signals {got:?} != {want:?}");

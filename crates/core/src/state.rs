@@ -367,9 +367,18 @@ impl MetaCdnState {
         }
     }
 
-    /// Whether the Apple site with `site_key` is currently marked down.
-    pub fn site_is_down(&self, site_key: u64) -> bool {
-        self.with_inner(|inner| inner.down_sites.contains(&site_key))
+    /// Runs `f` with whether each Apple site (by site key) is currently
+    /// marked down, the down set read once from one view of the signals
+    /// (the installed snapshot, else the live state). While no site is
+    /// down, `f` gets the constant `false` and probes no set.
+    pub fn with_down_sites<R>(&self, f: impl FnOnce(&dyn Fn(u64) -> bool) -> R) -> R {
+        self.with_inner(|inner| {
+            if inner.down_sites.is_empty() {
+                f(&|_| false)
+            } else {
+                f(&|site_key| inner.down_sites.contains(&site_key))
+            }
+        })
     }
 
     /// The selection probabilities actually in force: the scheduled share
@@ -760,11 +769,12 @@ mod tests {
     #[test]
     fn down_site_registry_round_trips() {
         let s = state_with(1.0, 0.0, 0.0);
-        assert!(!s.site_is_down(99));
+        let is_down = |key| s.with_down_sites(|down| down(key));
+        assert!(!is_down(99));
         s.set_site_down(99, true);
-        assert!(s.site_is_down(99));
+        assert!(is_down(99) && !is_down(98));
         s.set_site_down(99, false);
-        assert!(!s.site_is_down(99));
+        assert!(!is_down(99));
     }
 
     #[test]

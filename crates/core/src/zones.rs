@@ -259,10 +259,11 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
                 only_a(qtype, || {
                     // Health-checked mapping: sites the controller marked
                     // down are skipped, so clients fail over to the next
-                    // nearest site instead of receiving dead vips. With no
-                    // down sites this is bit-identical to plain `answer`.
-                    let down = |key| state.site_is_down(key);
-                    gslb.answer_filtered(ctx.client_ip, ctx.coord, ctx.now, &down, addrs);
+                    // nearest site instead of receiving dead vips. The
+                    // down set is read once per answer.
+                    state.with_down_sites(|down| {
+                        gslb.answer_filtered(ctx.client_ip, ctx.coord, ctx.now, down, addrs)
+                    });
                     PolicyAnswer::A { ttl: names::TTL_APPLE_A }
                 })
             }),

@@ -936,13 +936,18 @@ impl InternedResolver {
                                 // owners before the cache, memo, or trace
                                 // see them — a no-op for every well-formed
                                 // answer. The retain stays in place,
-                                // allocation-free.
+                                // allocation-free. A record owned by the
+                                // queried name is in the zone: its
+                                // authority is chosen among the zones the
+                                // name is within. Only tampering adds
+                                // other owners, so only they compare names.
                                 if bailiwick == BailiwickPolicy::Enforce {
                                     if let Some(zo) = z {
                                         let origin_name = ns.table.name(zo);
                                         let before = scratch.answer.len();
                                         scratch.answer.retain(|r| {
-                                            ns.table.name(r.name).is_within(origin_name)
+                                            r.name == current
+                                                || ns.table.name(r.name).is_within(origin_name)
                                         });
                                         let dropped = before - scratch.answer.len();
                                         if dropped > 0 {
@@ -1282,6 +1287,71 @@ mod tests {
                 prop_assert_eq!(counters[mcdn_obs::id::CACHE_MISSES as usize], model.misses);
                 prop_assert_eq!(counters[mcdn_obs::id::CACHE_EXPIRED as usize], model.expired);
             }
+        }
+    }
+
+    /// Bailiwick enforcement keys on owners: a forged record owned by
+    /// another name inside the answering zone stays, one owned by a name
+    /// outside it is dropped and counted, and `Accept` keeps both.
+    #[test]
+    fn bailiwick_drops_only_owners_outside_the_zone() {
+        use crate::zone::Zone;
+        use mcdn_geo::{Continent, Coord};
+        let name = |s: &str| Name::parse(s).unwrap();
+        let mut ns = Namespace::new();
+        let mut zone = Zone::new(name("example.com"));
+        zone.add_cname("www.example.com", "cdn.example.com", 60);
+        zone.add_a("cdn.example.com", Ipv4Addr::new(192, 0, 2, 1), 60);
+        ns.add_zone(zone);
+        let extra = [name("ns.example.com"), name("phish.attacker.invalid")];
+        let cns = CompiledNamespace::compile_with_extra(&ns, &extra);
+        let id = |s: &str| cns.table().get(&name(s)).unwrap();
+        let (www, cdn) = (id("www.example.com"), id("cdn.example.com"));
+        let (inside, outside) = (id("ns.example.com"), id("phish.attacker.invalid"));
+        // One forgery per answer: on the CNAME hop an NS record owned by
+        // another name in the zone (it does not end the chase), on the
+        // address hop an A record owned by a name outside it.
+        let forge = move |_: NameId, _: u64, qname: NameId, _: u64, _: &QueryContext, _: u32| {
+            if qname == www {
+                Some(ITamper::InjectNs { owner: inside, target: outside, ttl: 60 })
+            } else {
+                let addr = Ipv4Addr::new(198, 18, 0, 1);
+                (qname == cdn).then_some(ITamper::SpoofA { owner: outside, addr, ttl: 60 })
+            }
+        };
+        let ctx = QueryContext {
+            client_ip: Ipv4Addr::new(198, 51, 100, 1),
+            locode: Locode::parse("defra").unwrap(),
+            coord: Coord::new(50.1, 8.7),
+            continent: Continent::Europe,
+            now: T0,
+        };
+        for (policy, owners, drops) in [
+            (BailiwickPolicy::Enforce, vec![www, inside, cdn], 1),
+            (BailiwickPolicy::Accept, vec![www, inside, cdn, outside], 0),
+        ] {
+            let mut obs = mcdn_obs::CampaignObs::begin();
+            let mut scratch = ResolveScratch::new();
+            InternedResolver::new()
+                .resolve_adversarial(
+                    &cns,
+                    &mut scratch,
+                    www,
+                    RecordType::A,
+                    &ctx,
+                    &NoInternedFaults,
+                    &forge,
+                    policy,
+                    0,
+                    None,
+                )
+                .unwrap();
+            let trace = scratch.trace();
+            let got: Vec<NameId> =
+                trace.steps().iter().flat_map(|s| trace.records_of(s)).map(|r| r.name).collect();
+            assert_eq!(got, owners, "{policy:?}: record owners in the trace");
+            obs.absorb(mcdn_obs::shard_take());
+            assert_eq!(obs.finish().counter(mcdn_obs::id::BAILIWICK_DROPS), drops, "{policy:?}");
         }
     }
 

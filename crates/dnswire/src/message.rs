@@ -4,8 +4,6 @@ use crate::decode::{self, Check, Owned};
 use crate::error::WireError;
 use crate::name::Name;
 use crate::rr::{Class, RDataRef, RecordType, ResourceRecord};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Query/response operation code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,10 +156,16 @@ pub struct Message {
 /// itself. A later name ends in a pointer at its longest recorded suffix.
 /// Offsets from 0x4000 on cannot be addressed, so they are never
 /// recorded. Names inside RDATA are written uncompressed.
+///
+/// The recorded suffixes are a list scanned in order, not a hash map:
+/// the messages this program writes hold a question and a few records,
+/// a handful of suffixes, and comparing those slices costs less than
+/// hashing one. Each entry starts at a distinct offset below 0x4000, so
+/// even the largest message scans at most 0x4000 entries per suffix.
 #[derive(Debug)]
 pub struct MessageWriter<'n> {
     out: Vec<u8>,
-    offsets: HashMap<&'n [u8], u16>,
+    offsets: Vec<(&'n [u8], u16)>,
 }
 
 impl Default for MessageWriter<'_> {
@@ -173,7 +177,7 @@ impl Default for MessageWriter<'_> {
 impl<'n> MessageWriter<'n> {
     /// A writer with no message.
     pub fn new() -> MessageWriter<'n> {
-        MessageWriter { out: Vec::with_capacity(512), offsets: HashMap::new() }
+        MessageWriter { out: Vec::with_capacity(512), offsets: Vec::new() }
     }
 
     /// Starts a message, discarding the previous one: writes `header` and
@@ -239,16 +243,12 @@ impl<'n> MessageWriter<'n> {
     fn owner(&mut self, name: &'n Name) {
         let mut rest = name.wire();
         while let Some(&len) = rest.first() {
-            match self.offsets.entry(rest) {
-                Entry::Occupied(first) => {
-                    self.out.extend_from_slice(&(0xC000 | first.get()).to_be_bytes());
-                    return;
-                }
-                Entry::Vacant(slot) => {
-                    if let Ok(here @ 0..=0x3FFF) = u16::try_from(self.out.len()) {
-                        slot.insert(here);
-                    }
-                }
+            if let Some(&(_, first)) = self.offsets.iter().find(|(suffix, _)| *suffix == rest) {
+                self.out.extend_from_slice(&(0xC000 | first).to_be_bytes());
+                return;
+            }
+            if let Ok(here @ 0..=0x3FFF) = u16::try_from(self.out.len()) {
+                self.offsets.push((rest, here));
             }
             let (label, tail) = rest.split_at(1 + len as usize);
             self.out.extend_from_slice(label);

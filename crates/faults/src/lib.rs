@@ -14,6 +14,9 @@
 //!   evaluated by hashing. No RNG state is threaded anywhere, so two runs
 //!   with the same seed produce bit-identical fault patterns, and a
 //!   zero-rate profile ([`FaultProfile::none`]) is exactly a no-op.
+//! * [`FaultDraws`] — a profile compiled, once per campaign, into its
+//!   per-query DNS draws: what can fire at all, the slow-timeout cut, and
+//!   the enabled mutation kinds.
 //! * [`QueryFault`] — the transient outcomes an upstream DNS query can
 //!   suffer (SERVFAIL or timeout).
 //! * [`RetryPolicy`] — capped exponential backoff for probe-side retries.
@@ -116,6 +119,16 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The largest 53-bit draw `h >> 11` (the numerator of [`unit`]).
+const DRAW_MAX: u64 = (1 << 53) - 1;
+
+/// The last word of each per-query draw, after the query's five key words.
+const LOSS_SALT: u64 = 0x105e;
+const LATENCY_SALT: u64 = 0x1a7e;
+const SERVFAIL_SALT: u64 = 0x5efa;
+const MUTATION_FIRE_SALT: u64 = 0xbad0;
+const MUTATION_PICK_SALT: u64 = 0xbad1;
+
 /// A transient fault injected into one upstream DNS query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryFault {
@@ -133,7 +146,7 @@ pub enum QueryFault {
 /// the shapes a resolver sees from spoofed, misconfigured, or outright
 /// hostile authoritative servers. Which mutation (if any) hits a given
 /// query is a pure function of `(profile, zone, query, attempt, time)` —
-/// see [`FaultProfile::answer_mutation`] — so adversarial campaigns stay
+/// see [`FaultDraws::answer_mutation`] — so adversarial campaigns stay
 /// bit-reproducible and journal-resumable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnswerMutation {
@@ -435,18 +448,33 @@ impl FaultProfile {
         h.finish()
     }
 
-    /// True when every rate is zero, i.e. no decision method can ever
-    /// report a fault.
-    pub fn is_quiet(&self) -> bool {
-        self.query_loss <= 0.0
-            && self.servfail_floor <= 0.0
-            && self.servfail_per_load <= 0.0
-            && (self.lame_every_hours == 0 || self.lame_hours == 0)
-            && (self.slow_timeout_ms <= 0.0 || self.latency_median_ms <= 0.0)
-            && self.netflow_export_loss <= 0.0
-            && self.snmp_gap <= 0.0
-            && !self.has_answer_mutations()
-            && !self.has_infrastructure_faults()
+    /// Compiles the profile into its per-query DNS draws (see
+    /// [`FaultDraws`]): build it once per campaign, not per query.
+    pub fn compile(&self) -> FaultDraws {
+        let slow_cut = self.slow_cut();
+        let can_fault = self.query_loss > 0.0
+            || self.servfail_floor > 0.0
+            || self.servfail_per_load > 0.0
+            || (self.lame_every_hours > 0 && self.lame_hours > 0)
+            || slow_cut.is_some()
+            || (self.ns_outage_every_hours > 0 && self.ns_outage_hours > 0)
+            || (self.kill_key != 0 && self.kill_until > self.kill_from);
+        let mut kinds = [AnswerMutation::SpoofA; 4];
+        let mut enabled = 0;
+        if self.has_answer_mutations() {
+            for (on, kind) in [
+                (self.mutate_spoof_a, AnswerMutation::SpoofA),
+                (self.mutate_inject_ns, AnswerMutation::InjectNs),
+                (self.mutate_truncate, AnswerMutation::Truncate),
+                (self.mutate_inflate_ttl, AnswerMutation::InflateTtl),
+            ] {
+                if on {
+                    kinds[enabled] = kind;
+                    enabled += 1;
+                }
+            }
+        }
+        FaultDraws { profile: *self, can_fault, slow_cut, kinds, enabled: enabled as u64 }
     }
 
     /// True when any [`AnswerMutation`] kind can ever fire.
@@ -541,90 +569,6 @@ impl FaultProfile {
         1.0 / (1.0 + self.apple_degrade_per_load * (util - 1.0).max(0.0))
     }
 
-    /// The fault, if any, suffered by one upstream query.
-    ///
-    /// * `zone_key` — hash identifying the authoritative zone asked.
-    /// * `query_key` — hash identifying the querying client and name.
-    /// * `attempt` — 0-based retry counter; retries redraw independently.
-    /// * `now` — campaign time of the query.
-    /// * `zone_load` — the zone operator's current load (0 = idle); scales
-    ///   the SERVFAIL probability by `servfail_per_load`.
-    pub fn upstream_fault(
-        &self,
-        zone_key: u64,
-        query_key: u64,
-        attempt: u32,
-        now: SimTime,
-        zone_load: f64,
-    ) -> Option<QueryFault> {
-        if self.zone_is_lame(zone_key, now) {
-            return Some(QueryFault::ServFail);
-        }
-        let base = [self.seed, zone_key, query_key, now.0, attempt as u64];
-        if self.query_loss > 0.0 {
-            let h = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0x105e]);
-            if unit(h) < self.query_loss {
-                return Some(QueryFault::Timeout);
-            }
-        }
-        if self.slow_timeout_ms > 0.0
-            && self.query_latency_ms(zone_key, query_key, attempt, now) > self.slow_timeout_ms
-        {
-            return Some(QueryFault::Timeout);
-        }
-        let p_servfail =
-            (self.servfail_floor + self.servfail_per_load * zone_load.max(0.0)).clamp(0.0, 1.0);
-        if p_servfail > 0.0 {
-            let h = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0x5efa]);
-            if unit(h) < p_servfail {
-                return Some(QueryFault::ServFail);
-            }
-        }
-        None
-    }
-
-    /// The Byzantine mutation, if any, applied to one upstream answer.
-    ///
-    /// Keyed exactly like [`FaultProfile::upstream_fault`] — pure in
-    /// `(profile, zone_key, query_key, attempt, now)` — so mutated
-    /// campaigns replay bit-identically from a journal checkpoint. Which
-    /// kind fires is a second independent draw over the enabled
-    /// `mutate_*` flags, taken in declaration order.
-    pub fn answer_mutation(
-        &self,
-        zone_key: u64,
-        query_key: u64,
-        attempt: u32,
-        now: SimTime,
-    ) -> Option<AnswerMutation> {
-        if self.mutation_rate <= 0.0 {
-            return None;
-        }
-        let mut kinds = [AnswerMutation::SpoofA; 4];
-        let mut enabled = 0usize;
-        for (on, kind) in [
-            (self.mutate_spoof_a, AnswerMutation::SpoofA),
-            (self.mutate_inject_ns, AnswerMutation::InjectNs),
-            (self.mutate_truncate, AnswerMutation::Truncate),
-            (self.mutate_inflate_ttl, AnswerMutation::InflateTtl),
-        ] {
-            if on {
-                kinds[enabled] = kind;
-                enabled += 1;
-            }
-        }
-        if enabled == 0 {
-            return None;
-        }
-        let base = [self.seed, zone_key, query_key, now.0, attempt as u64];
-        let fire = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0xbad0]);
-        if unit(fire) >= self.mutation_rate {
-            return None;
-        }
-        let pick = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0xbad1]);
-        Some(kinds[(pick % enabled as u64) as usize])
-    }
-
     /// The attacker-prefix address a [`AnswerMutation::SpoofA`] record for
     /// this `(query, time)` points at: deterministic, always inside
     /// `attacker_prefix.0.attacker_prefix.1/16`.
@@ -641,6 +585,8 @@ impl FaultProfile {
     /// A deterministic latency draw (milliseconds) for one upstream query,
     /// Pareto-shaped so that the median is `latency_median_ms` and the
     /// 99th percentile is roughly `latency_median_ms * latency_tail`.
+    /// [`FaultDraws::upstream_fault`] decides slowness from its cut
+    /// without evaluating this.
     pub fn query_latency_ms(
         &self,
         zone_key: u64,
@@ -648,16 +594,51 @@ impl FaultProfile {
         attempt: u32,
         now: SimTime,
     ) -> f64 {
+        let h = hash_words(&[self.seed, zone_key, query_key, now.0, attempt as u64, LATENCY_SALT]);
+        self.latency_at(h >> 11)
+    }
+
+    /// The latency of the 53-bit draw `draw` (`u = draw / 2^53`).
+    fn latency_at(&self, draw: u64) -> f64 {
         if self.latency_median_ms <= 0.0 {
             return 0.0;
         }
-        let h = hash_words(&[self.seed, zone_key, query_key, now.0, attempt as u64, 0x1a7e]);
-        let u = unit(h);
+        let u = draw as f64 / (1u64 << 53) as f64;
         let tail = self.latency_tail.max(1.0);
         // latency = median * (2(1-u))^(-alpha): u=0.5 gives the median,
         // u=0.99 gives median * 50^alpha = median * tail.
         let alpha = tail.ln() / 50.0_f64.ln();
         self.latency_median_ms * (2.0 * (1.0 - u).max(1e-12)).powf(-alpha)
+    }
+
+    /// Whether the latency of `draw` counts as a timeout.
+    fn is_slow(&self, draw: u64) -> bool {
+        self.slow_timeout_ms > 0.0 && self.latency_at(draw) > self.slow_timeout_ms
+    }
+
+    /// The smallest draw that [`is_slow`](Self::is_slow), by bisection;
+    /// `None` when no draw is. Exact because the latency is monotone in
+    /// the draw: `u` and `1 - u` are exact in `f64` (53-bit numerators
+    /// over `2^53`), so the base `2 max(1 - u, 1e-12)` never rises as the
+    /// draw rises, and a smaller base raised to `-alpha <= 0` is no
+    /// smaller. The unit tests hold the cut to the formula on the `2^17`
+    /// draws around it.
+    fn slow_cut(&self) -> Option<u64> {
+        if !self.is_slow(DRAW_MAX) {
+            return None;
+        }
+        // The cut lies in `lo..=hi`: `hi` is slow, and every draw below
+        // `lo` is not.
+        let (mut lo, mut hi) = (0, DRAW_MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.is_slow(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(lo)
     }
 
     /// Whether one sampled NetFlow record is lost on export.
@@ -686,6 +667,132 @@ impl FaultProfile {
 impl Default for FaultProfile {
     fn default() -> FaultProfile {
         FaultProfile::none()
+    }
+}
+
+/// A [`FaultProfile`] compiled by [`FaultProfile::compile`] into its
+/// per-query DNS draws: the facts a profile fixes for a whole campaign,
+/// settled once, so deciding one upstream query reads constants.
+///
+/// * Whether any DNS-side fault can fire at all: query loss, SERVFAIL,
+///   lame windows, slow timeouts, NS outages or a targeted kill.
+///   Telemetry loss, site faults and mutations do not count.
+/// * The slow-timeout cut: the smallest 53-bit draw whose latency
+///   ([`FaultProfile::query_latency_ms`]'s formula) exceeds
+///   `slow_timeout_ms`. A query is slow when its draw reaches the cut —
+///   one integer compare instead of a logarithm and a power.
+/// * The enabled mutation kinds in declaration order, none when
+///   [`FaultProfile::has_answer_mutations`] is false.
+///
+/// Every draw of one query hashes the same five words first, `(seed,
+/// zone, query, time, attempt)`, and then its own salt; by the definition
+/// of the fold, hashing six words is mixing the salt into the hash of the
+/// first five. So a query hashes its five words once, and each draw
+/// (loss, latency, SERVFAIL, mutation fire and pick) costs one more mix.
+/// The decisions are those of the profile's own per-draw hashing, bit for
+/// bit.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultDraws {
+    profile: FaultProfile,
+    can_fault: bool,
+    slow_cut: Option<u64>,
+    kinds: [AnswerMutation; 4],
+    enabled: u64,
+}
+
+impl FaultDraws {
+    /// The compiled profile.
+    pub fn profile(&self) -> &FaultProfile {
+        &self.profile
+    }
+
+    /// Whether [`upstream_fault`](Self::upstream_fault) can ever report a
+    /// fault.
+    pub fn can_fault(&self) -> bool {
+        self.can_fault
+    }
+
+    /// Whether [`answer_mutation`](Self::answer_mutation) can ever report
+    /// a mutation.
+    pub fn can_mutate(&self) -> bool {
+        self.enabled > 0
+    }
+
+    /// The hash every draw of one query starts from.
+    fn prefix(&self, zone_key: u64, query_key: u64, attempt: u32, now: SimTime) -> u64 {
+        hash_words(&[self.profile.seed, zone_key, query_key, now.0, attempt as u64])
+    }
+
+    /// The fault, if any, suffered by one upstream query.
+    ///
+    /// * `zone_key` — hash identifying the authoritative zone asked.
+    /// * `query_key` — hash identifying the querying client and name.
+    /// * `attempt` — 0-based retry counter; retries redraw independently.
+    /// * `now` — campaign time of the query.
+    /// * `zone_load` — the zone operator's current load (0 = idle); scales
+    ///   the SERVFAIL probability by `servfail_per_load`.
+    ///
+    /// In order: a dark NS ([`FaultProfile::ns_is_dark`]) times out, a
+    /// lame zone ([`FaultProfile::zone_is_lame`]) SERVFAILs, then the
+    /// loss, latency and SERVFAIL draws.
+    pub fn upstream_fault(
+        &self,
+        zone_key: u64,
+        query_key: u64,
+        attempt: u32,
+        now: SimTime,
+        zone_load: f64,
+    ) -> Option<QueryFault> {
+        if !self.can_fault {
+            return None;
+        }
+        let p = &self.profile;
+        if p.ns_is_dark(zone_key, now) {
+            return Some(QueryFault::Timeout);
+        }
+        if p.zone_is_lame(zone_key, now) {
+            return Some(QueryFault::ServFail);
+        }
+        let prefix = self.prefix(zone_key, query_key, attempt, now);
+        if p.query_loss > 0.0 && unit(mix(prefix ^ LOSS_SALT)) < p.query_loss {
+            return Some(QueryFault::Timeout);
+        }
+        if let Some(cut) = self.slow_cut {
+            if mix(prefix ^ LATENCY_SALT) >> 11 >= cut {
+                return Some(QueryFault::Timeout);
+            }
+        }
+        let p_servfail =
+            (p.servfail_floor + p.servfail_per_load * zone_load.max(0.0)).clamp(0.0, 1.0);
+        if p_servfail > 0.0 && unit(mix(prefix ^ SERVFAIL_SALT)) < p_servfail {
+            return Some(QueryFault::ServFail);
+        }
+        None
+    }
+
+    /// The Byzantine mutation, if any, applied to one upstream answer.
+    ///
+    /// Keyed exactly like [`FaultDraws::upstream_fault`] — pure in
+    /// `(profile, zone_key, query_key, attempt, now)` — so mutated
+    /// campaigns replay bit-identically from a journal checkpoint. Which
+    /// kind fires is a second independent draw over the enabled
+    /// `mutate_*` flags, taken in declaration order.
+    pub fn answer_mutation(
+        &self,
+        zone_key: u64,
+        query_key: u64,
+        attempt: u32,
+        now: SimTime,
+    ) -> Option<AnswerMutation> {
+        if self.enabled == 0 {
+            return None;
+        }
+        let prefix = self.prefix(zone_key, query_key, attempt, now);
+        if unit(mix(prefix ^ MUTATION_FIRE_SALT)) >= self.profile.mutation_rate {
+            return None;
+        }
+        let pick = mix(prefix ^ MUTATION_PICK_SALT);
+        Some(self.kinds[(pick % self.enabled) as usize])
     }
 }
 
@@ -747,6 +854,241 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    /// `query_latency_ms`'s formula at unit draw `u`, as first written.
+    fn reference_latency(p: &FaultProfile, u: f64) -> f64 {
+        if p.latency_median_ms <= 0.0 {
+            return 0.0;
+        }
+        let tail = p.latency_tail.max(1.0);
+        let alpha = tail.ln() / 50.0_f64.ln();
+        p.latency_median_ms * (2.0 * (1.0 - u).max(1e-12)).powf(-alpha)
+    }
+
+    /// Whether the 53-bit draw `draw` is slow under the formula.
+    fn reference_slow(p: &FaultProfile, draw: u64) -> bool {
+        let u = draw as f64 / (1u64 << 53) as f64;
+        p.slow_timeout_ms > 0.0 && reference_latency(p, u) > p.slow_timeout_ms
+    }
+
+    /// The decision before compilation, one `hash_words` per draw and the
+    /// latency formula, behind the campaign adapter's dark-NS check.
+    fn reference_upstream_fault(
+        p: &FaultProfile,
+        zone_key: u64,
+        query_key: u64,
+        attempt: u32,
+        now: SimTime,
+        zone_load: f64,
+    ) -> Option<QueryFault> {
+        if p.ns_is_dark(zone_key, now) {
+            return Some(QueryFault::Timeout);
+        }
+        if p.zone_is_lame(zone_key, now) {
+            return Some(QueryFault::ServFail);
+        }
+        let base = [p.seed, zone_key, query_key, now.0, attempt as u64];
+        if p.query_loss > 0.0 {
+            let h = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0x105e]);
+            if unit(h) < p.query_loss {
+                return Some(QueryFault::Timeout);
+            }
+        }
+        let h = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0x1a7e]);
+        if p.slow_timeout_ms > 0.0 && reference_latency(p, unit(h)) > p.slow_timeout_ms {
+            return Some(QueryFault::Timeout);
+        }
+        let p_servfail =
+            (p.servfail_floor + p.servfail_per_load * zone_load.max(0.0)).clamp(0.0, 1.0);
+        if p_servfail > 0.0 {
+            let h = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0x5efa]);
+            if unit(h) < p_servfail {
+                return Some(QueryFault::ServFail);
+            }
+        }
+        None
+    }
+
+    /// The mutation decision before compilation, behind the campaign
+    /// adapter's `has_answer_mutations` check.
+    fn reference_answer_mutation(
+        p: &FaultProfile,
+        zone_key: u64,
+        query_key: u64,
+        attempt: u32,
+        now: SimTime,
+    ) -> Option<AnswerMutation> {
+        if !p.has_answer_mutations() {
+            return None;
+        }
+        let mut kinds = [AnswerMutation::SpoofA; 4];
+        let mut enabled = 0usize;
+        for (on, kind) in [
+            (p.mutate_spoof_a, AnswerMutation::SpoofA),
+            (p.mutate_inject_ns, AnswerMutation::InjectNs),
+            (p.mutate_truncate, AnswerMutation::Truncate),
+            (p.mutate_inflate_ttl, AnswerMutation::InflateTtl),
+        ] {
+            if on {
+                kinds[enabled] = kind;
+                enabled += 1;
+            }
+        }
+        let base = [p.seed, zone_key, query_key, now.0, attempt as u64];
+        let fire = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0xbad0]);
+        if unit(fire) >= p.mutation_rate {
+            return None;
+        }
+        let pick = hash_words(&[base[0], base[1], base[2], base[3], base[4], 0xbad1]);
+        Some(kinds[(pick % enabled as u64) as usize])
+    }
+
+    /// The key of the targeted-kill profile below.
+    const KILL_KEY: u64 = 0x5eed_c0de;
+
+    /// Every profile the campaigns run, rebuilt from the public builders:
+    /// the presets, the border-telemetry profile, one profile per family
+    /// of the chaos grid and of the poisoning grid, and two latency
+    /// tails cut elsewhere.
+    fn profiles() -> Vec<(&'static str, FaultProfile)> {
+        let (from, until) = (SimTime(1_505_800_000), SimTime(1_505_830_000));
+        let base = FaultProfile::none().with_seed(41);
+        let poison = FaultProfile::poisoning(43);
+        vec![
+            ("none", FaultProfile::none()),
+            ("realistic", FaultProfile::realistic(0xFA17)),
+            ("poisoning", poison),
+            ("infrastructure", FaultProfile::infrastructure(41)),
+            ("telemetry", FaultProfile { netflow_export_loss: 0.02, snmp_gap: 0.03, ..base }),
+            ("site-outages", FaultProfile { site_outage_every_hours: 48, site_outage_hours: 3, ..base }),
+            (
+                "brownouts",
+                FaultProfile { brownout_every_hours: 24, brownout_hours: 4, brownout_depth: 0.5, ..base },
+            ),
+            ("ns-outages", FaultProfile { ns_outage_every_hours: 72, ns_outage_hours: 2, ..base }),
+            ("apple-degraded", FaultProfile { apple_degrade_per_load: 0.3, ..base }),
+            ("target-kill", base.with_target_kill(KILL_KEY, from, until)),
+            ("total-dark", FaultProfile::infrastructure(41).with_blackout(from, until)),
+            (
+                "spoof-a-open",
+                FaultProfile {
+                    mutate_inject_ns: false,
+                    mutate_truncate: false,
+                    mutate_inflate_ttl: false,
+                    enforce_bailiwick: false,
+                    ..poison
+                },
+            ),
+            (
+                "ns-inject",
+                FaultProfile {
+                    mutate_spoof_a: false,
+                    mutate_truncate: false,
+                    mutate_inflate_ttl: false,
+                    ..poison
+                },
+            ),
+            (
+                "truncation-storm",
+                FaultProfile {
+                    mutate_spoof_a: false,
+                    mutate_inject_ns: false,
+                    mutate_inflate_ttl: false,
+                    mutation_rate: 0.35,
+                    ..poison
+                },
+            ),
+            (
+                "ttl-inflation-open",
+                FaultProfile {
+                    mutate_spoof_a: false,
+                    mutate_inject_ns: false,
+                    mutate_truncate: false,
+                    enforce_bailiwick: false,
+                    ..poison
+                },
+            ),
+            ("kitchen-sink-open", poison.with_bailiwick_enforcement(false)),
+            ("tail-200ms", FaultProfile { slow_timeout_ms: 200.0, ..FaultProfile::realistic(3) }),
+            ("tail-1s-short", FaultProfile { latency_tail: 8.0, slow_timeout_ms: 1_000.0, ..FaultProfile::realistic(5) }),
+        ]
+    }
+
+    #[test]
+    fn six_word_hash_is_the_five_word_prefix_mixed_with_the_salt() {
+        let mut state = 0x1234_5678u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix(state)
+        };
+        for _ in 0..10_000 {
+            let len = (next() % 9) as usize;
+            let words: Vec<u64> = (0..len).map(|_| next()).collect();
+            let salt = next();
+            let mut extended = words.clone();
+            extended.push(salt);
+            assert_eq!(hash_words(&extended), mix(hash_words(&words) ^ salt), "{words:?} + {salt}");
+        }
+    }
+
+    #[test]
+    fn slow_cut_is_where_the_latency_formula_first_exceeds_the_timeout() {
+        let mut cut_profiles = 0;
+        for (label, p) in profiles() {
+            let draws = p.compile();
+            let Some(cut) = draws.slow_cut else {
+                assert!(!reference_slow(&p, DRAW_MAX), "{label}: the slowest draw is slow");
+                continue;
+            };
+            cut_profiles += 1;
+            assert!(cut > 0 && !reference_slow(&p, cut - 1), "{label}: draw below the cut is slow");
+            assert!(reference_slow(&p, cut), "{label}: draw at the cut is not slow");
+            let span = 1u64 << 16;
+            for draw in cut - span.min(cut)..=(cut + span).min(DRAW_MAX) {
+                assert_eq!(draw >= cut, reference_slow(&p, draw), "{label}: draw {draw}, cut {cut}");
+            }
+        }
+        assert_eq!(cut_profiles, 3, "realistic and the two tails have a cut");
+    }
+
+    #[test]
+    fn compiled_draws_decide_like_the_per_draw_hashes() {
+        let profiles: Vec<(&str, FaultProfile, FaultDraws)> =
+            profiles().into_iter().map(|(label, p)| (label, p, p.compile())).collect();
+        let mut fired = vec![[0u64; 3]; profiles.len()];
+        let mut state = 0xFA17u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            mix(state)
+        };
+        for _ in 0..100_000 {
+            let zone = if next() % 8 == 0 { KILL_KEY } else { next() };
+            let query = next();
+            let attempt = (next() % 3) as u32;
+            let now = SimTime(1_505_700_000 + next() % 200_000);
+            let load = (next() % 3_000) as f64 / 1_000.0;
+            for ((label, p, draws), fired) in profiles.iter().zip(fired.iter_mut()) {
+                let fault = draws.upstream_fault(zone, query, attempt, now, load);
+                let want = reference_upstream_fault(p, zone, query, attempt, now, load);
+                assert_eq!(fault, want, "{label}: ({zone}, {query}, {attempt}, {now:?}, {load})");
+                let mutation = draws.answer_mutation(zone, query, attempt, now);
+                let want = reference_answer_mutation(p, zone, query, attempt, now);
+                assert_eq!(mutation, want, "{label}: ({zone}, {query}, {attempt}, {now:?})");
+                let h = hash_words(&[p.seed, zone, query, now.0, attempt as u64, 0x1a7e]);
+                let latency = p.query_latency_ms(zone, query, attempt, now);
+                assert_eq!(latency.to_bits(), reference_latency(p, unit(h)).to_bits(), "{label}");
+                fired[0] += u64::from(fault == Some(QueryFault::Timeout));
+                fired[1] += u64::from(fault == Some(QueryFault::ServFail));
+                fired[2] += u64::from(mutation.is_some());
+            }
+        }
+        // The comparison is not vacuous: every DNS-side profile faults,
+        // and only those; every poisoning profile mutates.
+        for ((label, _, draws), fired) in profiles.iter().zip(&fired) {
+            assert_eq!(draws.can_fault(), fired[0] + fired[1] > 0, "{label}: {fired:?}");
+            assert_eq!(draws.can_mutate(), fired[2] > 0, "{label}: {fired:?}");
+        }
+    }
+
     #[test]
     fn profile_digest_separates_models_and_is_stable() {
         let a = FaultProfile::none();
@@ -795,11 +1137,12 @@ mod tests {
     #[test]
     fn none_profile_never_faults() {
         let p = FaultProfile::none();
-        assert!(p.is_quiet());
+        let draws = p.compile();
+        assert!(!draws.can_fault() && !draws.can_mutate());
         assert!(!p.has_infrastructure_faults());
         for i in 0..2_000u64 {
             let t = SimTime(i * 311);
-            assert!(p.upstream_fault(i, i ^ 0xabc, (i % 5) as u32, t, 3.0).is_none());
+            assert!(draws.upstream_fault(i, i ^ 0xabc, (i % 5) as u32, t, 3.0).is_none());
             assert!(!p.netflow_export_lost(i, i ^ 1, t));
             assert!(!p.snmp_poll_missed(i, t));
             assert!(!p.zone_is_lame(i, t));
@@ -809,7 +1152,7 @@ mod tests {
             assert!(!p.target_killed(i, t));
             assert!(!p.health_blackout(t));
             assert_eq!(p.apple_load_factor(5.0), 1.0);
-            assert!(p.answer_mutation(i, i ^ 0xdef, (i % 5) as u32, t).is_none());
+            assert!(draws.answer_mutation(i, i ^ 0xdef, (i % 5) as u32, t).is_none());
         }
     }
 
@@ -817,14 +1160,14 @@ mod tests {
     fn poisoning_preset_mutates_at_the_configured_rate() {
         let p = FaultProfile::poisoning(17);
         assert!(p.has_answer_mutations());
-        assert!(!p.is_quiet());
         assert!(p.enforce_bailiwick, "hardened resolver is the default");
-        assert!(p.upstream_fault(1, 2, 0, SimTime(1_505_000_000), 1.0).is_none(),
-            "poisoning alone leaves the absent-answer plane clean");
+        let draws = p.compile();
+        assert!(draws.can_mutate());
+        assert!(!draws.can_fault(), "poisoning alone leaves the absent-answer plane clean");
         let trials = 20_000u64;
         let mut counts = std::collections::HashMap::new();
         for i in 0..trials {
-            if let Some(m) = p.answer_mutation(3, i, 0, SimTime(1_505_000_000)) {
+            if let Some(m) = draws.answer_mutation(3, i, 0, SimTime(1_505_000_000)) {
                 *counts.entry(m).or_insert(0u64) += 1;
             }
         }
@@ -845,8 +1188,8 @@ mod tests {
 
     #[test]
     fn answer_mutations_are_reproducible_and_kind_gated() {
-        let a = FaultProfile::poisoning(5);
-        let b = FaultProfile::poisoning(5);
+        let a = FaultProfile::poisoning(5).compile();
+        let b = FaultProfile::poisoning(5).compile();
         for i in 0..2_000u64 {
             let t = SimTime(1_500_000_000 + i * 60);
             assert_eq!(a.answer_mutation(i, i * 7, 1, t), b.answer_mutation(i, i * 7, 1, t));
@@ -857,7 +1200,8 @@ mod tests {
             mutate_truncate: false,
             mutate_inflate_ttl: false,
             ..FaultProfile::poisoning(5)
-        };
+        }
+        .compile();
         let mut saw = 0;
         for i in 0..5_000u64 {
             if let Some(m) = only_spoof.answer_mutation(9, i, 0, SimTime(1_505_000_000)) {
@@ -869,7 +1213,8 @@ mod tests {
         // Rate with no kinds enabled is inert even at rate 1.0.
         let hollow = FaultProfile { mutation_rate: 1.0, ..FaultProfile::none() };
         assert!(!hollow.has_answer_mutations());
-        assert!(hollow.answer_mutation(1, 2, 0, SimTime(0)).is_none());
+        assert!(!hollow.compile().can_mutate());
+        assert!(hollow.compile().answer_mutation(1, 2, 0, SimTime(0)).is_none());
     }
 
     #[test]
@@ -914,7 +1259,7 @@ mod tests {
         }
         .with_seed(21);
         assert!(p.has_infrastructure_faults());
-        assert!(!p.is_quiet());
+        assert!(!p.compile().can_fault(), "site outages leave the DNS plane clean");
         let hours = 24 * 365;
         let down = (0..hours).filter(|&h| p.site_is_down(9, SimTime(h * 3600))).count();
         let frac = down as f64 / hours as f64;
@@ -1011,19 +1356,19 @@ mod tests {
         assert_eq!(p.query_loss, 0.0);
         assert_eq!(p.netflow_export_loss, 0.0);
         assert_eq!(p.snmp_gap, 0.0);
-        assert!(p.upstream_fault(1, 2, 0, SimTime(1_505_000_000), 0.9).is_none());
+        assert!(p.compile().can_fault(), "NS outages time DNS queries out");
+        let t = SimTime(1_505_000_000);
+        assert_eq!(p.compile().upstream_fault(1, 2, 0, t, 0.9).is_some(), p.ns_is_dark(1, t));
     }
 
     #[test]
     fn decisions_are_reproducible() {
         let a = FaultProfile::realistic(77);
         let b = FaultProfile::realistic(77);
+        let (da, db) = (a.compile(), b.compile());
         for i in 0..500u64 {
             let t = SimTime(1_500_000_000 + i * 60);
-            assert_eq!(
-                a.upstream_fault(i, i * 3, 1, t, 0.5),
-                b.upstream_fault(i, i * 3, 1, t, 0.5)
-            );
+            assert_eq!(da.upstream_fault(i, i * 3, 1, t, 0.5), db.upstream_fault(i, i * 3, 1, t, 0.5));
             assert_eq!(a.snmp_poll_missed(i, t), b.snmp_poll_missed(i, t));
         }
     }
@@ -1045,7 +1390,7 @@ mod tests {
 
     #[test]
     fn query_loss_rate_is_respected() {
-        let p = FaultProfile { query_loss: 0.2, ..FaultProfile::none() }.with_seed(5);
+        let p = FaultProfile { query_loss: 0.2, ..FaultProfile::none() }.with_seed(5).compile();
         let trials = 20_000u64;
         let timeouts = (0..trials)
             .filter(|&i| {
@@ -1066,7 +1411,8 @@ mod tests {
             servfail_per_load: 0.2,
             ..FaultProfile::none()
         }
-        .with_seed(9);
+        .with_seed(9)
+        .compile();
         let count = |load: f64| {
             (0..10_000u64)
                 .filter(|&i| p.upstream_fault(11, i, 0, SimTime(1_505_000_000), load).is_some())

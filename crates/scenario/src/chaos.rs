@@ -310,7 +310,7 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
     // No round memo: without a mapping snapshot, a region's resolution may
     // see state the previous region's share computation just wrote.
     let cns = CompiledNamespace::compile(&world.ns);
-    let campaign_faults = InternedCampaignFaults::new(*faults, &world, cns.table());
+    let campaign_faults = InternedCampaignFaults::new(faults.compile(), &world, cns.table());
     let mut scratch = ResolveScratch::new();
     let entry =
         cns.table().get(&metacdn::names::entry()).expect("the entry name is in the namespace");

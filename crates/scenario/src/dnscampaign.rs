@@ -25,7 +25,7 @@ use mcdn_dnssim::{
     MAX_CACHE_TTL,
 };
 use mcdn_dnswire::{Name, RecordType};
-use mcdn_faults::{AnswerMutation, FaultProfile, Fnv64, QueryFault, RetryPolicy};
+use mcdn_faults::{AnswerMutation, FaultDraws, FaultProfile, Fnv64, QueryFault, RetryPolicy};
 use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_intern::{FnvBuildHasher, NameId, NameTable};
 use mcdn_netsim::{AsId, FlatLpm};
@@ -197,17 +197,25 @@ fn load_class(name: &Name) -> LoadClass {
     }
 }
 
-/// Adapts the scenario's [`FaultProfile`] to the resolver's fault hook,
-/// coupling each zone's SERVFAIL odds to the live load of the operator
-/// behind it (Apple's zones fail more while Apple's edge is slammed, the
-/// Akamai-operated zones while Akamai's pool is hot — "load-dependent
-/// SERVFAIL from overloaded authoritative zones"). Zone load classes are
-/// precomputed per [`NameId`] and the fault keys are derived from the
-/// resolver-supplied display-FNV digests ([`Fnv64::with_state`] resumes
-/// the stream to fold in the client address), so a fault decision
-/// formats and allocates nothing.
+/// The fault key of one query: the query name's display-FNV digest,
+/// resumed ([`Fnv64::with_state`]) to fold in the client address.
+fn query_key(qname_fnv: u64, ctx: &QueryContext) -> u64 {
+    let mut qh = Fnv64::with_state(qname_fnv);
+    qh.update(&ctx.client_ip.octets());
+    qh.finish()
+}
+
+/// Adapts the scenario's compiled [`FaultDraws`] to the resolver's fault
+/// hook, coupling each zone's SERVFAIL odds to the live load of the
+/// operator behind it (Apple's zones fail more while Apple's edge is
+/// slammed, the Akamai-operated zones while Akamai's pool is hot —
+/// "load-dependent SERVFAIL from overloaded authoritative zones"). Zone
+/// load classes are precomputed per [`NameId`] and the fault keys are
+/// derived from the resolver-supplied display-FNV digests, so a fault
+/// decision formats and allocates nothing, and a profile with no DNS-side
+/// fault costs one branch per query.
 pub struct InternedCampaignFaults<'a> {
-    profile: FaultProfile,
+    draws: FaultDraws,
     world: &'a World,
     zone_loads: Vec<LoadClass>,
 }
@@ -217,12 +225,12 @@ impl<'a> InternedCampaignFaults<'a> {
     /// one per compiled namespace, not per query or per tick. The adapter
     /// reads `world`'s live loads at every decision.
     pub fn new(
-        profile: FaultProfile,
+        draws: FaultDraws,
         world: &'a World,
         table: &NameTable,
     ) -> InternedCampaignFaults<'a> {
         InternedCampaignFaults {
-            profile,
+            draws,
             world,
             zone_loads: table.iter().map(|(_, name)| load_class(name)).collect(),
         }
@@ -249,22 +257,18 @@ impl InternedFaultModel for InternedCampaignFaults<'_> {
         ctx: &QueryContext,
         attempt: u32,
     ) -> Option<UpstreamFault> {
-        if self.profile.is_quiet() {
+        if !self.draws.can_fault() {
             return None;
         }
         // Zone origins are table names, interned at compile time.
         let load = self.load_of(self.zone_loads[zone.index()], ctx.region());
-        // A dark authoritative NS (infrastructure outage or targeted kill)
-        // times out every attempt while the window lasts: resolvers retry,
-        // exhaust their budget, and report a transient failure — they never
-        // hang, which the chaos sweep asserts as the DNS-liveness invariant.
-        if self.profile.ns_is_dark(zone_fnv, ctx.now) {
-            return Some(UpstreamFault::Timeout);
-        }
-        let mut qh = Fnv64::with_state(qname_fnv);
-        qh.update(&ctx.client_ip.octets());
-        let query_key = qh.finish();
-        match self.profile.upstream_fault(zone_fnv, query_key, attempt, ctx.now, load)? {
+        // The draws time out every attempt to a dark authoritative NS
+        // (infrastructure outage or targeted kill) while the window lasts:
+        // resolvers retry, exhaust their budget, and report a transient
+        // failure — they never hang, which the chaos sweep asserts as the
+        // DNS-liveness invariant.
+        let key = query_key(qname_fnv, ctx);
+        match self.draws.upstream_fault(zone_fnv, key, attempt, ctx.now, load)? {
             QueryFault::ServFail => Some(UpstreamFault::ServFail),
             QueryFault::Timeout => Some(UpstreamFault::Timeout),
         }
@@ -287,16 +291,16 @@ pub fn bailiwick_policy(profile: &FaultProfile) -> BailiwickPolicy {
     }
 }
 
-/// Adapts the scenario's [`FaultProfile`] to the resolver's answer-
-/// mutation hook — the Byzantine upstream that forges records instead of
-/// merely dropping queries. Decisions are keyed off the same stateless
-/// digests as [`InternedCampaignFaults`] (zone display-FNV; query
-/// display-FNV folded with the client address). The attacker names are
-/// resolved to [`NameId`]s once (the campaign interns them via
+/// Adapts the scenario's compiled [`FaultDraws`] to the resolver's
+/// answer-mutation hook — the Byzantine upstream that forges records
+/// instead of merely dropping queries. Decisions are keyed off the same
+/// stateless digests as [`InternedCampaignFaults`] (zone display-FNV;
+/// query display-FNV folded with the client address). The attacker names
+/// are resolved to [`NameId`]s once (the campaign interns them via
 /// [`CompiledNamespace::compile_with_extra`]), so a mutation decision
 /// allocates nothing.
 pub struct InternedCampaignMutations {
-    profile: FaultProfile,
+    draws: FaultDraws,
     attacker_owner: NameId,
     attacker_ns: NameId,
 }
@@ -309,14 +313,14 @@ impl InternedCampaignMutations {
     ///
     /// If the table was compiled without them (use
     /// [`CompiledNamespace::compile_with_extra`]).
-    pub fn new(profile: FaultProfile, table: &NameTable) -> InternedCampaignMutations {
+    pub fn new(draws: FaultDraws, table: &NameTable) -> InternedCampaignMutations {
         let owner = table
             .get(&attacker_owner())
             .expect("attacker owner must be interned (compile_with_extra)");
         let ns = table
             .get(&attacker_ns())
             .expect("attacker NS must be interned (compile_with_extra)");
-        InternedCampaignMutations { profile, attacker_owner: owner, attacker_ns: ns }
+        InternedCampaignMutations { draws, attacker_owner: owner, attacker_ns: ns }
     }
 }
 
@@ -330,16 +334,14 @@ impl InternedMutationModel for InternedCampaignMutations {
         ctx: &QueryContext,
         attempt: u32,
     ) -> Option<ITamper> {
-        if !self.profile.has_answer_mutations() {
+        if !self.draws.can_mutate() {
             return None;
         }
-        let mut qh = Fnv64::with_state(qname_fnv);
-        qh.update(&ctx.client_ip.octets());
-        let query_key = qh.finish();
-        match self.profile.answer_mutation(zone_fnv, query_key, attempt, ctx.now)? {
+        let key = query_key(qname_fnv, ctx);
+        match self.draws.answer_mutation(zone_fnv, key, attempt, ctx.now)? {
             AnswerMutation::SpoofA => Some(ITamper::SpoofA {
                 owner: self.attacker_owner,
-                addr: self.profile.spoof_address(query_key, ctx.now),
+                addr: self.draws.profile().spoof_address(key, ctx.now),
                 ttl: POISON_TTL,
             }),
             AnswerMutation::InjectNs => Some(ITamper::InjectNs {
@@ -349,7 +351,7 @@ impl InternedMutationModel for InternedCampaignMutations {
             }),
             AnswerMutation::Truncate => Some(ITamper::Truncate),
             AnswerMutation::InflateTtl => {
-                Some(ITamper::InflateTtl { factor: self.profile.ttl_inflation_factor })
+                Some(ITamper::InflateTtl { factor: self.draws.profile().ttl_inflation_factor })
             }
         }
     }
@@ -673,8 +675,9 @@ fn drive_campaign(
         cns.table().get(&metacdn::names::entry()).expect("the entry name is in the namespace");
     let attr = AttributionTable::build(cns.table());
     let rib = world.topo.compiled_rib();
-    let faults = InternedCampaignFaults::new(p.profile, world, cns.table());
-    let mutations = InternedCampaignMutations::new(p.profile, cns.table());
+    let draws = p.profile.compile();
+    let faults = InternedCampaignFaults::new(draws, world, cns.table());
+    let mutations = InternedCampaignMutations::new(draws, cns.table());
     let bailiwick = bailiwick_policy(&p.profile);
     let table_len = cns.table().len();
     // The worker pool is process-persistent; warming here moves the
@@ -1048,47 +1051,60 @@ mod tests {
     use core::fmt::Write as _;
 
     /// The campaign engine's output is pinned — quiet, under a chaos-grade
-    /// fault profile, and under poisoning with and without bailiwick
-    /// enforcement — for every field of the result, including the
-    /// canonical memo accounting, for the global and the in-ISP
-    /// campaign. The global digests were cross-checked against an
-    /// independent reference engine when recorded: a mismatch is a
-    /// behaviour change, and a pin moves only with an intended output
-    /// change (together with `tests/goldens/` and `results/`).
+    /// fault profile, under poisoning with and without bailiwick
+    /// enforcement, and under the realistic measurement-plane profile —
+    /// for every field of the result, including the canonical memo
+    /// accounting, for the global and the in-ISP campaign. The realistic
+    /// case runs 15-minute global rounds over a day (~14 k upstream
+    /// queries), so lame windows, query loss, slow timeouts and
+    /// load-coupled SERVFAILs all fire in both campaigns. The first four
+    /// global digests were cross-checked against an independent reference
+    /// engine when recorded: a mismatch is a behaviour change, and a pin
+    /// moves only with an intended output change (together with
+    /// `tests/goldens/` and `results/`).
     #[test]
-    fn campaign_output_is_pinned_under_four_fault_profiles() {
+    fn campaign_output_is_pinned_under_five_fault_profiles() {
+        use mcdn_faults::FaultProfile;
+        // Global rounds: (interval, end); every window starts Sep 18 noon.
+        let sparse = (Duration::hours(2), SimTime::from_ymd(2017, 9, 19));
+        let dense = (Duration::mins(15), SimTime::from_ymd_hms(2017, 9, 19, 12, 0, 0));
         let profiles = [
-            (
-                "none",
-                mcdn_faults::FaultProfile::none(),
-                0x4a16_b8cb_14a9_2da1,
-                0x921c_d35f_8338_4be2,
-            ),
+            ("none", FaultProfile::none(), sparse, 0x4a16_b8cb_14a9_2da1, 0x921c_d35f_8338_4be2),
             (
                 "total-dark",
                 crate::chaos::total_dark_scenario(41).faults,
+                sparse,
                 0x4a16_b8cb_14a9_2da1,
                 0xc9dd_f08d_04e0_d43d,
             ),
             (
                 "poisoning-enforced",
-                mcdn_faults::FaultProfile::poisoning(43),
+                FaultProfile::poisoning(43),
+                sparse,
                 0x0d95_0588_7d42_d74f,
                 0xbcaa_5a9b_735e_5407,
             ),
             (
                 "poisoning-open",
-                mcdn_faults::FaultProfile::poisoning(43).with_bailiwick_enforcement(false),
+                FaultProfile::poisoning(43).with_bailiwick_enforcement(false),
+                sparse,
                 0x2167_8d4b_cd69_1d64,
                 0x3bcb_9c06_0932_165f,
             ),
+            (
+                "realistic",
+                FaultProfile::realistic(47),
+                dense,
+                0xe894_174d_2b21_d737,
+                0x4d74_1654_ebf4_4335,
+            ),
         ];
-        for (label, faults, global_pin, isp_pin) in profiles {
+        for (label, faults, (interval, end), global_pin, isp_pin) in profiles {
             let mut cfg = ScenarioConfig::fast();
             cfg.global_probes = 40;
-            cfg.global_dns_interval = Duration::hours(2);
+            cfg.global_dns_interval = interval;
             cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
-            cfg.global_end = SimTime::from_ymd(2017, 9, 19);
+            cfg.global_end = end;
             cfg.isp_probes = 40;
             cfg.isp_dns_interval = Duration::hours(6);
             cfg.isp_start = SimTime::from_ymd(2017, 9, 16);

@@ -249,9 +249,10 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
     let world = World::build(cfg);
     let profile = scenario.faults;
     let cns = CompiledNamespace::compile_with_extra(&world.ns, &[attacker_owner(), attacker_ns()]);
-    let faults = InternedCampaignFaults::new(profile, &world, cns.table());
+    let draws = profile.compile();
+    let faults = InternedCampaignFaults::new(draws, &world, cns.table());
     let mutations = CountingMutations {
-        inner: InternedCampaignMutations::new(profile, cns.table()),
+        inner: InternedCampaignMutations::new(draws, cns.table()),
         fired: Cell::new(0),
     };
     let bailiwick = bailiwick_policy(&profile);

@@ -9,6 +9,8 @@
 //! * a real campaign window (the serial global campaign of
 //!   `bench_campaigns`' full workload) averages under one heap allocation
 //!   per resolution, and recording metrics allocates nothing;
+//! * so does the same window under `FaultProfile::realistic` with
+//!   standard retries: deciding a query's faults allocates nothing;
 //! * the poisoning sweep's wire audit writes, mangles and checks its
 //!   messages in reused buffers: the sweep, its world builds aside,
 //!   makes fewer than one allocation per ten wire messages.
@@ -19,6 +21,7 @@
 
 use alloc_counter::{AllocCounts, CountingAlloc};
 use metacdn_suite::exec;
+use metacdn_suite::faults::{FaultProfile, RetryPolicy};
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::obs;
 use metacdn_suite::scenario::{
@@ -94,6 +97,18 @@ fn campaign_engine_work_counts() {
         enabled.bytes
     );
     assert_eq!(enabled, disabled, "metrics recording must not allocate");
+    let mut faulted = full;
+    faulted.faults = FaultProfile::realistic(full.seed);
+    faulted.retry = RetryPolicy::standard();
+    let (allocs, faulted_resolutions) = campaign_allocs(&faulted);
+    assert_eq!(faulted_resolutions, resolutions, "retries do not count as resolutions");
+    assert!(
+        allocs.allocs < resolutions,
+        "{} allocations ({} bytes) for {resolutions} faulted resolutions: one or more per \
+         resolution",
+        allocs.allocs,
+        allocs.bytes
+    );
 
     // The poisoning sweep over the window of its unit tests. Each of its
     // scenarios builds a world, whose allocations are counted apart.
